@@ -130,7 +130,10 @@ class EvalCounters:
     linearized_solves and adjoint_solves count solves with the constraint
     Jacobian and its transpose, jacobian_applies counts applications of the
     reduced residual Jacobian or its transpose, and cg_iterations sums the
-    inner Krylov iterations of all step computations.
+    inner Krylov iterations of all step computations. norm_probe_applies
+    counts the reduced Jacobian applications of the curvature-norm estimator
+    (two per Gauss-Newton product); they are excluded from jacobian_applies
+    and from the solve counters.
     """
 
     forward_solves: int = 0
@@ -138,6 +141,7 @@ class EvalCounters:
     linearized_solves: int = 0
     jacobian_applies: int = 0
     cg_iterations: int = 0
+    norm_probe_applies: int = 0
 
     def snapshot(self) -> dict:
         return asdict(self)

@@ -100,6 +100,8 @@ class IterationTrace:
     cg_iters: int
     step_norm: float
     step_residual_norm: float
+    h_norm_estimate: float
+    cg_tolerance: float
     counters: dict = field(default_factory=dict)
     note: str = ""
     u: Optional[np.ndarray] = None  # populated only when record_iterates is set
@@ -118,6 +120,8 @@ class IterationTrace:
             "cg_iters": self.cg_iters,
             "step_norm": self.step_norm,
             "step_residual_norm": self.step_residual_norm,
+            "h_norm_estimate": self.h_norm_estimate,
+            "cg_tolerance": self.cg_tolerance,
             "counters": dict(self.counters),
             "note": self.note,
         }
@@ -211,6 +215,7 @@ def solve(
 
     gauss_newton = config.hessian_mode == "gauss_newton"
     h_norm = None  # refreshed whenever the base point moves
+    h_vec = None  # dominant vector of the last estimate, the next one's start
     trace: list[IterationTrace] = []
     status: Optional[SolveStatus] = None
 
@@ -222,10 +227,15 @@ def solve(
         if gauss_newton:
             if h_norm is None:
                 # Norm probes emulate a known curvature bound; they run on an
-                # uncounted view so evaluation tallies match the cost model.
-                h_norm = estimate_operator_norm(
-                    jac.uncounted().gauss_newton_operator(), problem.n, config.seed
+                # uncounted view so evaluation tallies match the cost model,
+                # and are tallied apart as two Jacobian applications each.
+                h_norm, h_vec, products = estimate_operator_norm(
+                    jac.uncounted().gauss_newton_operator(),
+                    problem.n,
+                    config.seed,
+                    start=h_vec,
                 )
+                counters.norm_probe_applies += 2 * products
             spec = SubproblemSpec(
                 g=g,
                 H=jac.gauss_newton_operator(),
@@ -283,6 +293,8 @@ def solve(
             cg_iters=step.cg_iters,
             step_norm=norm(step.step),
             step_residual_norm=step.residual_norm,
+            h_norm_estimate=h_norm,
+            cg_tolerance=step.cg_tolerance,
             counters=counters.snapshot(),
             note=note,
             u=u.copy() if config.record_iterates else None,

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+# Relative agreement of successive Rayleigh quotients that ends a warm start.
+_WARM_RTOL = 1e-3
 
 
 class IndefiniteOperator(RuntimeError):
@@ -46,7 +48,9 @@ class SubproblemSpec:
 
     h_norm_estimate must be an upper bound on the spectral norm of H for the
     inexact termination rule to retain its guarantees; the power-iteration
-    estimator below overshoots on purpose.
+    estimator below overshoots on purpose. The solver takes a cold estimate
+    at the first base point of a run and warm-starts every later one from the
+    previous dominant vector, stopping once the Rayleigh quotient settles.
 
     When H is a Gauss-Newton composition, ``gn_factor`` (the underlying
     rectangular Jacobian operator) and ``gn_residual`` (the residual at the
@@ -91,29 +95,46 @@ class StepResult:
     residual_norm: float
     cg_iters: int
     mode: str
+    cg_tolerance: float  # residual target the Krylov solve ran to
 
 
-def estimate_operator_norm(H: LinearOperator, dim: int, seed: int = 0) -> float:
-    """Safety-factored power-iteration estimate of the spectral norm.
+def estimate_operator_norm(
+    H: LinearOperator, dim: int, seed: int = 0, start: np.ndarray | None = None
+) -> tuple[float, np.ndarray, int]:
+    """Safety-factored power-iteration estimate of the spectral norm of PSD H.
 
-    Thirty power iterations from a fixed-seed random start, Rayleigh
-    quotient, then a 1.5x inflation so the result upper-bounds the true
-    norm in practice. The zero operator is detected from the start vector
-    and reported as exactly 0.
+    Returns ``(estimate, v, products)``: 1.5 times the final Rayleigh
+    quotient, so the result upper-bounds the true norm in practice; the unit
+    vector that quotient belongs to; and the number of applications of H.
+
+    Without ``start`` (a cold estimate) the iteration begins at a fixed-seed
+    random vector and takes exactly thirty power steps. With ``start``, say
+    the vector a previous estimate at a nearby base point returned, it begins
+    there and stops as soon as two successive Rayleigh quotients agree to a
+    relative 1e-3 (``_WARM_RTOL``), after at most thirty steps. The zero
+    operator is detected from the start vector and reported as exactly 0.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
+    if start is None:
+        v = np.random.default_rng(seed).standard_normal(dim)
+    else:
+        v = as_vector(start, dim, name="start").copy()
     v /= np.linalg.norm(v)
     hv = H @ v
+    products = 1
     if norm(hv) <= 1e-300:
-        return 0.0
+        return 0.0, v, products
+    quotient = float(v @ hv)
     for _ in range(30):
         nv = np.linalg.norm(hv)
         if nv <= 1e-300:
-            return 0.0
+            return 0.0, v, products
         v = hv / nv
         hv = H @ v
-    return 1.5 * float(v @ hv)
+        products += 1
+        previous, quotient = quotient, float(v @ hv)
+        if start is not None and abs(quotient - previous) <= _WARM_RTOL * quotient:
+            break
+    return 1.5 * quotient, v, products
 
 
 def model_decrease(spec: SubproblemSpec, s) -> float:
@@ -245,6 +266,7 @@ def _solve(spec: SubproblemSpec, tol: float, maxiter: int | None, mode: str) -> 
         residual_norm=res,
         cg_iters=iters,
         mode=mode,
+        cg_tolerance=tol,
     )
 
 

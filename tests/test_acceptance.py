@@ -142,6 +142,27 @@ def test_criterion_3_step_certificates():
         assert checked > 0
 
 
+def test_norm_estimates_bound_curvature_along_desk_runs():
+    # Warm-started estimates must keep the cold estimate's guarantee at every
+    # base point: at least ||J||^2, at most the 1.5 safety factor above it.
+    checked = 0
+    for prob, theta, cfg, out in desk_runs():
+        for t in out.trace:
+            dense = dense_jacobian_oracle(prob, t.u)
+            h_norm = float(np.linalg.norm(dense, 2)) ** 2
+            assert h_norm <= t.h_norm_estimate <= 1.5 * h_norm * (1 + 1e-9), (
+                f"estimate {t.h_norm_estimate:.6e} against ||J||^2={h_norm:.6e} "
+                f"at theta={theta}, k={t.k}"
+            )
+            if theta > 0.0:
+                scale = math.sqrt(t.gamma / (t.h_norm_estimate + t.gamma))
+                assert t.cg_tolerance == theta * scale * t.grad_norm
+            checked += 1
+        # One cold estimate of 31 products, then cheaper warm restarts.
+        assert 62 <= out.counters.norm_probe_applies < 62 * (out.successes + 1)
+    assert checked > 0
+
+
 def test_criterion_4_solver_dynamics():
     with criterion(4, "monotone objective, gamma updates, acceptance rule, counts", 30.0):
         for prob, theta, cfg, out in desk_runs():

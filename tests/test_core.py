@@ -118,6 +118,7 @@ class TestCounters:
             "linearized_solves": 0,
             "jacobian_applies": 0,
             "cg_iterations": 0,
+            "norm_probe_applies": 0,
         }
         c.forward_solves += 1
         assert snap["forward_solves"] == 2

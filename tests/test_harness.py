@@ -150,8 +150,9 @@ class TestRunExperiment:
             assert set(rec) >= {
                 "k", "gamma", "residual_norm", "grad_norm", "scaled_gradient",
                 "model_decrease", "actual_decrease", "rho", "success",
-                "cg_iters", "counters",
+                "cg_iters", "counters", "h_norm_estimate", "cg_tolerance",
             }
+            assert "norm_probe_applies" in rec["counters"]
         ks = [rec["k"] for rec in records]
         assert ks == list(range(len(ks)))
 

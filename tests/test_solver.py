@@ -210,6 +210,7 @@ class TestDegeneratePrediction:
                 residual_norm=np.linalg.norm(spec.g),
                 cg_iters=1,
                 mode="inexact",
+                cg_tolerance=0.0,
             )
 
         monkeypatch.setattr(solver_mod, "truncated_cg_step", fake_step)
@@ -283,3 +284,36 @@ class TestConfigValidation:
         prob = IdentityProblem(2)
         with pytest.raises(ValueError):
             solve(prob, np.array([np.nan, 0.0]), SolverConfig())
+
+
+class TestPinnedCounters:
+    # Counts recorded before the curvature-norm estimator was warm-started;
+    # any drift in step computation (tolerances, Krylov counts, accepted
+    # steps) changes at least one of them.
+    CASES = [
+        ("burgers", 0.0, (15, 16, 232, 448, 216)),
+        ("burgers", 1e-2, (15, 16, 81, 146, 65)),
+        ("burgers", 0.5, (15, 16, 52, 88, 36)),
+        ("elliptic", 0.0, (20, 21, 132, 243, 111)),
+        ("elliptic", 1e-2, (20, 21, 50, 79, 29)),
+        ("elliptic", 0.5, (20, 21, 43, 65, 22)),
+    ]
+
+    @pytest.mark.parametrize("name,theta,expected", CASES)
+    def test_counts_are_pinned(self, name, theta, expected):
+        if name == "burgers":
+            prob = BurgersProblem(8, 8, nu=0.01)
+            u0 = np.zeros(prob.n)
+        else:
+            prob = EllipticProblem(10, z_choice="one")
+            u0 = np.ones(prob.n)
+        out = solve(prob, u0, SolverConfig(theta=theta))
+        c = out.counters
+        got = (
+            out.iterations,
+            c.forward_solves,
+            c.adjoint_solves,
+            c.jacobian_applies,
+            c.cg_iterations,
+        )
+        assert got == expected

@@ -150,20 +150,60 @@ class TestTruncatedCG:
             truncated_cg_step(spec)
 
 
+def thirty_step_estimate(H, dim, seed):
+    """The fixed thirty-step power iteration every cold estimate must equal."""
+    v = np.random.default_rng(seed).standard_normal(dim)
+    v /= np.linalg.norm(v)
+    hv = H @ v
+    for _ in range(30):
+        v = hv / np.linalg.norm(hv)
+        hv = H @ v
+    return 1.5 * float(v @ hv)
+
+
 class TestOperatorNorm:
     def test_zero_operator(self):
-        assert estimate_operator_norm(zero_operator(7), 7) == 0.0
+        est, _, products = estimate_operator_norm(zero_operator(7), 7)
+        assert est == 0.0
+        assert products == 1
 
     def test_identity(self):
-        est = estimate_operator_norm(operator_from_matrix(np.eye(10)), 10)
+        est, _, _ = estimate_operator_norm(operator_from_matrix(np.eye(10)), 10)
         assert 1.0 <= est <= 1.5
 
     def test_overestimates_but_not_wildly(self, rng):
         for seed in range(5):
             H = random_psd(rng, 15)
             true = float(np.linalg.norm(H, 2))
-            est = estimate_operator_norm(operator_from_matrix(H), 15, seed=seed)
+            est, _, _ = estimate_operator_norm(operator_from_matrix(H), 15, seed=seed)
             assert true <= est <= 1.5 * true + 1e-12
+
+    def test_cold_estimate_is_the_thirty_step_formula(self, rng):
+        for seed in range(5):
+            H = random_psd(rng, 12)
+            est, v, products = estimate_operator_norm(operator_from_matrix(H), 12, seed=seed)
+            assert est == thirty_step_estimate(H, 12, seed)
+            assert products == 31
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+
+    def test_warm_start_from_dominant_eigenvector_stops_early(self, rng):
+        for _ in range(5):
+            H = random_psd(rng, 15)
+            eigvals, eigvecs = np.linalg.eigh(H)
+            true = float(eigvals[-1])
+            est, v, products = estimate_operator_norm(
+                operator_from_matrix(H), 15, start=eigvecs[:, -1]
+            )
+            assert products <= 2
+            assert true <= est <= 1.5 * true * (1 + 1e-12)
+            assert abs(float(v @ eigvecs[:, -1])) == pytest.approx(1.0, abs=1e-12)
+
+    def test_warm_start_does_not_modify_start(self, rng):
+        H = random_psd(rng, 6)
+        start = rng.standard_normal(6)
+        kept = start.copy()
+        estimate_operator_norm(operator_from_matrix(H), 6, start=start)
+        np.testing.assert_array_equal(start, kept)
 
 
 class TestModelDecrease:
