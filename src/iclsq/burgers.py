@@ -1,10 +1,13 @@
 """Optimal control of a viscous nonlinear transport equation on (0, 1).
 
 Backward Euler in time, piecewise linear elements in space on a uniform
-mesh, homogeneous Dirichlet ends. Each time step is advanced with Newton's
-method, and the linearized constraint is block lower bidiagonal in time, so
-its (transposed) solves are forward (backward) substitutions over the time
-blocks with one factorized spatial system each.
+mesh, homogeneous Dirichlet ends. The spatial operators are tridiagonal and
+are stored as their three diagonals. Each time step is advanced with
+Newton's method, one LAPACK tridiagonal solve (``dgtsv``) per iteration.
+The linearized constraint is block lower bidiagonal in time, so its
+(transposed) solves are forward (backward) substitutions over the time
+blocks, each through one tridiagonal LU factor per time step (``dgttrf``,
+applied with ``dgttrs``).
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -15,22 +18,41 @@ regularization term.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf
 
 from .core import ImplicitProblem, LinearOperator, StateSolveError, as_vector
 
 __all__ = ["BurgersProblem"]
 
 
-def _tridiag(nx: int, lower: float, diag: float, upper: float) -> np.ndarray:
-    out = np.zeros((nx, nx))
-    idx = np.arange(nx)
-    out[idx, idx] = diag
-    out[idx[:-1], idx[:-1] + 1] = upper
-    out[idx[1:], idx[1:] - 1] = lower
-    return out
+class _Tridiag(NamedTuple):
+    """Tridiagonal matrix by its diagonals: ``A[i, i-1] = lower[i-1]``,
+    ``A[i, i] = diag[i]``, ``A[i, i+1] = upper[i]``.
+
+    ``A @ x`` applies A along the last axis of x, so one call covers a whole
+    stack of blocks.
+    """
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def T(self) -> "_Tridiag":
+        return _Tridiag(self.upper, self.diag, self.lower)
+
+    def __matmul__(self, x):
+        out = self.diag * x
+        out[..., 1:] += self.lower * x[..., :-1]
+        out[..., :-1] += self.upper * x[..., 1:]
+        return out
+
+
+def _tridiag(nx: int, lower: float, diag: float, upper: float) -> _Tridiag:
+    return _Tridiag(np.full(nx - 1, lower), np.full(nx, diag), np.full(nx - 1, upper))
 
 
 class BurgersProblem(ImplicitProblem):
@@ -67,9 +89,10 @@ class BurgersProblem(ImplicitProblem):
         self.omega = float(omega)
         self.h = 1.0 / nx
         self.dt = 1.0 / nt
-        self.M = (self.h / 6.0) * _tridiag(nx, 1.0, 4.0, 1.0)
+        mass, stiff = self.h / 6.0, 1.0 / self.h
+        self.M = _tridiag(nx, mass, 4.0 * mass, mass)
         self.B = _tridiag(nx, -0.5, 0.0, 0.5)
-        self.C = (1.0 / self.h) * _tridiag(nx, -1.0, 2.0, -1.0)
+        self.C = _tridiag(nx, -stiff, 2.0 * stiff, -stiff)
         self.f = np.zeros(nx)
         if y_init is None:
             y_init = np.zeros(nx)
@@ -78,7 +101,11 @@ class BurgersProblem(ImplicitProblem):
         self.z = self.y0.copy() if z is None else as_vector(z, nx, name="z").copy()
         self.newton_tol = float(newton_tol)
         self.newton_max_iter = int(newton_max_iter)
-        self._sqrtM = np.linalg.cholesky(self.M).T  # upper factor, F^T F = M
+        # M = L D L^T with L unit lower bidiagonal, so F = sqrt(D) L^T is
+        # upper bidiagonal with F^T F = M.
+        d, e, _ = dpttrf(self.M.diag, self.M.lower)
+        root = np.sqrt(d)
+        self._sqrtM = _Tridiag(np.zeros(nx - 1), root, root[:-1] * e)
         self._linearization = None  # (base state, per-step LU factors)
 
     # dimensions
@@ -123,10 +150,16 @@ class BurgersProblem(ImplicitProblem):
             - self.M @ u_next
         )
 
-    def step_jacobian(self, y_next) -> np.ndarray:
-        """Derivative of the step equation in its unknown state."""
-        y_next = as_vector(y_next, self.nx, name="y_next")
-        return self.M / self.dt + self.B * y_next[np.newaxis, :] + self.nu * self.C
+    def step_jacobian(self, y_next) -> _Tridiag:
+        """Derivative of the step equation in its unknown state, as the
+        diagonals ``(lower, diag, upper)`` of M/dt + B diag(y_next) + nu C."""
+        y = as_vector(y_next, self.nx, name="y_next")
+        M, B, C, dt, nu = self.M, self.B, self.C, self.dt, self.nu
+        return _Tridiag(
+            M.lower / dt + B.lower * y[:-1] + nu * C.lower,
+            M.diag / dt + B.diag * y + nu * C.diag,
+            M.upper / dt + B.upper * y[1:] + nu * C.upper,
+        )
 
     def solve_state(self, u) -> np.ndarray:
         """March the dynamics with one Newton solve per time step.
@@ -141,10 +174,19 @@ class BurgersProblem(ImplicitProblem):
             converged = False
             for _ in range(self.newton_max_iter):
                 res = self.step_residual(y_prev, v, ub[i + 1])
-                if np.linalg.norm(res) <= self.newton_tol:
+                res_norm = float(np.linalg.norm(res))
+                if res_norm <= self.newton_tol:
                     converged = True
                     break
-                v = v - np.linalg.solve(self.step_jacobian(v), res)
+                *_, delta, info = dgtsv(*self.step_jacobian(v), res)
+                if info > 0:
+                    raise StateSolveError(
+                        f"Newton failed at time step {i + 1}: singular step "
+                        f"Jacobian (zero pivot {info})",
+                        step_index=i + 1,
+                        residual_norm=res_norm,
+                    )
+                v = v - delta
             if not converged:
                 res_norm = float(np.linalg.norm(self.step_residual(y_prev, v, ub[i + 1])))
                 raise StateSolveError(
@@ -163,10 +205,8 @@ class BurgersProblem(ImplicitProblem):
         F = self._sqrtM
         sd = math.sqrt(self.dt)
         so = math.sqrt(self.omega * self.dt)
-        parts = [sd * (F @ (self.y0 - self.z))]
-        parts.extend(sd * (F @ (yb[i] - self.z)) for i in range(self.nt))
-        parts.extend(so * (F @ ub[i]) for i in range(self.nt + 1))
-        return np.concatenate(parts)
+        states = np.vstack([self.y0, yb]) - self.z
+        return np.concatenate([sd * (F @ states), so * (F @ ub)]).ravel()
 
     def constraint_residual(self, y, u) -> np.ndarray:
         yb = self.state_blocks(y)
@@ -181,12 +221,21 @@ class BurgersProblem(ImplicitProblem):
     # linearization, factored once per base state; the memo is swapped as a
     # single reference so concurrent runs sharing this instance stay correct
     def _factors(self, y):
+        """Per-step ``dgttrf`` factors ``(dl, d, du, du2, ipiv)`` at state y."""
         y = as_vector(y, self.n_y, name="state")
         memo = self._linearization
         if memo is not None and np.array_equal(memo[0], y):
             return memo[1]
         yb = y.reshape(self.nt, self.nx)
-        factors = [sla.lu_factor(self.step_jacobian(yb[i])) for i in range(self.nt)]
+        factors = []
+        for i in range(self.nt):
+            *lu, info = dgttrf(*self.step_jacobian(yb[i]))
+            if info > 0:
+                raise StateSolveError(
+                    f"singular step Jacobian at time step {i + 1} (zero pivot {info})",
+                    step_index=i + 1,
+                )
+            factors.append(lu)
         self._linearization = (y.copy(), factors)
         return factors
 
@@ -195,11 +244,10 @@ class BurgersProblem(ImplicitProblem):
         factors = self._factors(y)
         rb = as_vector(rhs, self.n_y, name="rhs").reshape(self.nt, self.nx)
         out = np.empty((self.nt, self.nx))
-        coupling = self.M / self.dt
         prev = np.zeros(self.nx)
         for i in range(self.nt):
-            out[i] = sla.lu_solve(factors[i], rb[i] + coupling @ prev)
-            prev = out[i]
+            prev, _ = dgttrs(*factors[i], rb[i] + (self.M @ prev) / self.dt)
+            out[i] = prev
         return out.ravel()
 
     def solve_cy_transpose(self, y, u, rhs) -> np.ndarray:
@@ -207,11 +255,10 @@ class BurgersProblem(ImplicitProblem):
         factors = self._factors(y)
         rb = as_vector(rhs, self.n_y, name="rhs").reshape(self.nt, self.nx)
         out = np.empty((self.nt, self.nx))
-        coupling = self.M / self.dt
         nxt = np.zeros(self.nx)
-        for i in range(self.nt - 1, -1, -1):
-            out[i] = sla.lu_solve(factors[i], rb[i] + coupling @ nxt, trans=1)
-            nxt = out[i]
+        for i in range(self.nt - 1, -1, -1):  # M is symmetric
+            nxt, _ = dgttrs(*factors[i], rb[i] + (self.M @ nxt) / self.dt, trans="T")
+            out[i] = nxt
         return out.ravel()
 
     def op_cu(self, y, u) -> LinearOperator:
@@ -220,12 +267,12 @@ class BurgersProblem(ImplicitProblem):
 
         def fwd(v):
             vb = v.reshape(nt + 1, nx)
-            return (-(vb[1:] @ M.T)).ravel()  # block 0 enters no constraint
+            return (-(M @ vb[1:])).ravel()  # block 0 enters no constraint
 
         def adj(w):
             wb = w.reshape(nt, nx)
             out = np.zeros((nt + 1, nx))
-            out[1:] = -(wb @ M)  # M symmetric
+            out[1:] = -(M @ wb)  # M symmetric
             return out.ravel()
 
         return LinearOperator((self.n_y, self.n), fwd, adj)
@@ -238,12 +285,12 @@ class BurgersProblem(ImplicitProblem):
         def fwd(v):
             vb = v.reshape(nt, nx)
             out = np.zeros((2 * (nt + 1), nx))
-            out[1 : nt + 1] = sd * (vb @ F.T)
+            out[1 : nt + 1] = sd * (F @ vb)
             return out.ravel()
 
         def adj(w):
             wb = w.reshape(2 * (nt + 1), nx)
-            return (sd * (wb[1 : nt + 1] @ F)).ravel()
+            return (sd * (F.T @ wb[1 : nt + 1])).ravel()
 
         return LinearOperator((self.m, self.n_y), fwd, adj)
 
@@ -255,11 +302,11 @@ class BurgersProblem(ImplicitProblem):
         def fwd(v):
             vb = v.reshape(nt + 1, nx)
             out = np.zeros((2 * (nt + 1), nx))
-            out[nt + 1 :] = so * (vb @ F.T)
+            out[nt + 1 :] = so * (F @ vb)
             return out.ravel()
 
         def adj(w):
             wb = w.reshape(2 * (nt + 1), nx)
-            return (so * (wb[nt + 1 :] @ F)).ravel()
+            return (so * (F.T @ wb[nt + 1 :])).ravel()
 
         return LinearOperator((self.m, self.n), fwd, adj)

@@ -33,6 +33,35 @@ def _element_matrices(coords: np.ndarray):
     return k_e, m_e
 
 
+def _mesh(N: int):
+    """Triangles and interior nodes of the N x N grid.
+
+    Returns ``(h, triangles, interior)``: ``triangles`` is a (2 N^2, 3)
+    array of node indices, cell by cell in row-major order with each cell's
+    lower triangle before its upper one, so ``triangles[0::2]`` and
+    ``triangles[1::2]`` share one element shape each. ``interior`` indexes
+    the (N-1)^2 non-boundary nodes in row-major order.
+    """
+    if N < 2:
+        raise ValueError(f"need at least 2 subdivisions per side, got {N}")
+    n_side = N + 1
+    j, i = np.divmod(np.arange(N * N), N)
+    sw = j * n_side + i  # southwest corner of each cell
+    lower = np.stack([sw, sw + 1, sw + n_side + 1], axis=1)
+    upper = np.stack([sw, sw + n_side + 1, sw + n_side], axis=1)
+    triangles = np.stack([lower, upper], axis=1).reshape(-1, 3)
+    jj, ii = np.divmod(np.arange((N - 1) ** 2), N - 1)
+    interior = (jj + 1) * n_side + (ii + 1)
+    return 1.0 / N, triangles, interior
+
+
+def _shapes(h: float):
+    """Element matrices of the lower and upper triangle shapes."""
+    lower = _element_matrices(np.array([[0, 0], [h, 0], [h, h]], dtype=float))
+    upper = _element_matrices(np.array([[0, 0], [h, h], [0, h]], dtype=float))
+    return lower, upper
+
+
 def assemble_p1_matrices(N: int):
     """Assemble full-node stiffness and mass matrices on the N x N grid.
 
@@ -40,36 +69,44 @@ def assemble_p1_matrices(N: int):
     (N+1)^2 nodes and ``interior`` indexes the (N-1)^2 non-boundary nodes
     in row-major order.
     """
-    if N < 2:
-        raise ValueError(f"need at least 2 subdivisions per side, got {N}")
-    h = 1.0 / N
-    n_side = N + 1
-
-    def node(i, j):
-        return j * n_side + i
-
-    rows, cols, k_data, m_data = [], [], [], []
-    # The two triangle shapes repeat across the mesh; compute them once.
-    lower = _element_matrices(np.array([[0, 0], [h, 0], [h, h]], dtype=float))
-    upper = _element_matrices(np.array([[0, 0], [h, h], [0, h]], dtype=float))
-    for j in range(N):
-        for i in range(N):
-            tri_lower = [node(i, j), node(i + 1, j), node(i + 1, j + 1)]
-            tri_upper = [node(i, j), node(i + 1, j + 1), node(i, j + 1)]
-            for tri, (k_e, m_e) in ((tri_lower, lower), (tri_upper, upper)):
-                for a in range(3):
-                    for b in range(3):
-                        rows.append(tri[a])
-                        cols.append(tri[b])
-                        k_data.append(k_e[a, b])
-                        m_data.append(m_e[a, b])
-    n_nodes = n_side * n_side
+    h, triangles, interior = _mesh(N)
+    (k_lower, m_lower), (k_upper, m_upper) = _shapes(h)
+    # Entry (a, b) of every element, elements in mesh order, a-major within one.
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
+    n_cells = N * N
+    k_data = np.tile(np.concatenate([k_lower.ravel(), k_upper.ravel()]), n_cells)
+    m_data = np.tile(np.concatenate([m_lower.ravel(), m_upper.ravel()]), n_cells)
+    n_nodes = (N + 1) ** 2
     K = sp.csr_matrix((k_data, (rows, cols)), shape=(n_nodes, n_nodes))
     M = sp.csr_matrix((m_data, (rows, cols)), shape=(n_nodes, n_nodes))
-    interior = np.array(
-        [node(i, j) for j in range(1, N) for i in range(1, N)], dtype=int
-    )
     return K, M, interior
+
+
+def _element_mass_factor(N: int) -> sp.csr_matrix:
+    """Sparse F with F^T F equal to the interior mass matrix.
+
+    With the element mass matrices factored as m_e = R_e^T R_e (R_e upper
+    triangular), M = sum_e A_e^T R_e^T R_e A_e over the element gathers A_e,
+    so stacking the rows R_e A_e gives F exactly. Columns are restricted to
+    interior nodes and rows left empty by that are dropped, which leaves at
+    most six nonzeros per element.
+    """
+    h, triangles, interior = _mesh(N)
+    (_, m_lower), (_, m_upper) = _shapes(h)
+    a, b = np.triu_indices(3)  # entry (a, b) of R_e sits in row a, on node b
+    r_data = [np.linalg.cholesky(m_e).T[a, b] for m_e in (m_lower, m_upper)]
+    data = np.tile(np.concatenate(r_data), N * N)
+    rows = (3 * np.arange(triangles.shape[0])[:, None] + a).ravel()
+    nodes = triangles[:, b].ravel()
+    column = np.full((N + 1) ** 2, -1)
+    column[interior] = np.arange(interior.size)
+    keep = column[nodes] >= 0
+    kept_rows, row_index = np.unique(rows[keep], return_inverse=True)
+    return sp.csr_matrix(
+        (data[keep], (row_index, column[nodes[keep]])),
+        shape=(kept_rows.size, interior.size),
+    )
 
 
 class EllipticProblem(ImplicitProblem):
@@ -82,8 +119,12 @@ class EllipticProblem(ImplicitProblem):
     z_choice : "zero" or "one", the desired state (zero gives a problem
         with an exact zero-residual solution, one a large-residual one).
     sqrt_factor : optional override for the mass square-root factor F with
-        F^T F = M; defaults to the transposed Cholesky factor. Any such F
-        yields the same residual norm, gradient, and curvature.
+        F^T F = M, of any row count. Defaults to the element-level factor:
+        the stacked Cholesky factors of the element mass matrices, sparse
+        and rectangular with 6 N (N-1) rows. Any such F yields the same
+        residual norm, gradient, and curvature.
+
+    The residual stacks F (y - z) over sqrt(lam) F u, so m = 2 rows(F).
     """
 
     def __init__(self, N: int, lam: float = 1e-3, z_choice: str = "zero", sqrt_factor=None):
@@ -97,11 +138,7 @@ class EllipticProblem(ImplicitProblem):
         self.lam = float(lam)
         self.K = K_full[np.ix_(interior, interior)].tocsc()
         self.M = M_full[np.ix_(interior, interior)].tocsr()
-        if sqrt_factor is None:
-            chol = np.linalg.cholesky(self.M.toarray())
-            self._sqrtM = sp.csr_matrix(chol.T)  # upper factor, F^T F = M
-        else:
-            self._sqrtM = sqrt_factor
+        self._sqrtM = _element_mass_factor(N) if sqrt_factor is None else sqrt_factor
         self.z = np.zeros(self._n) if z_choice == "zero" else np.ones(self._n)
         self.f = np.zeros(self._n)
         self._K_lu = spla.splu(self.K)
@@ -117,7 +154,7 @@ class EllipticProblem(ImplicitProblem):
 
     @property
     def m(self) -> int:
-        return 2 * self._n
+        return 2 * self._sqrtM.shape[0]
 
     @property
     def feasibility_tol(self) -> float:
@@ -141,29 +178,29 @@ class EllipticProblem(ImplicitProblem):
         return self.K @ y - self.M @ u - self.f
 
     def op_Gy(self, y, u) -> LinearOperator:
-        n = self._n
         F = self._sqrtM
+        rows = F.shape[0]
 
         def fwd(v):
-            return np.concatenate([F @ v, np.zeros(n)])
+            return np.concatenate([F @ v, np.zeros(rows)])
 
         def adj(w):
-            return F.T @ w[:n]
+            return F.T @ w[:rows]
 
-        return LinearOperator((2 * n, n), fwd, adj)
+        return LinearOperator((self.m, self._n), fwd, adj)
 
     def op_Gu(self, y, u) -> LinearOperator:
-        n = self._n
         F = self._sqrtM
+        rows = F.shape[0]
         s = math.sqrt(self.lam)
 
         def fwd(v):
-            return np.concatenate([np.zeros(n), s * (F @ v)])
+            return np.concatenate([np.zeros(rows), s * (F @ v)])
 
         def adj(w):
-            return s * (F.T @ w[n:])
+            return s * (F.T @ w[rows:])
 
-        return LinearOperator((2 * n, n), fwd, adj)
+        return LinearOperator((self.m, self._n), fwd, adj)
 
     def op_cu(self, y, u) -> LinearOperator:
         n = self._n

@@ -62,6 +62,7 @@ SUMMARY_COLUMNS = (
     "cg_iters",
     "final_residual_norm",
     "final_scaled_gradient",
+    "error_type",
     "wall_ms",
 )
 
@@ -105,6 +106,7 @@ class ExperimentRow:
     cg_iters: int
     final_residual_norm: float
     final_scaled_gradient: float
+    error_type: str  # exception class name of a failed cell, else empty
     wall_ms: float
 
 
@@ -174,7 +176,10 @@ def _cell_tag(spec: ExperimentSpec, theta: float, eps_r: float, eps_g: float) ->
     return f"{spec.problem}_theta{theta:g}_epsr{eps_r:g}_epsg{eps_g:g}"
 
 
-def _run_cell(problem, spec, theta, eps_r, eps_g, sink) -> tuple[ExperimentRow, bool]:
+def _run_cell(
+    problem, spec, theta, eps_r, eps_g, sink
+) -> tuple[ExperimentRow, Exception | None]:
+    """Solve one cell; an exception is returned with the row, not raised."""
     config = SolverConfig(
         eps_R=eps_r,
         eps_g=eps_g,
@@ -190,53 +195,39 @@ def _run_cell(problem, spec, theta, eps_r, eps_g, sink) -> tuple[ExperimentRow, 
     start = time.perf_counter()
     try:
         outcome = solve(problem, u0, config, counters=counters, trace_sink=sink)
-        failed = False
-    except Exception:
+        error = None
+    except Exception as exc:
         outcome = None
-        failed = True
+        error = exc
     wall_ms = 1000.0 * (time.perf_counter() - start)
-    if failed:
-        row = ExperimentRow(
-            problem=spec.problem,
-            theta=theta,
-            eps_r=eps_r,
-            eps_g=eps_g,
-            status="error",
-            iterations=0,
-            successes=0,
-            pde_solves=counters.forward_solves,
-            adjoint_solves=counters.adjoint_solves,
-            jvp=counters.jacobian_applies,
-            cg_iters=counters.cg_iterations,
-            final_residual_norm=float("nan"),
-            final_scaled_gradient=float("nan"),
-            wall_ms=wall_ms,
-        )
-        return row, True
+    failed = error is not None
     row = ExperimentRow(
         problem=spec.problem,
         theta=theta,
         eps_r=eps_r,
         eps_g=eps_g,
-        status=outcome.status.value,
-        iterations=outcome.iterations,
-        successes=outcome.successes,
+        status="error" if failed else outcome.status.value,
+        iterations=0 if failed else outcome.iterations,
+        successes=0 if failed else outcome.successes,
         pde_solves=counters.forward_solves,
         adjoint_solves=counters.adjoint_solves,
         jvp=counters.jacobian_applies,
         cg_iters=counters.cg_iterations,
-        final_residual_norm=outcome.residual_norm,
-        final_scaled_gradient=outcome.scaled_gradient,
+        final_residual_norm=float("nan") if failed else outcome.residual_norm,
+        final_scaled_gradient=float("nan") if failed else outcome.scaled_gradient,
+        error_type=type(error).__name__ if failed else "",
         wall_ms=wall_ms,
     )
-    return row, False
+    return row, error
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Run every grid cell with fresh counters; write CSVs and traces.
 
     Cells are independent; a failing cell is recorded with status "error"
-    and the sweep continues. Output is deterministic apart from wall times.
+    and its exception class in ``error_type``, its trace ends with an
+    ``{"error_type", "error_message"}`` record, and the sweep continues.
+    Output is deterministic apart from wall times.
     """
     problem = build_problem(spec.problem, spec.problem_params)
     out_dir = Path(spec.out_dir) if spec.out_dir is not None else None
@@ -254,7 +245,10 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
                     json.dumps(rec.to_dict(), sort_keys=True) + "\n"
                 )
             try:
-                row, _ = _run_cell(problem, spec, theta, eps_r, eps_g, sink)
+                row, error = _run_cell(problem, spec, theta, eps_r, eps_g, sink)
+                if error is not None and trace_file is not None:
+                    record = {"error_type": row.error_type, "error_message": str(error)}
+                    trace_file.write(json.dumps(record, sort_keys=True) + "\n")
             finally:
                 if trace_file is not None:
                     trace_file.close()
@@ -285,6 +279,7 @@ def summary_csv(rows: list[ExperimentRow]) -> str:
                     str(r.cg_iters),
                     f"{r.final_residual_norm:.9e}",
                     f"{r.final_scaled_gradient:.9e}",
+                    r.error_type,
                     f"{r.wall_ms:.3f}",
                 ]
             )

@@ -91,6 +91,12 @@ def assert_adjoint_identity(op, rng, probes=20, tol=1e-10):
         assert abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
 
 
+def tridiag_dense(op):
+    """Dense matrix of a tridiagonal given by its ``(lower, diag, upper)``."""
+    lower, diag, upper = op
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
 def random_psd(rng, dim, spread=1.0):
     """Random symmetric positive semidefinite matrix."""
     A = rng.standard_normal((dim, dim))

@@ -23,7 +23,7 @@ from iclsq.harness import (
 from iclsq.solver import SolveStatus, SolverConfig, solve
 from iclsq.subproblem import SubproblemSpec, exact_step
 
-from conftest import operator_from_matrix, random_psd
+from conftest import operator_from_matrix, random_psd, tridiag_dense
 
 
 @contextmanager
@@ -284,14 +284,15 @@ def test_criterion_8_oracle_equivalence():
         y = burgers.solve_state(u)
         nx, nt = burgers.nx, burgers.nt
         yb = y.reshape(nt, nx)
+        Mb = tridiag_dense(burgers.M)
         cy = np.zeros((burgers.n_y, burgers.n_y))
         cu = np.zeros((burgers.n_y, burgers.n))
         for i in range(nt):
-            cy[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = burgers.step_jacobian(yb[i])
+            cy[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = tridiag_dense(burgers.step_jacobian(yb[i]))
             if i > 0:
-                cy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -burgers.M / burgers.dt
-            cu[i * nx:(i + 1) * nx, (i + 1) * nx:(i + 2) * nx] = -burgers.M
-        Fb = burgers._sqrtM
+                cy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -Mb / burgers.dt
+            cu[i * nx:(i + 1) * nx, (i + 1) * nx:(i + 2) * nx] = -Mb
+        Fb = tridiag_dense(burgers._sqrtM)
         Gy = np.zeros((burgers.m, burgers.n_y))
         Gu = np.zeros((burgers.m, burgers.n))
         for i in range(1, nt + 1):

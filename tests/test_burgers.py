@@ -10,6 +10,8 @@ from iclsq.burgers import BurgersProblem
 from iclsq.core import StateSolveError
 from iclsq.harness import dense_jacobian_oracle
 
+from conftest import tridiag_dense
+
 
 def step_residual_oracle(prob, y_prev, y_next, u_next):
     """Scalar-loop expansion of the implicit step equation, written directly
@@ -36,22 +38,45 @@ def step_residual_oracle(prob, y_prev, y_next, u_next):
     return out
 
 
+def dense_cy(prob, y):
+    """Dense block lower bidiagonal constraint Jacobian in the state."""
+    nx, nt = prob.nx, prob.nt
+    yb = y.reshape(nt, nx)
+    M = tridiag_dense(prob.M)
+    cy = np.zeros((prob.n_y, prob.n_y))
+    for i in range(nt):
+        cy[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = tridiag_dense(prob.step_jacobian(yb[i]))
+        if i > 0:
+            cy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -M / prob.dt
+    return cy
+
+
+class SingularStep(BurgersProblem):
+    """Step Jacobians with a zero diagonal, which is singular at odd nx."""
+
+    def step_jacobian(self, y_next):
+        lower, _, upper = super().step_jacobian(y_next)
+        return lower, np.zeros(self.nx), upper
+
+
 class TestMatrices:
     def test_mass_entries(self):
         prob = BurgersProblem(4, 4)
         assert prob.h == 0.25
-        np.testing.assert_allclose(np.diag(prob.M), 1.0 / 6.0)
-        np.testing.assert_allclose(np.diag(prob.M, 1), 1.0 / 24.0)
-        np.testing.assert_allclose(np.diag(prob.M, -1), 1.0 / 24.0)
+        M = tridiag_dense(prob.M)
+        np.testing.assert_allclose(np.diag(M), 1.0 / 6.0)
+        np.testing.assert_allclose(np.diag(M, 1), 1.0 / 24.0)
+        np.testing.assert_allclose(np.diag(M, -1), 1.0 / 24.0)
 
     def test_diffusion_row(self):
         prob = BurgersProblem(4, 4)
-        np.testing.assert_allclose(prob.C[1], [-4.0, 8.0, -4.0, 0.0])
+        np.testing.assert_allclose(tridiag_dense(prob.C)[1], [-4.0, 8.0, -4.0, 0.0])
 
     def test_convection_skew_symmetric(self):
         prob = BurgersProblem(6, 3)
-        np.testing.assert_array_equal(prob.B.T, -prob.B)
-        np.testing.assert_allclose(np.diag(prob.B, 1), 0.5)
+        B = tridiag_dense(prob.B)
+        np.testing.assert_array_equal(B.T, -B)
+        np.testing.assert_allclose(np.diag(B, 1), 0.5)
 
     def test_default_profile(self):
         prob = BurgersProblem(6, 3)
@@ -101,7 +126,7 @@ class TestStepResidual:
         y_prev = rng.standard_normal(nx)
         y_next = rng.standard_normal(nx)
         u_next = rng.standard_normal(nx)
-        jac = prob.step_jacobian(y_next)
+        jac = tridiag_dense(prob.step_jacobian(y_next))
         t = 1e-6
         for j in range(nx):
             e = np.zeros(nx)
@@ -124,7 +149,7 @@ class TestForwardSolve:
         xs = (np.arange(1, nx + 1)) / (nx + 1)
         blocks = [np.sin(math.pi * xs) * math.exp(-0.3 * i) for i in range(nt + 1)]
         prob = BurgersProblem(nx, nt, nu=0.2, y_init=blocks[0])
-        Minv = np.linalg.inv(prob.M)
+        Minv = np.linalg.inv(tridiag_dense(prob.M))
         u = np.zeros((nt + 1, nx))
         for i in range(nt):
             gap = prob.step_residual(blocks[i], blocks[i + 1], np.zeros(nx))
@@ -149,12 +174,59 @@ class TestForwardSolve:
         assert err.value.step_index == 1
         assert err.value.residual_norm > 0
 
+    def test_singular_newton_step_reports_step(self):
+        prob = SingularStep(5, 4)
+        with pytest.raises(StateSolveError) as err:
+            prob.solve_state(np.zeros(prob.n))
+        assert "singular" in str(err.value)
+        assert err.value.step_index == 1
+        assert err.value.residual_norm > 0
+
+    @pytest.mark.parametrize("method", ["solve_cy", "solve_cy_transpose"])
+    def test_singular_step_factor_reports_step(self, method):
+        prob = SingularStep(5, 4)
+        with pytest.raises(StateSolveError) as err:
+            getattr(prob, method)(np.zeros(prob.n_y), np.zeros(prob.n), np.ones(prob.n_y))
+        assert "singular" in str(err.value)
+        assert err.value.step_index == 1
+
     def test_full_trajectory_prepends_initial_state(self):
         prob = BurgersProblem(4, 3)
         y = prob.solve_state(np.zeros(prob.n))
         full = prob.full_trajectory(y)
         np.testing.assert_array_equal(full[:4], prob.y0)
         np.testing.assert_array_equal(full[4:], y)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("nx", [2, 5, 16])
+    def test_mass_factor_reproduces_mass(self, nx):
+        prob = BurgersProblem(nx, 3)
+        lower, _, _ = prob._sqrtM
+        np.testing.assert_array_equal(lower, 0.0)  # upper bidiagonal
+        F = tridiag_dense(prob._sqrtM)
+        M = tridiag_dense(prob.M)
+        assert np.linalg.norm(F.T @ F - M) <= 1e-13 * np.linalg.norm(M)
+
+    def test_operator_applies_along_last_axis(self, rng):
+        prob = BurgersProblem(6, 3)
+        x = rng.standard_normal((4, 6))
+        for op in (prob.M, prob.B, prob.C, prob._sqrtM):
+            A = tridiag_dense(op)
+            np.testing.assert_allclose(op @ x, x @ A.T, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(op.T @ x, x @ A, rtol=1e-14, atol=1e-14)
+
+    def test_linearized_solves_match_dense(self, rng):
+        prob = BurgersProblem(7, 5, nu=0.05)
+        y = 0.5 * rng.standard_normal(prob.n_y)
+        u = np.zeros(prob.n)
+        rhs = rng.standard_normal(prob.n_y)
+        cy = dense_cy(prob, y)
+        for got, expected in (
+            (prob.solve_cy(y, u, rhs), np.linalg.solve(cy, rhs)),
+            (prob.solve_cy_transpose(y, u, rhs), np.linalg.solve(cy.T, rhs)),
+        ):
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestResidual:
@@ -196,17 +268,13 @@ class TestAdjointStructure:
         u = 0.2 * rng.standard_normal(prob.n)
         y = prob.solve_state(u)
         nx, nt = prob.nx, prob.nt
-        yb = y.reshape(nt, nx)
+        M = tridiag_dense(prob.M)
 
-        cy = np.zeros((prob.n_y, prob.n_y))
-        for i in range(nt):
-            cy[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = prob.step_jacobian(yb[i])
-            if i > 0:
-                cy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -prob.M / prob.dt
+        cy = dense_cy(prob, y)
         cu = np.zeros((prob.n_y, prob.n))
         for i in range(nt):
-            cu[i * nx:(i + 1) * nx, (i + 1) * nx:(i + 2) * nx] = -prob.M
-        F = prob._sqrtM
+            cu[i * nx:(i + 1) * nx, (i + 1) * nx:(i + 2) * nx] = -M
+        F = tridiag_dense(prob._sqrtM)
         sd, so = math.sqrt(prob.dt), math.sqrt(prob.omega * prob.dt)
         Gy = np.zeros((prob.m, prob.n_y))
         for i in range(1, nt + 1):

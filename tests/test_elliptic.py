@@ -1,5 +1,7 @@
 """Elliptic benchmark: assembly oracle, constraint solves, residual identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,16 @@ class TestAssembly:
         M = prob.M.toarray()
         assert np.linalg.norm(F.T @ F - M) <= 1e-12 * np.linalg.norm(M)
 
+    @pytest.mark.parametrize("N", [2, 3, 7])
+    def test_element_factor_reproduces_mass_and_is_sparse(self, N):
+        prob = EllipticProblem(N)
+        F = prob._sqrtM
+        M = prob.M.toarray()
+        assert F.shape[1] == prob.n and prob.m == 2 * F.shape[0]
+        assert F.nnz <= 12 * N * N
+        dense = F.toarray()
+        assert np.linalg.norm(dense.T @ dense - M) <= 1e-13 * np.linalg.norm(M)
+
     def test_rejects_tiny_mesh(self):
         with pytest.raises(ValueError):
             assemble_p1_matrices(1)
@@ -154,7 +166,8 @@ class TestResidual:
 
     def test_sqrt_factor_frame_independence(self, rng):
         base = EllipticProblem(4, z_choice="one")
-        Q, _ = np.linalg.qr(rng.standard_normal((base.n, base.n)))
+        rows = base._sqrtM.shape[0]  # the element-level factor is rectangular
+        Q, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
         rotated = EllipticProblem(
             4, z_choice="one", sqrt_factor=Q @ base._sqrtM.toarray()
         )
@@ -166,6 +179,21 @@ class TestResidual:
         g_a = ReducedJacobian(base, u, y).gradient(r_a)
         g_b = ReducedJacobian(rotated, u, y).gradient(r_b)
         assert np.linalg.norm(g_a - g_b) <= 1e-12 * (1 + np.linalg.norm(g_a))
+
+
+class TestScale:
+    def test_n150_builds_without_dense_matrices_and_solves(self):
+        # A dense (N-1)^2 x (N-1)^2 array would take 3.9 GB at N = 150.
+        tracemalloc.start()
+        try:
+            prob = EllipticProblem(150, z_choice="one")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        out = solve(prob, np.ones(prob.n), SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2))
+        assert out.status is SolveStatus.CONVERGED_SCALED_GRADIENT
+        assert out.counters.forward_solves == out.iterations + 1
 
 
 class TestSolverBehavior:

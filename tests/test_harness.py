@@ -59,7 +59,7 @@ class TestDenseOracle:
         np.testing.assert_allclose(jac.apply_transpose(w), dense.T @ w, atol=1e-10)
 
     def test_size_guard(self):
-        prob = EllipticProblem(12)  # 121 * 242 entries, over the cap
+        prob = EllipticProblem(12)  # 121 * 1584 entries, over the cap
         with pytest.raises(ValueError):
             dense_jacobian_oracle(prob, np.zeros(prob.n))
 
@@ -79,6 +79,7 @@ def make_row(theta, eps_r=1e-3, eps_g=1e-4, status="converged_residual", pde=7, 
         cg_iters=5,
         final_residual_norm=1e-4,
         final_scaled_gradient=1e-2,
+        error_type="",
         wall_ms=1.0,
     )
 
@@ -138,7 +139,7 @@ class TestRunExperiment:
         assert header == (
             "problem,theta,eps_r,eps_g,status,iterations,successes,pde_solves,"
             "adjoint_solves,jvp,cg_iters,final_residual_norm,"
-            "final_scaled_gradient,wall_ms"
+            "final_scaled_gradient,error_type,wall_ms"
         )
         assert (out_dir / "table_pde_solves.csv").exists()
         assert (out_dir / "table_jvp.csv").exists()
@@ -206,6 +207,20 @@ class TestErrorRows:
         assert [r.status for r in rows] == ["error", "converged_scaled_gradient"]
         table = render_table(rows, "pde_solves")
         assert table.splitlines()[-1].split(",")[2] == "-"
+
+        # The failed cell says why, in its row, in summary.csv and in its trace.
+        assert [r.error_type for r in rows] == ["RuntimeError", ""]
+        summary = [
+            l.split(",") for l in (tmp_path / "summary.csv").read_text().splitlines()
+            if not l.startswith("#")
+        ]
+        assert summary[0][-2:] == ["error_type", "wall_ms"]
+        assert [line[-2] for line in summary[1:]] == ["RuntimeError", ""]
+        trace = tmp_path / "trace_elliptic_theta0_epsr0.01_epsg0.0001.jsonl"
+        last = json.loads(trace.read_text().splitlines()[-1])
+        assert last == {"error_type": "RuntimeError", "error_message": "synthetic failure"}
+        ok_trace = tmp_path / "trace_elliptic_theta0.1_epsr0.01_epsg0.0001.jsonl"
+        assert "error_type" not in json.loads(ok_trace.read_text().splitlines()[-1])
 
 
 class TestNearExactPostHoc:
