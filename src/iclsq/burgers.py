@@ -4,6 +4,11 @@ Backward Euler in time, piecewise linear elements in space on a uniform
 mesh, homogeneous Dirichlet ends. The spatial operators are tridiagonal and
 are stored as their three diagonals. Each time step is advanced with
 Newton's method, one LAPACK tridiagonal solve (``dgtsv``) per iteration.
+The Newton loop applies the mass matrix to every control block once per
+state solve and evaluates the step residual inline in ``step_residual``'s
+order of operations, so its states match a loop built on ``step_residual``
+bit for bit; ``step_jacobian`` reads its state-independent terms from a
+cache built on first use.
 The linearized constraint is block lower bidiagonal in time, so its
 (transposed) solves are forward (backward) substitutions over the time
 blocks, each through one tridiagonal LU factor per time step (``dgttrf``,
@@ -18,6 +23,7 @@ regularization term.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -150,15 +156,28 @@ class BurgersProblem(ImplicitProblem):
             - self.M @ u_next
         )
 
+    @cached_property
+    def _jacobian_constants(self) -> tuple:
+        """State-independent terms of ``step_jacobian``: ``(M.lower/dt,
+        nu C.lower, diagonal, M.upper/dt, nu C.upper)``, each rounded as the
+        full expression rounds it. The whole diagonal ``M/dt + nu C`` is
+        constant because B's zero diagonal adds a signed zero. Built on
+        first use rather than in ``__init__``; the diagonal is read only."""
+        M, C, dt, nu = self.M, self.C, self.dt, self.nu
+        diag = M.diag / dt + nu * C.diag
+        diag.setflags(write=False)
+        return M.lower / dt, nu * C.lower, diag, M.upper / dt, nu * C.upper
+
     def step_jacobian(self, y_next) -> _Tridiag:
         """Derivative of the step equation in its unknown state, as the
-        diagonals ``(lower, diag, upper)`` of M/dt + B diag(y_next) + nu C."""
+        diagonals ``(lower, diag, upper)`` of M/dt + B diag(y_next) + nu C.
+        The diagonal is shared between calls and read only."""
         y = as_vector(y_next, self.nx, name="y_next")
-        M, B, C, dt, nu = self.M, self.B, self.C, self.dt, self.nu
+        m_lo, c_lo, diag, m_up, c_up = self._jacobian_constants
         return _Tridiag(
-            M.lower / dt + B.lower * y[:-1] + nu * C.lower,
-            M.diag / dt + B.diag * y + nu * C.diag,
-            M.upper / dt + B.upper * y[1:] + nu * C.upper,
+            m_lo + self.B.lower * y[:-1] + c_lo,
+            diag,
+            m_up + self.B.upper * y[1:] + c_up,
         )
 
     def solve_state(self, u) -> np.ndarray:
@@ -167,14 +186,17 @@ class BurgersProblem(ImplicitProblem):
         Counts as a single forward solve regardless of Newton iterations.
         """
         ub = self.control_blocks(u)
+        M, B, C, f, dt, nu = self.M, self.B, self.C, self.f, self.dt, self.nu
+        Mu = M @ ub[1:]  # the control term of every step, in one block apply
         out = np.empty((self.nt, self.nx))
         y_prev = self.y0
         for i in range(self.nt):
             v = y_prev.copy()  # warm start from the previous step
             converged = False
             for _ in range(self.newton_max_iter):
-                res = self.step_residual(y_prev, v, ub[i + 1])
-                res_norm = float(np.linalg.norm(res))
+                # step_residual(y_prev, v, ub[i + 1]), same operations in order
+                res = (M @ (v - y_prev)) / dt + 0.5 * (B @ (v * v)) + nu * (C @ v) - f - Mu[i]
+                res_norm = math.sqrt(res @ res)
                 if res_norm <= self.newton_tol:
                     converged = True
                     break

@@ -133,7 +133,9 @@ class EvalCounters:
     inner Krylov iterations of all step computations. norm_probe_applies
     counts the reduced Jacobian applications of the curvature-norm estimator
     (two per Gauss-Newton product); they are excluded from jacobian_applies
-    and from the solve counters.
+    and from the solve counters. failed_trial_solves counts the trial points
+    whose state solve failed or whose residual was not finite; each is a
+    rejected iteration and is still included in forward_solves.
     """
 
     forward_solves: int = 0
@@ -142,6 +144,7 @@ class EvalCounters:
     jacobian_applies: int = 0
     cg_iterations: int = 0
     norm_probe_applies: int = 0
+    failed_trial_solves: int = 0
 
     def snapshot(self) -> dict:
         return asdict(self)

@@ -157,9 +157,9 @@ def fd_gradient_oracle(problem: ImplicitProblem, u, step: float = 1e-6) -> np.nd
 
 def dense_jacobian_oracle(problem: ImplicitProblem, u) -> np.ndarray:
     """Assemble the reduced Jacobian column by column on basis vectors."""
-    if problem.n * problem.m > 10_000:
+    if problem.n * problem.m > 100_000:
         raise ValueError(
-            f"dense assembly guard: {problem.n} x {problem.m} exceeds 10^4 entries"
+            f"dense assembly guard: {problem.n} x {problem.m} exceeds 10^5 entries"
         )
     u = np.asarray(u, dtype=float)
     y = problem.solve_state(u)

@@ -17,7 +17,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adjoint import ReducedJacobian
-from .core import EvalCounters, ImplicitProblem, as_vector, norm, zero_operator
+from .core import (
+    EvalCounters,
+    ImplicitProblem,
+    StateSolveError,
+    as_vector,
+    norm,
+    zero_operator,
+)
 from .subproblem import (
     SubproblemSpec,
     estimate_operator_norm,
@@ -94,7 +101,7 @@ class IterationTrace:
     grad_norm: float
     scaled_gradient: float
     model_decrease: float
-    actual_decrease: float
+    actual_decrease: Optional[float]  # None when the trial point failed
     rho: Optional[float]
     success: bool
     cg_iters: int
@@ -191,7 +198,10 @@ def solve(
     """Run the outer loop from u0 until convergence or budget exhaustion.
 
     One forward solve happens at u0 and one per trial point, so the forward
-    counter always equals the number of completed iterations plus one. The
+    counter always equals the number of completed iterations plus one. A
+    trial point whose state solve raises ``StateSolveError``, or whose
+    residual is not finite, is a rejected iteration (tallied in
+    ``failed_trial_solves``); a failure at u0 propagates. The
     gradient is recomputed only after accepted steps; with the zero curvature
     mode the adjoint counter is exactly 1 + number of successes.
     """
@@ -259,17 +269,29 @@ def solve(
         counters.cg_iterations += step.cg_iters
 
         u_trial = u + step.step
-        y_trial = problem.solve_state(u_trial)
-        counters.forward_solves += 1
-        R_trial = problem.residual(y_trial, u_trial)
+        counters.forward_solves += 1  # a failed attempt still costs a solve
+        failure = ""
+        try:
+            y_trial = problem.solve_state(u_trial)
+        except StateSolveError as exc:
+            failure = f"trial state solve failed ({type(exc).__name__}: {exc})"
+        else:
+            R_trial = problem.residual(y_trial, u_trial)
+            if not np.all(np.isfinite(R_trial)):
+                failure = "trial residual is not finite"
 
-        j_cur = 0.5 * float(R @ R)
-        j_trial = 0.5 * float(R_trial @ R_trial)
-        actual = j_cur - j_trial
+        actual = None if failure else 0.5 * float(R @ R) - 0.5 * float(R_trial @ R_trial)
         predicted = step.model_decrease
 
         note = ""
-        if predicted <= 0.0:
+        if failure:
+            # An unusable trial point is a rejection: gamma doubles and the
+            # run goes on from the current iterate.
+            counters.failed_trial_solves += 1
+            rho = None
+            success = False
+            note = f"{failure}, iteration rejected"
+        elif predicted <= 0.0:
             # Underflow near convergence; reject and grow gamma instead of
             # failing the run.
             rho = None

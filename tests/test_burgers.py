@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
@@ -49,6 +50,46 @@ def dense_cy(prob, y):
         if i > 0:
             cy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -M / prob.dt
     return cy
+
+
+def reference_step_jacobian(prob, y):
+    """Step Jacobian diagonals computed from the full expression
+    M/dt + B diag(y) + nu C, with no term cached."""
+    M, B, C, dt, nu = prob.M, prob.B, prob.C, prob.dt, prob.nu
+    return (
+        M.lower / dt + B.lower * y[:-1] + nu * C.lower,
+        M.diag / dt + B.diag * y + nu * C.diag,
+        M.upper / dt + B.upper * y[1:] + nu * C.upper,
+    )
+
+
+def reference_solve_state(prob, u, jacobian=reference_step_jacobian):
+    """Newton marching built on ``step_residual``: the arithmetic that
+    ``solve_state`` must reproduce bit for bit."""
+    ub = prob.control_blocks(u)
+    out = np.empty((prob.nt, prob.nx))
+    y_prev = prob.y0
+    for i in range(prob.nt):
+        v = y_prev.copy()
+        for _ in range(prob.newton_max_iter):
+            res = prob.step_residual(y_prev, v, ub[i + 1])
+            res_norm = float(np.linalg.norm(res))
+            if res_norm <= prob.newton_tol:
+                break
+            *_, delta, info = dgtsv(*jacobian(prob, v), res)
+            if info > 0:
+                raise StateSolveError("singular", step_index=i + 1, residual_norm=res_norm)
+            v = v - delta
+        else:
+            raise StateSolveError("no convergence", step_index=i + 1)
+        out[i] = v
+        y_prev = v
+    return out.ravel()
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a, b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # signed zeros too
 
 
 class SingularStep(BurgersProblem):
@@ -227,6 +268,46 @@ class TestKernels:
             (prob.solve_cy_transpose(y, u, rhs), np.linalg.solve(cy.T, rhs)),
         ):
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestMarchingIsBitIdentical:
+    """The Newton loop hoists the control term, inlines the step residual
+    and caches the Jacobian's constant terms without changing one bit."""
+
+    @pytest.mark.parametrize("control", ["zero", "random", "large"])
+    @pytest.mark.parametrize("nt", [7, 10, 32])
+    @pytest.mark.parametrize("nx", [2, 5, 16, 128])
+    def test_states_and_jacobians_match_reference(self, nx, nt, control):
+        prob = BurgersProblem(nx, nt, nu=0.01)
+        rng = np.random.default_rng(nx * 1000 + nt)
+        scale = {"zero": 0.0, "random": 1.0, "large": 2.0}[control]
+        u = scale * rng.standard_normal(prob.n)
+        y = prob.solve_state(u)
+        assert_same_bits(y, reference_solve_state(prob, u))
+        for block in y.reshape(nt, nx):
+            for got, expected in zip(prob.step_jacobian(block), reference_step_jacobian(prob, block)):
+                assert_same_bits(got, expected)
+
+    def test_jacobian_diagonal_is_read_only(self):
+        prob = BurgersProblem(5, 4)
+        _, diag, _ = prob.step_jacobian(np.ones(5))
+        with pytest.raises(ValueError):
+            diag[0] = 0.0
+        assert "_jacobian_constants" not in vars(BurgersProblem(5, 4))  # built lazily
+
+    def test_zero_pivot_reports_later_step(self):
+        # A zero start stays exactly zero, with no Newton iteration, until the
+        # first nonzero control block, where the singular Jacobian is met.
+        prob = SingularStep(5, 6, y_init=np.zeros(5))
+        u = np.zeros((prob.nt + 1, prob.nx))
+        u[3] = 1.0
+        with pytest.raises(StateSolveError) as err:
+            prob.solve_state(u.ravel())
+        with pytest.raises(StateSolveError) as ref:
+            reference_solve_state(prob, u.ravel(), jacobian=SingularStep.step_jacobian)
+        assert "singular" in str(err.value)
+        assert err.value.step_index == ref.value.step_index == 3
+        assert err.value.residual_norm == ref.value.residual_norm > 0
 
 
 class TestResidual:

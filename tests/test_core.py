@@ -119,6 +119,7 @@ class TestCounters:
             "jacobian_applies": 0,
             "cg_iterations": 0,
             "norm_probe_applies": 0,
+            "failed_trial_solves": 0,
         }
         c.forward_solves += 1
         assert snap["forward_solves"] == 2

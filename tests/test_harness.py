@@ -51,12 +51,13 @@ class TestDenseOracle:
     def test_transpose_consistency(self, rng):
         from iclsq.adjoint import ReducedJacobian
 
-        prob = EllipticProblem(4, z_choice="one")
-        u = rng.standard_normal(prob.n)
-        dense = dense_jacobian_oracle(prob, u)
-        jac = ReducedJacobian(prob, u, prob.solve_state(u))
-        w = rng.standard_normal(prob.m)
-        np.testing.assert_allclose(jac.apply_transpose(w), dense.T @ w, atol=1e-10)
+        for N in (4, 7):  # N = 7 is 36 x 504, under the 10^5-entry cap
+            prob = EllipticProblem(N, z_choice="one")
+            u = rng.standard_normal(prob.n)
+            dense = dense_jacobian_oracle(prob, u)
+            jac = ReducedJacobian(prob, u, prob.solve_state(u))
+            w = rng.standard_normal(prob.m)
+            np.testing.assert_allclose(jac.apply_transpose(w), dense.T @ w, atol=1e-10)
 
     def test_size_guard(self):
         prob = EllipticProblem(12)  # 121 * 1584 entries, over the cap

@@ -225,6 +225,21 @@ class TestDegeneratePrediction:
         assert all(t.rho is None and t.note for t in out.trace)
 
 
+class NonFiniteTrialProblem(IdentityProblem):
+    """Finite residual at the start only; every trial point gives NaN."""
+
+    def __init__(self, dim=3):
+        super().__init__(dim)
+        self.start = None
+
+    def residual(self, y, u):
+        if self.start is None:
+            self.start = np.array(u, dtype=float)
+        if np.array_equal(u, self.start):
+            return super().residual(y, u)
+        return np.full(self.m, np.nan)
+
+
 class TestFailurePropagation:
     def test_state_solve_error_escapes_solver(self):
         from iclsq.core import StateSolveError
@@ -232,6 +247,37 @@ class TestFailurePropagation:
         prob = BurgersProblem(4, 4, newton_max_iter=1)
         with pytest.raises(StateSolveError):
             solve(prob, np.zeros(prob.n), SolverConfig(eps_R=1e-10, eps_g=1e-10))
+
+    def test_failed_trial_solve_is_rejected_iteration(self):
+        # Newton fails at trial controls once gamma is small; the run must
+        # keep its accepted iterates and go on.
+        prob = BurgersProblem(32, 16, nu=1e-4)
+        out = solve(prob, np.zeros(prob.n), SolverConfig(theta=1e-2, max_iter=40))
+        failed = [t for t in out.trace if "StateSolveError" in t.note]
+        assert out.status is SolveStatus.BUDGET_EXHAUSTED
+        assert out.iterations == 40
+        assert len(failed) == out.counters.failed_trial_solves > 0
+        assert out.counters.forward_solves == out.iterations + 1
+        for t in failed:
+            assert not t.success and t.rho is None and t.actual_decrease is None
+            assert "iteration rejected" in t.note
+            if t.k + 1 < out.iterations:
+                assert out.trace[t.k + 1].gamma == 2.0 * t.gamma
+        assert np.all(np.isfinite(out.residual)) and np.all(np.isfinite(out.u))
+
+    def test_nonfinite_trial_residual_is_rejected_iteration(self):
+        prob = NonFiniteTrialProblem()
+        cfg = SolverConfig(eps_R=1e-12, eps_g=1e-12, max_iter=5)
+        out = solve(prob, np.ones(prob.n), cfg)
+        assert out.status is SolveStatus.BUDGET_EXHAUSTED
+        assert out.successes == 0
+        assert out.counters.failed_trial_solves == 5
+        assert out.counters.forward_solves == 6
+        np.testing.assert_array_equal(out.u, np.ones(prob.n))
+        gammas = [t.gamma for t in out.trace]
+        for a, b in zip(gammas, gammas[1:]):
+            assert b == 2.0 * a
+        assert all(t.rho is None and "not finite" in t.note for t in out.trace)
 
 
 class TestConcurrentRuns:
