@@ -201,7 +201,8 @@ def solve(
     counter always equals the number of completed iterations plus one. A
     trial point whose state solve raises ``StateSolveError``, or whose
     residual is not finite, is a rejected iteration (tallied in
-    ``failed_trial_solves``); a failure at u0 propagates. The
+    ``failed_trial_solves``); a failure at u0 propagates, and a non-finite
+    residual at u0 raises ``ValueError`` before any gradient is taken. The
     gradient is recomputed only after accepted steps; with the zero curvature
     mode the adjoint counter is exactly 1 + number of successes.
     """
@@ -214,6 +215,8 @@ def solve(
     y = problem.solve_state(u)
     counters.forward_solves += 1
     R = problem.residual(y, u)
+    if not np.all(np.isfinite(R)):
+        raise ValueError("the residual at u0 is not finite")
     jac = ReducedJacobian(problem, u, y, counters)
     g = jac.gradient(R)
 

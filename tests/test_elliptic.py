@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.elliptic import EllipticProblem, assemble_p1_matrices
@@ -147,6 +148,51 @@ class TestStateSolve:
         lhs = prob.solve_state(u1 + u2)
         rhs = prob.solve_state(u1) + prob.solve_state(u2)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
+
+
+class TestFastSolve:
+    """K is the five-point Laplacian, which the sine-transform solve assumes."""
+
+    @pytest.mark.parametrize("N", [2, 3, 7, 20])
+    def test_stiffness_is_five_point_laplacian(self, N):
+        n = N - 1
+        T = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+        I = sp.identity(n)
+        laplacian = (sp.kron(T, I) + sp.kron(I, T)).toarray()
+        np.testing.assert_array_equal(EllipticProblem(N).K.toarray(), laplacian)
+
+    @pytest.mark.parametrize("N", [2, 3, 7, 20])
+    def test_solves_match_dense_solve(self, N, rng):
+        prob = EllipticProblem(N)
+        K = prob.K.toarray()
+        u = rng.standard_normal(prob.n)
+        rhs = rng.standard_normal(prob.n)
+        y = prob.solve_state(u)
+        cases = [
+            (y, np.linalg.solve(K, prob.M @ u + prob.f)),
+            (prob.solve_cy(y, u, rhs), np.linalg.solve(K, rhs)),
+            (prob.solve_cy_transpose(y, u, rhs), np.linalg.solve(K.T, rhs)),
+        ]
+        for got, expected in cases:
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_constraint_residual_within_feasibility_tol_at_n80(self, rng):
+        prob = EllipticProblem(80)
+        u = rng.standard_normal(prob.n)
+        y = prob.solve_state(u)
+        assert np.linalg.norm(prob.constraint_residual(y, u)) <= prob.feasibility_tol
+
+    @pytest.mark.parametrize("N", [2, 7, 20])
+    def test_cached_transpose_gives_identical_adjoint_actions(self, N, rng):
+        prob = EllipticProblem(N)
+        F = prob._sqrtM
+        rows = F.shape[0]
+        s = np.sqrt(prob.lam)
+        w = rng.standard_normal(prob.m)
+        np.testing.assert_array_equal(prob.op_Gy(None, None).rmatvec(w), F.T @ w[:rows])
+        np.testing.assert_array_equal(
+            prob.op_Gu(None, None).rmatvec(w), s * (F.T @ w[rows:])
+        )
 
 
 class TestResidual:

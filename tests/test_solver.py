@@ -240,6 +240,15 @@ class NonFiniteTrialProblem(IdentityProblem):
         return np.full(self.m, np.nan)
 
 
+class NaNResidualEllipticProblem(EllipticProblem):
+    """Elliptic tracking problem whose residual has a NaN in entry 0."""
+
+    def residual(self, y, u):
+        r = super().residual(y, u)
+        r[0] = np.nan
+        return r
+
+
 class TestFailurePropagation:
     def test_state_solve_error_escapes_solver(self):
         from iclsq.core import StateSolveError
@@ -247,6 +256,18 @@ class TestFailurePropagation:
         prob = BurgersProblem(4, 4, newton_max_iter=1)
         with pytest.raises(StateSolveError):
             solve(prob, np.zeros(prob.n), SolverConfig(eps_R=1e-10, eps_g=1e-10))
+
+    def test_nonfinite_residual_at_u0_is_hard_error(self):
+        # Without the check the NaN gradient spins the run until the budget
+        # ends (50 iterations, thousands of Jacobian applies, huge gamma).
+        from iclsq.core import EvalCounters
+
+        prob = NaNResidualEllipticProblem(6, z_choice="one")
+        counters = EvalCounters()
+        with pytest.raises(ValueError, match="residual at u0 is not finite"):
+            solve(prob, np.ones(prob.n), SolverConfig(theta=1e-2, max_iter=50), counters)
+        assert counters.forward_solves == 1
+        assert counters.adjoint_solves == 0 and counters.jacobian_applies == 0
 
     def test_failed_trial_solve_is_rejected_iteration(self):
         # Newton fails at trial controls once gamma is small; the run must
