@@ -6,19 +6,15 @@ accept/reject outer loop with full evaluation counting, two PDE-control
 benchmark problems, and an experiment harness with a command line interface.
 """
 
-from .adjoint import ReducedJacobian, reduced_gradient
+from .adjoint import ReducedJacobian
 from .burgers import BurgersProblem
 from .core import (
     DimensionMismatch,
     EvalCounters,
     ImplicitProblem,
     LinearOperator,
-    OperatorFailure,
     StateSolveError,
-    inner,
     norm,
-    objective,
-    zero_operator,
 )
 from .elliptic import EllipticProblem
 from .harness import (
@@ -46,7 +42,6 @@ from .subproblem import (
     SubproblemSpec,
     estimate_operator_norm,
     exact_step,
-    model_decrease,
     truncated_cg_step,
 )
 
@@ -64,7 +59,6 @@ __all__ = [
     "IndefiniteOperator",
     "IterationTrace",
     "LinearOperator",
-    "OperatorFailure",
     "ReducedJacobian",
     "SolveOutcome",
     "SolveStatus",
@@ -77,16 +71,11 @@ __all__ = [
     "estimate_operator_norm",
     "exact_step",
     "fd_gradient_oracle",
-    "inner",
-    "model_decrease",
     "norm",
-    "objective",
     "ratio",
-    "reduced_gradient",
     "render_table",
     "run_experiment",
     "solve",
     "stopping_check",
     "truncated_cg_step",
-    "zero_operator",
 ]

@@ -13,16 +13,17 @@ import numpy as np
 
 from .core import EvalCounters, ImplicitProblem, LinearOperator, as_vector
 
-__all__ = ["ReducedJacobian", "reduced_gradient"]
+__all__ = ["ReducedJacobian"]
 
 
 class ReducedJacobian:
     """Matrix-free Jacobian of the reduced residual at a fixed base point.
 
-    Binding to a base point (u, y(u)) performs no solves; work happens on
-    the first application. If a counter object is supplied, every forward
-    application adds one linearized solve and every transpose application
-    one adjoint solve, plus one Jacobian application each.
+    Binding to a base point (u, y(u)) fetches the partial-Jacobian operators
+    and performs no solves; each application solves once. If a counter object
+    is supplied, every forward application adds one linearized solve and
+    every transpose application one adjoint solve, plus one Jacobian
+    application each.
     """
 
     def __init__(
@@ -36,65 +37,36 @@ class ReducedJacobian:
         self.u = as_vector(u, problem.n, name="control")
         self.y = as_vector(y, problem.n_y, name="state")
         self.counters = counters
-        self._ops = None
+        self.op_Gu = problem.op_Gu(self.y, self.u)
+        self.op_Gy = problem.op_Gy(self.y, self.u)
+        self.op_cu = problem.op_cu(self.y, self.u)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.problem.m, self.problem.n)
 
-    def _operators(self):
-        if self._ops is None:
-            p = self.problem
-            self._ops = (
-                p.op_Gu(self.y, self.u),
-                p.op_Gy(self.y, self.u),
-                p.op_cu(self.y, self.u),
-            )
-        return self._ops
-
     def apply(self, v) -> np.ndarray:
         """Forward product: direction in control space to residual space."""
         v = as_vector(v, self.problem.n, name="direction")
-        g_u, g_y, c_u = self._operators()
         # State response to the control perturbation: c_y w = -c_u v.
-        w = self.problem.solve_cy(self.y, self.u, -(c_u @ v))
+        w = self.problem.solve_cy(self.y, self.u, -(self.op_cu @ v))
         if self.counters is not None:
             self.counters.linearized_solves += 1
             self.counters.jacobian_applies += 1
-        return g_u @ v + g_y @ w
+        return self.op_Gu @ v + self.op_Gy @ w
 
     def apply_transpose(self, w) -> np.ndarray:
         """Transpose product: residual-space vector to control space."""
         w = as_vector(w, self.problem.m, name="residual direction")
-        g_u, g_y, c_u = self._operators()
-        q = self.problem.solve_cy_transpose(self.y, self.u, g_y.rmatvec(w))
+        q = self.problem.solve_cy_transpose(self.y, self.u, self.op_Gy.rmatvec(w))
         if self.counters is not None:
             self.counters.adjoint_solves += 1
             self.counters.jacobian_applies += 1
-        return g_u.rmatvec(w) - c_u.rmatvec(q)
+        return self.op_Gu.rmatvec(w) - self.op_cu.rmatvec(q)
 
     def gradient(self, residual) -> np.ndarray:
         """Gradient of the reduced objective, one transpose application."""
         return self.apply_transpose(residual)
 
-    def uncounted(self) -> "ReducedJacobian":
-        """A view on the same base point whose applications are not tallied."""
-        return ReducedJacobian(self.problem, self.u, self.y, counters=None)
-
     def as_operator(self) -> LinearOperator:
         return LinearOperator(self.shape, self.apply, self.apply_transpose)
-
-    def gauss_newton_operator(self) -> LinearOperator:
-        """The symmetric PSD composition transpose(J) o J on control space.
-
-        Each application costs two Jacobian applications (one forward, one
-        transpose), which the counters record individually.
-        """
-        n = self.problem.n
-        matvec = lambda v: self.apply_transpose(self.apply(v))
-        return LinearOperator((n, n), matvec, matvec)
-
-
-def reduced_gradient(jacobian: ReducedJacobian, residual) -> np.ndarray:
-    """Functional form of :meth:`ReducedJacobian.gradient`."""
-    return jacobian.gradient(residual)

@@ -138,10 +138,6 @@ class BurgersProblem(ImplicitProblem):
     def state_blocks(self, y) -> np.ndarray:
         return as_vector(y, self.n_y, name="state").reshape(self.nt, self.nx)
 
-    def full_trajectory(self, y) -> np.ndarray:
-        """States including the fixed initial block, (nt+1)*nx entries."""
-        return np.concatenate([self.y0, as_vector(y, self.n_y, name="state")])
-
     # dynamics
     def step_residual(self, y_prev, y_next, u_next) -> np.ndarray:
         """Implicit time-step equation for one block."""

@@ -16,29 +16,17 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatch",
-    "OperatorFailure",
     "StateSolveError",
     "as_vector",
-    "inner",
     "norm",
     "LinearOperator",
-    "zero_operator",
     "EvalCounters",
     "ImplicitProblem",
-    "objective",
 ]
 
 
 class DimensionMismatch(ValueError):
     """Vector or operator dimensions violate the problem contract."""
-
-
-class OperatorFailure(RuntimeError):
-    """An operator application failed, typically inside an inner linear solve."""
-
-    def __init__(self, message: str, diagnostic=None):
-        super().__init__(message)
-        self.diagnostic = diagnostic
 
 
 class StateSolveError(RuntimeError):
@@ -58,13 +46,6 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {dim}")
     return v
-
-
-def inner(a, b) -> float:
-    """Euclidean inner product of two equally sized vectors."""
-    a = as_vector(a, name="a")
-    b = as_vector(b, a.shape[0], name="b")
-    return float(a @ b)
 
 
 def norm(a) -> float:
@@ -110,16 +91,6 @@ class LinearOperator:
 
     def __matmul__(self, v) -> np.ndarray:
         return self.matvec(v)
-
-
-def zero_operator(n_rows: int, n_cols: int | None = None) -> LinearOperator:
-    """The zero map, used for the gradient-like solver variant."""
-    n_cols = n_rows if n_cols is None else n_cols
-    return LinearOperator(
-        (n_rows, n_cols),
-        lambda v: np.zeros(n_rows),
-        lambda w: np.zeros(n_cols),
-    )
 
 
 @dataclass
@@ -219,10 +190,3 @@ class ImplicitProblem(ABC):
     def constraint_residual(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Evaluate c(y, u) directly. Test-only feasibility probe."""
 
-
-def objective(problem: ImplicitProblem, y, u) -> float:
-    """Least-squares objective 0.5*||R(y, u)||^2."""
-    y = as_vector(y, problem.n_y, name="state")
-    u = as_vector(u, problem.n, name="control")
-    r = problem.residual(y, u)
-    return 0.5 * float(r @ r)

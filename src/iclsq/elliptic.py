@@ -144,6 +144,7 @@ class EllipticProblem(ImplicitProblem):
         self._n = (N - 1) ** 2
         self.lam = float(lam)
         self.K = K_full[np.ix_(interior, interior)]
+        self.K.eliminate_zeros()  # the diagonal edges' couplings cancel to 0
         self.M = M_full[np.ix_(interior, interior)].tocsr()
         F = _element_mass_factor(N) if sqrt_factor is None else sqrt_factor
         self._sqrtM = F

@@ -10,6 +10,7 @@ gradient norm falls below its tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -17,14 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adjoint import ReducedJacobian
-from .core import (
-    EvalCounters,
-    ImplicitProblem,
-    StateSolveError,
-    as_vector,
-    norm,
-    zero_operator,
-)
+from .core import EvalCounters, ImplicitProblem, StateSolveError, as_vector, norm
 from .subproblem import (
     SubproblemSpec,
     estimate_operator_norm,
@@ -73,6 +67,10 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
+        for name in ("gamma0", "gamma_min", "eps_R", "eps_g"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.gamma0 is not None and self.gamma0 <= 0:
@@ -239,19 +237,17 @@ def solve(
 
         if gauss_newton:
             if h_norm is None:
-                # Norm probes emulate a known curvature bound; they run on an
-                # uncounted view so evaluation tallies match the cost model,
-                # and are tallied apart as two Jacobian applications each.
+                # Norm probes emulate a known curvature bound; they run on a
+                # Jacobian without counters so evaluation tallies match the
+                # cost model, and are tallied apart as two applications each.
                 h_norm, h_vec, products = estimate_operator_norm(
-                    jac.uncounted().gauss_newton_operator(),
-                    problem.n,
+                    ReducedJacobian(problem, u, y).as_operator(),
                     config.seed,
                     start=h_vec,
                 )
                 counters.norm_probe_applies += 2 * products
             spec = SubproblemSpec(
                 g=g,
-                H=jac.gauss_newton_operator(),
                 gamma=gamma,
                 theta=config.theta,
                 h_norm_estimate=h_norm,
@@ -260,13 +256,7 @@ def solve(
             )
         else:
             h_norm = 0.0
-            spec = SubproblemSpec(
-                g=g,
-                H=zero_operator(problem.n),
-                gamma=gamma,
-                theta=config.theta,
-                h_norm_estimate=0.0,
-            )
+            spec = SubproblemSpec(g=g, gamma=gamma, theta=config.theta, h_norm_estimate=0.0)
 
         step = exact_step(spec) if config.theta == 0.0 else truncated_cg_step(spec)
         counters.cg_iterations += step.cg_iters

@@ -4,14 +4,17 @@ Each outer iteration minimizes
 
     q(s) = g.s + 0.5 * s.(H + gamma I).s
 
-either exactly (tiny relative residual) or inexactly, stopping conjugate
-gradient once the linear-system residual drops below
+with Gauss-Newton curvature H = J^T J or zero curvature H = 0, either
+exactly (tiny relative residual) or inexactly, stopping once the residual
+of (H + gamma I) s = -g drops below
 
     theta * sqrt(gamma / (||H|| + gamma)) * ||g||.
 
-Both variants run a Krylov method from the zero vector, so the model value
-decreases monotonically and any returned step has positive predicted
-decrease whenever g is nonzero.
+Gauss-Newton steps run CGLS, conjugate gradient in least-squares form on the
+factor J, from the zero vector, so the model value decreases monotonically
+and any returned step has positive predicted decrease whenever g is nonzero.
+With zero curvature the minimizer is -g / gamma in closed form, reported as
+one Krylov iteration.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "StepResult",
     "IndefiniteOperator",
     "estimate_operator_norm",
-    "model_decrease",
     "exact_step",
     "truncated_cg_step",
 ]
@@ -39,30 +41,26 @@ _WARM_RTOL = 1e-3
 
 
 class IndefiniteOperator(RuntimeError):
-    """Nonpositive curvature was detected where a PSD operator was promised."""
+    """CGLS met nonpositive regularized curvature along a search direction."""
 
 
 @dataclass
 class SubproblemSpec:
-    """One regularized model: gradient, curvature operator, and knobs.
+    """One regularized model: gradient, curvature factor, and knobs.
+
+    The curvature is H = J^T J for the rectangular Jacobian operator
+    ``gn_factor`` = J, supplied with the residual ``gn_residual`` = R at the
+    base point (so g = J^T R); without a factor it is zero. Each CGLS
+    iteration costs one forward and one transpose application of J.
 
     h_norm_estimate must be an upper bound on the spectral norm of H for the
     inexact termination rule to retain its guarantees; the power-iteration
     estimator below overshoots on purpose. The solver takes a cold estimate
     at the first base point of a run and warm-starts every later one from the
     previous dominant vector, stopping once the Rayleigh quotient settles.
-
-    When H is a Gauss-Newton composition, ``gn_factor`` (the underlying
-    rectangular Jacobian operator) and ``gn_residual`` (the residual at the
-    base point) may be supplied; the Krylov solve then runs in least-squares
-    form, which is mathematically conjugate gradient on the same system with
-    better floating-point behavior for small gamma. Iteration counts and
-    per-iteration operator costs are identical: one forward and one transpose
-    application each.
     """
 
     g: np.ndarray
-    H: LinearOperator
     gamma: float
     theta: float
     h_norm_estimate: float
@@ -77,9 +75,6 @@ class SubproblemSpec:
             raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
         if self.h_norm_estimate < 0:
             raise ValueError("h_norm_estimate must be nonnegative")
-        n = self.g.shape[0]
-        if self.H.shape != (n, n):
-            raise ValueError(f"H has shape {self.H.shape}, expected {(n, n)}")
         if (self.gn_factor is None) != (self.gn_residual is None):
             raise ValueError("gn_factor and gn_residual must be supplied together")
         if self.gn_residual is not None:
@@ -99,27 +94,29 @@ class StepResult:
 
 
 def estimate_operator_norm(
-    H: LinearOperator, dim: int, seed: int = 0, start: np.ndarray | None = None
+    J: LinearOperator, seed: int = 0, start: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, int]:
-    """Safety-factored power-iteration estimate of the spectral norm of PSD H.
+    """Safety-factored power-iteration estimate of the spectral norm of J^T J.
 
     Returns ``(estimate, v, products)``: 1.5 times the final Rayleigh
     quotient, so the result upper-bounds the true norm in practice; the unit
-    vector that quotient belongs to; and the number of applications of H.
+    vector that quotient belongs to; and the number of products J^T (J v),
+    each one forward and one transpose application of J.
 
     Without ``start`` (a cold estimate) the iteration begins at a fixed-seed
     random vector and takes exactly thirty power steps. With ``start``, say
     the vector a previous estimate at a nearby base point returned, it begins
     there and stops as soon as two successive Rayleigh quotients agree to a
-    relative 1e-3 (``_WARM_RTOL``), after at most thirty steps. The zero
-    operator is detected from the start vector and reported as exactly 0.
+    relative 1e-3 (``_WARM_RTOL``), after at most thirty steps. A zero
+    product is detected from the start vector and reported as exactly 0.
     """
+    dim = J.shape[1]
     if start is None:
         v = np.random.default_rng(seed).standard_normal(dim)
     else:
         v = as_vector(start, dim, name="start").copy()
     v /= np.linalg.norm(v)
-    hv = H @ v
+    hv = J.rmatvec(J @ v)
     products = 1
     if norm(hv) <= 1e-300:
         return 0.0, v, products
@@ -129,19 +126,12 @@ def estimate_operator_norm(
         if nv <= 1e-300:
             return 0.0, v, products
         v = hv / nv
-        hv = H @ v
+        hv = J.rmatvec(J @ v)
         products += 1
         previous, quotient = quotient, float(v @ hv)
         if start is not None and abs(quotient - previous) <= _WARM_RTOL * quotient:
             break
     return 1.5 * quotient, v, products
-
-
-def model_decrease(spec: SubproblemSpec, s) -> float:
-    """Model decrease q(0) - q(s); costs one application of H."""
-    s = as_vector(s, spec.g.shape[0], name="step")
-    hs = spec.H @ s
-    return float(-(spec.g @ s) - 0.5 * (s @ hs) - 0.5 * spec.gamma * (s @ s))
 
 
 def _inexact_tolerance(spec: SubproblemSpec) -> float:
@@ -150,58 +140,12 @@ def _inexact_tolerance(spec: SubproblemSpec) -> float:
     return spec.theta * scale * norm(spec.g)
 
 
-def _cg(spec: SubproblemSpec, tol: float, maxiter: int):
-    """Conjugate gradient on (H + gamma I) s = -g from s = 0.
-
-    Returns (s, residual_norm, iterations, (H + gamma I) s). Tracks the best
-    iterate seen so a stagnating solve still returns its most accurate step.
-    """
-    g, gamma = spec.g, spec.gamma
-    n = g.shape[0]
-    x = np.zeros(n)
-    ax = np.zeros(n)  # running (H + gamma I) x
-    r = -g.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    best = (x.copy(), math.sqrt(rr), 0, ax.copy())
-    stall = 0
-    iters = 0
-    while iters < maxiter:
-        q = (spec.H @ p) + gamma * p
-        pq = float(p @ q)
-        if pq <= 0:
-            raise IndefiniteOperator(
-                f"nonpositive curvature {pq:.3e} encountered; the supplied "
-                "operator is not positive semidefinite"
-            )
-        alpha = rr / pq
-        x += alpha * p
-        ax += alpha * q
-        r -= alpha * q
-        iters += 1
-        rr_new = float(r @ r)
-        res = math.sqrt(rr_new)
-        if res < best[1]:
-            best = (x.copy(), res, iters, ax.copy())
-            stall = 0
-        else:
-            stall += 1
-        if res <= tol:
-            return x, res, iters, ax
-        if stall >= 30:
-            break  # rounding floor reached; return the best iterate
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    bx, bres, _, bax = best
-    return bx, bres, iters, bax
-
-
 def _cgls(spec: SubproblemSpec, tol: float, maxiter: int):
-    """Least-squares form of the same Krylov solve for factored curvature.
+    """CGLS on ||J s + R||^2 + gamma ||s||^2 from s = 0, J the factor.
 
-    Minimizes ||J s + R||^2 + gamma ||s||^2 with J the rectangular factor;
-    the tracked quantity is the normal-equation residual -g - (H + gamma I)s,
-    exactly the vector the inexactness rule bounds.
+    The tracked quantity is the normal-equation residual -g - (H + gamma I)s,
+    exactly the vector the inexactness rule bounds. Tracks the best iterate
+    seen so a stagnating solve still returns its most accurate step.
     """
     g, gamma = spec.g, spec.gamma
     factor, residual = spec.gn_factor, spec.gn_residual
@@ -246,20 +190,22 @@ def _cgls(spec: SubproblemSpec, tol: float, maxiter: int):
 
 
 def _solve(spec: SubproblemSpec, tol: float, maxiter: int | None, mode: str) -> StepResult:
-    g = spec.g
-    n = g.shape[0]
-    if maxiter is None:
-        maxiter = 3 * n + 30
-    if spec.gn_factor is not None:
+    g, gamma = spec.g, spec.gamma
+    if spec.gn_factor is None:
+        # Zero curvature: the minimizer -g / gamma, one Krylov iteration.
+        x = -g / gamma
+        res = norm(-g - gamma * x)
+        iters = 1
+        decrease = float(-(g @ x) - 0.5 * gamma * (x @ x))
+    else:
+        if maxiter is None:
+            maxiter = 3 * g.shape[0] + 30
         x, res, iters, r_top, r_bot = _cgls(spec, tol, maxiter)
         # A x = b - r, so s.(H + gamma I)s = ||A x||^2 without extra applies.
         ax_top = -spec.gn_residual - r_top
         ax_bot = -r_bot
         curv = float(ax_top @ ax_top) + float(ax_bot @ ax_bot)
         decrease = float(-(g @ x) - 0.5 * curv)
-    else:
-        x, res, iters, ax = _cg(spec, tol, maxiter)
-        decrease = float(-(g @ x) - 0.5 * (x @ ax))
     return StepResult(
         step=x,
         model_decrease=decrease,
@@ -287,11 +233,11 @@ def exact_step(spec: SubproblemSpec, maxiter: int | None = None) -> StepResult:
 
 
 def truncated_cg_step(spec: SubproblemSpec, maxiter: int | None = None) -> StepResult:
-    """Run CG until the relative-residual inexactness rule is met.
+    """Run CGLS until the relative-residual inexactness rule is met.
 
     The tolerance factor theta * sqrt(gamma / (||H|| + gamma)) is strictly
     below one, so at least one iteration always happens for a nonzero
-    gradient.
+    gradient. Zero curvature takes the closed-form step as its one iteration.
     """
     if norm(spec.g) == 0.0:
         raise ValueError("truncated_cg_step requires a nonzero gradient")

@@ -1,9 +1,12 @@
 """Shared test problems and probe helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
 from iclsq.core import ImplicitProblem, LinearOperator
+from iclsq.subproblem import SubproblemSpec
 
 
 class IdentityProblem(ImplicitProblem):
@@ -97,10 +100,26 @@ def tridiag_dense(op):
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
-def random_psd(rng, dim, spread=1.0):
-    """Random symmetric positive semidefinite matrix."""
+def random_factor(rng, dim, spread=1.0):
+    """Random square J whose J^T J is the PSD matrix spread * A A^T / dim."""
     A = rng.standard_normal((dim, dim))
-    return spread * (A @ A.T) / dim
+    return math.sqrt(spread / dim) * A.T
+
+
+def factor_spec(J, g, gamma, theta=0.0, h_norm=None):
+    """Model with curvature J^T J for square invertible J, residual J^-T g."""
+    J = np.asarray(J, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if h_norm is None:
+        h_norm = float(np.linalg.norm(J, 2)) ** 2
+    return SubproblemSpec(
+        g=g,
+        gamma=gamma,
+        theta=theta,
+        h_norm_estimate=h_norm,
+        gn_factor=operator_from_matrix(J),
+        gn_residual=np.linalg.solve(J.T, g),
+    )
 
 
 @pytest.fixture

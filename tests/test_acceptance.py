@@ -21,9 +21,9 @@ from iclsq.harness import (
     run_experiment,
 )
 from iclsq.solver import SolveStatus, SolverConfig, solve
-from iclsq.subproblem import SubproblemSpec, exact_step
+from iclsq.subproblem import exact_step
 
-from conftest import operator_from_matrix, random_psd, tridiag_dense
+from conftest import factor_spec, random_factor, tridiag_dense
 
 
 @contextmanager
@@ -306,18 +306,11 @@ def test_criterion_8_oracle_equivalence():
 
         # exact step against dense factorizations across dimensions
         for dim in (5, 8, 13, 20):
-            H = random_psd(rng, dim, spread=1.5)
+            J = random_factor(rng, dim, spread=1.5)
             g = rng.standard_normal(dim)
             gamma = 10.0 ** rng.uniform(-2, 1)
-            spec = SubproblemSpec(
-                g=g,
-                H=operator_from_matrix(H),
-                gamma=gamma,
-                theta=0.0,
-                h_norm_estimate=float(np.linalg.norm(H, 2)),
-            )
-            s = exact_step(spec).step
-            expected = -np.linalg.solve(H + gamma * np.eye(dim), g)
+            s = exact_step(factor_spec(J, g, gamma)).step
+            expected = -np.linalg.solve(J.T @ J + gamma * np.eye(dim), g)
             assert np.linalg.norm(s - expected) <= 1e-10 * (1 + np.linalg.norm(expected))
 
 

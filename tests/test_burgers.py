@@ -231,13 +231,6 @@ class TestForwardSolve:
         assert "singular" in str(err.value)
         assert err.value.step_index == 1
 
-    def test_full_trajectory_prepends_initial_state(self):
-        prob = BurgersProblem(4, 3)
-        y = prob.solve_state(np.zeros(prob.n))
-        full = prob.full_trajectory(y)
-        np.testing.assert_array_equal(full[:4], prob.y0)
-        np.testing.assert_array_equal(full[4:], y)
-
 
 class TestKernels:
     @pytest.mark.parametrize("nx", [2, 5, 16])
@@ -323,7 +316,7 @@ class TestResidual:
             y = rng.standard_normal(prob.n_y)
             u = rng.standard_normal(prob.n)
             r = prob.residual(y, u)
-            yb = prob.full_trajectory(y).reshape(prob.nt + 1, prob.nx)
+            yb = np.vstack([prob.y0, prob.state_blocks(y)])
             ub = u.reshape(prob.nt + 1, prob.nx)
             direct = prob.dt * sum(
                 0.5 * (yb[i] - prob.z) @ (prob.M @ (yb[i] - prob.z))

@@ -159,7 +159,9 @@ class TestFastSolve:
         T = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
         I = sp.identity(n)
         laplacian = (sp.kron(T, I) + sp.kron(I, T)).toarray()
-        np.testing.assert_array_equal(EllipticProblem(N).K.toarray(), laplacian)
+        K = EllipticProblem(N).K
+        np.testing.assert_array_equal(K.toarray(), laplacian)
+        assert K.nnz == np.count_nonzero(K.toarray())  # no stored zeros
 
     @pytest.mark.parametrize("N", [2, 3, 7, 20])
     def test_solves_match_dense_solve(self, N, rng):

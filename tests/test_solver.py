@@ -347,6 +347,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(hessian_mode="newton")
 
+    @pytest.mark.parametrize("field", ["gamma0", "gamma_min", "eps_R", "eps_g"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_setting_rejected(self, field, value):
+        # A NaN would otherwise pass every comparison check and silently
+        # disable the floor, a stopping test or the gamma dynamics.
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
     def test_nonfinite_start_rejected(self):
         prob = IdentityProblem(2)
         with pytest.raises(ValueError):
@@ -354,27 +362,37 @@ class TestConfigValidation:
 
 
 class TestPinnedCounters:
-    # Counts recorded before the curvature-norm estimator was warm-started;
-    # any drift in step computation (tolerances, Krylov counts, accepted
-    # steps) changes at least one of them.
+    # Counts recorded before the curvature-norm estimator was warm-started
+    # (Gauss-Newton rows) and before zero curvature took its closed-form step
+    # (zero rows); any drift in step computation (tolerances, Krylov counts,
+    # accepted steps) changes at least one of them.
     CASES = [
-        ("burgers", 0.0, (15, 16, 232, 448, 216)),
-        ("burgers", 1e-2, (15, 16, 81, 146, 65)),
-        ("burgers", 0.5, (15, 16, 52, 88, 36)),
-        ("elliptic", 0.0, (20, 21, 132, 243, 111)),
-        ("elliptic", 1e-2, (20, 21, 50, 79, 29)),
-        ("elliptic", 0.5, (20, 21, 43, 65, 22)),
+        ("burgers", "gauss_newton", 0.0, (15, 16, 232, 448, 216)),
+        ("burgers", "gauss_newton", 1e-2, (15, 16, 81, 146, 65)),
+        ("burgers", "gauss_newton", 0.5, (15, 16, 52, 88, 36)),
+        ("elliptic", "gauss_newton", 0.0, (20, 21, 132, 243, 111)),
+        ("elliptic", "gauss_newton", 1e-2, (20, 21, 50, 79, 29)),
+        ("elliptic", "gauss_newton", 0.5, (20, 21, 43, 65, 22)),
+        ("burgers", "zero", 0.0, (104, 105, 57, 57, 104)),
+        ("burgers", "zero", 0.5, (104, 105, 57, 57, 104)),
+        ("elliptic", "zero", 0.0, (23, 24, 21, 21, 23)),
+        ("elliptic", "zero", 0.5, (23, 24, 21, 21, 23)),
+    ]
+    # The Gauss-Newton rows keep the ids they had before the zero rows came.
+    IDS = [
+        f"{name}-{theta}-expected{i}" if mode == "gauss_newton" else f"{name}-{mode}-{theta}"
+        for i, (name, mode, theta, _) in enumerate(CASES)
     ]
 
-    @pytest.mark.parametrize("name,theta,expected", CASES)
-    def test_counts_are_pinned(self, name, theta, expected):
+    @pytest.mark.parametrize("name,mode,theta,expected", CASES, ids=IDS)
+    def test_counts_are_pinned(self, name, mode, theta, expected):
         if name == "burgers":
             prob = BurgersProblem(8, 8, nu=0.01)
             u0 = np.zeros(prob.n)
         else:
             prob = EllipticProblem(10, z_choice="one")
             u0 = np.ones(prob.n)
-        out = solve(prob, u0, SolverConfig(theta=theta))
+        out = solve(prob, u0, SolverConfig(theta=theta, hessian_mode=mode))
         c = out.counters
         got = (
             out.iterations,

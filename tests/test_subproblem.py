@@ -1,78 +1,63 @@
-"""Step computation: exact and truncated CG solves with dense oracles."""
+"""Step computation: exact and truncated CGLS solves with dense oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from iclsq.core import zero_operator
 from iclsq.subproblem import (
-    IndefiniteOperator,
     SubproblemSpec,
     estimate_operator_norm,
     exact_step,
-    model_decrease,
     truncated_cg_step,
 )
 
-from conftest import operator_from_matrix, random_psd
+from conftest import factor_spec, operator_from_matrix, random_factor
 
 
-def spec_from_dense(H, g, gamma, theta=0.0, h_norm=None):
-    H = np.asarray(H, dtype=float)
-    if h_norm is None:
-        h_norm = float(np.linalg.norm(H, 2)) if H.size else 0.0
-    return SubproblemSpec(
-        g=np.asarray(g, dtype=float),
-        H=operator_from_matrix(H),
-        gamma=gamma,
-        theta=theta,
-        h_norm_estimate=h_norm,
-    )
+def explicit_decrease(J, g, gamma, s):
+    """q(0) - q(s) for the model with curvature J^T J + gamma I."""
+    A = J.T @ J + gamma * np.eye(len(g))
+    return -(g @ s) - 0.5 * s @ (A @ s)
 
 
 class TestExactStep:
     def test_identity_curvature(self):
-        spec = spec_from_dense(np.eye(2), [2.0, 0.0], gamma=1.0)
+        spec = factor_spec(np.eye(2), [2.0, 0.0], gamma=1.0)
         result = exact_step(spec)
         np.testing.assert_allclose(result.step, [-1.0, 0.0], atol=1e-12)
         assert result.model_decrease == pytest.approx(1.0, abs=1e-12)
         assert result.mode == "exact"
 
     def test_zero_curvature_gradient_step(self):
-        spec = SubproblemSpec(
-            g=np.array([0.0, 4.0]),
-            H=zero_operator(2),
-            gamma=2.0,
-            theta=0.0,
-            h_norm_estimate=0.0,
-        )
+        spec = SubproblemSpec(g=np.array([0.0, 4.0]), gamma=2.0, theta=0.0, h_norm_estimate=0.0)
         result = exact_step(spec)
-        np.testing.assert_allclose(result.step, [0.0, -2.0], atol=1e-12)
-        assert result.model_decrease == pytest.approx(4.0, abs=1e-12)
+        np.testing.assert_array_equal(result.step, [0.0, -2.0])
+        assert result.model_decrease == 4.0
+        assert result.cg_iters == 1
 
     def test_matches_dense_factorization(self, rng):
         for _ in range(5):
-            H = random_psd(rng, 5)
+            J = random_factor(rng, 5)
             g = rng.standard_normal(5)
             gamma = 0.5
-            spec = spec_from_dense(H, g, gamma)
+            spec = factor_spec(J, g, gamma)
             result = exact_step(spec)
-            expected = -np.linalg.solve(H + gamma * np.eye(5), g)
+            expected = -np.linalg.solve(J.T @ J + gamma * np.eye(5), g)
             assert np.linalg.norm(result.step - expected) <= 1e-10 * (
                 1.0 + np.linalg.norm(expected)
             )
 
     def test_relative_residual_below_target(self, rng):
-        H = random_psd(rng, 8)
+        J = random_factor(rng, 8)
         g = rng.standard_normal(8)
-        spec = spec_from_dense(H, g, gamma=1.0)
+        spec = factor_spec(J, g, gamma=1.0)
         result = exact_step(spec)
-        true_res = np.linalg.norm(H @ result.step + spec.gamma * result.step + g)
+        true_res = np.linalg.norm(J.T @ (J @ result.step) + spec.gamma * result.step + g)
         assert true_res <= 1e-11 * np.linalg.norm(g)
 
     def test_rejects_zero_gradient(self):
-        spec = spec_from_dense(np.eye(2), np.zeros(2), gamma=1.0)
+        spec = factor_spec(np.eye(2), np.zeros(2), gamma=1.0)
         with pytest.raises(ValueError):
             exact_step(spec)
 
@@ -81,29 +66,26 @@ class TestTruncatedCG:
     def test_at_least_one_iteration(self, rng):
         # The tolerance factor is below one, so zero iterations never suffice.
         for theta in (1e-6, 1e-2, 0.5, 0.99):
-            H = random_psd(rng, 6)
-            spec = spec_from_dense(H, rng.standard_normal(6), gamma=0.3, theta=theta)
+            J = random_factor(rng, 6)
+            spec = factor_spec(J, rng.standard_normal(6), gamma=0.3, theta=theta)
             assert truncated_cg_step(spec).cg_iters >= 1
 
     def test_zero_curvature_single_iteration(self, rng):
         for theta in (1e-6, 1e-2, 0.5):
             spec = SubproblemSpec(
-                g=rng.standard_normal(4),
-                H=zero_operator(4),
-                gamma=2.0,
-                theta=theta,
-                h_norm_estimate=0.0,
+                g=rng.standard_normal(4), gamma=2.0, theta=theta, h_norm_estimate=0.0
             )
             result = truncated_cg_step(spec)
             assert result.cg_iters == 1
-            np.testing.assert_allclose(result.step, -spec.g / 2.0, atol=1e-14)
+            np.testing.assert_array_equal(result.step, -spec.g / 2.0)
 
     def test_exit_residual_and_iteration_bound(self, rng):
         n, gamma, theta = 20, 0.1, 0.01
-        H = random_psd(rng, n)
+        J = random_factor(rng, n)
+        H = J.T @ J
         g = rng.standard_normal(n)
         h_norm = float(np.linalg.norm(H, 2))
-        spec = spec_from_dense(H, g, gamma=gamma, theta=theta, h_norm=h_norm)
+        spec = factor_spec(J, g, gamma=gamma, theta=theta, h_norm=h_norm)
         result = truncated_cg_step(spec)
         res = np.linalg.norm((H + gamma * np.eye(n)) @ result.step + g)
         bound = theta * math.sqrt(gamma / (h_norm + gamma)) * np.linalg.norm(g)
@@ -116,12 +98,12 @@ class TestTruncatedCG:
         # Inexact-step certificates with the true curvature norm.
         for trial in range(10):
             n = 12
-            H = random_psd(rng, n, spread=2.0)
+            J = random_factor(rng, n, spread=2.0)
             g = rng.standard_normal(n)
             gamma = 10.0 ** rng.uniform(-3, 1)
             theta = rng.uniform(1e-4, 0.9)
-            h_norm = float(np.linalg.norm(H, 2))
-            spec = spec_from_dense(H, g, gamma=gamma, theta=theta, h_norm=h_norm)
+            h_norm = float(np.linalg.norm(J, 2)) ** 2
+            spec = factor_spec(J, g, gamma=gamma, theta=theta, h_norm=h_norm)
             result = truncated_cg_step(spec)
             gn = np.linalg.norm(g)
             decrease_bound = 0.5 * (1 - theta**2) * gn**2 / (h_norm + gamma)
@@ -129,112 +111,101 @@ class TestTruncatedCG:
             assert np.linalg.norm(result.step) <= (1 + theta) * gn / gamma + 1e-12
 
     def test_theta_zero_consistency(self, rng):
-        H = random_psd(rng, 10)
+        J = random_factor(rng, 10)
         g = rng.standard_normal(10)
-        spec_tiny = spec_from_dense(H, g, gamma=0.5, theta=1e-14)
-        spec_exact = spec_from_dense(H, g, gamma=0.5, theta=0.0)
+        spec_tiny = factor_spec(J, g, gamma=0.5, theta=1e-14)
+        spec_exact = factor_spec(J, g, gamma=0.5, theta=0.0)
         s_tiny = truncated_cg_step(spec_tiny).step
         s_exact = exact_step(spec_exact).step
         rel = np.linalg.norm(s_tiny - s_exact) / (1.0 + np.linalg.norm(s_exact))
         assert rel <= 1e-8
 
     def test_requires_positive_theta(self, rng):
-        spec = spec_from_dense(np.eye(3), rng.standard_normal(3), gamma=1.0, theta=0.0)
+        spec = factor_spec(np.eye(3), rng.standard_normal(3), gamma=1.0, theta=0.0)
         with pytest.raises(ValueError):
             truncated_cg_step(spec)
 
-    def test_indefinite_curvature_detected(self, rng):
-        H = -2.0 * np.eye(3)  # violates the PSD promise
-        spec = spec_from_dense(H, rng.standard_normal(3), gamma=1.0, theta=0.1, h_norm=2.0)
-        with pytest.raises(IndefiniteOperator):
-            truncated_cg_step(spec)
 
-
-def thirty_step_estimate(H, dim, seed):
+def thirty_step_estimate(J, seed):
     """The fixed thirty-step power iteration every cold estimate must equal."""
-    v = np.random.default_rng(seed).standard_normal(dim)
+    v = np.random.default_rng(seed).standard_normal(J.shape[1])
     v /= np.linalg.norm(v)
-    hv = H @ v
+    hv = J.T @ (J @ v)
     for _ in range(30):
         v = hv / np.linalg.norm(hv)
-        hv = H @ v
+        hv = J.T @ (J @ v)
     return 1.5 * float(v @ hv)
 
 
 class TestOperatorNorm:
     def test_zero_operator(self):
-        est, _, products = estimate_operator_norm(zero_operator(7), 7)
+        est, _, products = estimate_operator_norm(operator_from_matrix(np.zeros((3, 7))))
         assert est == 0.0
         assert products == 1
 
     def test_identity(self):
-        est, _, _ = estimate_operator_norm(operator_from_matrix(np.eye(10)), 10)
+        est, _, _ = estimate_operator_norm(operator_from_matrix(np.eye(10)))
         assert 1.0 <= est <= 1.5
 
     def test_overestimates_but_not_wildly(self, rng):
         for seed in range(5):
-            H = random_psd(rng, 15)
-            true = float(np.linalg.norm(H, 2))
-            est, _, _ = estimate_operator_norm(operator_from_matrix(H), 15, seed=seed)
+            J = random_factor(rng, 15)
+            true = float(np.linalg.norm(J.T @ J, 2))
+            est, _, _ = estimate_operator_norm(operator_from_matrix(J), seed=seed)
             assert true <= est <= 1.5 * true + 1e-12
 
     def test_cold_estimate_is_the_thirty_step_formula(self, rng):
         for seed in range(5):
-            H = random_psd(rng, 12)
-            est, v, products = estimate_operator_norm(operator_from_matrix(H), 12, seed=seed)
-            assert est == thirty_step_estimate(H, 12, seed)
+            J = random_factor(rng, 12)
+            est, v, products = estimate_operator_norm(operator_from_matrix(J), seed=seed)
+            assert est == thirty_step_estimate(J, seed)
             assert products == 31
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
 
     def test_warm_start_from_dominant_eigenvector_stops_early(self, rng):
         for _ in range(5):
-            H = random_psd(rng, 15)
-            eigvals, eigvecs = np.linalg.eigh(H)
+            J = random_factor(rng, 15)
+            eigvals, eigvecs = np.linalg.eigh(J.T @ J)
             true = float(eigvals[-1])
             est, v, products = estimate_operator_norm(
-                operator_from_matrix(H), 15, start=eigvecs[:, -1]
+                operator_from_matrix(J), start=eigvecs[:, -1]
             )
             assert products <= 2
             assert true <= est <= 1.5 * true * (1 + 1e-12)
             assert abs(float(v @ eigvecs[:, -1])) == pytest.approx(1.0, abs=1e-12)
 
     def test_warm_start_does_not_modify_start(self, rng):
-        H = random_psd(rng, 6)
+        J = random_factor(rng, 6)
         start = rng.standard_normal(6)
         kept = start.copy()
-        estimate_operator_norm(operator_from_matrix(H), 6, start=start)
+        estimate_operator_norm(operator_from_matrix(J), start=start)
         np.testing.assert_array_equal(start, kept)
 
 
 class TestModelDecrease:
     def test_zero_step(self, rng):
-        spec = spec_from_dense(random_psd(rng, 4), rng.standard_normal(4), gamma=1.0)
-        assert model_decrease(spec, np.zeros(4)) == 0.0
+        # Zero curvature: the closed-form step -g / gamma decreases the model
+        # by ||g||^2 / (2 gamma).
+        g = rng.standard_normal(4)
+        spec = SubproblemSpec(g=g, gamma=0.8, theta=0.0, h_norm_estimate=0.0)
+        result = exact_step(spec)
+        assert result.model_decrease == pytest.approx((g @ g) / 1.6, rel=1e-14)
 
     def test_worked_example(self):
-        spec = spec_from_dense(np.eye(2), [2.0, 0.0], gamma=1.0)
-        s = exact_step(spec).step
-        assert model_decrease(spec, s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_explicit_quadratic(self, rng):
-        for _ in range(10):
-            n = 6
-            H = random_psd(rng, n)
-            g = rng.standard_normal(n)
-            gamma = 0.7
-            s = rng.standard_normal(n)
-            spec = spec_from_dense(H, g, gamma=gamma)
-            A = H + gamma * np.eye(n)
-            direct = -(g @ s) - 0.5 * s @ (A @ s)
-            assert model_decrease(spec, s) == pytest.approx(direct, rel=1e-12, abs=1e-14)
+        # H = diag(4, 1), gamma = 1: s = -(H + I)^-1 g = (-0.8, -1.0), and
+        # the decrease is 0.5 g.(H + I)^-1 g = 2.6.
+        spec = factor_spec(np.diag([2.0, 1.0]), [4.0, 2.0], gamma=1.0)
+        result = exact_step(spec)
+        np.testing.assert_allclose(result.step, [-0.8, -1.0], rtol=1e-12)
+        assert result.model_decrease == pytest.approx(2.6, rel=1e-12)
 
     def test_step_results_report_consistent_decrease(self, rng):
-        H = random_psd(rng, 8)
+        J = random_factor(rng, 8)
         g = rng.standard_normal(8)
-        spec = spec_from_dense(H, g, gamma=0.2, theta=0.05)
+        spec = factor_spec(J, g, gamma=0.2, theta=0.05)
         result = truncated_cg_step(spec)
         assert result.model_decrease == pytest.approx(
-            model_decrease(spec, result.step), rel=1e-10, abs=1e-13
+            explicit_decrease(J, g, 0.2, result.step), rel=1e-10, abs=1e-13
         )
 
 
@@ -242,28 +213,33 @@ class TestExactDecreaseBound:
     def test_exact_solution_certificate(self, rng):
         for _ in range(10):
             n = 9
-            H = random_psd(rng, n)
+            J = random_factor(rng, n)
             g = rng.standard_normal(n)
             gamma = 10.0 ** rng.uniform(-3, 1)
-            h_norm = float(np.linalg.norm(H, 2))
-            spec = spec_from_dense(H, g, gamma=gamma, h_norm=h_norm)
+            h_norm = float(np.linalg.norm(J, 2)) ** 2
+            spec = factor_spec(J, g, gamma=gamma, h_norm=h_norm)
             result = exact_step(spec)
             bound = 0.5 * np.linalg.norm(g) ** 2 / (h_norm + gamma)
             assert result.model_decrease >= bound - 1e-12
 
 
 class TestSpecValidation:
-    def test_psd_probe_of_supplied_operator(self, rng):
-        # Rayleigh quotients of the stated curvature stay essentially nonnegative.
-        H = random_psd(rng, 10)
-        op = operator_from_matrix(H)
-        for _ in range(20):
-            v = rng.standard_normal(10)
-            assert float(v @ (op @ v)) >= -1e-12 * float(v @ v)
+    def test_factor_requires_residual(self, rng):
+        g = rng.standard_normal(3)
+        with pytest.raises(ValueError):
+            SubproblemSpec(
+                g=g,
+                gamma=1.0,
+                theta=0.1,
+                h_norm_estimate=1.0,
+                gn_factor=operator_from_matrix(np.eye(3)),
+            )
+        with pytest.raises(ValueError):
+            SubproblemSpec(g=g, gamma=1.0, theta=0.1, h_norm_estimate=0.0, gn_residual=g)
 
     def test_rejects_bad_gamma_and_theta(self, rng):
         g = rng.standard_normal(3)
         with pytest.raises(ValueError):
-            SubproblemSpec(g=g, H=zero_operator(3), gamma=0.0, theta=0.1, h_norm_estimate=0.0)
+            SubproblemSpec(g=g, gamma=0.0, theta=0.1, h_norm_estimate=0.0)
         with pytest.raises(ValueError):
-            SubproblemSpec(g=g, H=zero_operator(3), gamma=1.0, theta=1.0, h_norm_estimate=0.0)
+            SubproblemSpec(g=g, gamma=1.0, theta=1.0, h_norm_estimate=0.0)
