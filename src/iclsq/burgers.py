@@ -1,18 +1,20 @@
 """Optimal control of a viscous nonlinear transport equation on (0, 1).
 
 Backward Euler in time, piecewise linear elements in space on a uniform
-mesh, homogeneous Dirichlet ends. The spatial operators are tridiagonal and
-are stored as their three diagonals. Each time step is advanced with
-Newton's method, one LAPACK tridiagonal solve (``dgtsv``) per iteration.
-The Newton loop applies the mass matrix to every control block once per
-state solve and evaluates the step residual inline in ``step_residual``'s
-order of operations, so its states match a loop built on ``step_residual``
-bit for bit; ``step_jacobian`` reads its state-independent terms from a
+mesh, homogeneous Dirichlet ends. The spatial operators are constant-
+coefficient tridiagonals and are stored as their three diagonals. Each time
+step is advanced with Newton's method, one LAPACK tridiagonal solve
+(``dgtsv``) per iteration. The Newton loop forms each step's right-hand side
+(M y_prev)/dt + f + M u once per step, with the control terms of all steps
+in one block apply, so each iteration only evaluates A v + B(v v)/2 - rhs,
+A = M/dt + nu C. ``step_jacobian`` reads its state-independent terms from a
 cache built on first use.
 The linearized constraint is block lower bidiagonal in time, so its
 (transposed) solves are forward (backward) substitutions over the time
 blocks, each through one tridiagonal LU factor per time step (``dgttrf``,
-applied with ``dgttrs``).
+applied with ``dgttrs``). The per-step loops apply their Toeplitz operators
+to single blocks as one 3-point ``np.convolve`` each; the stacked block
+applies of the residual and the control operators go through ``_Tridiag``.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -61,6 +63,17 @@ def _tridiag(nx: int, lower: float, diag: float, upper: float) -> _Tridiag:
     return _Tridiag(np.full(nx - 1, lower), np.full(nx, diag), np.full(nx - 1, upper))
 
 
+# scipy's dgttrf/dgttrs wrappers reject n = 2 with an array-size error, so a
+# 2 x 2 tridiagonal A is factored and solved as diag(A, 1).
+def _padded_gttrf(dl, d, du):
+    return dgttrf(np.append(dl, 0.0), np.append(d, 1.0), np.append(du, 0.0))
+
+
+def _padded_gttrs(dl, d, du, du2, ipiv, b, trans="N", overwrite_b=0):
+    x, info = dgttrs(dl, d, du, du2, ipiv, np.append(b, 0.0), trans=trans, overwrite_b=1)
+    return x[:2], info
+
+
 class BurgersProblem(ImplicitProblem):
     """Distributed control of the discretized viscous transport dynamics.
 
@@ -87,8 +100,8 @@ class BurgersProblem(ImplicitProblem):
     ):
         if nx < 2 or nt < 1:
             raise ValueError(f"need nx >= 2 and nt >= 1, got nx={nx}, nt={nt}")
-        if nu <= 0 or omega <= 0:
-            raise ValueError("nu and omega must be positive")
+        if not (0 < nu < math.inf and 0 < omega < math.inf):
+            raise ValueError(f"nu and omega must be positive and finite, got {nu} and {omega}")
         self.nx = int(nx)
         self.nt = int(nt)
         self.nu = float(nu)
@@ -113,6 +126,7 @@ class BurgersProblem(ImplicitProblem):
         root = np.sqrt(d)
         self._sqrtM = _Tridiag(np.zeros(nx - 1), root, root[:-1] * e)
         self._linearization = None  # (base state, per-step LU factors)
+        self._gttrf, self._gttrs = (dgttrf, dgttrs) if nx > 2 else (_padded_gttrf, _padded_gttrs)
 
     # dimensions
     @property
@@ -164,6 +178,20 @@ class BurgersProblem(ImplicitProblem):
         diag.setflags(write=False)
         return M.lower / dt, nu * C.lower, diag, M.upper / dt, nu * C.upper
 
+    @cached_property
+    def _stencils(self) -> tuple:
+        """3-point kernels ``(M/dt, M/dt + nu C, B/2)`` of the per-step
+        loops: ``np.convolve(x, k)[1:-1]`` applies the tridiagonal with
+        diagonals ``(lower, diag, upper)`` for ``k = [upper, diag, lower]``,
+        exactly at every nx >= 2. Built on first use."""
+        m_lo, c_lo, diag, m_up, c_up = self._jacobian_constants
+        B = self.B
+        return (
+            np.array([m_up[0], self.M.diag[0] / self.dt, m_lo[0]]),
+            np.array([m_up[0] + c_up[0], diag[0], m_lo[0] + c_lo[0]]),
+            0.5 * np.array([B.upper[0], B.diag[0], B.lower[0]]),
+        )
+
     def step_jacobian(self, y_next) -> _Tridiag:
         """Derivative of the step equation in its unknown state, as the
         diagonals ``(lower, diag, upper)`` of M/dt + B diag(y_next) + nu C.
@@ -182,21 +210,27 @@ class BurgersProblem(ImplicitProblem):
         Counts as a single forward solve regardless of Newton iterations.
         """
         ub = self.control_blocks(u)
-        M, B, C, f, dt, nu = self.M, self.B, self.C, self.f, self.dt, self.nu
-        Mu = M @ ub[1:]  # the control term of every step, in one block apply
+        mass_dt, step_op, half_b = self._stencils
+        forcing = self.f + self.M @ ub[1:]  # every step's control term in one block apply
+        tol, conv = self.newton_tol, np.convolve
         out = np.empty((self.nt, self.nx))
         y_prev = self.y0
         for i in range(self.nt):
-            v = y_prev.copy()  # warm start from the previous step
+            rhs = conv(y_prev, mass_dt)[1:-1] + forcing[i]
+            v = y_prev  # warm start from the previous step; never written to
             converged = False
             for _ in range(self.newton_max_iter):
-                # step_residual(y_prev, v, ub[i + 1]), same operations in order
-                res = (M @ (v - y_prev)) / dt + 0.5 * (B @ (v * v)) + nu * (C @ v) - f - Mu[i]
+                res = conv(v, step_op)[1:-1] + conv(v * v, half_b)[1:-1] - rhs
                 res_norm = math.sqrt(res @ res)
-                if res_norm <= self.newton_tol:
+                if res_norm <= tol:
                     converged = True
                     break
-                *_, delta, info = dgtsv(*self.step_jacobian(v), res)
+                # fresh off-diagonals and residual are overwritten; the shared
+                # diagonal is read only and is copied
+                dl, d, du = self.step_jacobian(v)
+                *_, delta, info = dgtsv(
+                    dl, d, du, res, overwrite_dl=1, overwrite_du=1, overwrite_b=1
+                )
                 if info > 0:
                     raise StateSolveError(
                         f"Newton failed at time step {i + 1}: singular step "
@@ -247,7 +281,7 @@ class BurgersProblem(ImplicitProblem):
         yb = y.reshape(self.nt, self.nx)
         factors = []
         for i in range(self.nt):
-            *lu, info = dgttrf(*self.step_jacobian(yb[i]))
+            *lu, info = self._gttrf(*self.step_jacobian(yb[i]))
             if info > 0:
                 raise StateSolveError(
                     f"singular step Jacobian at time step {i + 1} (zero pivot {info})",
@@ -261,10 +295,11 @@ class BurgersProblem(ImplicitProblem):
         """Block forward substitution through the time steps."""
         factors = self._factors(y)
         rb = as_vector(rhs, self.n_y, name="rhs").reshape(self.nt, self.nx)
+        mass_dt, conv, gttrs = self._stencils[0], np.convolve, self._gttrs
         out = np.empty((self.nt, self.nx))
         prev = np.zeros(self.nx)
         for i in range(self.nt):
-            prev, _ = dgttrs(*factors[i], rb[i] + (self.M @ prev) / self.dt)
+            prev, _ = gttrs(*factors[i], rb[i] + conv(prev, mass_dt)[1:-1], overwrite_b=1)
             out[i] = prev
         return out.ravel()
 
@@ -272,10 +307,11 @@ class BurgersProblem(ImplicitProblem):
         """Block backward substitution with the transposed step Jacobians."""
         factors = self._factors(y)
         rb = as_vector(rhs, self.n_y, name="rhs").reshape(self.nt, self.nx)
+        mass_dt, conv, gttrs = self._stencils[0], np.convolve, self._gttrs  # M is symmetric
         out = np.empty((self.nt, self.nx))
         nxt = np.zeros(self.nx)
-        for i in range(self.nt - 1, -1, -1):  # M is symmetric
-            nxt, _ = dgttrs(*factors[i], rb[i] + (self.M @ nxt) / self.dt, trans="T")
+        for i in range(self.nt - 1, -1, -1):
+            nxt, _ = gttrs(*factors[i], rb[i] + conv(nxt, mass_dt)[1:-1], trans="T", overwrite_b=1)
             out[i] = nxt
         return out.ravel()
 

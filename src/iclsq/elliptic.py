@@ -135,8 +135,8 @@ class EllipticProblem(ImplicitProblem):
     """
 
     def __init__(self, N: int, lam: float = 1e-3, z_choice: str = "zero", sqrt_factor=None):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         if z_choice not in ("zero", "one"):
             raise ValueError(f"z_choice must be 'zero' or 'one', got {z_choice!r}")
         K_full, M_full, interior = assemble_p1_matrices(N)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,6 +90,21 @@ class ExperimentSpec:
             raise ValueError("theta grid must not be empty")
         if len(self.eps_grid) == 0:
             raise ValueError("tolerance grid must not be empty")
+        for eps_r, eps_g in self.eps_grid:  # reject bad settings before any cell runs
+            for theta in self.theta_grid:
+                self._solver_config(theta, eps_r, eps_g)
+
+    def _solver_config(self, theta: float, eps_r: float, eps_g: float) -> SolverConfig:
+        return SolverConfig(
+            eps_R=eps_r,
+            eps_g=eps_g,
+            eta=self.eta,
+            gamma_min=self.gamma_min,
+            theta=theta,
+            max_iter=self.max_iter,
+            hessian_mode=self.hessian_mode,
+            seed=self.seed,
+        )
 
 
 @dataclass
@@ -180,16 +196,7 @@ def _run_cell(
     problem, spec, theta, eps_r, eps_g, sink
 ) -> tuple[ExperimentRow, Exception | None]:
     """Solve one cell; an exception is returned with the row, not raised."""
-    config = SolverConfig(
-        eps_R=eps_r,
-        eps_g=eps_g,
-        eta=spec.eta,
-        gamma_min=spec.gamma_min,
-        theta=theta,
-        max_iter=spec.max_iter,
-        hessian_mode=spec.hessian_mode,
-        seed=spec.seed,
-    )
+    config = spec._solver_config(theta, eps_r, eps_g)
     u0 = default_control(problem, spec.problem)
     counters = EvalCounters()
     start = time.perf_counter()
@@ -387,21 +394,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "solve":
-        problem = build_problem(args.problem, _problem_params(args))
-        config = SolverConfig(
-            eps_R=args.eps_r,
-            eps_g=args.eps_g,
-            eta=args.eta,
-            gamma_min=args.gamma_min,
-            theta=args.theta,
-            max_iter=args.max_iter,
-            hessian_mode=args.hessian.replace("-", "_"),
-            seed=args.seed,
-        )
+        try:
+            problem = build_problem(args.problem, _problem_params(args))
+            config = SolverConfig(
+                eps_R=args.eps_r,
+                eps_g=args.eps_g,
+                eta=args.eta,
+                gamma_min=args.gamma_min,
+                theta=args.theta,
+                max_iter=args.max_iter,
+                hessian_mode=args.hessian.replace("-", "_"),
+                seed=args.seed,
+            )
+            trace_file = None if args.jsonl is None else open(args.jsonl, "w")
+        except (OSError, ValueError) as exc:
+            return _setting_error(exc)
         sink = None
-        trace_file = None
-        if args.jsonl is not None:
-            trace_file = open(args.jsonl, "w")
+        if trace_file is not None:
             sink = lambda rec: trace_file.write(
                 json.dumps(rec.to_dict(), sort_keys=True) + "\n"
             )
@@ -413,12 +422,11 @@ def main(argv=None) -> int:
                 trace_sink=sink,
             )
         except Exception as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return 2
+        finally:
             if trace_file is not None:
                 trace_file.close()
-            print(f"solver error: {exc}")
-            return 2
-        if trace_file is not None:
-            trace_file.close()
         c = outcome.counters
         print(
             f"{args.problem}: {outcome.status.value} after {outcome.iterations} "
@@ -430,31 +438,52 @@ def main(argv=None) -> int:
         )
         return 0
 
-    # sweep
-    if args.grid_file is not None:
-        grid = json.loads(args.grid_file.read_text())
-        theta_grid = tuple(grid["theta"])
-        eps_grid = tuple((float(a), float(b)) for a, b in grid["eps"])
-    else:
-        theta_grid = DEFAULT_THETA_GRID
-        eps_grid = _default_eps_grid(args.problem, getattr(args, "z", "zero"))
-    spec = ExperimentSpec(
-        problem=args.problem,
-        problem_params=_problem_params(args),
-        theta_grid=theta_grid,
-        eps_grid=eps_grid,
-        max_iter=args.max_iter,
-        hessian_mode=args.hessian.replace("-", "_"),
-        eta=args.eta,
-        gamma_min=args.gamma_min,
-        seed=args.seed,
-        out_dir=args.out_dir,
-    )
-    rows = run_experiment(spec)
+    # sweep: every cell records its own failure, so what escapes
+    # run_experiment is a bad setting, grid file or output directory
+    try:
+        if args.grid_file is not None:
+            theta_grid, eps_grid = _read_grid(args.grid_file)
+        else:
+            theta_grid = DEFAULT_THETA_GRID
+            eps_grid = _default_eps_grid(args.problem, getattr(args, "z", "zero"))
+        spec = ExperimentSpec(
+            problem=args.problem,
+            problem_params=_problem_params(args),
+            theta_grid=theta_grid,
+            eps_grid=eps_grid,
+            max_iter=args.max_iter,
+            hessian_mode=args.hessian.replace("-", "_"),
+            eta=args.eta,
+            gamma_min=args.gamma_min,
+            seed=args.seed,
+            out_dir=args.out_dir,
+        )
+        rows = run_experiment(spec)
+    except (OSError, ValueError) as exc:
+        return _setting_error(exc)
     print(render_table(rows, "pde_solves"))
     if any(r.status == "error" for r in rows):
         return 2
     return 0
+
+
+def _read_grid(path: Path) -> tuple[tuple, tuple]:
+    """(theta grid, tolerance pairs) from a JSON grid file."""
+    grid = json.loads(path.read_text())
+    try:
+        theta_grid = tuple(float(theta) for theta in grid["theta"])
+        eps_grid = tuple((float(a), float(b)) for a, b in grid["eps"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"grid file {path} needs a 'theta' list and an 'eps' list of pairs ({exc!r})"
+        ) from exc
+    return theta_grid, eps_grid
+
+
+def _setting_error(exc: Exception) -> int:
+    """Report an invalid setting as one line on stderr; exit code 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
-from iclsq.core import ImplicitProblem, LinearOperator
+from iclsq.core import ImplicitProblem, LinearOperator, StateSolveError
 from iclsq.subproblem import SubproblemSpec
 
 
@@ -98,6 +99,55 @@ def tridiag_dense(op):
     """Dense matrix of a tridiagonal given by its ``(lower, diag, upper)``."""
     lower, diag, upper = op
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
+def dense_cy(prob, y):
+    """Dense block lower bidiagonal constraint Jacobian in the state."""
+    nx, nt = prob.nx, prob.nt
+    yb = y.reshape(nt, nx)
+    M = tridiag_dense(prob.M)
+    cy = np.zeros((prob.n_y, prob.n_y))
+    for i in range(nt):
+        cy[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = tridiag_dense(prob.step_jacobian(yb[i]))
+        if i > 0:
+            cy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -M / prob.dt
+    return cy
+
+
+def reference_step_jacobian(prob, y):
+    """Step Jacobian diagonals computed from the full expression
+    M/dt + B diag(y) + nu C, with no term cached."""
+    M, B, C, dt, nu = prob.M, prob.B, prob.C, prob.dt, prob.nu
+    return (
+        M.lower / dt + B.lower * y[:-1] + nu * C.lower,
+        M.diag / dt + B.diag * y + nu * C.diag,
+        M.upper / dt + B.upper * y[1:] + nu * C.upper,
+    )
+
+
+def reference_solve_state(prob, u, jacobian=reference_step_jacobian):
+    """Newton marching built on ``step_residual``, with the residual formed
+    afresh at every iteration: the states ``solve_state`` must reproduce to
+    Newton tolerance."""
+    ub = prob.control_blocks(u)
+    out = np.empty((prob.nt, prob.nx))
+    y_prev = prob.y0
+    for i in range(prob.nt):
+        v = y_prev.copy()
+        for _ in range(prob.newton_max_iter):
+            res = prob.step_residual(y_prev, v, ub[i + 1])
+            res_norm = float(np.linalg.norm(res))
+            if res_norm <= prob.newton_tol:
+                break
+            *_, delta, info = dgtsv(*jacobian(prob, v), res)
+            if info > 0:
+                raise StateSolveError("singular", step_index=i + 1, residual_norm=res_norm)
+            v = v - delta
+        else:
+            raise StateSolveError("no convergence", step_index=i + 1)
+        out[i] = v
+        y_prev = v
+    return out.ravel()
 
 
 def random_factor(rng, dim, spread=1.0):

@@ -265,3 +265,67 @@ class TestCli:
         assert code == 0
         assert (out_dir / "summary.csv").exists()
         assert len(list(out_dir.glob("trace_*.jsonl"))) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "burgers", "--gamma-min", "nan"],
+            ["solve", "burgers", "--nu", "-1"],
+            ["solve", "burgers", "--nu", "nan"],
+            ["solve", "burgers", "--nx", "1"],
+            ["solve", "elliptic", "--lambda", "inf"],
+            ["solve", "burgers", "--theta", "1"],
+        ],
+    )
+    def test_solve_rejects_bad_setting(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_solve_reports_solver_error_on_stderr(self, capsys):
+        # Newton does not converge at the starting control of this problem
+        assert main(["solve", "burgers", "--nx", "12", "--nt", "1", "--nu", "1e-4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver error: Newton failed")
+
+    def test_solve_rejects_unwritable_trace(self, capsys, tmp_path):
+        assert main(["solve", "burgers", "--nx", "4", "--jsonl", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "extra,grid",
+        [
+            (["--eta", "2"], None),
+            (["--nx", "1"], None),
+            (["--nu", "-1"], None),
+            ([], {"theta": [0.0, 1.5], "eps": [[1e-2, 1e-4]]}),
+            ([], {"theta": [0.0], "eps": [[1e-2, -1.0]]}),
+            ([], {"theta": [0.0]}),
+            ([], {"theta": [0.0], "eps": [1e-2]}),
+        ],
+    )
+    def test_sweep_rejects_bad_setting(self, extra, grid, capsys, tmp_path):
+        argv = ["sweep", "burgers", "--nx", "4", "--nt", "4", *extra]
+        if grid is not None:
+            grid_file = tmp_path / "grid.json"
+            grid_file.write_text(json.dumps(grid))
+            argv += ["--grid-file", str(grid_file)]
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not list(out_dir.glob("*"))  # no cell ran
+
+    def test_sweep_rejects_unreadable_grid_file(self, capsys, tmp_path):
+        bad = tmp_path / "grid.json"
+        bad.write_text("{not json")
+        for grid_file in (bad, tmp_path / "missing.json"):
+            code = main(["sweep", "burgers", "--grid-file", str(grid_file),
+                         "--out-dir", str(tmp_path / "out")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")

@@ -366,8 +366,13 @@ class TestPinnedCounters:
     # (Gauss-Newton rows) and before zero curvature took its closed-form step
     # (zero rows); any drift in step computation (tolerances, Krylov counts,
     # accepted steps) changes at least one of them.
+    # The Burgers theta = 0 row runs CGLS to about 1e-12, so it follows the
+    # rounding of the state and linearized solves: moving the Newton loop and
+    # the block sweeps onto 3-point stencils moved its adjoint/jvp/cg counts
+    # from 232/448/216 to 230/444/214 (the new Newton loop alone gives
+    # 231/446/215, the new sweeps alone 233/450/217). Every other row held.
     CASES = [
-        ("burgers", "gauss_newton", 0.0, (15, 16, 232, 448, 216)),
+        ("burgers", "gauss_newton", 0.0, (15, 16, 230, 444, 214)),
         ("burgers", "gauss_newton", 1e-2, (15, 16, 81, 146, 65)),
         ("burgers", "gauss_newton", 0.5, (15, 16, 52, 88, 36)),
         ("elliptic", "gauss_newton", 0.0, (20, 21, 132, 243, 111)),
