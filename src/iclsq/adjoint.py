@@ -16,14 +16,16 @@ from .core import EvalCounters, ImplicitProblem, LinearOperator, as_vector
 __all__ = ["ReducedJacobian"]
 
 
-class ReducedJacobian:
-    """Matrix-free Jacobian of the reduced residual at a fixed base point.
+class ReducedJacobian(LinearOperator):
+    """Matrix-free Jacobian J = G_u - G_y c_y^{-1} c_u at a fixed base point.
 
-    Binding to a base point (u, y(u)) fetches the partial-Jacobian operators
-    and performs no solves; each application solves once. If a counter object
-    is supplied, every forward application adds one linearized solve and
-    every transpose application one adjoint solve, plus one Jacobian
-    application each.
+    It is itself the linear operator J: ``J @ v`` and ``J.rmatvec(w)`` check
+    dimensions and call ``apply`` and ``apply_transpose``, and the reduced
+    gradient is ``apply_transpose(R)``. Binding to a base point (u, y(u))
+    fetches the partial-Jacobian operators and performs no solves; each
+    application solves once. If a counter object is supplied, every forward
+    application adds one linearized solve and every transpose application
+    one adjoint solve, plus one Jacobian application each.
     """
 
     def __init__(
@@ -33,6 +35,7 @@ class ReducedJacobian:
         y: np.ndarray,
         counters: EvalCounters | None = None,
     ):
+        self.shape = (problem.m, problem.n)
         self.problem = problem
         self.u = as_vector(u, problem.n, name="control")
         self.y = as_vector(y, problem.n_y, name="state")
@@ -41,9 +44,13 @@ class ReducedJacobian:
         self.op_Gy = problem.op_Gy(self.y, self.u)
         self.op_cu = problem.op_cu(self.y, self.u)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.problem.m, self.problem.n)
+    # Methods, not bound methods stored on the instance, which would make
+    # every Jacobian a reference cycle that only the garbage collector frees.
+    def _matvec(self, v) -> np.ndarray:
+        return self.apply(v)
+
+    def _rmatvec(self, w) -> np.ndarray:
+        return self.apply_transpose(w)
 
     def apply(self, v) -> np.ndarray:
         """Forward product: direction in control space to residual space."""
@@ -63,10 +70,3 @@ class ReducedJacobian:
             self.counters.adjoint_solves += 1
             self.counters.jacobian_applies += 1
         return self.op_Gu.rmatvec(w) - self.op_cu.rmatvec(q)
-
-    def gradient(self, residual) -> np.ndarray:
-        """Gradient of the reduced objective, one transpose application."""
-        return self.apply_transpose(residual)
-
-    def as_operator(self) -> LinearOperator:
-        return LinearOperator(self.shape, self.apply, self.apply_transpose)

@@ -331,36 +331,25 @@ class BurgersProblem(ImplicitProblem):
 
         return LinearOperator((self.n_y, self.n), fwd, adj)
 
-    def op_Gy(self, y, u) -> LinearOperator:
-        nt, nx = self.nt, self.nx
-        F = self._sqrtM
-        sd = math.sqrt(self.dt)
+    def _residual_blocks_op(self, scale: float, first: int, count: int) -> LinearOperator:
+        """scale * F on the residual blocks [first, first + count), zero elsewhere."""
+        nx, F = self.nx, self._sqrtM
+        out_shape = (2 * (self.nt + 1), nx)
+        blocks = slice(first, first + count)
 
         def fwd(v):
-            vb = v.reshape(nt, nx)
-            out = np.zeros((2 * (nt + 1), nx))
-            out[1 : nt + 1] = sd * (F @ vb)
+            out = np.zeros(out_shape)
+            out[blocks] = scale * (F @ v.reshape(count, nx))
             return out.ravel()
 
         def adj(w):
-            wb = w.reshape(2 * (nt + 1), nx)
-            return (sd * (F.T @ wb[1 : nt + 1])).ravel()
+            return (scale * (F.T @ w.reshape(-1, nx)[blocks])).ravel()
 
-        return LinearOperator((self.m, self.n_y), fwd, adj)
+        return LinearOperator((self.m, count * nx), fwd, adj)
+
+    def op_Gy(self, y, u) -> LinearOperator:
+        # the states at steps 1..nt; block 0 holds the initial state, which is data
+        return self._residual_blocks_op(math.sqrt(self.dt), 1, self.nt)
 
     def op_Gu(self, y, u) -> LinearOperator:
-        nt, nx = self.nt, self.nx
-        F = self._sqrtM
-        so = math.sqrt(self.omega * self.dt)
-
-        def fwd(v):
-            vb = v.reshape(nt + 1, nx)
-            out = np.zeros((2 * (nt + 1), nx))
-            out[nt + 1 :] = so * (F @ vb)
-            return out.ravel()
-
-        def adj(w):
-            wb = w.reshape(2 * (nt + 1), nx)
-            return (so * (F.T @ wb[nt + 1 :])).ravel()
-
-        return LinearOperator((self.m, self.n), fwd, adj)
+        return self._residual_blocks_op(math.sqrt(self.omega * self.dt), self.nt + 1, self.nt + 1)

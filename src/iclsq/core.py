@@ -58,7 +58,8 @@ class LinearOperator:
 
     Instances must satisfy the adjoint identity <A v, w> == <v, A^T w>;
     the test suite probes this on random vectors for every operator a
-    problem exposes.
+    problem exposes. A subclass may set ``shape`` and define ``_matvec`` and
+    ``_rmatvec`` as methods instead of passing callables.
     """
 
     def __init__(
@@ -141,17 +142,12 @@ class ImplicitProblem(ABC):
     @property
     @abstractmethod
     def n_y(self) -> int:
-        """State dimension."""
+        """State dimension; equals the constraint dimension."""
 
     @property
     @abstractmethod
     def m(self) -> int:
         """Residual dimension."""
-
-    @property
-    def p(self) -> int:
-        """Constraint dimension; equals the state dimension."""
-        return self.n_y
 
     @property
     @abstractmethod

@@ -201,30 +201,27 @@ class EllipticProblem(ImplicitProblem):
         u = as_vector(u, self._n, name="control")
         return self.K @ y - self.M @ u - self.f
 
-    def op_Gy(self, y, u) -> LinearOperator:
+    def _residual_half_op(self, scale: float, half: int) -> LinearOperator:
+        """scale * F on residual half ``half`` (0 state, 1 control), zero on the other."""
         F, F_T = self._sqrtM, self._sqrtM_T
         rows = F.shape[0]
+        part = slice(half * rows, (half + 1) * rows)
 
         def fwd(v):
-            return np.concatenate([F @ v, np.zeros(rows)])
+            out = np.zeros(2 * rows)
+            out[part] = scale * (F @ v)
+            return out
 
         def adj(w):
-            return F_T @ w[:rows]
+            return scale * (F_T @ w[part])
 
         return LinearOperator((self.m, self._n), fwd, adj)
+
+    def op_Gy(self, y, u) -> LinearOperator:
+        return self._residual_half_op(1.0, 0)  # scaling by 1.0 is exact
 
     def op_Gu(self, y, u) -> LinearOperator:
-        F, F_T = self._sqrtM, self._sqrtM_T
-        rows = F.shape[0]
-        s = math.sqrt(self.lam)
-
-        def fwd(v):
-            return np.concatenate([np.zeros(rows), s * (F @ v)])
-
-        def adj(w):
-            return s * (F_T @ w[rows:])
-
-        return LinearOperator((self.m, self._n), fwd, adj)
+        return self._residual_half_op(math.sqrt(self.lam), 1)
 
     def op_cu(self, y, u) -> LinearOperator:
         n = self._n

@@ -11,10 +11,11 @@ machinery against.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,11 @@ from .adjoint import ReducedJacobian
 from .burgers import BurgersProblem
 from .core import EvalCounters, ImplicitProblem
 from .elliptic import EllipticProblem
-from .solver import SolverConfig, SolveStatus, solve
+from .solver import HESSIAN_MODES, SolverConfig, SolveStatus, solve
 
 __all__ = [
     "DEFAULT_THETA_GRID",
+    "PROBLEMS",
     "ExperimentSpec",
     "ExperimentRow",
     "build_problem",
@@ -41,6 +43,10 @@ __all__ = [
 
 DEFAULT_THETA_GRID = (0.0, 1e-6, 1e-4, 1e-2, 1e-1, 5e-1)
 
+PROBLEMS = {"elliptic": EllipticProblem, "burgers": BurgersProblem}
+
+_SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
+
 # Conventions recorded atop every emitted CSV.
 CSV_PREAMBLE = (
     "# jvp counts every application of the reduced Jacobian or its transpose,\n"
@@ -49,62 +55,49 @@ CSV_PREAMBLE = (
     "# pde_solves includes the solve at the starting control.\n"
 )
 
-SUMMARY_COLUMNS = (
-    "problem",
-    "theta",
-    "eps_r",
-    "eps_g",
-    "status",
-    "iterations",
-    "successes",
-    "pde_solves",
-    "adjoint_solves",
-    "jvp",
-    "cg_iters",
-    "final_residual_norm",
-    "final_scaled_gradient",
-    "error_type",
-    "wall_ms",
-)
-
 
 @dataclass
 class ExperimentSpec:
-    """One table-style sweep: a problem plus tolerance and theta grids."""
+    """One table-style sweep: a problem plus tolerance and theta grids.
+
+    ``problem_params`` are the keyword arguments of the problem's
+    constructor (``PROBLEMS[problem]``), so the sizes are required: ``N`` for
+    elliptic, ``nx`` and ``nt`` for Burgers. The solver fields default to
+    ``SolverConfig``'s. Every cell is checked before any runs: a setting
+    ``SolverConfig`` rejects, or two cells whose output files would share a
+    name, raise ``ValueError``.
+    """
 
     problem: str
     problem_params: dict = field(default_factory=dict)
     theta_grid: tuple = DEFAULT_THETA_GRID
     eps_grid: tuple = ()
-    max_iter: int = 300
-    hessian_mode: str = "gauss_newton"
-    eta: float = 0.1
-    gamma_min: float = 1e-10
-    seed: int = 0
+    max_iter: int = SolverConfig.max_iter
+    hessian_mode: str = SolverConfig.hessian_mode
+    eta: float = SolverConfig.eta
+    gamma_min: float = SolverConfig.gamma_min
+    seed: int = SolverConfig.seed
     out_dir: Path | None = None
 
     def __post_init__(self):
-        if self.problem not in ("elliptic", "burgers"):
+        if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if len(self.theta_grid) == 0:
             raise ValueError("theta grid must not be empty")
         if len(self.eps_grid) == 0:
             raise ValueError("tolerance grid must not be empty")
-        for eps_r, eps_g in self.eps_grid:  # reject bad settings before any cell runs
+        tags = set()
+        for eps_r, eps_g in self.eps_grid:
             for theta in self.theta_grid:
                 self._solver_config(theta, eps_r, eps_g)
+                tag = _cell_tag(self, theta, eps_r, eps_g)
+                if tag in tags:
+                    raise ValueError(f"two grid cells share the name {tag!r}")
+                tags.add(tag)
 
     def _solver_config(self, theta: float, eps_r: float, eps_g: float) -> SolverConfig:
-        return SolverConfig(
-            eps_R=eps_r,
-            eps_g=eps_g,
-            eta=self.eta,
-            gamma_min=self.gamma_min,
-            theta=theta,
-            max_iter=self.max_iter,
-            hessian_mode=self.hessian_mode,
-            seed=self.seed,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(self) if f.name in _SOLVER_FIELDS}
+        return SolverConfig(eps_R=eps_r, eps_g=eps_g, theta=theta, **shared)
 
 
 @dataclass
@@ -126,21 +119,19 @@ class ExperimentRow:
     wall_ms: float
 
 
+SUMMARY_COLUMNS = tuple(f.name for f in fields(ExperimentRow))
+# summary.csv renders floats with :g, except these
+_SUMMARY_FLOAT_FORMATS = {
+    "final_residual_norm": ".9e",
+    "final_scaled_gradient": ".9e",
+    "wall_ms": ".3f",
+}
+
+
 def build_problem(name: str, params: dict) -> ImplicitProblem:
-    if name == "elliptic":
-        return EllipticProblem(
-            N=params.get("n_mesh", 20),
-            lam=params.get("lam", 1e-3),
-            z_choice=params.get("z", "zero"),
-        )
-    if name == "burgers":
-        return BurgersProblem(
-            nx=params.get("nx", 16),
-            nt=params.get("nt", 16),
-            nu=params.get("nu", 0.1),
-            omega=params.get("omega", 0.05),
-        )
-    raise ValueError(f"unknown problem {name!r}")
+    """``PROBLEMS[name](**params)``: params are the constructor's keywords,
+    and an unknown or missing one raises ``TypeError``."""
+    return PROBLEMS[name](**params)
 
 
 def default_control(problem: ImplicitProblem, name: str) -> np.ndarray:
@@ -267,30 +258,16 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     return rows
 
 
+def _summary_cell(column: str, value) -> str:
+    if isinstance(value, float):
+        return format(value, _SUMMARY_FLOAT_FORMATS.get(column, "g"))
+    return str(value)
+
+
 def summary_csv(rows: list[ExperimentRow]) -> str:
     lines = [CSV_PREAMBLE + ",".join(SUMMARY_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.problem,
-                    f"{r.theta:g}",
-                    f"{r.eps_r:g}",
-                    f"{r.eps_g:g}",
-                    r.status,
-                    str(r.iterations),
-                    str(r.successes),
-                    str(r.pde_solves),
-                    str(r.adjoint_solves),
-                    str(r.jvp),
-                    str(r.cg_iters),
-                    f"{r.final_residual_norm:.9e}",
-                    f"{r.final_scaled_gradient:.9e}",
-                    r.error_type,
-                    f"{r.wall_ms:.3f}",
-                ]
-            )
-        )
+        lines.append(",".join(_summary_cell(c, getattr(r, c)) for c in SUMMARY_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -331,40 +308,45 @@ def render_table(rows: list[ExperimentRow], metric: str) -> str:
 
 
 def _add_problem_args(parser):
-    parser.add_argument("problem", choices=["elliptic", "burgers"])
-    parser.add_argument("--n-mesh", type=int, default=20, help="elliptic mesh subdivisions")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1e-3,
-                        help="elliptic control regularization")
-    parser.add_argument("--z", choices=["zero", "one"], default="zero",
+    # dests are constructor keywords; an unset flag without a default here
+    # leaves the constructor's default in place
+    parser.add_argument("problem", choices=list(PROBLEMS))
+    parser.add_argument("--n-mesh", dest="N", type=int, default=20,
+                        help="elliptic mesh subdivisions")
+    parser.add_argument("--lambda", dest="lam", type=float, help="elliptic control regularization")
+    parser.add_argument("--z", dest="z_choice", choices=["zero", "one"],
                         help="elliptic desired state")
     parser.add_argument("--nx", type=int, default=16, help="burgers spatial resolution")
     parser.add_argument("--nt", type=int, default=16, help="burgers time steps")
-    parser.add_argument("--nu", type=float, default=0.1, help="burgers viscosity")
-    parser.add_argument("--omega", type=float, default=0.05,
-                        help="burgers control regularization")
+    parser.add_argument("--nu", type=float, help="burgers viscosity")
+    parser.add_argument("--omega", type=float, help="burgers control regularization")
 
 
 def _add_solver_args(parser):
-    parser.add_argument("--eta", type=float, default=0.1)
-    parser.add_argument("--gamma-min", type=float, default=1e-10)
-    parser.add_argument("--max-iter", type=int, default=300)
-    parser.add_argument("--hessian", choices=["zero", "gauss-newton"],
-                        default="gauss-newton")
-    parser.add_argument("--seed", type=int, default=0)
+    # dests are SolverConfig fields; an unset flag leaves SolverConfig's default
+    parser.add_argument("--eta", type=float)
+    parser.add_argument("--gamma-min", type=float)
+    parser.add_argument("--max-iter", type=int)
+    parser.add_argument("--hessian", dest="hessian_mode", choices=HESSIAN_MODES,
+                        type=lambda mode: mode.replace("-", "_"))
+    parser.add_argument("--seed", type=int)
+
+
+def _set_args(args, names) -> dict:
+    """The flags among ``names`` that are set, by name."""
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
 def _problem_params(args) -> dict:
-    if args.problem == "elliptic":
-        return {"n_mesh": args.n_mesh, "lam": args.lam, "z": args.z}
-    return {"nx": args.nx, "nt": args.nt, "nu": args.nu, "omega": args.omega}
+    return _set_args(args, inspect.signature(PROBLEMS[args.problem]).parameters)
 
 
-def _default_eps_grid(problem: str, z: str) -> tuple:
-    if problem == "elliptic" and z == "zero":
-        return ((1e-3, 1e-4), (1e-6, 1e-4), (1e-9, 1e-4))
-    if problem == "elliptic":
+def _default_eps_grid(problem: str, z_choice: str | None) -> tuple:
+    if problem == "burgers":
+        return ((1e-2, 1e-3), (1e-2, 1e-4), (1e-2, 1e-6))
+    if z_choice == "one":
         return ((1e-2, 1e-4), (1e-2, 1e-6), (1e-2, 1e-8))
-    return ((1e-2, 1e-3), (1e-2, 1e-4), (1e-2, 1e-6))
+    return ((1e-3, 1e-4), (1e-6, 1e-4), (1e-9, 1e-4))
 
 
 def main(argv=None) -> int:
@@ -378,9 +360,9 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="run a single configuration")
     _add_problem_args(p_solve)
     _add_solver_args(p_solve)
-    p_solve.add_argument("--theta", type=float, default=0.0)
-    p_solve.add_argument("--eps-r", type=float, default=1e-6)
-    p_solve.add_argument("--eps-g", type=float, default=1e-4)
+    p_solve.add_argument("--theta", type=float)
+    p_solve.add_argument("--eps-r", dest="eps_R", type=float)
+    p_solve.add_argument("--eps-g", type=float)
     p_solve.add_argument("--jsonl", type=Path, default=None,
                          help="write the iteration trace to this file")
 
@@ -396,16 +378,7 @@ def main(argv=None) -> int:
     if args.command == "solve":
         try:
             problem = build_problem(args.problem, _problem_params(args))
-            config = SolverConfig(
-                eps_R=args.eps_r,
-                eps_g=args.eps_g,
-                eta=args.eta,
-                gamma_min=args.gamma_min,
-                theta=args.theta,
-                max_iter=args.max_iter,
-                hessian_mode=args.hessian.replace("-", "_"),
-                seed=args.seed,
-            )
+            config = SolverConfig(**_set_args(args, _SOLVER_FIELDS))
             trace_file = None if args.jsonl is None else open(args.jsonl, "w")
         except (OSError, ValueError) as exc:
             return _setting_error(exc)
@@ -445,18 +418,14 @@ def main(argv=None) -> int:
             theta_grid, eps_grid = _read_grid(args.grid_file)
         else:
             theta_grid = DEFAULT_THETA_GRID
-            eps_grid = _default_eps_grid(args.problem, getattr(args, "z", "zero"))
+            eps_grid = _default_eps_grid(args.problem, args.z_choice)
         spec = ExperimentSpec(
             problem=args.problem,
             problem_params=_problem_params(args),
             theta_grid=theta_grid,
             eps_grid=eps_grid,
-            max_iter=args.max_iter,
-            hessian_mode=args.hessian.replace("-", "_"),
-            eta=args.eta,
-            gamma_min=args.gamma_min,
-            seed=args.seed,
             out_dir=args.out_dir,
+            **_set_args(args, _SOLVER_FIELDS),
         )
         rows = run_experiment(spec)
     except (OSError, ValueError) as exc:

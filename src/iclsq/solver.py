@@ -11,7 +11,7 @@ gradient norm falls below its tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Optional
 
@@ -112,24 +112,8 @@ class IterationTrace:
     u: Optional[np.ndarray] = None  # populated only when record_iterates is set
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "gamma": self.gamma,
-            "residual_norm": self.residual_norm,
-            "grad_norm": self.grad_norm,
-            "scaled_gradient": self.scaled_gradient,
-            "model_decrease": self.model_decrease,
-            "actual_decrease": self.actual_decrease,
-            "rho": self.rho,
-            "success": self.success,
-            "cg_iters": self.cg_iters,
-            "step_norm": self.step_norm,
-            "step_residual_norm": self.step_residual_norm,
-            "h_norm_estimate": self.h_norm_estimate,
-            "cg_tolerance": self.cg_tolerance,
-            "counters": dict(self.counters),
-            "note": self.note,
-        }
+        """Every field except the iterate ``u``, as one JSONL record."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "u"}
 
 
 @dataclass
@@ -216,7 +200,7 @@ def solve(
     if not np.all(np.isfinite(R)):
         raise ValueError("the residual at u0 is not finite")
     jac = ReducedJacobian(problem, u, y, counters)
-    g = jac.gradient(R)
+    g = jac.apply_transpose(R)
 
     gamma = config.gamma0 if config.gamma0 is not None else default_gamma0(g, u)
     if config.gamma_min > gamma:
@@ -241,7 +225,7 @@ def solve(
                 # Jacobian without counters so evaluation tallies match the
                 # cost model, and are tallied apart as two applications each.
                 h_norm, h_vec, products = estimate_operator_norm(
-                    ReducedJacobian(problem, u, y).as_operator(),
+                    ReducedJacobian(problem, u, y),
                     config.seed,
                     start=h_vec,
                 )
@@ -251,7 +235,7 @@ def solve(
                 gamma=gamma,
                 theta=config.theta,
                 h_norm_estimate=h_norm,
-                gn_factor=jac.as_operator(),
+                gn_factor=jac,
                 gn_residual=R,
             )
         else:
@@ -321,7 +305,7 @@ def solve(
         if success:
             u, y, R = u_trial, y_trial, R_trial
             jac = ReducedJacobian(problem, u, y, counters)
-            g = jac.gradient(R)
+            g = jac.apply_transpose(R)
             gamma = max(0.5 * gamma, config.gamma_min)
             h_norm = None
         else:

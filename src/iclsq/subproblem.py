@@ -89,7 +89,6 @@ class StepResult:
     model_decrease: float
     residual_norm: float
     cg_iters: int
-    mode: str
     cg_tolerance: float  # residual target the Krylov solve ran to
 
 
@@ -140,12 +139,13 @@ def _inexact_tolerance(spec: SubproblemSpec) -> float:
     return spec.theta * scale * norm(spec.g)
 
 
-def _cgls(spec: SubproblemSpec, tol: float, maxiter: int):
+def _cgls(spec: SubproblemSpec, tol: float):
     """CGLS on ||J s + R||^2 + gamma ||s||^2 from s = 0, J the factor.
 
     The tracked quantity is the normal-equation residual -g - (H + gamma I)s,
-    exactly the vector the inexactness rule bounds. Tracks the best iterate
-    seen so a stagnating solve still returns its most accurate step.
+    exactly the vector the inexactness rule bounds. Runs at most 3 n + 30
+    iterations and tracks the best iterate seen, so a stagnating solve still
+    returns its most accurate step.
     """
     g, gamma = spec.g, spec.gamma
     factor, residual = spec.gn_factor, spec.gn_residual
@@ -160,7 +160,7 @@ def _cgls(spec: SubproblemSpec, tol: float, maxiter: int):
     best = (x.copy(), math.sqrt(ss), 0, r_top.copy(), r_bot.copy())
     stall = 0
     iters = 0
-    while iters < maxiter:
+    while iters < 3 * n + 30:
         q_top = factor @ p
         q_bot = sqrt_gamma * p
         qq = float(q_top @ q_top) + float(q_bot @ q_bot)
@@ -189,7 +189,7 @@ def _cgls(spec: SubproblemSpec, tol: float, maxiter: int):
     return bx, bres, iters, btop, bbot
 
 
-def _solve(spec: SubproblemSpec, tol: float, maxiter: int | None, mode: str) -> StepResult:
+def _solve(spec: SubproblemSpec, tol: float) -> StepResult:
     g, gamma = spec.g, spec.gamma
     if spec.gn_factor is None:
         # Zero curvature: the minimizer -g / gamma, one Krylov iteration.
@@ -198,9 +198,7 @@ def _solve(spec: SubproblemSpec, tol: float, maxiter: int | None, mode: str) -> 
         iters = 1
         decrease = float(-(g @ x) - 0.5 * gamma * (x @ x))
     else:
-        if maxiter is None:
-            maxiter = 3 * g.shape[0] + 30
-        x, res, iters, r_top, r_bot = _cgls(spec, tol, maxiter)
+        x, res, iters, r_top, r_bot = _cgls(spec, tol)
         # A x = b - r, so s.(H + gamma I)s = ||A x||^2 without extra applies.
         ax_top = -spec.gn_residual - r_top
         ax_bot = -r_bot
@@ -211,12 +209,11 @@ def _solve(spec: SubproblemSpec, tol: float, maxiter: int | None, mode: str) -> 
         model_decrease=decrease,
         residual_norm=res,
         cg_iters=iters,
-        mode=mode,
         cg_tolerance=tol,
     )
 
 
-def exact_step(spec: SubproblemSpec, maxiter: int | None = None) -> StepResult:
+def exact_step(spec: SubproblemSpec) -> StepResult:
     """Solve (H + gamma I) s = -g to a tiny relative residual.
 
     The target is min(1e-12, 1e-11 * sqrt(gamma / (||H|| + gamma))) times
@@ -229,10 +226,10 @@ def exact_step(spec: SubproblemSpec, maxiter: int | None = None) -> StepResult:
     kappa = (spec.h_norm_estimate + spec.gamma) / spec.gamma
     scale = math.sqrt(spec.gamma / (spec.h_norm_estimate + spec.gamma))
     tol = max(min(1e-12, 1e-11 * scale), 50.0 * _EPS * math.sqrt(kappa)) * gn
-    return _solve(spec, tol, maxiter, mode="exact")
+    return _solve(spec, tol)
 
 
-def truncated_cg_step(spec: SubproblemSpec, maxiter: int | None = None) -> StepResult:
+def truncated_cg_step(spec: SubproblemSpec) -> StepResult:
     """Run CGLS until the relative-residual inexactness rule is met.
 
     The tolerance factor theta * sqrt(gamma / (||H|| + gamma)) is strictly
@@ -243,4 +240,4 @@ def truncated_cg_step(spec: SubproblemSpec, maxiter: int | None = None) -> StepR
         raise ValueError("truncated_cg_step requires a nonzero gradient")
     if spec.theta <= 0.0:
         raise ValueError("truncated_cg_step requires theta > 0; use exact_step")
-    return _solve(spec, _inexact_tolerance(spec), maxiter, mode="inexact")
+    return _solve(spec, _inexact_tolerance(spec))

@@ -44,7 +44,7 @@ def criterion(number, description, budget_s):
 def adjoint_gradient(problem, u):
     y = problem.solve_state(u)
     jac = ReducedJacobian(problem, u, y)
-    return jac.gradient(problem.residual(y, u))
+    return jac.apply_transpose(problem.residual(y, u))
 
 
 def test_criterion_1_gradient_correctness():
@@ -207,7 +207,7 @@ def test_criterion_6_elliptic_tables():
             )
             spec = ExperimentSpec(
                 problem="elliptic",
-                problem_params={"n_mesh": 20, "z": z},
+                problem_params={"N": 20, "z_choice": z},
                 eps_grid=eps_grid,
                 max_iter=300,
             )

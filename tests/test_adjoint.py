@@ -1,15 +1,19 @@
 """Reduced Jacobian: forward/transpose actions, gradient, counting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
-from iclsq.core import EvalCounters
+from iclsq.core import EvalCounters, LinearOperator
 from iclsq.elliptic import EllipticProblem
 from iclsq.harness import dense_jacobian_oracle, fd_gradient_oracle
+from iclsq.subproblem import SubproblemSpec, estimate_operator_norm, exact_step
 
-from conftest import IdentityProblem
+from conftest import IdentityProblem, operator_from_matrix
 
 
 def make_jacobian(problem, u, counters=None):
@@ -113,13 +117,13 @@ class TestGradient:
     def test_zero_residual_gives_zero_gradient(self):
         prob = IdentityProblem(3)
         jac, _ = make_jacobian(prob, np.ones(3))
-        np.testing.assert_array_equal(jac.gradient(np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(jac.apply_transpose(np.zeros(3)), np.zeros(3))
 
     def test_elliptic_matches_finite_differences(self):
         prob = EllipticProblem(5, z_choice="one")
         u = np.zeros(prob.n)
         jac, y = make_jacobian(prob, u)
-        g = jac.gradient(prob.residual(y, u))
+        g = jac.apply_transpose(prob.residual(y, u))
         g_fd = fd_gradient_oracle(prob, u, step=1e-6)
         rel = np.linalg.norm(g - g_fd) / (1.0 + np.linalg.norm(g_fd))
         assert rel <= 1e-5
@@ -128,7 +132,7 @@ class TestGradient:
         prob = BurgersProblem(8, 8, nu=0.1)
         u = 0.5 * rng.standard_normal(prob.n)
         jac, y = make_jacobian(prob, u)
-        g = jac.gradient(prob.residual(y, u))
+        g = jac.apply_transpose(prob.residual(y, u))
         g_fd = fd_gradient_oracle(prob, u, step=1e-6)
         rel = np.linalg.norm(g - g_fd) / (1.0 + np.linalg.norm(g_fd))
         assert rel <= 1e-4
@@ -162,3 +166,39 @@ class TestCounting:
         v = rng.standard_normal(prob.n)
         np.testing.assert_array_equal(quiet.apply(v), jac.apply(v))
         assert counters.jacobian_applies == 1
+
+
+class TestOperator:
+    def test_discarded_jacobian_is_freed_without_the_collector(self):
+        prob = EllipticProblem(4)
+        u = np.ones(prob.n)
+        y = prob.solve_state(u)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            jac = ReducedJacobian(prob, u, y, EvalCounters())
+            ref = weakref.ref(jac)
+            del jac
+            assert ref() is None  # freed by reference counting: no cycle
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_norm_estimate_and_exact_step_take_the_jacobian(self):
+        prob = EllipticProblem(5, z_choice="one")
+        u = np.ones(prob.n)
+        jac, y = make_jacobian(prob, u)
+        assert isinstance(jac, LinearOperator)
+        assert jac.shape == (prob.m, prob.n)
+        dense = dense_jacobian_oracle(prob, u)
+        est, _, products = estimate_operator_norm(jac, seed=3)
+        est_dense, _, products_dense = estimate_operator_norm(operator_from_matrix(dense), seed=3)
+        assert products == products_dense
+        assert est == pytest.approx(est_dense, rel=1e-10)
+        R = prob.residual(y, u)
+        g = jac.apply_transpose(R)
+        spec = SubproblemSpec(
+            g=g, gamma=0.5, theta=0.0, h_norm_estimate=est, gn_factor=jac, gn_residual=R
+        )
+        expected = np.linalg.solve(dense.T @ dense + 0.5 * np.eye(prob.n), -g)
+        np.testing.assert_allclose(exact_step(spec).step, expected, rtol=1e-8, atol=1e-12)

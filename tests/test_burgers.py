@@ -81,7 +81,7 @@ class TestMatrices:
 
     def test_dimensions(self):
         prob = BurgersProblem(4, 3)
-        assert (prob.n, prob.n_y, prob.m, prob.p) == (16, 12, 32, 12)
+        assert (prob.n, prob.n_y, prob.m) == (16, 12, 32)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -344,7 +344,7 @@ class TestAdjointStructure:
         u = 0.3 * rng.standard_normal(prob.n)
         v = rng.standard_normal(prob.n)
         y = prob.solve_state(u)
-        g = ReducedJacobian(prob, u, y).gradient(prob.residual(y, u))
+        g = ReducedJacobian(prob, u, y).apply_transpose(prob.residual(y, u))
 
         def value(point):
             yy = prob.solve_state(point)
@@ -361,7 +361,7 @@ class TestAdjointStructure:
         prob = BurgersProblem(5, 4, nu=0.1, omega=0.05)
         u = rng.standard_normal(prob.n)
         y = prob.solve_state(u)
-        g = ReducedJacobian(prob, u, y).gradient(prob.residual(y, u))
+        g = ReducedJacobian(prob, u, y).apply_transpose(prob.residual(y, u))
         u0_block = u[: prob.nx]
         expected = prob.omega * prob.dt * (prob.M @ u0_block)
         np.testing.assert_allclose(g[: prob.nx], expected, rtol=1e-12, atol=1e-15)

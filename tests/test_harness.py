@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from iclsq import harness
 from iclsq.elliptic import EllipticProblem
 from iclsq.harness import (
     DEFAULT_THETA_GRID,
@@ -108,11 +109,73 @@ class TestRenderTable:
             ExperimentSpec(problem="elliptic", eps_grid=())
 
 
+class TestExperimentSpec:
+    @pytest.mark.parametrize(
+        "theta_grid,eps_grid",
+        [
+            ((0.01, 0.01), ((1e-2, 1e-4),)),
+            ((1e-6, 1.0000001e-6), ((1e-2, 1e-4),)),  # equal under :g
+            ((0.0,), ((1e-2, 1e-4), (1e-2, 1e-4))),
+        ],
+    )
+    def test_cells_sharing_a_file_name_are_rejected(self, theta_grid, eps_grid):
+        with pytest.raises(ValueError, match="share"):
+            ExperimentSpec(
+                problem="burgers",
+                problem_params={"nx": 4, "nt": 4},
+                theta_grid=theta_grid,
+                eps_grid=eps_grid,
+            )
+
+    def test_problem_params_are_constructor_keywords(self, monkeypatch):
+        solved = []
+
+        def recording_solve(problem, *args, **kwargs):
+            solved.append(problem)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", recording_solve)
+        spec = ExperimentSpec(
+            problem="elliptic",
+            problem_params={"N": 6, "z_choice": "one"},
+            theta_grid=(0.1,),
+            eps_grid=((1e-2, 1e-4),),
+        )
+        (row,) = run_experiment(spec)
+        (problem,) = solved
+        assert problem.N == 6
+        np.testing.assert_array_equal(problem.z, np.ones(25))
+        direct = solve(
+            EllipticProblem(6, z_choice="one"),
+            np.ones(25),
+            SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=0.1),
+        )
+        assert (row.iterations, row.pde_solves, row.jvp) == (
+            direct.iterations,
+            direct.counters.forward_solves,
+            direct.counters.jacobian_applies,
+        )
+
+    def test_unknown_problem_param_fails_before_any_cell(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "solve", lambda *a, **k: pytest.fail("a cell ran"))
+        out_dir = tmp_path / "out"
+        spec = ExperimentSpec(
+            problem="burgers",
+            problem_params={"nx": 8, "nt": 4, "nu_typo": 1.0},
+            theta_grid=(0.0,),
+            eps_grid=((1e-2, 1e-4),),
+            out_dir=out_dir,
+        )
+        with pytest.raises(TypeError, match="nu_typo"):
+            run_experiment(spec)
+        assert not out_dir.exists()
+
+
 @pytest.fixture(scope="module")
 def small_spec(tmp_path_factory):
     return ExperimentSpec(
         problem="elliptic",
-        problem_params={"n_mesh": 5, "z": "one"},
+        problem_params={"N": 5, "z_choice": "one"},
         theta_grid=(0.0, 1e-1),
         eps_grid=((1e-2, 1e-4), (1e-2, 1e-6)),
         max_iter=200,
@@ -172,7 +235,7 @@ class TestRunExperiment:
     def test_paper_grid_shape(self, tmp_path):
         spec = ExperimentSpec(
             problem="elliptic",
-            problem_params={"n_mesh": 4, "z": "zero"},
+            problem_params={"N": 4, "z_choice": "zero"},
             eps_grid=((1e-3, 1e-4), (1e-6, 1e-4), (1e-9, 1e-4)),
             max_iter=200,
         )
@@ -199,7 +262,7 @@ class TestErrorRows:
         monkeypatch.setattr(harness_mod, "solve", flaky_solve)
         spec = ExperimentSpec(
             problem="elliptic",
-            problem_params={"n_mesh": 4, "z": "one"},
+            problem_params={"N": 4, "z_choice": "one"},
             theta_grid=(0.0, 1e-1),
             eps_grid=((1e-2, 1e-4),),
             out_dir=tmp_path,
@@ -320,6 +383,27 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not list(out_dir.glob("*"))  # no cell ran
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"theta": [0.0, 0.01, 0.01], "eps": [[1e-2, 1e-4]]},
+            {"theta": [0.0], "eps": [[1e-2, 1e-4], [1e-2, 1e-6], [1e-2, 1e-4]]},
+        ],
+    )
+    def test_sweep_rejects_repeated_grid_value(self, grid, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "solve", lambda *a, **k: pytest.fail("a cell ran"))
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        out_dir = tmp_path / "out"
+        argv = ["sweep", "burgers", "--nx", "4", "--nt", "4",
+                "--grid-file", str(grid_file), "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out_dir.exists()
 
     def test_sweep_rejects_unreadable_grid_file(self, capsys, tmp_path):
         bad = tmp_path / "grid.json"

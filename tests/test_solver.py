@@ -202,14 +202,13 @@ class TestDegeneratePrediction:
         prob = EllipticProblem(4, z_choice="one")
         calls = {"count": 0}
 
-        def fake_step(spec, maxiter=None):
+        def fake_step(spec):
             calls["count"] += 1
             return StepResult(
                 step=np.zeros(spec.g.shape[0]),
                 model_decrease=0.0,
                 residual_norm=np.linalg.norm(spec.g),
                 cg_iters=1,
-                mode="inexact",
                 cg_tolerance=0.0,
             )
 

@@ -27,7 +27,6 @@ class TestExactStep:
         result = exact_step(spec)
         np.testing.assert_allclose(result.step, [-1.0, 0.0], atol=1e-12)
         assert result.model_decrease == pytest.approx(1.0, abs=1e-12)
-        assert result.mode == "exact"
 
     def test_zero_curvature_gradient_step(self):
         spec = SubproblemSpec(g=np.array([0.0, 4.0]), gamma=2.0, theta=0.0, h_norm_estimate=0.0)
