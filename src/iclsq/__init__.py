@@ -13,6 +13,7 @@ from .core import (
     EvalCounters,
     ImplicitProblem,
     LinearOperator,
+    Linearization,
     StateSolveError,
     norm,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "IndefiniteOperator",
     "IterationTrace",
     "LinearOperator",
+    "Linearization",
     "ReducedJacobian",
     "SolveOutcome",
     "SolveStatus",

@@ -3,15 +3,16 @@
 Eliminating the state from the constrained least-squares problem leaves the
 reduced residual u -> R(y(u), u). Its Jacobian is never assembled: a forward
 application solves one linearized constraint, a transpose application solves
-one adjoint (transposed) system, and the reduced gradient is one transpose
-application to the residual.
+one adjoint (transposed) system, both with the factors of the base point's
+``Linearization``, and the reduced gradient is one transpose application to
+the residual.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import EvalCounters, ImplicitProblem, LinearOperator, as_vector
+from .core import EvalCounters, ImplicitProblem, LinearOperator, Linearization, as_vector
 
 __all__ = ["ReducedJacobian"]
 
@@ -21,28 +22,24 @@ class ReducedJacobian(LinearOperator):
 
     It is itself the linear operator J: ``J @ v`` and ``J.rmatvec(w)`` check
     dimensions and call ``apply`` and ``apply_transpose``, and the reduced
-    gradient is ``apply_transpose(R)``. Binding to a base point (u, y(u))
-    fetches the partial-Jacobian operators and performs no solves; each
-    application solves once. If a counter object is supplied, every forward
-    application adds one linearized solve and every transpose application
-    one adjoint solve, plus one Jacobian application each.
+    gradient is ``apply_transpose(R)``. The base point is given by its
+    linearization, ``problem.linearize(y, u)``; Jacobians that share one
+    share its factors. Construction performs no solves; each application
+    solves once. If a counter object is supplied, every forward application
+    adds one linearized solve and every transpose application one adjoint
+    solve, plus one Jacobian application each.
     """
 
     def __init__(
         self,
         problem: ImplicitProblem,
-        u: np.ndarray,
-        y: np.ndarray,
+        lin: Linearization,
         counters: EvalCounters | None = None,
     ):
         self.shape = (problem.m, problem.n)
         self.problem = problem
-        self.u = as_vector(u, problem.n, name="control")
-        self.y = as_vector(y, problem.n_y, name="state")
+        self.lin = lin
         self.counters = counters
-        self.op_Gu = problem.op_Gu(self.y, self.u)
-        self.op_Gy = problem.op_Gy(self.y, self.u)
-        self.op_cu = problem.op_cu(self.y, self.u)
 
     # Methods, not bound methods stored on the instance, which would make
     # every Jacobian a reference cycle that only the garbage collector frees.
@@ -56,17 +53,17 @@ class ReducedJacobian(LinearOperator):
         """Forward product: direction in control space to residual space."""
         v = as_vector(v, self.problem.n, name="direction")
         # State response to the control perturbation: c_y w = -c_u v.
-        w = self.problem.solve_cy(self.y, self.u, -(self.op_cu @ v))
+        w = self.problem.solve_cy(self.lin, -(self.lin.cu @ v))
         if self.counters is not None:
             self.counters.linearized_solves += 1
             self.counters.jacobian_applies += 1
-        return self.op_Gu @ v + self.op_Gy @ w
+        return self.lin.Gu @ v + self.lin.Gy @ w
 
     def apply_transpose(self, w) -> np.ndarray:
         """Transpose product: residual-space vector to control space."""
         w = as_vector(w, self.problem.m, name="residual direction")
-        q = self.problem.solve_cy_transpose(self.y, self.u, self.op_Gy.rmatvec(w))
+        q = self.problem.solve_cy_transpose(self.lin, self.lin.Gy.rmatvec(w))
         if self.counters is not None:
             self.counters.adjoint_solves += 1
             self.counters.jacobian_applies += 1
-        return self.op_Gu.rmatvec(w) - self.op_cu.rmatvec(q)
+        return self.lin.Gu.rmatvec(w) - self.lin.cu.rmatvec(q)

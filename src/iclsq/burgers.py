@@ -12,9 +12,11 @@ cache built on first use.
 The linearized constraint is block lower bidiagonal in time, so its
 (transposed) solves are forward (backward) substitutions over the time
 blocks, each through one tridiagonal LU factor per time step (``dgttrf``,
-applied with ``dgttrs``). The per-step loops apply their Toeplitz operators
-to single blocks as one 3-point ``np.convolve`` each; the stacked block
-applies of the residual and the control operators go through ``_Tridiag``.
+applied with ``dgttrs``). ``linearize`` leaves the factoring to the first
+solve at the base point, and the factors live in its ``Linearization``. The
+per-step loops apply their Toeplitz operators to single blocks as one
+3-point ``np.convolve`` each; the stacked block applies of the residual and
+the control operators go through ``_Tridiag``.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf
 
-from .core import ImplicitProblem, LinearOperator, StateSolveError, as_vector
+from .core import ImplicitProblem, LinearOperator, Linearization, StateSolveError, as_vector
 
 __all__ = ["BurgersProblem"]
 
@@ -125,7 +127,6 @@ class BurgersProblem(ImplicitProblem):
         d, e, _ = dpttrf(self.M.diag, self.M.lower)
         root = np.sqrt(d)
         self._sqrtM = _Tridiag(np.zeros(nx - 1), root, root[:-1] * e)
-        self._linearization = None  # (base state, per-step LU factors)
         self._gttrf, self._gttrs = (dgttrf, dgttrs) if nx > 2 else (_padded_gttrf, _padded_gttrs)
 
     # dimensions
@@ -270,66 +271,64 @@ class BurgersProblem(ImplicitProblem):
             y_prev = yb[i]
         return np.concatenate(parts)
 
-    # linearization, factored once per base state; the memo is swapped as a
-    # single reference so concurrent runs sharing this instance stay correct
-    def _factors(self, y):
-        """Per-step ``dgttrf`` factors ``(dl, d, du, du2, ipiv)`` at state y."""
-        y = as_vector(y, self.n_y, name="state")
-        memo = self._linearization
-        if memo is not None and np.array_equal(memo[0], y):
-            return memo[1]
-        yb = y.reshape(self.nt, self.nx)
-        factors = []
-        for i in range(self.nt):
-            *lu, info = self._gttrf(*self.step_jacobian(yb[i]))
-            if info > 0:
-                raise StateSolveError(
-                    f"singular step Jacobian at time step {i + 1} (zero pivot {info})",
-                    step_index=i + 1,
-                )
-            factors.append(lu)
-        self._linearization = (y.copy(), factors)
-        return factors
+    # linearization: the factors live in each base point's Linearization
+    def linearize(self, y, u) -> Linearization:
+        """The operators at (y, u). The first c_y solve that reads the result
+        factors every time step's Jacobian at y (``dgttrf``), once for all."""
+        yb = self.state_blocks(y)
 
-    def solve_cy(self, y, u, rhs) -> np.ndarray:
+        def factor() -> list:  # per-step (dl, d, du, du2, ipiv)
+            factors = []
+            for i in range(self.nt):
+                *lu, info = self._gttrf(*self.step_jacobian(yb[i]))
+                if info > 0:
+                    raise StateSolveError(
+                        f"singular step Jacobian at time step {i + 1} (zero pivot {info})",
+                        step_index=i + 1,
+                    )
+                factors.append(lu)
+            return factors
+
+        return Linearization(*self._operators, factor=factor)
+
+    def solve_cy(self, lin, rhs) -> np.ndarray:
         """Block forward substitution through the time steps."""
-        factors = self._factors(y)
-        rb = as_vector(rhs, self.n_y, name="rhs").reshape(self.nt, self.nx)
-        mass_dt, conv, gttrs = self._stencils[0], np.convolve, self._gttrs
-        out = np.empty((self.nt, self.nx))
-        prev = np.zeros(self.nx)
-        for i in range(self.nt):
-            prev, _ = gttrs(*factors[i], rb[i] + conv(prev, mass_dt)[1:-1], overwrite_b=1)
-            out[i] = prev
-        return out.ravel()
+        return self._substitute(lin, rhs, "N", range(self.nt))
 
-    def solve_cy_transpose(self, y, u, rhs) -> np.ndarray:
+    def solve_cy_transpose(self, lin, rhs) -> np.ndarray:
         """Block backward substitution with the transposed step Jacobians."""
-        factors = self._factors(y)
+        return self._substitute(lin, rhs, "T", range(self.nt - 1, -1, -1))
+
+    def _substitute(self, lin, rhs, trans: str, steps: range) -> np.ndarray:
+        factors = lin.factors
         rb = as_vector(rhs, self.n_y, name="rhs").reshape(self.nt, self.nx)
         mass_dt, conv, gttrs = self._stencils[0], np.convolve, self._gttrs  # M is symmetric
         out = np.empty((self.nt, self.nx))
-        nxt = np.zeros(self.nx)
-        for i in range(self.nt - 1, -1, -1):
-            nxt, _ = gttrs(*factors[i], rb[i] + conv(nxt, mass_dt)[1:-1], trans="T", overwrite_b=1)
-            out[i] = nxt
+        x = np.zeros(self.nx)
+        for i in steps:
+            x, _ = gttrs(*factors[i], rb[i] + conv(x, mass_dt)[1:-1], trans=trans, overwrite_b=1)
+            out[i] = x
         return out.ravel()
 
-    def op_cu(self, y, u) -> LinearOperator:
-        nt, nx = self.nt, self.nx
-        M = self.M
+    @cached_property
+    def _operators(self) -> tuple:
+        """``(G_u, G_y, c_u)``, the same at every base point; built on first use."""
+        M, nt, nx = self.M, self.nt, self.nx
 
-        def fwd(v):
-            vb = v.reshape(nt + 1, nx)
-            return (-(M @ vb[1:])).ravel()  # block 0 enters no constraint
-
-        def adj(w):
-            wb = w.reshape(nt, nx)
+        def cu_adj(w):
             out = np.zeros((nt + 1, nx))
-            out[1:] = -(M @ wb)  # M symmetric
+            out[1:] = -(M @ w.reshape(nt, nx))  # M symmetric
             return out.ravel()
 
-        return LinearOperator((self.n_y, self.n), fwd, adj)
+        return (
+            self._residual_blocks_op(math.sqrt(self.omega * self.dt), nt + 1, nt + 1),
+            # the states at steps 1..nt; block 0 holds the initial state, which is data
+            self._residual_blocks_op(math.sqrt(self.dt), 1, nt),
+            # block 0 of the control enters no constraint
+            LinearOperator(
+                (self.n_y, self.n), lambda v: (-(M @ v.reshape(nt + 1, nx)[1:])).ravel(), cu_adj
+            ),
+        )
 
     def _residual_blocks_op(self, scale: float, first: int, count: int) -> LinearOperator:
         """scale * F on the residual blocks [first, first + count), zero elsewhere."""
@@ -346,10 +345,3 @@ class BurgersProblem(ImplicitProblem):
             return (scale * (F.T @ w.reshape(-1, nx)[blocks])).ravel()
 
         return LinearOperator((self.m, count * nx), fwd, adj)
-
-    def op_Gy(self, y, u) -> LinearOperator:
-        # the states at steps 1..nt; block 0 holds the initial state, which is data
-        return self._residual_blocks_op(math.sqrt(self.dt), 1, self.nt)
-
-    def op_Gu(self, y, u) -> LinearOperator:
-        return self._residual_blocks_op(math.sqrt(self.omega * self.dt), self.nt + 1, self.nt + 1)

@@ -1,9 +1,9 @@
 """Problem contract and shared numerical primitives.
 
 The solver stack is matrix free: a problem exposes its constraint and
-residual Jacobians only through operator actions, and every inner linear
-solve is tallied in an explicit counter object owned by the caller, never
-in global state.
+residual Jacobians only through operator actions, gathered per base point in
+a ``Linearization``, and every inner linear solve is tallied in an explicit
+counter object owned by the caller, never in global state.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "norm",
     "LinearOperator",
     "EvalCounters",
+    "Linearization",
     "ImplicitProblem",
 ]
 
@@ -122,16 +123,33 @@ class EvalCounters:
         return asdict(self)
 
 
+class Linearization:
+    """R_u, R_y and c_u at one base point, as the operators ``Gu``, ``Gy`` and
+    ``cu``, and ``factors``: what the problem's c_y solves reuse there, built
+    by ``factor()`` on the first read and then shared (None without it)."""
+
+    def __init__(self, Gu, Gy, cu, factor: Callable[[], object] | None = None):
+        self.Gu, self.Gy, self.cu = Gu, Gy, cu
+        self._factor, self._factors = factor, None
+
+    @property
+    def factors(self):
+        if self._factor is not None:  # built once; dropping the builder frees its base state
+            self._factors, self._factor = self._factor(), None
+        return self._factors
+
+
 class ImplicitProblem(ABC):
     """A least-squares objective 0.5*||R(y, u)||^2 constrained by c(y, u) = 0.
 
     The constraint is uniquely solvable for the state y given the control u,
     and its state Jacobian is square and invertible along the solution path.
-    Implementations expose partial Jacobians of R and c as operator actions
-    only; dense assembly exists solely as a testing oracle in the harness.
+    Implementations expose partial Jacobians of R and c as operators only,
+    one ``Linearization`` per base point; dense assembly is a testing oracle.
 
-    Evaluations must be pure functions of (y, u) so distinct solver runs can
-    share one instance concurrently.
+    Evaluations must be pure functions of (y, u), and whatever the solves at
+    one base point share lives in its ``Linearization``, never on the
+    problem, so distinct solver runs can share one instance concurrently.
     """
 
     @property
@@ -163,24 +181,16 @@ class ImplicitProblem(ABC):
         """Evaluate R(y, u)."""
 
     @abstractmethod
-    def op_Gu(self, y: np.ndarray, u: np.ndarray) -> LinearOperator:
-        """Jacobian of R with respect to the control, as an operator."""
+    def linearize(self, y: np.ndarray, u: np.ndarray) -> Linearization:
+        """The partial Jacobians at (y, u); performs no solve."""
 
     @abstractmethod
-    def op_Gy(self, y: np.ndarray, u: np.ndarray) -> LinearOperator:
-        """Jacobian of R with respect to the state, as an operator."""
+    def solve_cy(self, lin: Linearization, rhs: np.ndarray) -> np.ndarray:
+        """Solve the linearized constraint c_y x = rhs at lin's base point."""
 
     @abstractmethod
-    def op_cu(self, y: np.ndarray, u: np.ndarray) -> LinearOperator:
-        """Jacobian of c with respect to the control, as an operator."""
-
-    @abstractmethod
-    def solve_cy(self, y: np.ndarray, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve the linearized constraint c_y(y, u) x = rhs."""
-
-    @abstractmethod
-    def solve_cy_transpose(self, y: np.ndarray, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve the transposed linearized constraint c_y(y, u)^T x = rhs."""
+    def solve_cy_transpose(self, lin: Linearization, rhs: np.ndarray) -> np.ndarray:
+        """Solve the transposed linearized constraint c_y^T x = rhs at lin's base point."""
 
     @abstractmethod
     def constraint_residual(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:

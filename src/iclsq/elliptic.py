@@ -21,7 +21,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ImplicitProblem, LinearOperator, as_vector
+from .core import ImplicitProblem, LinearOperator, Linearization, as_vector
 
 __all__ = ["assemble_p1_matrices", "EllipticProblem"]
 
@@ -160,6 +160,12 @@ class EllipticProblem(ImplicitProblem):
         # lam_j = 4 sin^2(j pi / 2N) those of tridiag(-1, 2, -1).
         lam_1d = 4.0 * np.sin(np.arange(1, N) * (math.pi / (2 * N))) ** 2
         self._K_eig = lam_1d[:, None] + lam_1d[None, :]
+        M = self.M
+        self._linearization = Linearization(
+            self._residual_half_op(math.sqrt(self.lam), 1),
+            self._residual_half_op(1.0, 0),  # scaling by 1.0 is exact
+            LinearOperator((self._n, self._n), lambda v: -(M @ v), lambda w: -(M @ w)),
+        )
 
     # dimensions
     @property
@@ -217,22 +223,13 @@ class EllipticProblem(ImplicitProblem):
 
         return LinearOperator((self.m, self._n), fwd, adj)
 
-    def op_Gy(self, y, u) -> LinearOperator:
-        return self._residual_half_op(1.0, 0)  # scaling by 1.0 is exact
+    def linearize(self, y, u) -> Linearization:
+        """The one linearization, built in ``__init__``: the constraint is linear."""
+        return self._linearization
 
-    def op_Gu(self, y, u) -> LinearOperator:
-        return self._residual_half_op(math.sqrt(self.lam), 1)
+    def solve_cy(self, lin, rhs) -> np.ndarray:
+        return self._solve_K(as_vector(rhs, self._n, name="rhs"))
 
-    def op_cu(self, y, u) -> LinearOperator:
-        n = self._n
-        M = self.M
-        return LinearOperator((n, n), lambda v: -(M @ v), lambda w: -(M @ w))
-
-    def solve_cy(self, y, u, rhs) -> np.ndarray:
-        rhs = as_vector(rhs, self._n, name="rhs")
-        return self._solve_K(rhs)
-
-    def solve_cy_transpose(self, y, u, rhs) -> np.ndarray:
+    def solve_cy_transpose(self, lin, rhs) -> np.ndarray:
         # K is symmetric, so the transposed solve is the same transform solve.
-        rhs = as_vector(rhs, self._n, name="rhs")
-        return self._solve_K(rhs)
+        return self._solve_K(as_vector(rhs, self._n, name="rhs"))

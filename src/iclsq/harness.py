@@ -170,7 +170,7 @@ def dense_jacobian_oracle(problem: ImplicitProblem, u) -> np.ndarray:
         )
     u = np.asarray(u, dtype=float)
     y = problem.solve_state(u)
-    jac = ReducedJacobian(problem, u, y)
+    jac = ReducedJacobian(problem, problem.linearize(y, u))
     out = np.zeros((problem.m, problem.n))
     for j in range(problem.n):
         e = np.zeros(problem.n)
@@ -453,7 +453,3 @@ def _setting_error(exc: Exception) -> int:
     """Report an invalid setting as one line on stderr; exit code 2."""
     print(f"error: {exc}", file=sys.stderr)
     return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -185,8 +185,8 @@ def solve(
     residual is not finite, is a rejected iteration (tallied in
     ``failed_trial_solves``); a failure at u0 propagates, and a non-finite
     residual at u0 raises ``ValueError`` before any gradient is taken. The
-    gradient is recomputed only after accepted steps; with the zero curvature
-    mode the adjoint counter is exactly 1 + number of successes.
+    problem is linearized and the gradient recomputed only at accepted points;
+    with zero curvature the adjoint counter is exactly 1 + number of successes.
     """
     u = as_vector(u0, problem.n, name="u0").copy()
     if not np.all(np.isfinite(u)):
@@ -199,7 +199,7 @@ def solve(
     R = problem.residual(y, u)
     if not np.all(np.isfinite(R)):
         raise ValueError("the residual at u0 is not finite")
-    jac = ReducedJacobian(problem, u, y, counters)
+    jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
     g = jac.apply_transpose(R)
 
     gamma = config.gamma0 if config.gamma0 is not None else default_gamma0(g, u)
@@ -221,11 +221,11 @@ def solve(
 
         if gauss_newton:
             if h_norm is None:
-                # Norm probes emulate a known curvature bound; they run on a
-                # Jacobian without counters so evaluation tallies match the
-                # cost model, and are tallied apart as two applications each.
+                # Norm probes emulate a known curvature bound; they run on an
+                # uncounted Jacobian at jac's linearization so tallies match
+                # the cost model, and are tallied apart as two applications each.
                 h_norm, h_vec, products = estimate_operator_norm(
-                    ReducedJacobian(problem, u, y),
+                    ReducedJacobian(problem, jac.lin),
                     config.seed,
                     start=h_vec,
                 )
@@ -304,7 +304,7 @@ def solve(
 
         if success:
             u, y, R = u_trial, y_trial, R_trial
-            jac = ReducedJacobian(problem, u, y, counters)
+            jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
             g = jac.apply_transpose(R)
             gamma = max(0.5 * gamma, config.gamma_min)
             h_norm = None

@@ -117,8 +117,6 @@ def estimate_operator_norm(
     v /= np.linalg.norm(v)
     hv = J.rmatvec(J @ v)
     products = 1
-    if norm(hv) <= 1e-300:
-        return 0.0, v, products
     quotient = float(v @ hv)
     for _ in range(30):
         nv = np.linalg.norm(hv)

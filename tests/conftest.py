@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
-from iclsq.core import ImplicitProblem, LinearOperator, StateSolveError
+from iclsq.core import ImplicitProblem, LinearOperator, Linearization, StateSolveError
 from iclsq.subproblem import SubproblemSpec
 
 
@@ -45,22 +45,18 @@ class IdentityProblem(ImplicitProblem):
     def constraint_residual(self, y, u):
         return np.asarray(y) - np.asarray(u)
 
-    def op_Gu(self, y, u):
+    def linearize(self, y, u):
         d = self._dim
-        return LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d))
+        return Linearization(
+            LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d)),
+            LinearOperator((d, d), lambda v: v.copy(), lambda w: w.copy()),
+            LinearOperator((d, d), lambda v: -v, lambda w: -w),
+        )
 
-    def op_Gy(self, y, u):
-        d = self._dim
-        return LinearOperator((d, d), lambda v: v.copy(), lambda w: w.copy())
-
-    def op_cu(self, y, u):
-        d = self._dim
-        return LinearOperator((d, d), lambda v: -v, lambda w: -w)
-
-    def solve_cy(self, y, u, rhs):
+    def solve_cy(self, lin, rhs):
         return np.asarray(rhs, dtype=float).copy()
 
-    def solve_cy_transpose(self, y, u, rhs):
+    def solve_cy_transpose(self, lin, rhs):
         return np.asarray(rhs, dtype=float).copy()
 
 
@@ -74,9 +70,11 @@ class ConstantResidualProblem(IdentityProblem):
     def residual(self, y, u):
         return self.value.copy()
 
-    def op_Gy(self, y, u):
+    def linearize(self, y, u):
+        lin = super().linearize(y, u)
         d = self._dim
-        return LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d))
+        zero = LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d))
+        return Linearization(lin.Gu, zero, lin.cu)
 
 
 def operator_from_matrix(A):

@@ -43,7 +43,7 @@ def criterion(number, description, budget_s):
 
 def adjoint_gradient(problem, u):
     y = problem.solve_state(u)
-    jac = ReducedJacobian(problem, u, y)
+    jac = ReducedJacobian(problem, problem.linearize(y, u))
     return jac.apply_transpose(problem.residual(y, u))
 
 
@@ -72,7 +72,7 @@ def test_criterion_2_adjoint_identity():
         for prob in problems:
             u = 0.3 * rng.standard_normal(prob.n)
             y = prob.solve_state(u)
-            jac = ReducedJacobian(prob, u, y)
+            jac = ReducedJacobian(prob, prob.linearize(y, u))
             for _ in range(20):
                 v = rng.standard_normal(prob.n)
                 w = rng.standard_normal(prob.m)

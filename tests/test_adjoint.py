@@ -11,6 +11,7 @@ from iclsq.burgers import BurgersProblem
 from iclsq.core import EvalCounters, LinearOperator
 from iclsq.elliptic import EllipticProblem
 from iclsq.harness import dense_jacobian_oracle, fd_gradient_oracle
+from iclsq.solver import SolverConfig, solve
 from iclsq.subproblem import SubproblemSpec, estimate_operator_norm, exact_step
 
 from conftest import IdentityProblem, operator_from_matrix
@@ -18,7 +19,7 @@ from conftest import IdentityProblem, operator_from_matrix
 
 def make_jacobian(problem, u, counters=None):
     y = problem.solve_state(u)
-    return ReducedJacobian(problem, u, y, counters), y
+    return ReducedJacobian(problem, problem.linearize(y, u), counters), y
 
 
 class TestIdentityProblem:
@@ -162,7 +163,7 @@ class TestCounting:
         prob = EllipticProblem(4)
         counters = EvalCounters()
         jac, y = make_jacobian(prob, np.ones(prob.n), counters)
-        quiet = ReducedJacobian(prob, np.ones(prob.n), y)
+        quiet = ReducedJacobian(prob, prob.linearize(y, np.ones(prob.n)))
         v = rng.standard_normal(prob.n)
         np.testing.assert_array_equal(quiet.apply(v), jac.apply(v))
         assert counters.jacobian_applies == 1
@@ -170,16 +171,22 @@ class TestCounting:
 
 class TestOperator:
     def test_discarded_jacobian_is_freed_without_the_collector(self):
-        prob = EllipticProblem(4)
-        u = np.ones(prob.n)
-        y = prob.solve_state(u)
+        elliptic = EllipticProblem(4)
+        burgers = BurgersProblem(6, 5)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            jac = ReducedJacobian(prob, u, y, EvalCounters())
+            jac, _ = make_jacobian(elliptic, np.ones(elliptic.n), EvalCounters())
             ref = weakref.ref(jac)
             del jac
             assert ref() is None  # freed by reference counting: no cycle
+
+            # A Burgers Jacobian owns its base point's factors once applied.
+            jac, _ = make_jacobian(burgers, np.zeros(burgers.n), EvalCounters())
+            jac.apply(np.ones(burgers.n))
+            refs = [weakref.ref(x) for x in (jac, jac.lin, jac.lin.factors[0][0])]
+            del jac
+            assert [ref() for ref in refs] == [None, None, None]
         finally:
             if enabled:
                 gc.enable()
@@ -202,3 +209,46 @@ class TestOperator:
         )
         expected = np.linalg.solve(dense.T @ dense + 0.5 * np.eye(prob.n), -g)
         np.testing.assert_allclose(exact_step(spec).step, expected, rtol=1e-8, atol=1e-12)
+
+
+class TestFactorOwnership:
+    """Factors belong to a base point's linearization, not to the problem."""
+
+    def test_two_base_points_factor_once_each(self, monkeypatch):
+        prob = BurgersProblem(6, 5)
+        jacs = [make_jacobian(prob, np.full(prob.n, scale))[0] for scale in (0.1, 0.2)]
+        step_jacobian = prob.step_jacobian
+        calls = []
+        monkeypatch.setattr(prob, "step_jacobian", lambda y: calls.append(y) or step_jacobian(y))
+        v = np.ones(prob.n)
+        for _ in range(3):
+            for jac in jacs:
+                jac.apply(v)
+        assert len(calls) == 2 * prob.nt
+
+    def test_solve_factors_each_accepted_base_point_once(self, monkeypatch):
+        prob = BurgersProblem(8, 8, nu=0.1)
+        solve_state, step_jacobian, linearize = (
+            prob.solve_state, prob.step_jacobian, prob.linearize
+        )
+        marching, factored, linearized = [False], [], []
+
+        def march(u):
+            marching[0] = True
+            try:
+                return solve_state(u)
+            finally:
+                marching[0] = False
+
+        def jacobian(y):
+            if not marching[0]:
+                factored.append(y)
+            return step_jacobian(y)
+
+        monkeypatch.setattr(prob, "solve_state", march)
+        monkeypatch.setattr(prob, "step_jacobian", jacobian)
+        monkeypatch.setattr(prob, "linearize", lambda y, u: linearized.append(y) or linearize(y, u))
+        out = solve(prob, np.zeros(prob.n), SolverConfig(theta=0.1))
+        assert out.successes > 0 and out.counters.norm_probe_applies > 0
+        assert len(linearized) == 1 + out.successes
+        assert len(factored) == prob.nt * (1 + out.successes)

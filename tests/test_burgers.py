@@ -182,7 +182,8 @@ class TestForwardSolve:
     def test_singular_step_factor_reports_step(self, method):
         prob = SingularStep(5, 4)
         with pytest.raises(StateSolveError) as err:
-            getattr(prob, method)(np.zeros(prob.n_y), np.zeros(prob.n), np.ones(prob.n_y))
+            lin = prob.linearize(np.zeros(prob.n_y), np.zeros(prob.n))
+            getattr(prob, method)(lin, np.ones(prob.n_y))
         assert "singular" in str(err.value)
         assert err.value.step_index == 1
 
@@ -219,8 +220,9 @@ class TestKernels:
         y = rng.standard_normal(prob.n_y)
         rhs = rng.standard_normal(prob.n_y)
         cy = dense_cy(prob, y)
-        assert_close(prob.solve_cy(y, None, rhs), np.linalg.solve(cy, rhs))
-        assert_close(prob.solve_cy_transpose(y, None, rhs), np.linalg.solve(cy.T, rhs))
+        lin = prob.linearize(y, None)
+        assert_close(prob.solve_cy(lin, rhs), np.linalg.solve(cy, rhs))
+        assert_close(prob.solve_cy_transpose(lin, rhs), np.linalg.solve(cy.T, rhs))
 
     def test_linearized_solves_match_dense(self, rng):
         prob = BurgersProblem(7, 5, nu=0.05)
@@ -228,9 +230,10 @@ class TestKernels:
         u = np.zeros(prob.n)
         rhs = rng.standard_normal(prob.n_y)
         cy = dense_cy(prob, y)
+        lin = prob.linearize(y, u)
         for got, expected in (
-            (prob.solve_cy(y, u, rhs), np.linalg.solve(cy, rhs)),
-            (prob.solve_cy_transpose(y, u, rhs), np.linalg.solve(cy.T, rhs)),
+            (prob.solve_cy(lin, rhs), np.linalg.solve(cy, rhs)),
+            (prob.solve_cy_transpose(lin, rhs), np.linalg.solve(cy.T, rhs)),
         ):
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -344,7 +347,7 @@ class TestAdjointStructure:
         u = 0.3 * rng.standard_normal(prob.n)
         v = rng.standard_normal(prob.n)
         y = prob.solve_state(u)
-        g = ReducedJacobian(prob, u, y).apply_transpose(prob.residual(y, u))
+        g = ReducedJacobian(prob, prob.linearize(y, u)).apply_transpose(prob.residual(y, u))
 
         def value(point):
             yy = prob.solve_state(point)
@@ -361,7 +364,7 @@ class TestAdjointStructure:
         prob = BurgersProblem(5, 4, nu=0.1, omega=0.05)
         u = rng.standard_normal(prob.n)
         y = prob.solve_state(u)
-        g = ReducedJacobian(prob, u, y).apply_transpose(prob.residual(y, u))
+        g = ReducedJacobian(prob, prob.linearize(y, u)).apply_transpose(prob.residual(y, u))
         u0_block = u[: prob.nx]
         expected = prob.omega * prob.dt * (prob.M @ u0_block)
         np.testing.assert_allclose(g[: prob.nx], expected, rtol=1e-12, atol=1e-15)

@@ -81,15 +81,16 @@ def test_block_sweeps_match_dense_solves(case, data):
     prob, y, u = case
     rhs = data.draw(arrays(float, prob.n_y, elements=entries(1.0)))
     cy = dense_cy(prob, y)
-    assert_close(prob.solve_cy(y, u, rhs), np.linalg.solve(cy, rhs))
-    assert_close(prob.solve_cy_transpose(y, u, rhs), np.linalg.solve(cy.T, rhs))
+    lin = prob.linearize(y, u)
+    assert_close(prob.solve_cy(lin, rhs), np.linalg.solve(cy, rhs))
+    assert_close(prob.solve_cy_transpose(lin, rhs), np.linalg.solve(cy.T, rhs))
 
 
 @fast
 @given(linearized(), st.data())
 def test_reduced_jacobian_adjoint_identity(case, data):
     prob, y, u = case
-    jac = ReducedJacobian(prob, u, y)
+    jac = ReducedJacobian(prob, prob.linearize(y, u))
     v = data.draw(arrays(float, prob.n, elements=entries(1.0)))
     w = data.draw(arrays(float, prob.m, elements=entries(1.0)))
     Jv, JTw = jac.apply(v), jac.apply_transpose(w)

@@ -76,7 +76,8 @@ class TestProblemOperators:
         prob = EllipticProblem(4, z_choice="one")
         u = rng.standard_normal(prob.n)
         y = prob.solve_state(u)
-        for op in (prob.op_Gu(y, u), prob.op_Gy(y, u), prob.op_cu(y, u)):
+        lin = prob.linearize(y, u)
+        for op in (lin.Gu, lin.Gy, lin.cu):
             assert_adjoint_identity(op, rng)
 
     def test_burgers_operator_adjoints(self, rng):
@@ -85,7 +86,8 @@ class TestProblemOperators:
         prob = BurgersProblem(4, 4, nu=0.1)
         u = 0.2 * rng.standard_normal(prob.n)
         y = prob.solve_state(u)
-        for op in (prob.op_Gu(y, u), prob.op_Gy(y, u), prob.op_cu(y, u)):
+        lin = prob.linearize(y, u)
+        for op in (lin.Gu, lin.Gy, lin.cu):
             assert_adjoint_identity(op, rng)
 
     def test_elliptic_feasibility(self, rng):

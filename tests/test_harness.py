@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iclsq
 from iclsq import harness
 from iclsq.elliptic import EllipticProblem
 from iclsq.harness import (
@@ -56,7 +61,7 @@ class TestDenseOracle:
             prob = EllipticProblem(N, z_choice="one")
             u = rng.standard_normal(prob.n)
             dense = dense_jacobian_oracle(prob, u)
-            jac = ReducedJacobian(prob, u, prob.solve_state(u))
+            jac = ReducedJacobian(prob, prob.linearize(prob.solve_state(u), u))
             w = rng.standard_normal(prob.m)
             np.testing.assert_allclose(jac.apply_transpose(w), dense.T @ w, atol=1e-10)
 
@@ -305,6 +310,19 @@ class TestNearExactPostHoc:
 
 
 class TestCli:
+    def test_module_entry_runs_without_warnings(self, tmp_path):
+        src = str(Path(iclsq.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+        argv = ["solve", "burgers", "--nx", "4", "--nt", "2", "--max-iter", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "iclsq", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "burgers:" in proc.stdout
+
     def test_solve_command(self, capsys, tmp_path):
         trace = tmp_path / "run.jsonl"
         code = main([
