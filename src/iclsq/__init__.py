@@ -22,8 +22,6 @@ from .harness import (
     DEFAULT_THETA_GRID,
     ExperimentRow,
     ExperimentSpec,
-    dense_jacobian_oracle,
-    fd_gradient_oracle,
     render_table,
     run_experiment,
 )
@@ -33,7 +31,6 @@ from .solver import (
     SolverConfig,
     SolveStatus,
     default_gamma0,
-    ratio,
     solve,
     stopping_check,
 )
@@ -69,12 +66,9 @@ __all__ = [
     "StepResult",
     "SubproblemSpec",
     "default_gamma0",
-    "dense_jacobian_oracle",
     "estimate_operator_norm",
     "exact_step",
-    "fd_gradient_oracle",
     "norm",
-    "ratio",
     "render_table",
     "run_experiment",
     "solve",

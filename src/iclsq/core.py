@@ -3,7 +3,9 @@
 The solver stack is matrix free: a problem exposes its constraint and
 residual Jacobians only through operator actions, gathered per base point in
 a ``Linearization``, and every inner linear solve is tallied in an explicit
-counter object owned by the caller, never in global state.
+counter object owned by the caller, never in global state. The contract is
+exactly what the solver calls: the constraint c(y, u) = 0 is only ever solved,
+for the state or linearized (and transposed), never evaluated.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ class ImplicitProblem(ABC):
     The constraint is uniquely solvable for the state y given the control u,
     and its state Jacobian is square and invertible along the solution path.
     Implementations expose partial Jacobians of R and c as operators only,
-    one ``Linearization`` per base point; dense assembly is a testing oracle.
+    one ``Linearization`` per base point.
 
     Evaluations must be pure functions of (y, u), and whatever the solves at
     one base point share lives in its ``Linearization``, never on the
@@ -167,11 +169,6 @@ class ImplicitProblem(ABC):
     def m(self) -> int:
         """Residual dimension."""
 
-    @property
-    @abstractmethod
-    def feasibility_tol(self) -> float:
-        """Bound on ||c(solve_state(u), u)|| honored for moderate controls."""
-
     @abstractmethod
     def solve_state(self, u: np.ndarray) -> np.ndarray:
         """Solve c(y, u) = 0 for y. Callers tally this as one forward solve."""
@@ -191,8 +188,4 @@ class ImplicitProblem(ABC):
     @abstractmethod
     def solve_cy_transpose(self, lin: Linearization, rhs: np.ndarray) -> np.ndarray:
         """Solve the transposed linearized constraint c_y^T x = rhs at lin's base point."""
-
-    @abstractmethod
-    def constraint_residual(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Evaluate c(y, u) directly. Test-only feasibility probe."""
 

@@ -123,32 +123,27 @@ class EllipticProblem(ImplicitProblem):
     lam : control regularization weight.
     z_choice : "zero" or "one", the desired state (zero gives a problem
         with an exact zero-residual solution, one a large-residual one).
-    sqrt_factor : optional override for the mass square-root factor F with
-        F^T F = M, of any row count. Defaults to the element-level factor:
-        the stacked Cholesky factors of the element mass matrices, sparse
-        and rectangular with 6 N (N-1) rows. Any such F yields the same
-        residual norm, gradient, and curvature.
 
-    The residual stacks F (y - z) over sqrt(lam) F u, so m = 2 rows(F).
+    The residual stacks F (y - z) over sqrt(lam) F u, where F, with
+    F^T F = M, is the element-level mass factor: the stacked Cholesky
+    factors of the element mass matrices, sparse and rectangular with
+    6 N (N-1) rows, so m = 2 rows(F).
     K is the five-point Laplacian on the (N-1) x (N-1) interior grid, and
     the state, linearized and adjoint solves all invert it by DST-I.
     """
 
-    def __init__(self, N: int, lam: float = 1e-3, z_choice: str = "zero", sqrt_factor=None):
+    def __init__(self, N: int, lam: float = 1e-3, z_choice: str = "zero"):
         if not 0 < lam < math.inf:
             raise ValueError(f"lam must be positive and finite, got {lam}")
         if z_choice not in ("zero", "one"):
             raise ValueError(f"z_choice must be 'zero' or 'one', got {z_choice!r}")
-        K_full, M_full, interior = assemble_p1_matrices(N)
+        _, M_full, interior = assemble_p1_matrices(N)
         self.N = N
         self._n = (N - 1) ** 2
         self.lam = float(lam)
-        self.K = K_full[np.ix_(interior, interior)]
-        self.K.eliminate_zeros()  # the diagonal edges' couplings cancel to 0
         self.M = M_full[np.ix_(interior, interior)].tocsr()
-        F = _element_mass_factor(N) if sqrt_factor is None else sqrt_factor
-        self._sqrtM = F
-        self._sqrtM_T = F.T.tocsr() if sp.issparse(F) else F.T
+        self._sqrtM = _element_mass_factor(N)
+        self._sqrtM_T = self._sqrtM.T.tocsr()
         self.z = np.zeros(self._n) if z_choice == "zero" else np.ones(self._n)
         self.f = np.zeros(self._n)
         # Imported here and not with the module: scipy.fft loads scipy.special,
@@ -180,11 +175,6 @@ class EllipticProblem(ImplicitProblem):
     def m(self) -> int:
         return 2 * self._sqrtM.shape[0]
 
-    @property
-    def feasibility_tol(self) -> float:
-        # Direct fast Poisson solve; residuals sit at rounding level.
-        return 1e-10
-
     def _solve_K(self, b: np.ndarray) -> np.ndarray:
         # The orthonormal DST-I diagonalizes K.
         B = b.reshape(self._K_eig.shape)
@@ -201,11 +191,6 @@ class EllipticProblem(ImplicitProblem):
         return np.concatenate(
             [self._sqrtM @ (y - self.z), math.sqrt(self.lam) * (self._sqrtM @ u)]
         )
-
-    def constraint_residual(self, y, u) -> np.ndarray:
-        y = as_vector(y, self._n, name="state")
-        u = as_vector(u, self._n, name="control")
-        return self.K @ y - self.M @ u - self.f
 
     def _residual_half_op(self, scale: float, half: int) -> LinearOperator:
         """scale * F on residual half ``half`` (0 state, 1 control), zero on the other."""

@@ -1,16 +1,17 @@
-"""Experiment runner, replication grids, verification oracles, and the CLI.
+"""Experiment runner, replication grids, and the CLI.
 
 Runs the solver over a grid of inexactness levels and stopping tolerances,
 mirroring the benchmark tables: one row of the rendered grid per tolerance
 pair, one column per theta, counts of forward solves or Jacobian products in
-the cells, a dash where the budget ran out. Also home to the finite
-difference and dense-assembly oracles the test suite checks the adjoint
-machinery against.
+the cells, a dash where the budget ran out. A sweep cell and ``iclsq solve``
+run through the same cell runner, so both trace to JSONL alike and end a
+failed run's trace with its exception.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import sys
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjoint import ReducedJacobian
 from .burgers import BurgersProblem
 from .core import EvalCounters, ImplicitProblem
 from .elliptic import EllipticProblem
@@ -31,10 +31,7 @@ __all__ = [
     "PROBLEMS",
     "ExperimentSpec",
     "ExperimentRow",
-    "build_problem",
     "default_control",
-    "fd_gradient_oracle",
-    "dense_jacobian_oracle",
     "run_experiment",
     "render_table",
     "summary_csv",
@@ -128,55 +125,9 @@ _SUMMARY_FLOAT_FORMATS = {
 }
 
 
-def build_problem(name: str, params: dict) -> ImplicitProblem:
-    """``PROBLEMS[name](**params)``: params are the constructor's keywords,
-    and an unknown or missing one raises ``TypeError``."""
-    return PROBLEMS[name](**params)
-
-
 def default_control(problem: ImplicitProblem, name: str) -> np.ndarray:
     """Benchmark starting controls: all ones (elliptic) or zero (burgers)."""
     return np.ones(problem.n) if name == "elliptic" else np.zeros(problem.n)
-
-
-def fd_gradient_oracle(problem: ImplicitProblem, u, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the reduced objective.
-
-    Costs two forward solves per control coordinate; strictly a testing
-    oracle for the adjoint gradient.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    u = np.asarray(u, dtype=float)
-
-    def reduced_value(point):
-        y = problem.solve_state(point)
-        r = problem.residual(y, point)
-        return 0.5 * float(r @ r)
-
-    grad = np.zeros(problem.n)
-    for i in range(problem.n):
-        bump = np.zeros(problem.n)
-        bump[i] = step
-        grad[i] = (reduced_value(u + bump) - reduced_value(u - bump)) / (2.0 * step)
-    return grad
-
-
-def dense_jacobian_oracle(problem: ImplicitProblem, u) -> np.ndarray:
-    """Assemble the reduced Jacobian column by column on basis vectors."""
-    if problem.n * problem.m > 100_000:
-        raise ValueError(
-            f"dense assembly guard: {problem.n} x {problem.m} exceeds 10^5 entries"
-        )
-    u = np.asarray(u, dtype=float)
-    y = problem.solve_state(u)
-    jac = ReducedJacobian(problem, problem.linearize(y, u))
-    out = np.zeros((problem.m, problem.n))
-    for j in range(problem.n):
-        e = np.zeros(problem.n)
-        e[j] = 1.0
-        out[:, j] = jac.apply(e)
-    return out
 
 
 def _cell_tag(spec: ExperimentSpec, theta: float, eps_r: float, eps_g: float) -> str:
@@ -184,26 +135,37 @@ def _cell_tag(spec: ExperimentSpec, theta: float, eps_r: float, eps_g: float) ->
 
 
 def _run_cell(
-    problem, spec, theta, eps_r, eps_g, sink
+    problem: ImplicitProblem, name: str, config: SolverConfig, trace_path: Path | None
 ) -> tuple[ExperimentRow, Exception | None]:
-    """Solve one cell; an exception is returned with the row, not raised."""
-    config = spec._solver_config(theta, eps_r, eps_g)
-    u0 = default_control(problem, spec.problem)
-    counters = EvalCounters()
-    start = time.perf_counter()
-    try:
-        outcome = solve(problem, u0, config, counters=counters, trace_sink=sink)
-        error = None
-    except Exception as exc:
-        outcome = None
-        error = exc
-    wall_ms = 1000.0 * (time.perf_counter() - start)
+    """Solve from ``default_control``, one JSONL record per iteration to
+    ``trace_path`` if given. An exception of the solve is returned with the
+    row, not raised, and ends the trace with an ``{"error_type",
+    "error_message"}`` record; an unwritable ``trace_path`` raises
+    ``OSError`` before the solve starts."""
+    with open(trace_path, "w") if trace_path is not None else contextlib.nullcontext() as trace:
+
+        def write(record: dict):
+            trace.write(json.dumps(record, sort_keys=True) + "\n")
+
+        sink = None if trace is None else lambda rec: write(rec.to_dict())
+        u0 = default_control(problem, name)
+        counters = EvalCounters()
+        start = time.perf_counter()
+        try:
+            outcome = solve(problem, u0, config, counters=counters, trace_sink=sink)
+            error = None
+        except Exception as exc:
+            outcome = None
+            error = exc
+        wall_ms = 1000.0 * (time.perf_counter() - start)
+        if error is not None and trace is not None:
+            write({"error_type": type(error).__name__, "error_message": str(error)})
     failed = error is not None
     row = ExperimentRow(
-        problem=spec.problem,
-        theta=theta,
-        eps_r=eps_r,
-        eps_g=eps_g,
+        problem=name,
+        theta=config.theta,
+        eps_r=config.eps_R,
+        eps_g=config.eps_g,
         status="error" if failed else outcome.status.value,
         iterations=0 if failed else outcome.iterations,
         successes=0 if failed else outcome.successes,
@@ -227,30 +189,18 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     ``{"error_type", "error_message"}`` record, and the sweep continues.
     Output is deterministic apart from wall times.
     """
-    problem = build_problem(spec.problem, spec.problem_params)
+    problem = PROBLEMS[spec.problem](**spec.problem_params)
     out_dir = Path(spec.out_dir) if spec.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[ExperimentRow] = []
     for eps_r, eps_g in spec.eps_grid:
         for theta in spec.theta_grid:
-            trace_file = None
-            sink = None
+            trace_path = None
             if out_dir is not None:
-                tag = _cell_tag(spec, theta, eps_r, eps_g)
-                trace_file = open(out_dir / f"trace_{tag}.jsonl", "w")
-                sink = lambda rec, fh=trace_file: fh.write(
-                    json.dumps(rec.to_dict(), sort_keys=True) + "\n"
-                )
-            try:
-                row, error = _run_cell(problem, spec, theta, eps_r, eps_g, sink)
-                if error is not None and trace_file is not None:
-                    record = {"error_type": row.error_type, "error_message": str(error)}
-                    trace_file.write(json.dumps(record, sort_keys=True) + "\n")
-            finally:
-                if trace_file is not None:
-                    trace_file.close()
-            rows.append(row)
+                trace_path = out_dir / f"trace_{_cell_tag(spec, theta, eps_r, eps_g)}.jsonl"
+            config = spec._solver_config(theta, eps_r, eps_g)
+            rows.append(_run_cell(problem, spec.problem, config, trace_path)[0])
     if out_dir is not None:
         (out_dir / "summary.csv").write_text(summary_csv(rows))
         for metric in ("pde_solves", "jvp"):
@@ -376,38 +326,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "solve":
+        # a failed solve comes back with the row; what escapes _run_cell is a
+        # bad setting or an unwritable trace path, refused before any solve
         try:
-            problem = build_problem(args.problem, _problem_params(args))
+            problem = PROBLEMS[args.problem](**_problem_params(args))
             config = SolverConfig(**_set_args(args, _SOLVER_FIELDS))
-            trace_file = None if args.jsonl is None else open(args.jsonl, "w")
+            row, error = _run_cell(problem, args.problem, config, args.jsonl)
         except (OSError, ValueError) as exc:
             return _setting_error(exc)
-        sink = None
-        if trace_file is not None:
-            sink = lambda rec: trace_file.write(
-                json.dumps(rec.to_dict(), sort_keys=True) + "\n"
-            )
-        try:
-            outcome = solve(
-                problem,
-                default_control(problem, args.problem),
-                config,
-                trace_sink=sink,
-            )
-        except Exception as exc:
-            print(f"solver error: {exc}", file=sys.stderr)
+        if error is not None:
+            print(f"solver error: {error}", file=sys.stderr)
             return 2
-        finally:
-            if trace_file is not None:
-                trace_file.close()
-        c = outcome.counters
         print(
-            f"{args.problem}: {outcome.status.value} after {outcome.iterations} "
-            f"iterations ({outcome.successes} successful), "
-            f"pde_solves={c.forward_solves}, adjoint_solves={c.adjoint_solves}, "
-            f"jvp={c.jacobian_applies}, cg_iters={c.cg_iterations}, "
-            f"final |R|={outcome.residual_norm:.3e}, "
-            f"scaled gradient={outcome.scaled_gradient:.3e}"
+            f"{row.problem}: {row.status} after {row.iterations} "
+            f"iterations ({row.successes} successful), "
+            f"pde_solves={row.pde_solves}, adjoint_solves={row.adjoint_solves}, "
+            f"jvp={row.jvp}, cg_iters={row.cg_iters}, "
+            f"final |R|={row.final_residual_norm:.3e}, "
+            f"scaled gradient={row.final_scaled_gradient:.3e}"
         )
         return 0
 

@@ -33,7 +33,6 @@ __all__ = [
     "SolveOutcome",
     "default_gamma0",
     "stopping_check",
-    "ratio",
     "solve",
 ]
 
@@ -160,16 +159,6 @@ def stopping_check(R, g, eps_R: float, eps_g: float) -> Optional[SolveStatus]:
     return None
 
 
-def ratio(actual_decrease: float, predicted_decrease: float) -> float:
-    """Ratio of actual to predicted decrease."""
-    if predicted_decrease <= 0:
-        raise ValueError(
-            f"predicted decrease must be positive, got {predicted_decrease}; "
-            "this indicates a broken step computation"
-        )
-    return actual_decrease / predicted_decrease
-
-
 def solve(
     problem: ImplicitProblem,
     u0,
@@ -275,7 +264,7 @@ def solve(
             success = False
             note = "nonpositive predicted decrease, iteration rejected"
         else:
-            rho = ratio(actual, predicted)
+            rho = actual / predicted
             success = rho >= config.eta
 
         rn = norm(R)

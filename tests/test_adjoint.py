@@ -10,11 +10,16 @@ from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
 from iclsq.core import EvalCounters, LinearOperator
 from iclsq.elliptic import EllipticProblem
-from iclsq.harness import dense_jacobian_oracle, fd_gradient_oracle
 from iclsq.solver import SolverConfig, solve
 from iclsq.subproblem import SubproblemSpec, estimate_operator_norm, exact_step
 
-from conftest import IdentityProblem, operator_from_matrix
+from conftest import (
+    IdentityProblem,
+    dense_jacobian_oracle,
+    fd_gradient_oracle,
+    interior_stiffness,
+    operator_from_matrix,
+)
 
 
 def make_jacobian(problem, u, counters=None):
@@ -46,7 +51,7 @@ class TestElliptic:
         prob = EllipticProblem(4, z_choice="one")
         u = np.ones(prob.n)
         dense = dense_jacobian_oracle(prob, u)
-        K = prob.K.toarray()
+        K = interior_stiffness(prob.N).toarray()
         M = prob.M.toarray()
         F = prob._sqrtM.toarray()
         top = F @ np.linalg.solve(K, M)

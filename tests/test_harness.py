@@ -1,4 +1,4 @@
-"""Harness: oracles, experiment sweeps, table rendering, CLI."""
+"""Harness: experiment sweeps, table rendering, CLI; and the test oracles."""
 
 import json
 import math
@@ -17,8 +17,6 @@ from iclsq.harness import (
     DEFAULT_THETA_GRID,
     ExperimentRow,
     ExperimentSpec,
-    dense_jacobian_oracle,
-    fd_gradient_oracle,
     main,
     render_table,
     run_experiment,
@@ -26,7 +24,7 @@ from iclsq.harness import (
 )
 from iclsq.solver import SolverConfig, solve
 
-from conftest import IdentityProblem
+from conftest import IdentityProblem, dense_jacobian_oracle, fd_gradient_oracle
 
 
 class TestFdOracle:
@@ -371,6 +369,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("solver error: Newton failed")
+
+    def test_failed_solve_ends_its_trace_with_the_error(self, capsys, tmp_path):
+        # as a failed sweep cell's trace does
+        trace = tmp_path / "run.jsonl"
+        argv = ["solve", "burgers", "--nx", "12", "--nt", "1", "--nu", "1e-4",
+                "--jsonl", str(trace)]
+        assert main(argv) == 2
+        message = capsys.readouterr().err.removeprefix("solver error: ").rstrip("\n")
+        assert message.startswith("Newton failed")
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert records == [{"error_type": "StateSolveError", "error_message": message}]
+
+    def test_solve_traces_as_its_sweep_cell_does(self, capsys, tmp_path):
+        settings = ["elliptic", "--n-mesh", "4", "--z", "one", "--hessian", "zero"]
+        trace = tmp_path / "run.jsonl"
+        assert main(["solve", *settings, "--theta", "0.1", "--eps-r", "1e-2",
+                     "--eps-g", "1e-4", "--jsonl", str(trace)]) == 0
+        printed = capsys.readouterr().out
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"theta": [0.1], "eps": [[1e-2, 1e-4]]}))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", *settings, "--grid-file", str(grid), "--out-dir", str(out_dir)]) == 0
+        [cell] = out_dir.glob("trace_*.jsonl")
+        assert trace.read_text() == cell.read_text() != ""
+        [row] = [l.split(",") for l in (out_dir / "summary.csv").read_text().splitlines()
+                 if l.startswith("elliptic,")]
+        status, iterations, pde_solves = row[4], row[5], row[7]
+        assert printed.startswith(f"elliptic: {status} after {iterations} iterations")
+        assert f"pde_solves={pde_solves}," in printed
 
     def test_solve_rejects_unwritable_trace(self, capsys, tmp_path):
         assert main(["solve", "burgers", "--nx", "4", "--jsonl", str(tmp_path)]) == 2

@@ -10,7 +10,6 @@ from iclsq.solver import (
     SolveStatus,
     SolverConfig,
     default_gamma0,
-    ratio,
     solve,
     stopping_check,
 )
@@ -48,20 +47,6 @@ class TestStoppingCheck:
 
     def test_continue(self):
         assert stopping_check(np.ones(2), np.ones(2), 1e-3, 1e-4) is None
-
-
-class TestRatio:
-    def test_equal(self):
-        assert ratio(0.5, 0.5) == 1.0
-
-    def test_zero_actual(self):
-        assert ratio(0.0, 1.0) == 0.0
-
-    def test_nonpositive_predicted_raises(self):
-        with pytest.raises(ValueError):
-            ratio(1.0, 0.0)
-        with pytest.raises(ValueError):
-            ratio(1.0, -1.0)
 
 
 class TestIdentityTrajectory:
