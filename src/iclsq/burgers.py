@@ -6,17 +6,18 @@ coefficient tridiagonals and are stored as their three diagonals. Each time
 step is advanced with Newton's method, one LAPACK tridiagonal solve
 (``dgtsv``) per iteration. The Newton loop forms each step's right-hand side
 (M y_prev)/dt + f + M u once per step, with the control terms of all steps
-in one block apply, so each iteration only evaluates A v + B(v v)/2 - rhs,
-A = M/dt + nu C. ``step_jacobian`` reads its state-independent terms from a
-cache built on first use.
+in one sparse apply of c_u, so each iteration only evaluates
+A v + B(v v)/2 - rhs, A = M/dt + nu C. ``step_jacobian`` reads its
+state-independent terms from a cache built on first use.
 The linearized constraint is block lower bidiagonal in time, so its
 (transposed) solves are forward (backward) substitutions over the time
 blocks, each through one tridiagonal LU factor per time step (``dgttrf``,
 applied with ``dgttrs``). ``linearize`` leaves the factoring to the first
 solve at the base point, and the factors live in its ``Linearization``. The
 per-step loops apply their Toeplitz operators to single blocks as one
-3-point ``np.convolve`` each; the stacked block applies of the residual and
-the control operators go through ``_Tridiag``.
+3-point ``np.convolve`` each. The operators on all blocks at once, the
+residual's mass factor and the partial Jacobians G_u, G_y and c_u, are
+``scipy.sparse`` CSR matrices, built on first use.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf
 
 from .core import ImplicitProblem, LinearOperator, Linearization, StateSolveError, as_vector
@@ -38,31 +39,39 @@ from .core import ImplicitProblem, LinearOperator, Linearization, StateSolveErro
 __all__ = ["BurgersProblem"]
 
 
-class _Tridiag(NamedTuple):
-    """Tridiagonal matrix by its diagonals: ``A[i, i-1] = lower[i-1]``,
-    ``A[i, i] = diag[i]``, ``A[i, i+1] = upper[i]``.
-
-    ``A @ x`` applies A along the last axis of x, so one call covers a whole
-    stack of blocks.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def T(self) -> "_Tridiag":
-        return _Tridiag(self.upper, self.diag, self.lower)
-
-    def __matmul__(self, x):
-        out = self.diag * x
-        out[..., 1:] += self.lower * x[..., :-1]
-        out[..., :-1] += self.upper * x[..., 1:]
-        return out
+def _tridiag(nx: int, lower: float, diag: float, upper: float) -> tuple:
+    """Constant tridiagonal by its diagonals ``(lower, diag, upper)``:
+    ``A[i, i-1] = lower[i-1]``, ``A[i, i] = diag[i]``, ``A[i, i+1] = upper[i]``."""
+    return np.full(nx - 1, lower), np.full(nx, diag), np.full(nx - 1, upper)
 
 
-def _tridiag(nx: int, lower: float, diag: float, upper: float) -> _Tridiag:
-    return _Tridiag(np.full(nx - 1, lower), np.full(nx, diag), np.full(nx - 1, upper))
+def _block_matrix(
+    T: tuple, count: int, shape: tuple, row0: int = 0, col0: int = 0
+) -> sp.csr_matrix:
+    """CSR matrix of ``shape`` holding ``count`` copies of the tridiagonal
+    ``T = (lower, diag, upper)`` down the block diagonal that starts at entry
+    (row0, col0), and zero elsewhere. Zero entries of T are not stored."""
+    lower, diag, upper = T
+    i = np.arange(diag.size)
+    rows = np.concatenate([i[1:], i, i[:-1]])
+    cols = np.concatenate([i[:-1], i, i[1:]])
+    data = np.concatenate([lower, diag, upper])
+    keep = data != 0
+    shift = diag.size * np.arange(count)[:, None]
+    return sp.csr_matrix(
+        (
+            np.tile(data[keep], count),
+            ((row0 + shift + rows[keep]).ravel(), (col0 + shift + cols[keep]).ravel()),
+        ),
+        shape=shape,
+    )
+
+
+def _operator(S, scale: float) -> LinearOperator:
+    """scale * S, applied through S and its transpose, both CSR. The scale
+    stays outside the matrix, so a product rounds as scale * (F x) does."""
+    S_T = S.T.tocsr()
+    return LinearOperator(S.shape, lambda v: scale * (S @ v), lambda w: scale * (S_T @ w))
 
 
 # scipy's dgttrf/dgttrs wrappers reject n = 2 with an array-size error, so a
@@ -123,9 +132,10 @@ class BurgersProblem(ImplicitProblem):
         self.newton_max_iter = int(newton_max_iter)
         # M = L D L^T with L unit lower bidiagonal, so F = sqrt(D) L^T is
         # upper bidiagonal with F^T F = M.
-        d, e, _ = dpttrf(self.M.diag, self.M.lower)
+        m_lower, m_diag, _ = self.M
+        d, e, _ = dpttrf(m_diag, m_lower)
         root = np.sqrt(d)
-        self._sqrtM = _Tridiag(np.zeros(nx - 1), root, root[:-1] * e)
+        self._sqrtM = (np.zeros(nx - 1), root, root[:-1] * e)
         self._gttrf, self._gttrs = (dgttrf, dgttrs) if nx > 2 else (_padded_gttrf, _padded_gttrs)
 
     # dimensions
@@ -141,10 +151,7 @@ class BurgersProblem(ImplicitProblem):
     def m(self) -> int:
         return 2 * (self.nt + 1) * self.nx
 
-    # block helpers
-    def control_blocks(self, u) -> np.ndarray:
-        return as_vector(u, self.n, name="control").reshape(self.nt + 1, self.nx)
-
+    # block helper
     def state_blocks(self, y) -> np.ndarray:
         return as_vector(y, self.n_y, name="state").reshape(self.nt, self.nx)
 
@@ -156,10 +163,10 @@ class BurgersProblem(ImplicitProblem):
         full expression rounds it. The whole diagonal ``M/dt + nu C`` is
         constant because B's zero diagonal adds a signed zero. Built on
         first use rather than in ``__init__``; the diagonal is read only."""
-        M, C, dt, nu = self.M, self.C, self.dt, self.nu
-        diag = M.diag / dt + nu * C.diag
+        (m_lo, m_diag, m_up), (c_lo, c_diag, c_up), dt, nu = self.M, self.C, self.dt, self.nu
+        diag = m_diag / dt + nu * c_diag
         diag.setflags(write=False)
-        return M.lower / dt, nu * C.lower, diag, M.upper / dt, nu * C.upper
+        return m_lo / dt, nu * c_lo, diag, m_up / dt, nu * c_up
 
     @cached_property
     def _stencils(self) -> tuple:
@@ -168,24 +175,21 @@ class BurgersProblem(ImplicitProblem):
         diagonals ``(lower, diag, upper)`` for ``k = [upper, diag, lower]``,
         exactly at every nx >= 2. Built on first use."""
         m_lo, c_lo, diag, m_up, c_up = self._jacobian_constants
-        B = self.B
+        (_, m_diag, _), (b_lo, b_diag, b_up) = self.M, self.B
         return (
-            np.array([m_up[0], self.M.diag[0] / self.dt, m_lo[0]]),
+            np.array([m_up[0], m_diag[0] / self.dt, m_lo[0]]),
             np.array([m_up[0] + c_up[0], diag[0], m_lo[0] + c_lo[0]]),
-            0.5 * np.array([B.upper[0], B.diag[0], B.lower[0]]),
+            0.5 * np.array([b_up[0], b_diag[0], b_lo[0]]),
         )
 
-    def step_jacobian(self, y_next) -> _Tridiag:
+    def step_jacobian(self, y_next) -> tuple:
         """Derivative of the step equation in its unknown state, as the
         diagonals ``(lower, diag, upper)`` of M/dt + B diag(y_next) + nu C.
         The diagonal is shared between calls and read only."""
         y = as_vector(y_next, self.nx, name="y_next")
         m_lo, c_lo, diag, m_up, c_up = self._jacobian_constants
-        return _Tridiag(
-            m_lo + self.B.lower * y[:-1] + c_lo,
-            diag,
-            m_up + self.B.upper * y[1:] + c_up,
-        )
+        b_lo, _, b_up = self.B
+        return m_lo + b_lo * y[:-1] + c_lo, diag, m_up + b_up * y[1:] + c_up
 
     def solve_state(self, u) -> np.ndarray:
         """March the dynamics with one Newton solve per time step.
@@ -195,9 +199,10 @@ class BurgersProblem(ImplicitProblem):
         ``newton_tol`` at the last evaluation raises ``StateSolveError``.
         Counts as a single forward solve regardless of Newton iterations.
         """
-        ub = self.control_blocks(u)
+        u = as_vector(u, self.n, name="control")
         mass_dt, step_op, half_b = self._stencils
-        forcing = self.f + self.M @ ub[1:]  # every step's control term in one block apply
+        # every step's control term -c_u u = M u_i in one sparse apply
+        forcing = self.f - (self._operators[3] @ u).reshape(self.nt, self.nx)
         tol, max_iter, conv = self.newton_tol, self.newton_max_iter, np.convolve
         out = np.empty((self.nt, self.nx))
         y_prev = self.y0
@@ -236,12 +241,12 @@ class BurgersProblem(ImplicitProblem):
 
     def residual(self, y, u) -> np.ndarray:
         yb = self.state_blocks(y)
-        ub = self.control_blocks(u)
-        F = self._sqrtM
+        u = as_vector(u, self.n, name="control")
+        Fb = self._operators[0]
         sd = math.sqrt(self.dt)
         so = math.sqrt(self.omega * self.dt)
-        states = np.vstack([self.y0, yb]) - self.z
-        return np.concatenate([sd * (F @ states), so * (F @ ub)]).ravel()
+        states = (np.vstack([self.y0, yb]) - self.z).ravel()
+        return np.concatenate([sd * (Fb @ states), so * (Fb @ u)])
 
     # linearization: the factors live in each base point's Linearization
     def linearize(self, y, u) -> Linearization:
@@ -261,7 +266,8 @@ class BurgersProblem(ImplicitProblem):
                 factors.append(lu)
             return factors
 
-        return Linearization(*self._operators, factor=factor)
+        _, Gu, Gy, cu = self._operators
+        return Linearization(Gu, Gy, cu, factor=factor)
 
     def solve_cy(self, lin, rhs) -> np.ndarray:
         """Block forward substitution through the time steps."""
@@ -284,36 +290,19 @@ class BurgersProblem(ImplicitProblem):
 
     @cached_property
     def _operators(self) -> tuple:
-        """``(G_u, G_y, c_u)``, the same at every base point; built on first use."""
-        M, nt, nx = self.M, self.nt, self.nx
-
-        def cu_adj(w):
-            out = np.zeros((nt + 1, nx))
-            out[1:] = -(M @ w.reshape(nt, nx))  # M symmetric
-            return out.ravel()
-
+        """``(F_b, G_u, G_y, c_u)``, the same at every base point. F_b =
+        kron(I_{nt+1}, F) is a CSR matrix, which ``residual`` applies. The
+        partial Jacobians are ``LinearOperator``s on CSR matrices with their
+        CSR transposes: G_u and G_y hold F's blocks, scaled by
+        sqrt(omega dt) and sqrt(dt), and c_u holds M's, scaled by -1. Built on
+        first use, so the constructor assembles nothing."""
+        nx, nt, n, m, F = self.nx, self.nt, self.n, self.m, self._sqrtM
+        sd, so = math.sqrt(self.dt), math.sqrt(self.omega * self.dt)
         return (
-            self._residual_blocks_op(math.sqrt(self.omega * self.dt), nt + 1, nt + 1),
+            _block_matrix(F, nt + 1, (n, n)),
+            _operator(_block_matrix(F, nt + 1, (m, n), row0=n), so),
             # the states at steps 1..nt; block 0 holds the initial state, which is data
-            self._residual_blocks_op(math.sqrt(self.dt), 1, nt),
+            _operator(_block_matrix(F, nt, (m, self.n_y), row0=nx), sd),
             # block 0 of the control enters no constraint
-            LinearOperator(
-                (self.n_y, self.n), lambda v: (-(M @ v.reshape(nt + 1, nx)[1:])).ravel(), cu_adj
-            ),
+            _operator(_block_matrix(self.M, nt, (self.n_y, n), col0=nx), -1.0),
         )
-
-    def _residual_blocks_op(self, scale: float, first: int, count: int) -> LinearOperator:
-        """scale * F on the residual blocks [first, first + count), zero elsewhere."""
-        nx, F = self.nx, self._sqrtM
-        out_shape = (2 * (self.nt + 1), nx)
-        blocks = slice(first, first + count)
-
-        def fwd(v):
-            out = np.zeros(out_shape)
-            out[blocks] = scale * (F @ v.reshape(count, nx))
-            return out.ravel()
-
-        def adj(w):
-            return (scale * (F.T @ w.reshape(-1, nx)[blocks])).ravel()
-
-        return LinearOperator((self.m, count * nx), fwd, adj)

@@ -23,19 +23,14 @@ import scipy.sparse as sp
 
 from .core import ImplicitProblem, LinearOperator, Linearization, as_vector
 
-__all__ = ["assemble_p1_matrices", "EllipticProblem"]
+__all__ = ["EllipticProblem"]
 
 
-def _element_matrices(coords: np.ndarray):
-    """Stiffness and mass element matrices for one P1 triangle."""
-    x, y = coords[:, 0], coords[:, 1]
-    two_area = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
-    area = 0.5 * abs(two_area)
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    k_e = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-    m_e = (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
-    return k_e, m_e
+def _element_mass(h: float) -> np.ndarray:
+    """Mass matrix of one P1 triangle of the mesh. Both triangle shapes have
+    two legs of length h, so area h^2 / 2 and the same mass matrix."""
+    area = 0.5 * (h * h)
+    return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
 
 
 def _mesh(N: int):
@@ -60,32 +55,20 @@ def _mesh(N: int):
     return 1.0 / N, triangles, interior
 
 
-def _shapes(h: float):
-    """Element matrices of the lower and upper triangle shapes."""
-    lower = _element_matrices(np.array([[0, 0], [h, 0], [h, h]], dtype=float))
-    upper = _element_matrices(np.array([[0, 0], [h, h], [0, h]], dtype=float))
-    return lower, upper
+def _interior_mass(N: int) -> sp.csr_matrix:
+    """Mass matrix of the (N-1)^2 interior nodes of the N x N grid, in CSR.
 
-
-def assemble_p1_matrices(N: int):
-    """Assemble full-node stiffness and mass matrices on the N x N grid.
-
-    Returns (K, M, interior) where K and M are CSR matrices over all
-    (N+1)^2 nodes and ``interior`` indexes the (N-1)^2 non-boundary nodes
-    in row-major order.
+    Assembled over all (N+1)^2 nodes, element by element in mesh order, and
+    then restricted to the interior ones.
     """
     h, triangles, interior = _mesh(N)
-    (k_lower, m_lower), (k_upper, m_upper) = _shapes(h)
     # Entry (a, b) of every element, elements in mesh order, a-major within one.
     rows = np.repeat(triangles, 3, axis=1).ravel()
     cols = np.tile(triangles, (1, 3)).ravel()
-    n_cells = N * N
-    k_data = np.tile(np.concatenate([k_lower.ravel(), k_upper.ravel()]), n_cells)
-    m_data = np.tile(np.concatenate([m_lower.ravel(), m_upper.ravel()]), n_cells)
+    data = np.tile(_element_mass(h).ravel(), triangles.shape[0])
     n_nodes = (N + 1) ** 2
-    K = sp.csr_matrix((k_data, (rows, cols)), shape=(n_nodes, n_nodes))
-    M = sp.csr_matrix((m_data, (rows, cols)), shape=(n_nodes, n_nodes))
-    return K, M, interior
+    M = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
+    return M[np.ix_(interior, interior)].tocsr()
 
 
 def _element_mass_factor(N: int) -> sp.csr_matrix:
@@ -98,10 +81,8 @@ def _element_mass_factor(N: int) -> sp.csr_matrix:
     most six nonzeros per element.
     """
     h, triangles, interior = _mesh(N)
-    (_, m_lower), (_, m_upper) = _shapes(h)
     a, b = np.triu_indices(3)  # entry (a, b) of R_e sits in row a, on node b
-    r_data = [np.linalg.cholesky(m_e).T[a, b] for m_e in (m_lower, m_upper)]
-    data = np.tile(np.concatenate(r_data), N * N)
+    data = np.tile(np.linalg.cholesky(_element_mass(h)).T[a, b], triangles.shape[0])
     rows = (3 * np.arange(triangles.shape[0])[:, None] + a).ravel()
     nodes = triangles[:, b].ravel()
     column = np.full((N + 1) ** 2, -1)
@@ -137,11 +118,10 @@ class EllipticProblem(ImplicitProblem):
             raise ValueError(f"lam must be positive and finite, got {lam}")
         if z_choice not in ("zero", "one"):
             raise ValueError(f"z_choice must be 'zero' or 'one', got {z_choice!r}")
-        _, M_full, interior = assemble_p1_matrices(N)
+        self.M = _interior_mass(N)
         self.N = N
         self._n = (N - 1) ** 2
         self.lam = float(lam)
-        self.M = M_full[np.ix_(interior, interior)].tocsr()
         self._sqrtM = _element_mass_factor(N)
         self._sqrtM_T = self._sqrtM.T.tocsr()
         self.z = np.zeros(self._n) if z_choice == "zero" else np.ones(self._n)

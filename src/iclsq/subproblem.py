@@ -41,7 +41,10 @@ _WARM_RTOL = 1e-3
 
 
 class IndefiniteOperator(RuntimeError):
-    """CGLS met nonpositive regularized curvature along a search direction."""
+    """The regularized curvature ||J p||^2 + gamma ||p||^2 along a nonzero
+    CGLS direction p underflowed to zero, so the step length would divide by
+    zero. With gamma > 0 it is positive in exact arithmetic, but a tiny
+    gradient and gamma square to zero in floating point."""
 
 
 @dataclass

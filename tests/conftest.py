@@ -1,17 +1,19 @@
 """Shared test problems, probe helpers and the references the library is
-checked against: the constraint c(y, u) evaluated directly, finite-difference
-gradients and the densely assembled reduced Jacobian."""
+checked against: the constraint c(y, u) evaluated directly, the elliptic
+stiffness matrix, finite-difference gradients and the densely assembled
+partial and reduced Jacobians."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
 from iclsq.core import ImplicitProblem, LinearOperator, Linearization, StateSolveError, as_vector
-from iclsq.elliptic import assemble_p1_matrices
+from iclsq.elliptic import _mesh
 from iclsq.subproblem import SubproblemSpec
 
 
@@ -110,14 +112,36 @@ def dense_cy(prob, y):
     return cy
 
 
+def dense_partials(prob):
+    """Dense G_u, G_y and c_u of a ``BurgersProblem``, block by block: the
+    scaled mass factor on the control and state halves of the residual, and
+    -M from each control block after the first onto its time step."""
+    nx, nt = prob.nx, prob.nt
+    M = tridiag_dense(prob.M)
+    F = tridiag_dense(prob._sqrtM)
+    sd, so = math.sqrt(prob.dt), math.sqrt(prob.omega * prob.dt)
+    Gu = np.zeros((prob.m, prob.n))
+    for i in range(nt + 1):
+        rows = (nt + 1 + i) * nx
+        Gu[rows:rows + nx, i * nx:(i + 1) * nx] = so * F
+    Gy = np.zeros((prob.m, prob.n_y))
+    for i in range(1, nt + 1):
+        Gy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = sd * F
+    cu = np.zeros((prob.n_y, prob.n))
+    for i in range(nt):
+        cu[i * nx:(i + 1) * nx, (i + 1) * nx:(i + 2) * nx] = -M
+    return Gu, Gy, cu
+
+
 def reference_step_jacobian(prob, y):
     """Step Jacobian diagonals computed from the full expression
     M/dt + B diag(y) + nu C, with no term cached."""
-    M, B, C, dt, nu = prob.M, prob.B, prob.C, prob.dt, prob.nu
+    (m_lo, m_diag, m_up), (b_lo, b_diag, b_up), (c_lo, c_diag, c_up) = prob.M, prob.B, prob.C
+    dt, nu = prob.dt, prob.nu
     return (
-        M.lower / dt + B.lower * y[:-1] + nu * C.lower,
-        M.diag / dt + B.diag * y + nu * C.diag,
-        M.upper / dt + B.upper * y[1:] + nu * C.upper,
+        m_lo / dt + b_lo * y[:-1] + nu * c_lo,
+        m_diag / dt + b_diag * y + nu * c_diag,
+        m_up / dt + b_up * y[1:] + nu * c_up,
     )
 
 
@@ -126,18 +150,38 @@ def step_residual(prob, y_prev, y_next, u_next):
     y_prev = as_vector(y_prev, prob.nx, name="y_prev")
     y_next = as_vector(y_next, prob.nx, name="y_next")
     u_next = as_vector(u_next, prob.nx, name="u_next")
+    M, B, C = (tridiag_dense(op) for op in (prob.M, prob.B, prob.C))
     return (
-        (prob.M @ (y_next - y_prev)) / prob.dt
-        + 0.5 * (prob.B @ (y_next * y_next))
-        + prob.nu * (prob.C @ y_next)
+        (M @ (y_next - y_prev)) / prob.dt
+        + 0.5 * (B @ (y_next * y_next))
+        + prob.nu * (C @ y_next)
         - prob.f
-        - prob.M @ u_next
+        - M @ u_next
     )
+
+
+def assemble_stiffness(N):
+    """P1 stiffness matrix of the elliptic problem's N x N grid over all
+    (N+1)^2 nodes, in CSR, and the indices of its interior nodes."""
+    h, triangles, interior = _mesh(N)
+    shapes = []  # element matrices of the lower and upper triangle
+    for coords in ([[0, 0], [h, 0], [h, h]], [[0, 0], [h, h], [0, h]]):
+        x, y = np.array(coords, dtype=float).T
+        area = 0.5 * abs((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+        b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+        c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+        shapes.append((np.outer(b, b) + np.outer(c, c)) / (4.0 * area))
+    # Entry (a, b) of every element, elements in mesh order, a-major within one.
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
+    data = np.tile(np.concatenate([k.ravel() for k in shapes]), N * N)
+    n_nodes = (N + 1) ** 2
+    return sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes)), interior
 
 
 def interior_stiffness(N):
     """Stiffness matrix of the elliptic problem on its (N-1)^2 interior nodes."""
-    K, _, interior = assemble_p1_matrices(N)
+    K, interior = assemble_stiffness(N)
     return K[np.ix_(interior, interior)]
 
 
@@ -146,7 +190,7 @@ def constraint_residual(prob, y, u):
     directly: the feasibility probe of ``solve_state``."""
     if isinstance(prob, BurgersProblem):
         yb = prob.state_blocks(y)
-        ub = prob.control_blocks(u)
+        ub = as_vector(u, prob.n, name="control").reshape(prob.nt + 1, prob.nx)
         parts = []
         y_prev = prob.y0
         for i in range(prob.nt):
@@ -209,7 +253,7 @@ def reference_solve_state(prob, u, jacobian=reference_step_jacobian):
     """Newton marching built on ``step_residual``, with the residual formed
     afresh at every iteration: the states ``solve_state`` must reproduce to
     Newton tolerance."""
-    ub = prob.control_blocks(u)
+    ub = as_vector(u, prob.n, name="control").reshape(prob.nt + 1, prob.nx)
     out = np.empty((prob.nt, prob.nx))
     y_prev = prob.y0
     for i in range(prob.nt):

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
-from iclsq.core import StateSolveError
+from iclsq.core import LinearOperator, StateSolveError
 
 from conftest import (
+    assert_adjoint_identity,
     constraint_residual,
     dense_cy,
+    dense_partials,
     dense_jacobian_oracle,
     feasibility_tol,
     reference_solve_state,
@@ -97,6 +100,18 @@ class TestMatrices:
         with pytest.raises(ValueError):
             BurgersProblem(4, 0)
 
+    def test_constructor_builds_no_sparse_operator(self):
+        # The operators are built on first use; the constructor stays cheap.
+        prob = BurgersProblem(5, 4)
+
+        def sparse_held():
+            held = [x for v in vars(prob).values() for x in (v if isinstance(v, tuple) else (v,))]
+            return [x for x in held if sp.issparse(x) or isinstance(x, LinearOperator)]
+
+        assert not sparse_held()
+        prob.residual(np.zeros(prob.n_y), np.zeros(prob.n))
+        assert sparse_held()
+
 
 class TestStepResidual:
     def test_all_zero(self):
@@ -109,7 +124,8 @@ class TestStepResidual:
         y_prev = rng.standard_normal(4)
         u_next = rng.standard_normal(4)
         res = step_residual(prob, y_prev, np.zeros(4), u_next)
-        expected = -(prob.M @ y_prev) / prob.dt - prob.M @ u_next
+        M = tridiag_dense(prob.M)
+        expected = -(M @ y_prev) / prob.dt - M @ u_next
         np.testing.assert_allclose(res, expected, atol=1e-15)
 
     def test_matches_scalar_oracle(self, rng):
@@ -206,13 +222,18 @@ class TestKernels:
         M = tridiag_dense(prob.M)
         assert np.linalg.norm(F.T @ F - M) <= 1e-13 * np.linalg.norm(M)
 
-    def test_operator_applies_along_last_axis(self, rng):
-        prob = BurgersProblem(6, 3)
-        x = rng.standard_normal((4, 6))
-        for op in (prob.M, prob.B, prob.C, prob._sqrtM):
-            A = tridiag_dense(op)
-            np.testing.assert_allclose(op @ x, x @ A.T, rtol=1e-14, atol=1e-14)
-            np.testing.assert_allclose(op.T @ x, x @ A, rtol=1e-14, atol=1e-14)
+    @pytest.mark.parametrize("name", ["Gu", "Gy", "cu"])
+    @pytest.mark.parametrize("nx", [2, 5, 16])
+    def test_partial_jacobians_match_dense_blocks(self, nx, name, rng):
+        prob = BurgersProblem(nx, 3, nu=0.3, omega=0.07)
+        lin = prob.linearize(rng.standard_normal(prob.n_y), rng.standard_normal(prob.n))
+        op = getattr(lin, name)
+        expected = dict(zip(("Gu", "Gy", "cu"), dense_partials(prob)))[name]
+        rows, cols = op.shape
+        assert op.shape == expected.shape
+        np.testing.assert_array_equal(np.column_stack([op @ e for e in np.eye(cols)]), expected)
+        np.testing.assert_array_equal(np.vstack([op.rmatvec(e) for e in np.eye(rows)]), expected)
+        assert_adjoint_identity(op, rng)
 
     @pytest.mark.parametrize("nx", [2, 3, 16])
     def test_stencils_apply_the_step_operators(self, nx, rng):
@@ -306,9 +327,10 @@ class TestResidual:
             r = prob.residual(y, u)
             yb = np.vstack([prob.y0, prob.state_blocks(y)])
             ub = u.reshape(prob.nt + 1, prob.nx)
+            M = tridiag_dense(prob.M)
             direct = prob.dt * sum(
-                0.5 * (yb[i] - prob.z) @ (prob.M @ (yb[i] - prob.z))
-                + 0.5 * prob.omega * ub[i] @ (prob.M @ ub[i])
+                0.5 * (yb[i] - prob.z) @ (M @ (yb[i] - prob.z))
+                + 0.5 * prob.omega * ub[i] @ (M @ ub[i])
                 for i in range(prob.nt + 1)
             )
             assert 0.5 * float(r @ r) == pytest.approx(direct, rel=1e-12)
@@ -329,24 +351,8 @@ class TestAdjointStructure:
         prob = BurgersProblem(3, 3, nu=0.15)
         u = 0.2 * rng.standard_normal(prob.n)
         y = prob.solve_state(u)
-        nx, nt = prob.nx, prob.nt
-        M = tridiag_dense(prob.M)
-
-        cy = dense_cy(prob, y)
-        cu = np.zeros((prob.n_y, prob.n))
-        for i in range(nt):
-            cu[i * nx:(i + 1) * nx, (i + 1) * nx:(i + 2) * nx] = -M
-        F = tridiag_dense(prob._sqrtM)
-        sd, so = math.sqrt(prob.dt), math.sqrt(prob.omega * prob.dt)
-        Gy = np.zeros((prob.m, prob.n_y))
-        for i in range(1, nt + 1):
-            Gy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = sd * F
-        Gu = np.zeros((prob.m, prob.n))
-        for i in range(nt + 1):
-            rows = (nt + 1 + i) * nx
-            Gu[rows:rows + nx, i * nx:(i + 1) * nx] = so * F
-
-        expected = Gu - Gy @ np.linalg.solve(cy, cu)
+        Gu, Gy, cu = dense_partials(prob)
+        expected = Gu - Gy @ np.linalg.solve(dense_cy(prob, y), cu)
         dense = dense_jacobian_oracle(prob, u)
         assert np.linalg.norm(dense - expected) <= 1e-9 * (1 + np.linalg.norm(expected))
 
@@ -374,5 +380,5 @@ class TestAdjointStructure:
         y = prob.solve_state(u)
         g = ReducedJacobian(prob, prob.linearize(y, u)).apply_transpose(prob.residual(y, u))
         u0_block = u[: prob.nx]
-        expected = prob.omega * prob.dt * (prob.M @ u0_block)
+        expected = prob.omega * prob.dt * (tridiag_dense(prob.M) @ u0_block)
         np.testing.assert_allclose(g[: prob.nx], expected, rtol=1e-12, atol=1e-15)

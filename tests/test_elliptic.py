@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from iclsq.elliptic import EllipticProblem, assemble_p1_matrices
+from iclsq.elliptic import EllipticProblem
 from iclsq.solver import SolveStatus, SolverConfig, solve
 
-from conftest import constraint_residual, feasibility_tol, interior_stiffness
+from conftest import assemble_stiffness, constraint_residual, feasibility_tol, interior_stiffness
 
 
 def quadrature_p1_matrices(N):
@@ -63,20 +63,20 @@ def quadrature_p1_matrices(N):
 
 class TestAssembly:
     def test_single_interior_node(self):
-        K, M, interior = assemble_p1_matrices(2)
-        np.testing.assert_allclose(K[np.ix_(interior, interior)].toarray(), [[4.0]])
-        np.testing.assert_allclose(M[np.ix_(interior, interior)].toarray(), [[0.125]])
+        np.testing.assert_allclose(interior_stiffness(2).toarray(), [[4.0]])
+        np.testing.assert_allclose(EllipticProblem(2).M.toarray(), [[0.125]])
 
     @pytest.mark.parametrize("N", [2, 3, 5])
     def test_matches_quadrature_oracle(self, N):
-        K, M, _ = assemble_p1_matrices(N)
+        K, interior = assemble_stiffness(N)
         K_q, M_q = quadrature_p1_matrices(N)
         np.testing.assert_allclose(K.toarray(), K_q, atol=1e-12)
-        np.testing.assert_allclose(M.toarray(), M_q, atol=1e-14)
+        M = EllipticProblem(N).M.toarray()
+        np.testing.assert_allclose(M, M_q[np.ix_(interior, interior)], atol=1e-14)
 
     def test_unreduced_stiffness_rows_sum_to_zero(self):
         # Constants lie in the kernel before any boundary elimination.
-        K, _, _ = assemble_p1_matrices(5)
+        K, _ = assemble_stiffness(5)
         np.testing.assert_allclose(K.toarray().sum(axis=1), 0.0, atol=1e-13)
 
     def test_reduced_stiffness_deep_interior_rows_sum_to_zero(self):
@@ -94,7 +94,7 @@ class TestAssembly:
         ones = np.ones(prob.n)
         total = float(ones @ (prob.M @ ones))
         _, M_q = quadrature_p1_matrices(N)
-        _, _, interior = assemble_p1_matrices(N)
+        _, interior = assemble_stiffness(N)
         expected = float(np.ones(prob.n) @ M_q[np.ix_(interior, interior)] @ np.ones(prob.n))
         assert total == pytest.approx(expected, rel=1e-13)
         # interior hats cover everything but a boundary strip of width ~2/N
@@ -124,7 +124,7 @@ class TestAssembly:
 
     def test_rejects_tiny_mesh(self):
         with pytest.raises(ValueError):
-            assemble_p1_matrices(1)
+            assemble_stiffness(1)  # the mesh itself refuses it
         with pytest.raises(ValueError):
             EllipticProblem(1)
 

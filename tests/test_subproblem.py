@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from iclsq.core import LinearOperator
 from iclsq.subproblem import (
+    IndefiniteOperator,
     SubproblemSpec,
     estimate_operator_norm,
     exact_step,
@@ -34,6 +36,15 @@ class TestExactStep:
         np.testing.assert_array_equal(result.step, [0.0, -2.0])
         assert result.model_decrease == 4.0
         assert result.cg_iters == 1
+
+    def test_underflowing_curvature_raises(self):
+        # ||p||^2 = 3e-320 is subnormal, and gamma times it underflows to
+        # zero, so CGLS would divide by zero curvature.
+        zero = LinearOperator((3, 3), lambda v: np.zeros(3), lambda w: np.zeros(3))
+        spec = SubproblemSpec(g=np.full(3, 1e-160), gamma=1e-10, theta=0.0,
+                              h_norm_estimate=0.0, gn_factor=zero, gn_residual=np.ones(3))
+        with pytest.raises(IndefiniteOperator):
+            exact_step(spec)
 
     def test_matches_dense_factorization(self, rng):
         for _ in range(5):
