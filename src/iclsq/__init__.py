@@ -37,7 +37,6 @@ from .solver import (
 from .subproblem import (
     IndefiniteOperator,
     StepResult,
-    SubproblemSpec,
     estimate_operator_norm,
     exact_step,
     truncated_cg_step,
@@ -64,7 +63,6 @@ __all__ = [
     "SolverConfig",
     "StateSolveError",
     "StepResult",
-    "SubproblemSpec",
     "default_gamma0",
     "estimate_operator_norm",
     "exact_step",

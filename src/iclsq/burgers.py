@@ -96,6 +96,9 @@ class BurgersProblem(ImplicitProblem):
     y_init : initial state; defaults to a step profile with the first
         nx // 2 entries equal to one. It is also the desired state z, at
         every time.
+    newton_tol, newton_max_iter : each time step's Newton solve stops once
+        its residual norm is at most ``newton_tol`` (positive, finite) and
+        fails after ``newton_max_iter`` (nonnegative) iterations.
     """
 
     def __init__(
@@ -112,6 +115,10 @@ class BurgersProblem(ImplicitProblem):
             raise ValueError(f"need nx >= 2 and nt >= 1, got nx={nx}, nt={nt}")
         if not (0 < nu < math.inf and 0 < omega < math.inf):
             raise ValueError(f"nu and omega must be positive and finite, got {nu} and {omega}")
+        if not 0 < newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {newton_tol}")
+        if newton_max_iter < 0:
+            raise ValueError(f"newton_max_iter must be nonnegative, got {newton_max_iter}")
         self.nx = int(nx)
         self.nt = int(nt)
         self.nu = float(nu)
@@ -124,9 +131,12 @@ class BurgersProblem(ImplicitProblem):
         self.C = _tridiag(nx, -stiff, 2.0 * stiff, -stiff)
         self.f = np.zeros(nx)
         if y_init is None:
-            y_init = np.zeros(nx)
-            y_init[: nx // 2] = 1.0
-        self.y0 = as_vector(y_init, nx, name="y_init").copy()
+            self.y0 = np.zeros(nx)
+            self.y0[: nx // 2] = 1.0
+        else:
+            self.y0 = as_vector(y_init, nx, name="y_init").copy()
+            if not np.all(np.isfinite(self.y0)):
+                raise ValueError("y_init must be finite")
         self.z = self.y0.copy()
         self.newton_tol = float(newton_tol)
         self.newton_max_iter = int(newton_max_iter)

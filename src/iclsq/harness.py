@@ -73,7 +73,6 @@ class ExperimentSpec:
     hessian_mode: str = SolverConfig.hessian_mode
     eta: float = SolverConfig.eta
     gamma_min: float = SolverConfig.gamma_min
-    seed: int = SolverConfig.seed
     out_dir: Path | None = None
 
     def __post_init__(self):
@@ -279,7 +278,6 @@ def _add_solver_args(parser):
     parser.add_argument("--max-iter", type=int)
     parser.add_argument("--hessian", dest="hessian_mode", choices=HESSIAN_MODES,
                         type=lambda mode: mode.replace("-", "_"))
-    parser.add_argument("--seed", type=int)
 
 
 def _set_args(args, names) -> dict:

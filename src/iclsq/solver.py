@@ -6,6 +6,11 @@ trial control, and accept or reject on the ratio of actual to predicted
 decrease. gamma halves (floored) after acceptance and doubles after
 rejection. The run stops as soon as the residual norm or the scaled
 gradient norm falls below its tolerance.
+
+Each iteration calls ``exact_step`` (theta = 0) or ``truncated_cg_step``
+once, with the model as arguments. With Gauss-Newton curvature the bound on
+||J^T J|| they need comes from ``estimate_operator_norm``, cold at the first
+base point of a run and warm-started from the last dominant vector after.
 """
 
 from __future__ import annotations
@@ -19,12 +24,7 @@ import numpy as np
 
 from .adjoint import ReducedJacobian
 from .core import EvalCounters, ImplicitProblem, StateSolveError, as_vector, norm
-from .subproblem import (
-    SubproblemSpec,
-    estimate_operator_norm,
-    exact_step,
-    truncated_cg_step,
-)
+from .subproblem import estimate_operator_norm, exact_step, truncated_cg_step
 
 __all__ = [
     "SolveStatus",
@@ -62,7 +62,6 @@ class SolverConfig:
     theta: float = 0.0
     max_iter: int = 300
     hessian_mode: str = "gauss_newton"
-    seed: int = 0
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -82,6 +81,8 @@ class SolverConfig:
             raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
         if self.eps_R <= 0 or self.eps_g <= 0:
             raise ValueError("eps_R and eps_g must be positive")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.hessian_mode not in HESSIAN_MODES:
@@ -208,30 +209,21 @@ def solve(
         if status is not None:
             break
 
-        if gauss_newton:
-            if h_norm is None:
-                # Norm probes emulate a known curvature bound; they run on an
-                # uncounted Jacobian at jac's linearization so tallies match
-                # the cost model, and are tallied apart as two applications each.
-                h_norm, h_vec, products = estimate_operator_norm(
-                    ReducedJacobian(problem, jac.lin),
-                    config.seed,
-                    start=h_vec,
-                )
-                counters.norm_probe_applies += 2 * products
-            spec = SubproblemSpec(
-                g=g,
-                gamma=gamma,
-                theta=config.theta,
-                h_norm_estimate=h_norm,
-                gn_factor=jac,
-                gn_residual=R,
-            )
-        else:
+        if not gauss_newton:
             h_norm = 0.0
-            spec = SubproblemSpec(g=g, gamma=gamma, theta=config.theta, h_norm_estimate=0.0)
-
-        step = exact_step(spec) if config.theta == 0.0 else truncated_cg_step(spec)
+        elif h_norm is None:
+            # Norm probes emulate a known curvature bound; they run on an
+            # uncounted Jacobian at jac's linearization so tallies match
+            # the cost model, and are tallied apart as two applications each.
+            h_norm, h_vec, products = estimate_operator_norm(
+                ReducedJacobian(problem, jac.lin), start=h_vec
+            )
+            counters.norm_probe_applies += 2 * products
+        model = (jac, R) if gauss_newton else ()
+        if config.theta == 0.0:
+            step = exact_step(g, gamma, h_norm, *model)
+        else:
+            step = truncated_cg_step(g, gamma, config.theta, h_norm, *model)
         counters.cg_iterations += step.cg_iters
 
         u_trial = u + step.step

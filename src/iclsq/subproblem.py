@@ -15,6 +15,12 @@ factor J, from the zero vector, so the model value decreases monotonically
 and any returned step has positive predicted decrease whenever g is nonzero.
 With zero curvature the minimizer is -g / gamma in closed form, reported as
 one Krylov iteration.
+
+Both step functions take the model as arguments: the gradient g, gamma,
+theta, ``h_norm``, and for Gauss-Newton curvature the pair (J, R), the
+Jacobian operator and the residual at the base point (g = J^T R); without
+the pair H is zero. ``h_norm`` must bound ||H|| from above for the
+inexactness rule to keep its guarantees.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import numpy as np
 from .core import LinearOperator, as_vector, norm
 
 __all__ = [
-    "SubproblemSpec",
     "StepResult",
     "IndefiniteOperator",
     "estimate_operator_norm",
@@ -48,43 +53,6 @@ class IndefiniteOperator(RuntimeError):
 
 
 @dataclass
-class SubproblemSpec:
-    """One regularized model: gradient, curvature factor, and knobs.
-
-    The curvature is H = J^T J for the rectangular Jacobian operator
-    ``gn_factor`` = J, supplied with the residual ``gn_residual`` = R at the
-    base point (so g = J^T R); without a factor it is zero. Each CGLS
-    iteration costs one forward and one transpose application of J.
-
-    h_norm_estimate must be an upper bound on the spectral norm of H for the
-    inexact termination rule to retain its guarantees; the power-iteration
-    estimator below overshoots on purpose. The solver takes a cold estimate
-    at the first base point of a run and warm-starts every later one from the
-    previous dominant vector, stopping once the Rayleigh quotient settles.
-    """
-
-    g: np.ndarray
-    gamma: float
-    theta: float
-    h_norm_estimate: float
-    gn_factor: LinearOperator | None = None
-    gn_residual: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.g = as_vector(self.g, name="gradient")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not 0.0 <= self.theta < 1.0:
-            raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
-        if self.h_norm_estimate < 0:
-            raise ValueError("h_norm_estimate must be nonnegative")
-        if (self.gn_factor is None) != (self.gn_residual is None):
-            raise ValueError("gn_factor and gn_residual must be supplied together")
-        if self.gn_residual is not None:
-            self.gn_residual = as_vector(self.gn_residual, name="gn_residual")
-
-
-@dataclass
 class StepResult:
     """Computed step plus the certificates the outer loop needs."""
 
@@ -96,7 +64,7 @@ class StepResult:
 
 
 def estimate_operator_norm(
-    J: LinearOperator, seed: int = 0, start: np.ndarray | None = None
+    J: LinearOperator, start: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, int]:
     """Safety-factored power-iteration estimate of the spectral norm of J^T J.
 
@@ -105,16 +73,17 @@ def estimate_operator_norm(
     vector that quotient belongs to; and the number of products J^T (J v),
     each one forward and one transpose application of J.
 
-    Without ``start`` (a cold estimate) the iteration begins at a fixed-seed
-    random vector and takes exactly thirty power steps. With ``start``, say
-    the vector a previous estimate at a nearby base point returned, it begins
-    there and stops as soon as two successive Rayleigh quotients agree to a
-    relative 1e-3 (``_WARM_RTOL``), after at most thirty steps. A zero
+    Without ``start`` (a cold estimate) the iteration begins at a fixed
+    start vector, the first draw of ``default_rng(0)``, and takes exactly
+    thirty power steps. With ``start``, say the vector a previous estimate
+    at a nearby base point returned, it begins there and stops as soon as
+    two successive Rayleigh quotients agree to a relative 1e-3
+    (``_WARM_RTOL``), after at most thirty steps. A zero
     product is detected from the start vector and reported as exactly 0.
     """
     dim = J.shape[1]
     if start is None:
-        v = np.random.default_rng(seed).standard_normal(dim)
+        v = np.random.default_rng(0).standard_normal(dim)
     else:
         v = as_vector(start, dim, name="start").copy()
     v /= np.linalg.norm(v)
@@ -134,26 +103,18 @@ def estimate_operator_norm(
     return 1.5 * quotient, v, products
 
 
-def _inexact_tolerance(spec: SubproblemSpec) -> float:
-    """Residual target theta * sqrt(gamma / (||H|| + gamma)) * ||g||."""
-    scale = math.sqrt(spec.gamma / (spec.h_norm_estimate + spec.gamma))
-    return spec.theta * scale * norm(spec.g)
-
-
-def _cgls(spec: SubproblemSpec, tol: float):
-    """CGLS on ||J s + R||^2 + gamma ||s||^2 from s = 0, J the factor.
+def _cgls(g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, tol: float):
+    """CGLS on ||J s + R||^2 + gamma ||s||^2 from s = 0.
 
     The tracked quantity is the normal-equation residual -g - (H + gamma I)s,
     exactly the vector the inexactness rule bounds. Runs at most 3 n + 30
     iterations and tracks the best iterate seen, so a stagnating solve still
     returns its most accurate step.
     """
-    g, gamma = spec.g, spec.gamma
-    factor, residual = spec.gn_factor, spec.gn_residual
     sqrt_gamma = math.sqrt(gamma)
     n = g.shape[0]
     x = np.zeros(n)
-    r_top = -residual.copy()  # top block of b - A x with b = [-R; 0]
+    r_top = -R.copy()  # top block of b - A x with b = [-R; 0]
     r_bot = np.zeros(n)
     s_vec = -g.copy()  # A^T (b - A x)
     p = s_vec.copy()
@@ -162,7 +123,7 @@ def _cgls(spec: SubproblemSpec, tol: float):
     stall = 0
     iters = 0
     while iters < 3 * n + 30:
-        q_top = factor @ p
+        q_top = J @ p
         q_bot = sqrt_gamma * p
         qq = float(q_top @ q_top) + float(q_bot @ q_bot)
         if qq <= 0:
@@ -171,7 +132,7 @@ def _cgls(spec: SubproblemSpec, tol: float):
         x += alpha * p
         r_top -= alpha * q_top
         r_bot -= alpha * q_bot
-        s_vec = factor.rmatvec(r_top) + sqrt_gamma * r_bot
+        s_vec = J.rmatvec(r_top) + sqrt_gamma * r_bot
         iters += 1
         ss_new = float(s_vec @ s_vec)
         res = math.sqrt(ss_new)
@@ -190,18 +151,39 @@ def _cgls(spec: SubproblemSpec, tol: float):
     return bx, bres, iters, btop, bbot
 
 
-def _solve(spec: SubproblemSpec, tol: float) -> StepResult:
-    g, gamma = spec.g, spec.gamma
-    if spec.gn_factor is None:
+def _step(g, gamma: float, theta: float | None, h_norm: float, J, R) -> StepResult:
+    """The step kernel behind ``exact_step`` (``theta`` None) and
+    ``truncated_cg_step``: check the model, set the residual target, then
+    take the closed form without J or run CGLS with it."""
+    g = as_vector(g, name="gradient")
+    gn = norm(g)
+    if gn == 0.0:
+        raise ValueError("the step requires a nonzero gradient")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if theta is not None and not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), got {theta}; use exact_step for theta = 0")
+    if not h_norm >= 0:
+        raise ValueError(f"h_norm must be nonnegative, got {h_norm}")
+    if (J is None) != (R is None):
+        raise ValueError("J and R must be supplied together")
+    scale = math.sqrt(gamma / (h_norm + gamma))
+    if theta is None:
+        kappa = (h_norm + gamma) / gamma
+        tol = max(min(1e-12, 1e-11 * scale), 50.0 * _EPS * math.sqrt(kappa)) * gn
+    else:
+        tol = theta * scale * gn
+    if J is None:
         # Zero curvature: the minimizer -g / gamma, one Krylov iteration.
         x = -g / gamma
         res = norm(-g - gamma * x)
         iters = 1
         decrease = float(-(g @ x) - 0.5 * gamma * (x @ x))
     else:
-        x, res, iters, r_top, r_bot = _cgls(spec, tol)
+        R = as_vector(R, name="R")
+        x, res, iters, r_top, r_bot = _cgls(g, gamma, J, R, tol)
         # A x = b - r, so s.(H + gamma I)s = ||A x||^2 without extra applies.
-        ax_top = -spec.gn_residual - r_top
+        ax_top = -R - r_top
         ax_bot = -r_bot
         curv = float(ax_top @ ax_top) + float(ax_bot @ ax_bot)
         decrease = float(-(g @ x) - 0.5 * curv)
@@ -214,31 +196,26 @@ def _solve(spec: SubproblemSpec, tol: float) -> StepResult:
     )
 
 
-def exact_step(spec: SubproblemSpec) -> StepResult:
+def exact_step(
+    g, gamma: float, h_norm: float, J: LinearOperator | None = None, R=None
+) -> StepResult:
     """Solve (H + gamma I) s = -g to a tiny relative residual.
 
-    The target is min(1e-12, 1e-11 * sqrt(gamma / (||H|| + gamma))) times
+    The target is min(1e-12, 1e-11 * sqrt(gamma / (h_norm + gamma))) times
     ||g||, floored at what the conditioning of the system makes attainable
     in floating point, so the solve never spins on an impossible tolerance.
     """
-    gn = norm(spec.g)
-    if gn == 0.0:
-        raise ValueError("exact_step requires a nonzero gradient")
-    kappa = (spec.h_norm_estimate + spec.gamma) / spec.gamma
-    scale = math.sqrt(spec.gamma / (spec.h_norm_estimate + spec.gamma))
-    tol = max(min(1e-12, 1e-11 * scale), 50.0 * _EPS * math.sqrt(kappa)) * gn
-    return _solve(spec, tol)
+    return _step(g, gamma, None, h_norm, J, R)
 
 
-def truncated_cg_step(spec: SubproblemSpec) -> StepResult:
-    """Run CGLS until the relative-residual inexactness rule is met.
+def truncated_cg_step(
+    g, gamma: float, theta: float, h_norm: float, J: LinearOperator | None = None, R=None
+) -> StepResult:
+    """Run CGLS until the residual drops below theta * sqrt(gamma / (h_norm
+    + gamma)) * ||g||, theta in (0, 1).
 
-    The tolerance factor theta * sqrt(gamma / (||H|| + gamma)) is strictly
-    below one, so at least one iteration always happens for a nonzero
-    gradient. Zero curvature takes the closed-form step as its one iteration.
+    The tolerance factor is strictly below one, so at least one iteration
+    always happens; zero curvature takes the closed-form step as its one
+    iteration.
     """
-    if norm(spec.g) == 0.0:
-        raise ValueError("truncated_cg_step requires a nonzero gradient")
-    if spec.theta <= 0.0:
-        raise ValueError("truncated_cg_step requires theta > 0; use exact_step")
-    return _solve(spec, _inexact_tolerance(spec))
+    return _step(g, gamma, theta, h_norm, J, R)

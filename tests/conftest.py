@@ -14,7 +14,6 @@ from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
 from iclsq.core import ImplicitProblem, LinearOperator, Linearization, StateSolveError, as_vector
 from iclsq.elliptic import _mesh
-from iclsq.subproblem import SubproblemSpec
 
 
 class IdentityProblem(ImplicitProblem):
@@ -280,19 +279,19 @@ def random_factor(rng, dim, spread=1.0):
     return math.sqrt(spread / dim) * A.T
 
 
-def factor_spec(J, g, gamma, theta=0.0, h_norm=None):
-    """Model with curvature J^T J for square invertible J, residual J^-T g."""
+def factor_spec(J, g, gamma, h_norm=None):
+    """Step-kernel keywords of the model with curvature J^T J for square
+    invertible J, residual J^-T g; theta is passed apart."""
     J = np.asarray(J, dtype=float)
     g = np.asarray(g, dtype=float)
     if h_norm is None:
         h_norm = float(np.linalg.norm(J, 2)) ** 2
-    return SubproblemSpec(
+    return dict(
         g=g,
         gamma=gamma,
-        theta=theta,
-        h_norm_estimate=h_norm,
-        gn_factor=operator_from_matrix(J),
-        gn_residual=np.linalg.solve(J.T, g),
+        h_norm=h_norm,
+        J=operator_from_matrix(J),
+        R=np.linalg.solve(J.T, g),
     )
 
 

@@ -315,7 +315,7 @@ def test_criterion_8_oracle_equivalence():
             J = random_factor(rng, dim, spread=1.5)
             g = rng.standard_normal(dim)
             gamma = 10.0 ** rng.uniform(-2, 1)
-            s = exact_step(factor_spec(J, g, gamma)).step
+            s = exact_step(**factor_spec(J, g, gamma)).step
             expected = -np.linalg.solve(J.T @ J + gamma * np.eye(dim), g)
             assert np.linalg.norm(s - expected) <= 1e-10 * (1 + np.linalg.norm(expected))
 

@@ -100,6 +100,22 @@ class TestMatrices:
         with pytest.raises(ValueError):
             BurgersProblem(4, 0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"newton_max_iter": -1},  # skipped Newton: every state was y0
+            {"newton_tol": math.inf},  # accepted y0 as every state
+            {"newton_tol": 0.0},  # failed every solve at a 1e-16 residual
+            {"newton_tol": -1e-12},
+            {"newton_tol": math.nan},
+            {"y_init": [1.0, math.nan, 0.0, 0.0]},  # ran Newton on NaN
+            {"y_init": [1.0, 0.0, math.inf, 0.0]},
+        ],
+    )
+    def test_rejects_bad_newton_setting(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            BurgersProblem(4, 4, **setting)
+
     def test_constructor_builds_no_sparse_operator(self):
         # The operators are built on first use; the constructor stays cheap.
         prob = BurgersProblem(5, 4)

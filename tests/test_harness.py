@@ -173,6 +173,17 @@ class TestExperimentSpec:
             run_experiment(spec)
         assert not out_dir.exists()
 
+    def test_non_integer_max_iter_fails_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(harness, "solve", lambda *a, **k: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match="max_iter"):
+            ExperimentSpec(
+                problem="burgers",
+                problem_params={"nx": 4, "nt": 4},
+                theta_grid=(0.0,),
+                eps_grid=((1e-2, 1e-4),),
+                max_iter=2.5,
+            )
+
 
 @pytest.fixture(scope="module")
 def small_spec(tmp_path_factory):
@@ -362,6 +373,18 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_removed_seed_flag_is_refused(self, command, capsys, tmp_path):
+        # the cold norm estimate always starts from the same vector
+        argv = [command, "elliptic", "--n-mesh", "4", "--seed", "1"]
+        if command == "sweep":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_solve_reports_solver_error_on_stderr(self, capsys):
         # Newton does not converge at the starting control of this problem

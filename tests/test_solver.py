@@ -187,12 +187,12 @@ class TestDegeneratePrediction:
         prob = EllipticProblem(4, z_choice="one")
         calls = {"count": 0}
 
-        def fake_step(spec):
+        def fake_step(g, gamma, theta, h_norm, J=None, R=None):
             calls["count"] += 1
             return StepResult(
-                step=np.zeros(spec.g.shape[0]),
+                step=np.zeros(g.shape[0]),
                 model_decrease=0.0,
-                residual_norm=np.linalg.norm(spec.g),
+                residual_norm=np.linalg.norm(g),
                 cg_iters=1,
                 cg_tolerance=0.0,
             )
@@ -207,6 +207,36 @@ class TestDegeneratePrediction:
         for a, b in zip(gammas, gammas[1:]):
             assert b == 2.0 * a
         assert all(t.rho is None and t.note for t in out.trace)
+
+
+class TestStepRouting:
+    """The solver calls the step kernel and the norm estimator through its
+    module globals, where a per-layer tracer can wrap them: one step per
+    iteration, exact_step at theta = 0 and truncated_cg_step otherwise, and
+    with Gauss-Newton curvature one estimate at each base point the loop
+    steps from, the initial one and every accepted one after it."""
+
+    @pytest.mark.parametrize("mode", ["zero", "gauss_newton"])
+    @pytest.mark.parametrize("theta", [0.0, 1e-2])
+    def test_calls_per_iteration(self, monkeypatch, mode, theta):
+        calls = {"exact_step": 0, "truncated_cg_step": 0, "estimate_operator_norm": 0}
+        for name in calls:
+
+            def spy(*args, _name=name, _original=getattr(solver_mod, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver_mod, name, spy)
+        # rejections (failed Newton solves at trial controls) and a budget
+        # that ends at an accepted point, where no step is computed
+        prob = BurgersProblem(32, 16, nu=1e-4)
+        out = solve(prob, np.zeros(prob.n), SolverConfig(theta=theta, hessian_mode=mode, max_iter=40))
+        assert 0 < out.successes < out.iterations == 40
+        exact = theta == 0.0
+        assert calls["exact_step"] == (out.iterations if exact else 0)
+        assert calls["truncated_cg_step"] == (0 if exact else out.iterations)
+        base_points = sum(1 for t in out.trace if t.k == 0 or out.trace[t.k - 1].success)
+        assert calls["estimate_operator_norm"] == (base_points if mode == "gauss_newton" else 0)
 
 
 class NonFiniteTrialProblem(IdentityProblem):
@@ -338,6 +368,16 @@ class TestConfigValidation:
         # disable the floor, a stopping test or the gamma dynamics.
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3", None])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        # 2.5 used to pass and then fail inside range() with a TypeError
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        out = solve(IdentityProblem(2), np.array([3.0, 4.0]), SolverConfig(max_iter=np.int64(2)))
+        assert out.iterations == 2
 
     def test_nonfinite_start_rejected(self):
         prob = IdentityProblem(2)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from iclsq.subproblem import SubproblemSpec, exact_step, truncated_cg_step
+from iclsq.subproblem import exact_step, truncated_cg_step
 
 from conftest import operator_from_matrix
 
@@ -35,28 +35,28 @@ def models(draw):
     return J, R
 
 
-def step(spec):
-    return exact_step(spec) if spec.theta == 0.0 else truncated_cg_step(spec)
+def step(theta, kw):
+    return exact_step(**kw) if theta == 0.0 else truncated_cg_step(theta=theta, **kw)
 
 
-def rejects_zero_gradient(spec) -> bool:
+def rejects_zero_gradient(theta, kw) -> bool:
     """Both kernels refuse a gradient of zero norm; check that and report it."""
-    if np.linalg.norm(spec.g) != 0.0:
+    if np.linalg.norm(kw["g"]) != 0.0:
         return False
     with pytest.raises(ValueError):
-        step(spec)
+        step(theta, kw)
     return True
 
 
-def spec_from_residual(J, R, gamma, theta):
-    """Model with curvature J^T J, gradient J^T R and the true ||J||^2."""
-    return SubproblemSpec(
+def kernel_keywords(J, R, gamma):
+    """Step-kernel keywords of the model with curvature J^T J, gradient
+    J^T R and the true ||J||^2."""
+    return dict(
         g=J.T @ R,
         gamma=gamma,
-        theta=theta,
-        h_norm_estimate=float(np.linalg.norm(J, 2)) ** 2,
-        gn_factor=operator_from_matrix(J),
-        gn_residual=R,
+        h_norm=float(np.linalg.norm(J, 2)) ** 2,
+        J=operator_from_matrix(J),
+        R=R,
     )
 
 
@@ -64,12 +64,12 @@ def spec_from_residual(J, R, gamma, theta):
 @given(models(), gammas, thetas)
 def test_inexact_step_meets_exit_residual_and_decrease_bounds(model, gamma, theta):
     J, R = model
-    spec = spec_from_residual(J, R, gamma, theta)
-    if rejects_zero_gradient(spec):
+    kw = kernel_keywords(J, R, gamma)
+    if rejects_zero_gradient(theta, kw):
         return
-    g, h_norm = spec.g, spec.h_norm_estimate
+    g, h_norm = kw["g"], kw["h_norm"]
     gn = float(np.linalg.norm(g))
-    result = truncated_cg_step(spec)
+    result = truncated_cg_step(theta=theta, **kw)
     s = result.step
     true_res = float(np.linalg.norm(J.T @ (J @ s) + gamma * s + g))
     tol = theta * math.sqrt(gamma / (h_norm + gamma)) * gn
@@ -84,11 +84,11 @@ def test_inexact_step_meets_exit_residual_and_decrease_bounds(model, gamma, thet
 @given(models(), gammas, st.sampled_from([0.0, 1e-4, 1e-2, 0.5, 0.9]))
 def test_model_decrease_is_the_explicit_quadratic(model, gamma, theta):
     J, R = model
-    spec = spec_from_residual(J, R, gamma, theta)
-    if rejects_zero_gradient(spec):
+    kw = kernel_keywords(J, R, gamma)
+    if rejects_zero_gradient(theta, kw):
         return
-    g = spec.g
-    result = step(spec)
+    g = kw["g"]
+    result = step(theta, kw)
     s = result.step
     explicit = -(g @ s) - 0.5 * float(s @ (J.T @ (J @ s))) - 0.5 * gamma * float(s @ s)
     assert result.model_decrease == pytest.approx(
@@ -99,13 +99,11 @@ def test_model_decrease_is_the_explicit_quadratic(model, gamma, theta):
 @fast
 @given(arrays(float, st.integers(1, 10), elements=entries), gammas, thetas)
 def test_zero_curvature_step_is_closed_form(g, gamma, theta):
-    for spec in (
-        SubproblemSpec(g=g, gamma=gamma, theta=0.0, h_norm_estimate=0.0),
-        SubproblemSpec(g=g, gamma=gamma, theta=theta, h_norm_estimate=0.0),
-    ):
-        if rejects_zero_gradient(spec):
+    kw = dict(g=g, gamma=gamma, h_norm=0.0)
+    for step_theta in (0.0, theta):
+        if rejects_zero_gradient(step_theta, kw):
             return
-        result = step(spec)
+        result = step(step_theta, kw)
         np.testing.assert_array_equal(result.step, -g / gamma)
         assert result.cg_iters == 1
         assert result.residual_norm <= result.cg_tolerance
