@@ -19,8 +19,9 @@ one Krylov iteration.
 Both step functions take the model as arguments: the gradient g, gamma,
 theta, ``h_norm``, and for Gauss-Newton curvature the pair (J, R), the
 Jacobian operator and the residual at the base point (g = J^T R); without
-the pair H is zero. ``h_norm`` must bound ||H|| from above for the
-inexactness rule to keep its guarantees.
+the pair H is zero. g must have one entry per column of J and R one per
+row. ``h_norm`` must bound ||H|| from above for the inexactness rule to
+keep its guarantees.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def _step(g, gamma: float, theta: float | None, h_norm: float, J, R) -> StepResu
     """The step kernel behind ``exact_step`` (``theta`` None) and
     ``truncated_cg_step``: check the model, set the residual target, then
     take the closed form without J or run CGLS with it."""
-    g = as_vector(g, name="gradient")
+    g = as_vector(g, None if J is None else J.shape[1], name="gradient")
     gn = norm(g)
     if gn == 0.0:
         raise ValueError("the step requires a nonzero gradient")
@@ -167,6 +168,8 @@ def _step(g, gamma: float, theta: float | None, h_norm: float, J, R) -> StepResu
         raise ValueError(f"h_norm must be nonnegative, got {h_norm}")
     if (J is None) != (R is None):
         raise ValueError("J and R must be supplied together")
+    if J is not None:
+        R = as_vector(R, J.shape[0], name="R")
     scale = math.sqrt(gamma / (h_norm + gamma))
     if theta is None:
         kappa = (h_norm + gamma) / gamma
@@ -180,7 +183,6 @@ def _step(g, gamma: float, theta: float | None, h_norm: float, J, R) -> StepResu
         iters = 1
         decrease = float(-(g @ x) - 0.5 * gamma * (x @ x))
     else:
-        R = as_vector(R, name="R")
         x, res, iters, r_top, r_bot = _cgls(g, gamma, J, R, tol)
         # A x = b - r, so s.(H + gamma I)s = ||A x||^2 without extra applies.
         ax_top = -R - r_top

@@ -92,9 +92,10 @@ def assert_adjoint_identity(op, rng, probes=20, tol=1e-10):
         assert abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
 
 
-def tridiag_dense(op):
-    """Dense matrix of a tridiagonal given by its ``(lower, diag, upper)``."""
-    lower, diag, upper = op
+def tridiag_dense(op, n):
+    """Dense n x n matrix of the tridiagonal ``(lower, diag, upper)``, each a
+    constant or an array of the diagonal's length."""
+    lower, diag, upper = (np.broadcast_to(x, (n + k,)) for x, k in zip(op, (-1, 0, -1)))
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
@@ -102,10 +103,10 @@ def dense_cy(prob, y):
     """Dense block lower bidiagonal constraint Jacobian in the state."""
     nx, nt = prob.nx, prob.nt
     yb = y.reshape(nt, nx)
-    M = tridiag_dense(prob.M)
+    M = tridiag_dense(prob.M, nx)
     cy = np.zeros((prob.n_y, prob.n_y))
     for i in range(nt):
-        cy[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = tridiag_dense(prob.step_jacobian(yb[i]))
+        cy[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = tridiag_dense(prob.step_jacobian(yb[i]), nx)
         if i > 0:
             cy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -M / prob.dt
     return cy
@@ -116,8 +117,8 @@ def dense_partials(prob):
     scaled mass factor on the control and state halves of the residual, and
     -M from each control block after the first onto its time step."""
     nx, nt = prob.nx, prob.nt
-    M = tridiag_dense(prob.M)
-    F = tridiag_dense(prob._sqrtM)
+    M = tridiag_dense(prob.M, nx)
+    F = tridiag_dense(prob._sqrtM, nx)
     sd, so = math.sqrt(prob.dt), math.sqrt(prob.omega * prob.dt)
     Gu = np.zeros((prob.m, prob.n))
     for i in range(nt + 1):
@@ -134,7 +135,7 @@ def dense_partials(prob):
 
 def reference_step_jacobian(prob, y):
     """Step Jacobian diagonals computed from the full expression
-    M/dt + B diag(y) + nu C, with no term cached."""
+    M/dt + B diag(y) + nu C on the stored coefficients, with no term cached."""
     (m_lo, m_diag, m_up), (b_lo, b_diag, b_up), (c_lo, c_diag, c_up) = prob.M, prob.B, prob.C
     dt, nu = prob.dt, prob.nu
     return (
@@ -149,7 +150,7 @@ def step_residual(prob, y_prev, y_next, u_next):
     y_prev = as_vector(y_prev, prob.nx, name="y_prev")
     y_next = as_vector(y_next, prob.nx, name="y_next")
     u_next = as_vector(u_next, prob.nx, name="u_next")
-    M, B, C = (tridiag_dense(op) for op in (prob.M, prob.B, prob.C))
+    M, B, C = (tridiag_dense(op, prob.nx) for op in (prob.M, prob.B, prob.C))
     return (
         (M @ (y_next - y_prev)) / prob.dt
         + 0.5 * (B @ (y_next * y_next))

@@ -290,15 +290,15 @@ def test_criterion_8_oracle_equivalence():
         y = burgers.solve_state(u)
         nx, nt = burgers.nx, burgers.nt
         yb = y.reshape(nt, nx)
-        Mb = tridiag_dense(burgers.M)
+        Mb = tridiag_dense(burgers.M, nx)
         cy = np.zeros((burgers.n_y, burgers.n_y))
         cu = np.zeros((burgers.n_y, burgers.n))
         for i in range(nt):
-            cy[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = tridiag_dense(burgers.step_jacobian(yb[i]))
+            cy[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = tridiag_dense(burgers.step_jacobian(yb[i]), nx)
             if i > 0:
                 cy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -Mb / burgers.dt
             cu[i * nx:(i + 1) * nx, (i + 1) * nx:(i + 2) * nx] = -Mb
-        Fb = tridiag_dense(burgers._sqrtM)
+        Fb = tridiag_dense(burgers._sqrtM, nx)
         Gy = np.zeros((burgers.m, burgers.n_y))
         Gu = np.zeros((burgers.m, burgers.n))
         for i in range(1, nt + 1):

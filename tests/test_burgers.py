@@ -70,18 +70,18 @@ class TestMatrices:
     def test_mass_entries(self):
         prob = BurgersProblem(4, 4)
         assert prob.h == 0.25
-        M = tridiag_dense(prob.M)
+        M = tridiag_dense(prob.M, prob.nx)
         np.testing.assert_allclose(np.diag(M), 1.0 / 6.0)
         np.testing.assert_allclose(np.diag(M, 1), 1.0 / 24.0)
         np.testing.assert_allclose(np.diag(M, -1), 1.0 / 24.0)
 
     def test_diffusion_row(self):
         prob = BurgersProblem(4, 4)
-        np.testing.assert_allclose(tridiag_dense(prob.C)[1], [-4.0, 8.0, -4.0, 0.0])
+        np.testing.assert_allclose(tridiag_dense(prob.C, prob.nx)[1], [-4.0, 8.0, -4.0, 0.0])
 
     def test_convection_skew_symmetric(self):
         prob = BurgersProblem(6, 3)
-        B = tridiag_dense(prob.B)
+        B = tridiag_dense(prob.B, prob.nx)
         np.testing.assert_array_equal(B.T, -B)
         np.testing.assert_allclose(np.diag(B, 1), 0.5)
 
@@ -99,6 +99,25 @@ class TestMatrices:
             BurgersProblem(1, 4)
         with pytest.raises(ValueError):
             BurgersProblem(4, 0)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"nt": 4.7},  # ran 4 steps of dt = 1 / 4.7, a horizon of 0.85
+            {"nx": 16.5},  # failed with a TypeError from np.full
+            {"nt": True},  # ran one step
+            {"newton_max_iter": 2.5},  # ran with 2
+        ],
+    )
+    def test_rejects_non_integer_size(self, setting):
+        sizes = dict(nx=8, nt=4) | setting
+        with pytest.raises(ValueError, match=f"{next(iter(setting))} must be an integer"):
+            BurgersProblem(**sizes)
+
+    def test_accepts_numpy_integer_sizes(self):
+        prob = BurgersProblem(np.int64(8), np.int32(4), newton_max_iter=np.int16(3))
+        assert (prob.nx, prob.nt, prob.newton_max_iter) == (8, 4, 3)
+        assert (prob.h, prob.dt) == (0.125, 0.25)
 
     @pytest.mark.parametrize(
         "setting",
@@ -140,7 +159,7 @@ class TestStepResidual:
         y_prev = rng.standard_normal(4)
         u_next = rng.standard_normal(4)
         res = step_residual(prob, y_prev, np.zeros(4), u_next)
-        M = tridiag_dense(prob.M)
+        M = tridiag_dense(prob.M, prob.nx)
         expected = -(M @ y_prev) / prob.dt - M @ u_next
         np.testing.assert_allclose(res, expected, atol=1e-15)
 
@@ -162,7 +181,7 @@ class TestStepResidual:
         y_prev = rng.standard_normal(nx)
         y_next = rng.standard_normal(nx)
         u_next = rng.standard_normal(nx)
-        jac = tridiag_dense(prob.step_jacobian(y_next))
+        jac = tridiag_dense(prob.step_jacobian(y_next), prob.nx)
         t = 1e-6
         for j in range(nx):
             e = np.zeros(nx)
@@ -185,7 +204,7 @@ class TestForwardSolve:
         xs = (np.arange(1, nx + 1)) / (nx + 1)
         blocks = [np.sin(math.pi * xs) * math.exp(-0.3 * i) for i in range(nt + 1)]
         prob = BurgersProblem(nx, nt, nu=0.2, y_init=blocks[0])
-        Minv = np.linalg.inv(tridiag_dense(prob.M))
+        Minv = np.linalg.inv(tridiag_dense(prob.M, prob.nx))
         u = np.zeros((nt + 1, nx))
         for i in range(nt):
             gap = step_residual(prob, blocks[i], blocks[i + 1], np.zeros(nx))
@@ -234,14 +253,19 @@ class TestKernels:
         prob = BurgersProblem(nx, 3)
         lower, _, _ = prob._sqrtM
         np.testing.assert_array_equal(lower, 0.0)  # upper bidiagonal
-        F = tridiag_dense(prob._sqrtM)
-        M = tridiag_dense(prob.M)
+        F = tridiag_dense(prob._sqrtM, prob.nx)
+        M = tridiag_dense(prob.M, prob.nx)
         assert np.linalg.norm(F.T @ F - M) <= 1e-13 * np.linalg.norm(M)
 
     @pytest.mark.parametrize("name", ["Gu", "Gy", "cu"])
-    @pytest.mark.parametrize("nx", [2, 5, 16])
-    def test_partial_jacobians_match_dense_blocks(self, nx, name, rng):
-        prob = BurgersProblem(nx, 3, nu=0.3, omega=0.07)
+    @pytest.mark.parametrize(
+        ("nx", "nt"),
+        # at nt = 1, G_y and c_u hold one block each, at the edge offsets
+        [(2, 3), (5, 3), (16, 3), (2, 1), (5, 1), (16, 1)],
+        ids=["2", "5", "16", "2-nt1", "5-nt1", "16-nt1"],
+    )
+    def test_partial_jacobians_match_dense_blocks(self, nx, nt, name, rng):
+        prob = BurgersProblem(nx, nt, nu=0.3, omega=0.07)
         lin = prob.linearize(rng.standard_normal(prob.n_y), rng.standard_normal(prob.n))
         op = getattr(lin, name)
         expected = dict(zip(("Gu", "Gy", "cu"), dense_partials(prob)))[name]
@@ -254,7 +278,7 @@ class TestKernels:
     @pytest.mark.parametrize("nx", [2, 3, 16])
     def test_stencils_apply_the_step_operators(self, nx, rng):
         prob = BurgersProblem(nx, 4, nu=0.3)
-        M, B, C = (tridiag_dense(op) for op in (prob.M, prob.B, prob.C))
+        M, B, C = (tridiag_dense(op, prob.nx) for op in (prob.M, prob.B, prob.C))
         x = rng.standard_normal(nx)
         for kernel, A in zip(prob._stencils, (M / prob.dt, M / prob.dt + prob.nu * C, 0.5 * B)):
             np.testing.assert_allclose(np.convolve(x, kernel)[1:-1], A @ x, rtol=1e-14, atol=1e-14)
@@ -310,7 +334,7 @@ class TestMarchingIsBitIdentical:
         _, diag, _ = prob.step_jacobian(np.ones(5))
         with pytest.raises(ValueError):
             diag[0] = 0.0
-        assert "_jacobian_constants" not in vars(BurgersProblem(5, 4))  # built lazily
+        assert "_stencils" not in vars(BurgersProblem(5, 4))  # built lazily
 
     def test_zero_pivot_reports_later_step(self):
         # A zero start stays exactly zero, with no Newton iteration, until the
@@ -343,7 +367,7 @@ class TestResidual:
             r = prob.residual(y, u)
             yb = np.vstack([prob.y0, prob.state_blocks(y)])
             ub = u.reshape(prob.nt + 1, prob.nx)
-            M = tridiag_dense(prob.M)
+            M = tridiag_dense(prob.M, prob.nx)
             direct = prob.dt * sum(
                 0.5 * (yb[i] - prob.z) @ (M @ (yb[i] - prob.z))
                 + 0.5 * prob.omega * ub[i] @ (M @ ub[i])
@@ -396,5 +420,5 @@ class TestAdjointStructure:
         y = prob.solve_state(u)
         g = ReducedJacobian(prob, prob.linearize(y, u)).apply_transpose(prob.residual(y, u))
         u0_block = u[: prob.nx]
-        expected = prob.omega * prob.dt * (tridiag_dense(prob.M) @ u0_block)
+        expected = prob.omega * prob.dt * (tridiag_dense(prob.M, prob.nx) @ u0_block)
         np.testing.assert_allclose(g[: prob.nx], expected, rtol=1e-12, atol=1e-15)

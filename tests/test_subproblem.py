@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from iclsq.core import LinearOperator
+from iclsq.core import DimensionMismatch, LinearOperator
 from iclsq.subproblem import (
     IndefiniteOperator,
     estimate_operator_norm,
@@ -226,6 +226,19 @@ class TestModelValidation:
                 step(g, gamma=1.0, h_norm=1.0, J=operator_from_matrix(np.eye(3)))
             with pytest.raises(ValueError):
                 step(g, gamma=1.0, h_norm=0.0, R=g)
+
+    @pytest.mark.parametrize("step", [exact_step, functools.partial(truncated_cg_step, theta=0.1)])
+    @pytest.mark.parametrize(
+        ("g_len", "r_len", "message"),
+        [
+            (3, 5, "R has length 5, expected 4"),  # failed in CGLS with a broadcast error
+            (4, 4, "gradient has length 4, expected 3"),
+        ],
+    )
+    def test_rejects_lengths_that_do_not_fit_J(self, step, g_len, r_len, message, rng):
+        J = operator_from_matrix(rng.standard_normal((4, 3)))
+        with pytest.raises(DimensionMismatch, match=message):
+            step(np.ones(g_len), gamma=1.0, h_norm=1.0, J=J, R=np.ones(r_len))
 
     def test_rejects_bad_gamma_theta_and_h_norm(self, rng):
         g = rng.standard_normal(3)
