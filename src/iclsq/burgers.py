@@ -5,7 +5,7 @@ mesh, homogeneous Dirichlet ends. The spatial operators M, B and C are
 constant-coefficient tridiagonals, each stored as its three coefficients
 ``(lower, diag, upper)``. Each time step is advanced with Newton's method,
 one LAPACK tridiagonal solve (``dgtsv``) per iteration. The Newton loop
-forms each step's right-hand side (M y_prev)/dt + f + M u once per step,
+forms each step's right-hand side (M y_prev)/dt + M u once per step,
 with the control terms of all steps in one sparse apply of c_u, so each
 iteration only evaluates A v + B(v v)/2 - rhs, A = M/dt + nu C.
 The linearized constraint is block lower bidiagonal in time, so its
@@ -109,7 +109,6 @@ class BurgersProblem(ImplicitProblem):
         self.M = (mass, 4.0 * mass, mass)
         self.B = (-0.5, 0.0, 0.5)
         self.C = (-stiff, 2.0 * stiff, -stiff)
-        self.f = np.zeros(nx)
         if y_init is None:
             self.y0 = np.zeros(nx)
             self.y0[: nx // 2] = 1.0
@@ -179,7 +178,7 @@ class BurgersProblem(ImplicitProblem):
     def solve_state(self, u) -> np.ndarray:
         """March the dynamics with one Newton solve per time step.
 
-        Each step's residual (M/dt + nu C) v + B(v v)/2 - (M y_prev)/dt - f - M u
+        Each step's residual (M/dt + nu C) v + B(v v)/2 - (M y_prev)/dt - M u
         is evaluated at most ``newton_max_iter + 1`` times; a step still above
         ``newton_tol`` at the last evaluation raises ``StateSolveError``.
         Counts as a single forward solve regardless of Newton iterations.
@@ -187,7 +186,7 @@ class BurgersProblem(ImplicitProblem):
         u = as_vector(u, self.n, name="control")
         mass_dt, step_op, half_b, _ = self._stencils
         # every step's control term -c_u u = M u_i in one sparse apply
-        forcing = self.f - (self._operators[3] @ u).reshape(self.nt, self.nx)
+        forcing = -(self._operators[3] @ u).reshape(self.nt, self.nx)
         tol, max_iter, conv = self.newton_tol, self.newton_max_iter, np.convolve
         out = np.empty((self.nt, self.nx))
         y_prev = self.y0

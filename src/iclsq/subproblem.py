@@ -81,12 +81,15 @@ def estimate_operator_norm(
     two successive Rayleigh quotients agree to a relative 1e-3
     (``_WARM_RTOL``), after at most thirty steps. A zero
     product is detected from the start vector and reported as exactly 0.
+    A ``start`` that is not finite or is zero raises ``ValueError``.
     """
     dim = J.shape[1]
     if start is None:
         v = np.random.default_rng(0).standard_normal(dim)
     else:
         v = as_vector(start, dim, name="start").copy()
+        if not np.all(np.isfinite(v)) or not np.any(v):
+            raise ValueError("start must be finite and nonzero")
     v /= np.linalg.norm(v)
     hv = J.rmatvec(J @ v)
     products = 1

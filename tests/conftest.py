@@ -1,7 +1,8 @@
 """Shared test problems, probe helpers and the references the library is
 checked against: the constraint c(y, u) evaluated directly, the elliptic
-stiffness matrix, finite-difference gradients and the densely assembled
-partial and reduced Jacobians."""
+mesh and its stiffness matrix (assembled element by element here, sharing
+no code with the library), finite-difference gradients and the densely
+assembled partial and reduced Jacobians."""
 
 import math
 
@@ -13,7 +14,6 @@ from scipy.linalg.lapack import dgtsv
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
 from iclsq.core import ImplicitProblem, LinearOperator, Linearization, StateSolveError, as_vector
-from iclsq.elliptic import _mesh
 
 
 class IdentityProblem(ImplicitProblem):
@@ -155,15 +155,35 @@ def step_residual(prob, y_prev, y_next, u_next):
         (M @ (y_next - y_prev)) / prob.dt
         + 0.5 * (B @ (y_next * y_next))
         + prob.nu * (C @ y_next)
-        - prob.f
         - M @ u_next
     )
+
+
+def elliptic_mesh(N):
+    """Triangles and interior nodes of the elliptic problem's N x N grid.
+
+    Returns ``(h, triangles, interior)``: ``triangles`` is a (2 N^2, 3)
+    array of node indices, cell by cell in row-major order with each cell's
+    lower triangle before its upper one. ``interior`` indexes the (N-1)^2
+    non-boundary nodes in row-major order.
+    """
+    if N < 2:
+        raise ValueError(f"need at least 2 subdivisions per side, got {N}")
+    n_side = N + 1
+    j, i = np.divmod(np.arange(N * N), N)
+    sw = j * n_side + i  # southwest corner of each cell
+    lower = np.stack([sw, sw + 1, sw + n_side + 1], axis=1)
+    upper = np.stack([sw, sw + n_side + 1, sw + n_side], axis=1)
+    triangles = np.stack([lower, upper], axis=1).reshape(-1, 3)
+    jj, ii = np.divmod(np.arange((N - 1) ** 2), N - 1)
+    interior = (jj + 1) * n_side + (ii + 1)
+    return 1.0 / N, triangles, interior
 
 
 def assemble_stiffness(N):
     """P1 stiffness matrix of the elliptic problem's N x N grid over all
     (N+1)^2 nodes, in CSR, and the indices of its interior nodes."""
-    h, triangles, interior = _mesh(N)
+    h, triangles, interior = elliptic_mesh(N)
     shapes = []  # element matrices of the lower and upper triangle
     for coords in ([[0, 0], [h, 0], [h, h]], [[0, 0], [h, h], [0, h]]):
         x, y = np.array(coords, dtype=float).T
@@ -199,7 +219,7 @@ def constraint_residual(prob, y, u):
         return np.concatenate(parts)
     y = as_vector(y, prob.n, name="state")
     u = as_vector(u, prob.n, name="control")
-    return interior_stiffness(prob.N) @ y - prob.M @ u - prob.f
+    return interior_stiffness(prob.N) @ y - prob.M @ u
 
 
 def feasibility_tol(prob):

@@ -45,7 +45,7 @@ def step_residual_oracle(prob, y_prev, y_next, u_next):
             diff -= y_next[i + 1]
         if i - 1 >= 0:
             diff -= y_next[i - 1]
-        out[i] = m_row / dt + 0.5 * conv + nu * diff / h - prob.f[i]
+        out[i] = m_row / dt + 0.5 * conv + nu * diff / h
     return out
 
 

@@ -117,8 +117,10 @@ class TestAssembly:
         prob = EllipticProblem(N)
         F = prob._sqrtM
         M = prob.M.toarray()
-        assert F.shape[1] == prob.n and prob.m == 2 * F.shape[0]
-        assert F.nnz <= 12 * N * N
+        assert F.shape == ((N - 1) ** 2 + 2 * N * N, prob.n) and prob.m == 2 * F.shape[0]
+        # six triangles per interior node plus the identity block, no stored zeros
+        assert F.nnz == 7 * (N - 1) ** 2
+        assert np.all(F.data != 0.0) and np.all(prob.M.data != 0.0)
         dense = F.toarray()
         assert np.linalg.norm(dense.T @ dense - M) <= 1e-13 * np.linalg.norm(M)
 
@@ -127,6 +129,15 @@ class TestAssembly:
             assemble_stiffness(1)  # the mesh itself refuses it
         with pytest.raises(ValueError):
             EllipticProblem(1)
+
+    @pytest.mark.parametrize("N", [8.5, 2.0, "4", True])
+    def test_rejects_non_integer_size(self, N):
+        with pytest.raises(ValueError, match="integer"):
+            EllipticProblem(N)
+
+    def test_accepts_numpy_integer_size(self):
+        prob = EllipticProblem(np.int64(6))
+        assert type(prob.N) is int and prob.N == 6 and prob.n == 25
 
 
 class TestStateSolve:
@@ -137,7 +148,7 @@ class TestStateSolve:
     def test_round_trip(self, rng):
         prob = EllipticProblem(5)
         y_star = rng.standard_normal(prob.n)
-        u = np.linalg.solve(prob.M.toarray(), interior_stiffness(prob.N) @ y_star - prob.f)
+        u = np.linalg.solve(prob.M.toarray(), interior_stiffness(prob.N) @ y_star)
         y = prob.solve_state(u)
         assert np.linalg.norm(y - y_star) <= 1e-10 * (1 + np.linalg.norm(y_star))
 
@@ -170,7 +181,7 @@ class TestFastSolve:
         y = prob.solve_state(u)
         lin = prob.linearize(y, u)
         cases = [
-            (y, np.linalg.solve(K, prob.M @ u + prob.f)),
+            (y, np.linalg.solve(K, prob.M @ u)),
             (prob.solve_cy(lin, rhs), np.linalg.solve(K, rhs)),
             (prob.solve_cy_transpose(lin, rhs), np.linalg.solve(K.T, rhs)),
         ]

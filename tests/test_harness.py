@@ -64,7 +64,7 @@ class TestDenseOracle:
             np.testing.assert_allclose(jac.apply_transpose(w), dense.T @ w, atol=1e-10)
 
     def test_size_guard(self):
-        prob = EllipticProblem(12)  # 121 * 1584 entries, over the cap
+        prob = EllipticProblem(13)  # 144 * 964 entries, over the cap
         with pytest.raises(ValueError):
             dense_jacobian_oracle(prob, np.zeros(prob.n))
 

@@ -180,6 +180,23 @@ class TestOperatorNorm:
         estimate_operator_norm(operator_from_matrix(J), start=start)
         np.testing.assert_array_equal(start, kept)
 
+    @pytest.mark.parametrize(
+        "start",
+        [[0.0, 0.0, 0.0], [np.nan, 1.0, 1.0], [1.0, np.inf, 1.0]],
+        ids=["zero", "nan", "inf"],
+    )
+    def test_rejects_bad_start_before_any_product(self, start):
+        applied = []
+
+        def record(v):
+            applied.append(v)
+            return v
+
+        J = LinearOperator((3, 3), record, record)
+        with pytest.raises(ValueError, match="start"):
+            estimate_operator_norm(J, start=np.array(start))
+        assert applied == []
+
 
 class TestModelDecrease:
     def test_zero_step(self, rng):
