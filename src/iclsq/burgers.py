@@ -15,11 +15,11 @@ applied with ``dgttrs``). ``linearize`` leaves the factoring to the first
 solve at the base point, and the factors live in its ``Linearization``. The
 per-step loops apply their Toeplitz operators to single blocks as one
 3-point ``np.convolve`` each. The operators on all blocks at once, the
-residual's mass factor and the partial Jacobians G_u, G_y and c_u, are
-``scipy.sparse`` CSR matrices, each the Kronecker product of a shifted
-identity over the time blocks with one tridiagonal block. These matrices,
-the 3-point kernels and ``step_jacobian``'s constant terms are built on
-first use.
+partial Jacobians G_u, G_y and c_u, are ``scipy.sparse`` CSR matrices, each
+the Kronecker product of a shifted identity over the time blocks with one
+tridiagonal block; the residual is linear, G_y (y - z) + G_u u. These
+matrices, the 3-point kernels and ``step_jacobian``'s constant terms are
+built on first use.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -37,6 +37,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf
 
 from .core import ImplicitProblem, LinearOperator, Linearization, StateSolveError, as_vector
+from .core import check_integer, check_positive
 
 __all__ = ["BurgersProblem"]
 
@@ -73,9 +74,10 @@ class BurgersProblem(ImplicitProblem):
         nx // 2 entries equal to one. It is also the desired state z, at
         every time.
     newton_tol, newton_max_iter : each time step's Newton solve stops once
-        its residual norm is at most ``newton_tol`` (positive, finite) and
-        fails after ``newton_max_iter`` (nonnegative) iterations.
-    nx, nt and newton_max_iter are integers (numpy's too, not bool).
+        its residual norm is at most ``newton_tol`` and fails after
+        ``newton_max_iter`` iterations.
+    nx (at least 2), nt (at least 1) and newton_max_iter (at least 0) are integers
+    (numpy's too, not bool); nu, omega and newton_tol are positive and finite.
     """
 
     def __init__(
@@ -88,21 +90,12 @@ class BurgersProblem(ImplicitProblem):
         newton_tol: float = 1e-12,
         newton_max_iter: int = 25,
     ):
-        for name, value in (("nx", nx), ("nt", nt), ("newton_max_iter", newton_max_iter)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if nx < 2 or nt < 1:
-            raise ValueError(f"need nx >= 2 and nt >= 1, got nx={nx}, nt={nt}")
-        if not (0 < nu < math.inf and 0 < omega < math.inf):
-            raise ValueError(f"nu and omega must be positive and finite, got {nu} and {omega}")
-        if not 0 < newton_tol < math.inf:
-            raise ValueError(f"newton_tol must be positive and finite, got {newton_tol}")
-        if newton_max_iter < 0:
-            raise ValueError(f"newton_max_iter must be nonnegative, got {newton_max_iter}")
-        self.nx = int(nx)
-        self.nt = int(nt)
-        self.nu = float(nu)
-        self.omega = float(omega)
+        self.nx = nx = check_integer("nx", nx, 2)
+        self.nt = check_integer("nt", nt, 1)
+        self.newton_max_iter = check_integer("newton_max_iter", newton_max_iter, 0)
+        self.nu = check_positive("nu", nu)
+        self.omega = check_positive("omega", omega)
+        self.newton_tol = check_positive("newton_tol", newton_tol)
         self.h = 1.0 / self.nx
         self.dt = 1.0 / self.nt
         mass, stiff = self.h / 6.0, 1.0 / self.h
@@ -117,8 +110,6 @@ class BurgersProblem(ImplicitProblem):
             if not np.all(np.isfinite(self.y0)):
                 raise ValueError("y_init must be finite")
         self.z = self.y0.copy()
-        self.newton_tol = float(newton_tol)
-        self.newton_max_iter = int(newton_max_iter)
         # M = L D L^T with L unit lower bidiagonal, so F = sqrt(D) L^T is
         # upper bidiagonal with F^T F = M.
         d, e, _ = dpttrf(np.full(nx, 4.0 * mass), np.full(nx - 1, mass))
@@ -180,57 +171,57 @@ class BurgersProblem(ImplicitProblem):
 
         Each step's residual (M/dt + nu C) v + B(v v)/2 - (M y_prev)/dt - M u
         is evaluated at most ``newton_max_iter + 1`` times; a step still above
-        ``newton_tol`` at the last evaluation raises ``StateSolveError``.
+        ``newton_tol`` at the last evaluation, or whose residual norm is not
+        finite (it overflowed), raises ``StateSolveError`` at once.
         Counts as a single forward solve regardless of Newton iterations.
         """
         u = as_vector(u, self.n, name="control")
         mass_dt, step_op, half_b, _ = self._stencils
         # every step's control term -c_u u = M u_i in one sparse apply
-        forcing = -(self._operators[3] @ u).reshape(self.nt, self.nx)
+        forcing = -(self._operators[2] @ u).reshape(self.nt, self.nx)
         tol, max_iter, conv = self.newton_tol, self.newton_max_iter, np.convolve
         out = np.empty((self.nt, self.nx))
         y_prev = self.y0
-        for i in range(self.nt):
-            rhs = conv(y_prev, mass_dt)[1:-1] + forcing[i]
-            v = y_prev  # warm start from the previous step; never written to
-            for newton_iter in range(max_iter + 1):
-                res = conv(v, step_op)[1:-1] + conv(v * v, half_b)[1:-1] - rhs
-                res_norm = math.sqrt(res @ res)
-                if res_norm <= tol:
-                    break
-                if newton_iter == max_iter:
-                    raise StateSolveError(
-                        f"Newton failed at time step {i + 1}: residual {res_norm:.3e} "
-                        f"after {max_iter} iterations",
-                        step_index=i + 1,
-                        residual_norm=res_norm,
+        # an overflowing iterate ends the solve below, so it warns of nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(self.nt):
+                rhs = conv(y_prev, mass_dt)[1:-1] + forcing[i]
+                v = y_prev  # warm start from the previous step; never written to
+                for newton_iter in range(max_iter + 1):
+                    res = conv(v, step_op)[1:-1] + conv(v * v, half_b)[1:-1] - rhs
+                    res_norm = math.sqrt(res @ res)
+                    if res_norm <= tol:
+                        break
+                    if newton_iter == max_iter or not math.isfinite(res_norm):
+                        raise StateSolveError(
+                            f"Newton failed at time step {i + 1}: residual {res_norm:.3e} "
+                            f"after {newton_iter} iterations",
+                            step_index=i + 1,
+                            residual_norm=res_norm,
+                        )
+                    # fresh off-diagonals and residual are overwritten; the shared
+                    # diagonal is read only and is copied
+                    dl, d, du = self.step_jacobian(v)
+                    *_, delta, info = dgtsv(
+                        dl, d, du, res, overwrite_dl=1, overwrite_du=1, overwrite_b=1
                     )
-                # fresh off-diagonals and residual are overwritten; the shared
-                # diagonal is read only and is copied
-                dl, d, du = self.step_jacobian(v)
-                *_, delta, info = dgtsv(
-                    dl, d, du, res, overwrite_dl=1, overwrite_du=1, overwrite_b=1
-                )
-                if info > 0:
-                    raise StateSolveError(
-                        f"Newton failed at time step {i + 1}: singular step "
-                        f"Jacobian (zero pivot {info})",
-                        step_index=i + 1,
-                        residual_norm=res_norm,
-                    )
-                v = v - delta
-            out[i] = v
-            y_prev = v
+                    if info > 0:
+                        raise StateSolveError(
+                            f"Newton failed at time step {i + 1}: singular step "
+                            f"Jacobian (zero pivot {info})",
+                            step_index=i + 1,
+                            residual_norm=res_norm,
+                        )
+                    v = v - delta
+                out[i] = v
+                y_prev = v
         return out.ravel()
 
     def residual(self, y, u) -> np.ndarray:
-        yb = self.state_blocks(y)
-        u = as_vector(u, self.n, name="control")
-        Fb = self._operators[0]
-        sd = math.sqrt(self.dt)
-        so = math.sqrt(self.omega * self.dt)
-        states = (np.vstack([self.y0, yb]) - self.z).ravel()
-        return np.concatenate([sd * (Fb @ states), so * (Fb @ u)])
+        """R = G_y (y - z) + G_u u, linear in (y, u). Its first block,
+        sqrt(dt) F (y0 - z), is zero since z = y0, so G_y leaves it empty."""
+        Gu, Gy, _ = self._operators
+        return Gy @ (self.state_blocks(y) - self.z).ravel() + Gu @ u
 
     # linearization: the factors live in each base point's Linearization
     def linearize(self, y, u) -> Linearization:
@@ -250,8 +241,7 @@ class BurgersProblem(ImplicitProblem):
                 factors.append(lu)
             return factors
 
-        _, Gu, Gy, cu = self._operators
-        return Linearization(Gu, Gy, cu, factor=factor)
+        return Linearization(*self._operators, factor=factor)
 
     def solve_cy(self, lin, rhs) -> np.ndarray:
         """Block forward substitution through the time steps."""
@@ -274,10 +264,9 @@ class BurgersProblem(ImplicitProblem):
 
     @cached_property
     def _operators(self) -> tuple:
-        """``(F_b, G_u, G_y, c_u)``, the same at every base point. F_b =
-        kron(I_{nt+1}, F) is a CSR matrix, which ``residual`` applies. The
-        partial Jacobians are ``LinearOperator``s on CSR matrices with their
-        CSR transposes: G_u and G_y hold F's blocks, scaled by
+        """``(G_u, G_y, c_u)``, the same at every base point, and also what
+        ``residual`` applies. Each is a ``LinearOperator`` on a CSR matrix and
+        its CSR transpose: G_u and G_y hold F's blocks, scaled by
         sqrt(omega dt) and sqrt(dt), and c_u holds M's, scaled by -1. Zero
         entries of a block are not stored. Built on first use, so the
         constructor assembles nothing."""
@@ -285,7 +274,6 @@ class BurgersProblem(ImplicitProblem):
         F, M = (sp.diags(T, [-1, 0, 1], shape=(nx, nx)) for T in (self._sqrtM, self.M))
         sd, so = math.sqrt(self.dt), math.sqrt(self.omega * self.dt)
         return (
-            sp.kron(sp.eye(nt + 1), F, format="csr"),
             # residual rows: nt + 1 state blocks, then nt + 1 control blocks
             _operator(sp.kron(sp.eye(2 * nt + 2, nt + 1, k=-nt - 1), F, format="csr"), so),
             # the states at steps 1..nt; block 0 holds the initial state, which is data

@@ -10,6 +10,7 @@ for the state or linearized (and transposed), never evaluated.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -20,6 +21,8 @@ __all__ = [
     "DimensionMismatch",
     "StateSolveError",
     "as_vector",
+    "check_integer",
+    "check_positive",
     "norm",
     "LinearOperator",
     "EvalCounters",
@@ -49,6 +52,24 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {dim}")
     return v
+
+
+def check_integer(name: str, value, minimum: int) -> int:
+    """A Python or numpy integer (not a bool) of at least ``minimum``, as an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
+def check_positive(name: str, value) -> float:
+    """A real number (not a bool) in (0, inf), as a ``float``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 def norm(a) -> float:

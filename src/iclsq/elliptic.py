@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import ImplicitProblem, LinearOperator, Linearization, as_vector
+from .core import check_integer, check_positive
 
 __all__ = ["EllipticProblem"]
 
@@ -53,7 +54,7 @@ class EllipticProblem(ImplicitProblem):
     ----------
     N : subdivisions per side, an integer of at least 2; the control/state
         dimension is (N-1)^2.
-    lam : control regularization weight.
+    lam : control regularization weight, positive and finite.
     z_choice : "zero" or "one", the desired state (zero gives a problem
         with an exact zero-residual solution, one a large-residual one).
 
@@ -65,17 +66,11 @@ class EllipticProblem(ImplicitProblem):
     """
 
     def __init__(self, N: int, lam: float = 1e-3, z_choice: str = "zero"):
-        if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-            raise ValueError(f"N must be an integer, got {N!r}")
-        if N < 2:
-            raise ValueError(f"need at least 2 subdivisions per side, got {N}")
-        if not 0 < lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {lam}")
+        self.N = N = check_integer("N", N, 2)
+        self.lam = check_positive("lam", lam)
         if z_choice not in ("zero", "one"):
             raise ValueError(f"z_choice must be 'zero' or 'one', got {z_choice!r}")
-        self.N = N = int(N)
         self._n = (N - 1) ** 2
-        self.lam = float(lam)
         h = 1.0 / N
         c = 0.5 * (h * h) / 12.0
         S = _incidence(N)
@@ -124,11 +119,9 @@ class EllipticProblem(ImplicitProblem):
         return self._solve_K(self.M @ u)
 
     def residual(self, y, u) -> np.ndarray:
-        y = as_vector(y, self._n, name="state")
-        u = as_vector(u, self._n, name="control")
-        return np.concatenate(
-            [self._sqrtM @ (y - self.z), math.sqrt(self.lam) * (self._sqrtM @ u)]
-        )
+        """R = G_y (y - z) + G_u u, with the operators of the one linearization."""
+        lin = self._linearization
+        return lin.Gy @ (as_vector(y, self._n, name="state") - self.z) + lin.Gu @ u
 
     def _residual_half_op(self, scale: float, half: int) -> LinearOperator:
         """scale * F on residual half ``half`` (0 state, 1 control), zero on the other."""

@@ -9,13 +9,13 @@ gradient norm falls below its tolerance.
 
 Each iteration calls ``exact_step`` (theta = 0) or ``truncated_cg_step``
 once, with the model as arguments. With Gauss-Newton curvature the bound on
-||J^T J|| they need comes from ``estimate_operator_norm``, cold at the first
-base point of a run and warm-started from the last dominant vector after.
+||J^T J|| they need comes from ``estimate_operator_norm``, once per
+linearization the run steps from (once per run on the linear elliptic problem),
+cold at the first and warm-started from the last dominant vector after.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Optional
@@ -24,6 +24,7 @@ import numpy as np
 
 from .adjoint import ReducedJacobian
 from .core import EvalCounters, ImplicitProblem, StateSolveError, as_vector, norm
+from .core import check_integer, check_positive
 from .subproblem import estimate_operator_norm, exact_step, truncated_cg_step
 
 __all__ = [
@@ -65,26 +66,17 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        for name in ("gamma0", "gamma_min", "eps_R", "eps_g"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if self.gamma0 is not None:
+            self.gamma0 = check_positive("gamma0", self.gamma0)
+        for name in ("gamma_min", "eps_R", "eps_g"):
+            setattr(self, name, check_positive(name, getattr(self, name)))
+        self.max_iter = check_integer("max_iter", self.max_iter, 0)
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.gamma0 is not None and self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
-        if self.gamma_min <= 0:
-            raise ValueError("gamma_min must be positive")
         if self.gamma0 is not None and self.gamma_min > self.gamma0:
             raise ValueError("gamma_min must not exceed gamma0")
         if not 0.0 <= self.theta < 1.0:
             raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
-        if self.eps_R <= 0 or self.eps_g <= 0:
-            raise ValueError("eps_R and eps_g must be positive")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
         if self.hessian_mode not in HESSIAN_MODES:
             raise ValueError(f"hessian_mode must be one of {HESSIAN_MODES}")
 
@@ -199,7 +191,7 @@ def solve(
         )
 
     gauss_newton = config.hessian_mode == "gauss_newton"
-    h_norm = None  # refreshed whenever the base point moves
+    h_norm = h_lin = None  # the curvature bound and the linearization it is estimated at
     h_vec = None  # dominant vector of the last estimate, the next one's start
     trace: list[IterationTrace] = []
     status: Optional[SolveStatus] = None
@@ -211,12 +203,13 @@ def solve(
 
         if not gauss_newton:
             h_norm = 0.0
-        elif h_norm is None:
+        elif jac.lin is not h_lin:
             # Norm probes emulate a known curvature bound; they run on an
             # uncounted Jacobian at jac's linearization so tallies match
             # the cost model, and are tallied apart as two applications each.
+            h_lin = jac.lin
             h_norm, h_vec, products = estimate_operator_norm(
-                ReducedJacobian(problem, jac.lin), start=h_vec
+                ReducedJacobian(problem, h_lin), start=h_vec
             )
             counters.norm_probe_applies += 2 * products
         model = (jac, R) if gauss_newton else ()
@@ -288,7 +281,6 @@ def solve(
             jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
             g = jac.apply_transpose(R)
             gamma = max(0.5 * gamma, config.gamma_min)
-            h_norm = None
         else:
             gamma = 2.0 * gamma
 

@@ -129,6 +129,7 @@ class TestMatrices:
             {"newton_tol": math.nan},
             {"y_init": [1.0, math.nan, 0.0, 0.0]},  # ran Newton on NaN
             {"y_init": [1.0, 0.0, math.inf, 0.0]},
+            {"nu": True},  # ran with nu = 1
         ],
     )
     def test_rejects_bad_newton_setting(self, setting):
@@ -228,6 +229,14 @@ class TestForwardSolve:
             prob.solve_state(u)
         assert err.value.step_index == 1
         assert err.value.residual_norm > 0
+
+    def test_overflowing_newton_fails_at_once(self):
+        # The residual norm overflows in the first Newton iteration; iterating
+        # on to newton_max_iter would warn of the overflow and waste 24 more.
+        prob = BurgersProblem(8, 4)
+        with pytest.raises(StateSolveError, match="residual inf after 1 iterations") as err:
+            prob.solve_state(1e100 * np.ones(prob.n))
+        assert err.value.step_index == 1 and err.value.residual_norm == math.inf
 
     def test_singular_newton_step_reports_step(self):
         prob = SingularStep(5, 4)
@@ -360,20 +369,22 @@ class TestResidual:
         np.testing.assert_allclose(r, 0.0, atol=1e-15)
 
     def test_tracking_objective_identity(self, rng):
-        prob = BurgersProblem(5, 4, nu=0.1, omega=0.07)
-        for _ in range(10):
-            y = rng.standard_normal(prob.n_y)
-            u = rng.standard_normal(prob.n)
-            r = prob.residual(y, u)
-            yb = np.vstack([prob.y0, prob.state_blocks(y)])
-            ub = u.reshape(prob.nt + 1, prob.nx)
+        # nx = 2 is the padded-LAPACK size, nt = 1 a single time step
+        for nx, nt in ((5, 4), (2, 1), (2, 3)):
+            prob = BurgersProblem(nx, nt, nu=0.1, omega=0.07)
             M = tridiag_dense(prob.M, prob.nx)
-            direct = prob.dt * sum(
-                0.5 * (yb[i] - prob.z) @ (M @ (yb[i] - prob.z))
-                + 0.5 * prob.omega * ub[i] @ (M @ ub[i])
-                for i in range(prob.nt + 1)
-            )
-            assert 0.5 * float(r @ r) == pytest.approx(direct, rel=1e-12)
+            for _ in range(10):
+                y = rng.standard_normal(prob.n_y)
+                u = rng.standard_normal(prob.n)
+                r = prob.residual(y, u)
+                yb = np.vstack([prob.y0, prob.state_blocks(y)])
+                ub = u.reshape(prob.nt + 1, prob.nx)
+                direct = prob.dt * sum(
+                    0.5 * (yb[i] - prob.z) @ (M @ (yb[i] - prob.z))
+                    + 0.5 * prob.omega * ub[i] @ (M @ ub[i])
+                    for i in range(prob.nt + 1)
+                )
+                assert 0.5 * float(r @ r) == pytest.approx(direct, rel=1e-12)
 
     def test_uncontrolled_drift_regression(self):
         # The state drifts away from the step profile under the dynamics;

@@ -106,14 +106,8 @@ class TestAssembly:
             np.testing.assert_allclose(A, A.T, atol=1e-14)
             assert np.min(np.linalg.eigvalsh(A)) > 0
 
-    def test_mass_factor_reproduces_mass(self):
-        prob = EllipticProblem(6)
-        F = prob._sqrtM.toarray()
-        M = prob.M.toarray()
-        assert np.linalg.norm(F.T @ F - M) <= 1e-12 * np.linalg.norm(M)
-
-    @pytest.mark.parametrize("N", [2, 3, 7])
-    def test_element_factor_reproduces_mass_and_is_sparse(self, N):
+    @pytest.mark.parametrize("N", [2, 3, 6, 7])
+    def test_mass_factor_reproduces_mass_and_is_sparse(self, N):
         prob = EllipticProblem(N)
         F = prob._sqrtM
         M = prob.M.toarray()
@@ -130,10 +124,17 @@ class TestAssembly:
         with pytest.raises(ValueError):
             EllipticProblem(1)
 
-    @pytest.mark.parametrize("N", [8.5, 2.0, "4", True])
-    def test_rejects_non_integer_size(self, N):
-        with pytest.raises(ValueError, match="integer"):
-            EllipticProblem(N)
+    @pytest.mark.parametrize(
+        "setting",
+        [pytest.param({"N": N}, id=str(N)) for N in (8.5, 2.0, "4", True)]
+        # lam passes the shared real-number rule; a string raised a TypeError
+        + [pytest.param({"lam": "1e-3"}, id="lam-1e-3")],
+    )
+    def test_rejects_non_integer_size(self, setting):
+        [name] = setting
+        rule = "an integer" if name == "N" else "a real number"
+        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
+            EllipticProblem(**({"N": 4} | setting))
 
     def test_accepts_numpy_integer_size(self):
         prob = EllipticProblem(np.int64(6))

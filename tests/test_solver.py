@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import iclsq.solver as solver_mod
+from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
 from iclsq.elliptic import EllipticProblem
 from iclsq.solver import (
@@ -167,6 +168,16 @@ def check_dynamics(out, cfg):
             assert not t.success
 
 
+class TestNormEstimates:
+    def test_linear_problem_is_estimated_once(self):
+        # one cold estimate of 31 products for the run's 23 accepted steps
+        prob = EllipticProblem(8)
+        out = solve(prob, np.ones(prob.n), SolverConfig(theta=0.5))
+        assert out.status is SolveStatus.CONVERGED_RESIDUAL and out.successes == 23
+        assert out.counters.norm_probe_applies == 62
+        assert len({t.h_norm_estimate for t in out.trace}) == 1
+
+
 class TestBudget:
     def test_budget_exhausted(self):
         prob = EllipticProblem(5, z_choice="one")
@@ -213,8 +224,9 @@ class TestStepRouting:
     """The solver calls the step kernel and the norm estimator through its
     module globals, where a per-layer tracer can wrap them: one step per
     iteration, exact_step at theta = 0 and truncated_cg_step otherwise, and
-    with Gauss-Newton curvature one estimate at each base point the loop
-    steps from, the initial one and every accepted one after it."""
+    with Gauss-Newton curvature one estimate at each linearization the loop
+    steps from: on Burgers, the initial base point and every accepted one
+    after it; on the linear elliptic problem, one for the run."""
 
     @pytest.mark.parametrize("mode", ["zero", "gauss_newton"])
     @pytest.mark.parametrize("theta", [0.0, 1e-2])
@@ -237,6 +249,35 @@ class TestStepRouting:
         assert calls["truncated_cg_step"] == (0 if exact else out.iterations)
         base_points = sum(1 for t in out.trace if t.k == 0 or out.trace[t.k - 1].success)
         assert calls["estimate_operator_norm"] == (base_points if mode == "gauss_newton" else 0)
+
+    @pytest.mark.parametrize("name", ["burgers", "elliptic"])
+    def test_one_estimate_per_linearization(self, monkeypatch, name):
+        # Burgers builds a Linearization at every accepted point, elliptic
+        # returns its one Linearization at every point.
+        stepped, estimated = [], []
+        step_kernel, estimate = solver_mod.exact_step, solver_mod.estimate_operator_norm
+
+        def step_spy(*args, **kwargs):
+            stepped.append(next(a.lin for a in args if isinstance(a, ReducedJacobian)))
+            return step_kernel(*args, **kwargs)
+
+        def estimate_spy(jac, **kwargs):
+            estimated.append(jac.lin)
+            return estimate(jac, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "exact_step", step_spy)
+        monkeypatch.setattr(solver_mod, "estimate_operator_norm", estimate_spy)
+        if name == "burgers":
+            prob = BurgersProblem(8, 8, nu=0.01)
+            u0 = np.zeros(prob.n)
+        else:
+            prob = EllipticProblem(10, z_choice="one")
+            u0 = np.ones(prob.n)
+        out = solve(prob, u0, SolverConfig())
+        assert out.successes > 1
+        distinct = [lin for k, lin in enumerate(stepped) if k == 0 or lin is not stepped[k - 1]]
+        assert estimated == distinct
+        assert len(distinct) == (out.successes if name == "burgers" else 1)
 
 
 class NonFiniteTrialProblem(IdentityProblem):
@@ -300,6 +341,16 @@ class TestFailurePropagation:
                 assert out.trace[t.k + 1].gamma == 2.0 * t.gamma
         assert np.all(np.isfinite(out.residual)) and np.all(np.isfinite(out.u))
 
+    def test_overflowing_trial_state_is_rejected_iteration(self):
+        # A step of about 1e120 overflows the Newton march at every trial
+        # control; it fails at once and silently, under filterwarnings=error.
+        prob = BurgersProblem(8, 4, nu=0.1)
+        cfg = SolverConfig(gamma0=1e-120, gamma_min=1e-130, hessian_mode="zero", max_iter=5)
+        out = solve(prob, np.zeros(prob.n), cfg)
+        assert out.status is SolveStatus.BUDGET_EXHAUSTED
+        assert out.counters.failed_trial_solves == 5 and out.successes == 0
+        assert all("StateSolveError" in t.note for t in out.trace)
+
     def test_nonfinite_trial_residual_is_rejected_iteration(self):
         prob = NonFiniteTrialProblem()
         cfg = SolverConfig(eps_R=1e-12, eps_g=1e-12, max_iter=5)
@@ -362,7 +413,8 @@ class TestConfigValidation:
             SolverConfig(hessian_mode="newton")
 
     @pytest.mark.parametrize("field", ["gamma0", "gamma_min", "eps_R", "eps_g"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    # True, a bool and not a number, used to run as 1
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True])
     def test_nonfinite_setting_rejected(self, field, value):
         # A NaN would otherwise pass every comparison check and silently
         # disable the floor, a stopping test or the gamma dynamics.
