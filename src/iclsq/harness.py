@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import inspect
+import io
 import json
 import sys
 import time
@@ -112,6 +114,7 @@ class ExperimentRow:
     final_residual_norm: float
     final_scaled_gradient: float
     error_type: str  # exception class name of a failed cell, else empty
+    error_message: str  # str() of that exception, else empty
     wall_ms: float
 
 
@@ -175,6 +178,7 @@ def _run_cell(
         final_residual_norm=float("nan") if failed else outcome.residual_norm,
         final_scaled_gradient=float("nan") if failed else outcome.scaled_gradient,
         error_type=type(error).__name__ if failed else "",
+        error_message=str(error) if failed else "",
         wall_ms=wall_ms,
     )
     return row, error
@@ -184,8 +188,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Run every grid cell with fresh counters; write CSVs and traces.
 
     Cells are independent; a failing cell is recorded with status "error"
-    and its exception class in ``error_type``, its trace ends with an
-    ``{"error_type", "error_message"}`` record, and the sweep continues.
+    and its exception's class and message in ``error_type`` and
+    ``error_message``, its trace ends with an ``{"error_type",
+    "error_message"}`` record, and the sweep continues.
     Output is deterministic apart from wall times.
     """
     problem = PROBLEMS[spec.problem](**spec.problem_params)
@@ -214,10 +219,13 @@ def _summary_cell(column: str, value) -> str:
 
 
 def summary_csv(rows: list[ExperimentRow]) -> str:
-    lines = [CSV_PREAMBLE + ",".join(SUMMARY_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_summary_cell(c, getattr(r, c)) for c in SUMMARY_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """The rows under the preamble; a field with a comma, quote or line
+    break (an error message, say) is quoted as ``csv`` does."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(SUMMARY_COLUMNS)
+    writer.writerows([_summary_cell(c, getattr(r, c)) for c in SUMMARY_COLUMNS] for r in rows)
+    return CSV_PREAMBLE + text.getvalue()
 
 
 def render_table(rows: list[ExperimentRow], metric: str) -> str:
@@ -256,19 +264,26 @@ def render_table(rows: list[ExperimentRow], metric: str) -> str:
 # command line
 
 
+# sizes of an unset size flag; every other unset flag keeps the constructor's default
+_SIZE_DEFAULTS = {"elliptic": {"N": 20}, "burgers": {"nx": 16, "nt": 16}}
+
+
 def _add_problem_args(parser):
-    # dests are constructor keywords; an unset flag without a default here
-    # leaves the constructor's default in place
+    # dests are constructor keywords; problem_flags maps each to its flag
     parser.add_argument("problem", choices=list(PROBLEMS))
-    parser.add_argument("--n-mesh", dest="N", type=int, default=20,
-                        help="elliptic mesh subdivisions")
-    parser.add_argument("--lambda", dest="lam", type=float, help="elliptic control regularization")
-    parser.add_argument("--z", dest="z_choice", choices=["zero", "one"],
-                        help="elliptic desired state")
-    parser.add_argument("--nx", type=int, default=16, help="burgers spatial resolution")
-    parser.add_argument("--nt", type=int, default=16, help="burgers time steps")
-    parser.add_argument("--nu", type=float, help="burgers viscosity")
-    parser.add_argument("--omega", type=float, help="burgers control regularization")
+    flags = [
+        parser.add_argument("--n-mesh", dest="N", type=int,
+                            help="elliptic mesh subdivisions (default 20)"),
+        parser.add_argument("--lambda", dest="lam", type=float,
+                            help="elliptic control regularization"),
+        parser.add_argument("--z", dest="z_choice", choices=["zero", "one"],
+                            help="elliptic desired state"),
+        parser.add_argument("--nx", type=int, help="burgers spatial resolution (default 16)"),
+        parser.add_argument("--nt", type=int, help="burgers time steps (default 16)"),
+        parser.add_argument("--nu", type=float, help="burgers viscosity"),
+        parser.add_argument("--omega", type=float, help="burgers control regularization"),
+    ]
+    parser.set_defaults(problem_flags={a.dest: a.option_strings[0] for a in flags})
 
 
 def _add_solver_args(parser):
@@ -286,7 +301,14 @@ def _set_args(args, names) -> dict:
 
 
 def _problem_params(args) -> dict:
-    return _set_args(args, inspect.signature(PROBLEMS[args.problem]).parameters)
+    """The chosen problem's constructor keywords: its size defaults and the
+    set problem flags. Set flags that it does not take raise ``ValueError``."""
+    params = _set_args(args, args.problem_flags)
+    taken = inspect.signature(PROBLEMS[args.problem]).parameters
+    foreign = [args.problem_flags[name] for name in params if name not in taken]
+    if foreign:
+        raise ValueError(f"the {args.problem} problem takes no {', '.join(foreign)}")
+    return _SIZE_DEFAULTS[args.problem] | params
 
 
 def _default_eps_grid(problem: str, z_choice: str | None) -> tuple:

@@ -63,7 +63,6 @@ class SolverConfig:
     theta: float = 0.0
     max_iter: int = 300
     hessian_mode: str = "gauss_newton"
-    record_iterates: bool = False
 
     def __post_init__(self):
         if self.gamma0 is not None:
@@ -83,7 +82,8 @@ class SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """Record of one outer iteration, successful or not."""
+    """Record of one outer iteration, successful or not, taken at the
+    iterate ``u`` the step starts from."""
 
     k: int
     gamma: float
@@ -101,7 +101,7 @@ class IterationTrace:
     cg_tolerance: float
     counters: dict = field(default_factory=dict)
     note: str = ""
-    u: Optional[np.ndarray] = None  # populated only when record_iterates is set
+    u: Optional[np.ndarray] = None  # a copy; writing to it does not steer the run
 
     def to_dict(self) -> dict:
         """Every field except the iterate ``u``, as one JSONL record."""
@@ -110,6 +110,9 @@ class IterationTrace:
 
 @dataclass
 class SolveOutcome:
+    """Where a run ended: its status, final point and counters. The
+    per-iteration records go to ``solve``'s ``trace_sink`` as they happen."""
+
     status: SolveStatus
     u: np.ndarray
     y: np.ndarray
@@ -118,7 +121,6 @@ class SolveOutcome:
     gamma: float
     iterations: int
     successes: int
-    trace: list[IterationTrace]
     counters: EvalCounters
 
     @property
@@ -161,6 +163,10 @@ def solve(
 ) -> SolveOutcome:
     """Run the outer loop from u0 until convergence or budget exhaustion.
 
+    Each iteration, accepted or not, goes to ``trace_sink`` as an
+    ``IterationTrace`` holding a copy of its starting iterate; without a sink
+    none is built. The stopping tests run before each step and at the budget.
+
     One forward solve happens at u0 and one per trial point, so the forward
     counter always equals the number of completed iterations plus one. A
     trial point whose state solve raises ``StateSolveError``, or whose
@@ -176,8 +182,8 @@ def solve(
     if counters is None:
         counters = EvalCounters()
 
+    counters.forward_solves += 1  # counted before it is tried, as at trial points
     y = problem.solve_state(u)
-    counters.forward_solves += 1
     R = problem.residual(y, u)
     if not np.all(np.isfinite(R)):
         raise ValueError("the residual at u0 is not finite")
@@ -193,12 +199,11 @@ def solve(
     gauss_newton = config.hessian_mode == "gauss_newton"
     h_norm = h_lin = None  # the curvature bound and the linearization it is estimated at
     h_vec = None  # dominant vector of the last estimate, the next one's start
-    trace: list[IterationTrace] = []
-    status: Optional[SolveStatus] = None
+    successes = 0
 
-    for k in range(config.max_iter):
+    for k in range(config.max_iter + 1):
         status = stopping_check(R, g, config.eps_R, config.eps_g)
-        if status is not None:
+        if status is not None or k == config.max_iter:
             break
 
         if not gauss_newton:
@@ -252,31 +257,30 @@ def solve(
             rho = actual / predicted
             success = rho >= config.eta
 
-        rn = norm(R)
-        trace_rec = IterationTrace(
-            k=k,
-            gamma=gamma,
-            residual_norm=rn,
-            grad_norm=norm(g),
-            scaled_gradient=norm(g) / rn,
-            model_decrease=predicted,
-            actual_decrease=actual,
-            rho=rho,
-            success=success,
-            cg_iters=step.cg_iters,
-            step_norm=norm(step.step),
-            step_residual_norm=step.residual_norm,
-            h_norm_estimate=h_norm,
-            cg_tolerance=step.cg_tolerance,
-            counters=counters.snapshot(),
-            note=note,
-            u=u.copy() if config.record_iterates else None,
-        )
-        trace.append(trace_rec)
         if trace_sink is not None:
-            trace_sink(trace_rec)
+            rn = norm(R)
+            trace_sink(IterationTrace(
+                k=k,
+                gamma=gamma,
+                residual_norm=rn,
+                grad_norm=norm(g),
+                scaled_gradient=norm(g) / rn,
+                model_decrease=predicted,
+                actual_decrease=actual,
+                rho=rho,
+                success=success,
+                cg_iters=step.cg_iters,
+                step_norm=norm(step.step),
+                step_residual_norm=step.residual_norm,
+                h_norm_estimate=h_norm,
+                cg_tolerance=step.cg_tolerance,
+                counters=counters.snapshot(),
+                note=note,
+                u=u.copy(),
+            ))
 
         if success:
+            successes += 1
             u, y, R = u_trial, y_trial, R_trial
             jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
             g = jac.apply_transpose(R)
@@ -284,20 +288,14 @@ def solve(
         else:
             gamma = 2.0 * gamma
 
-    if status is None:
-        status = stopping_check(R, g, config.eps_R, config.eps_g)
-    if status is None:
-        status = SolveStatus.BUDGET_EXHAUSTED
-
     return SolveOutcome(
-        status=status,
+        status=status or SolveStatus.BUDGET_EXHAUSTED,
         u=u,
         y=y,
         residual=R,
         gradient=g,
         gamma=gamma,
-        iterations=len(trace),
-        successes=sum(1 for t in trace if t.success),
-        trace=trace,
+        iterations=k,
+        successes=successes,
         counters=counters,
     )

@@ -14,6 +14,7 @@ from scipy.linalg.lapack import dgtsv
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
 from iclsq.core import ImplicitProblem, LinearOperator, Linearization, StateSolveError, as_vector
+from iclsq.solver import solve
 
 
 class IdentityProblem(ImplicitProblem):
@@ -74,6 +75,13 @@ class ConstantResidualProblem(IdentityProblem):
         d = self._dim
         zero = LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d))
         return Linearization(lin.Gu, zero, lin.cu)
+
+
+def solve_traced(problem, u0, config, counters=None):
+    """``solve`` with its iteration records collected: ``(outcome, records)``."""
+    records = []
+    outcome = solve(problem, u0, config, counters=counters, trace_sink=records.append)
+    return outcome, records
 
 
 def operator_from_matrix(A):

@@ -18,7 +18,7 @@ from iclsq.harness import (
     ExperimentSpec,
     run_experiment,
 )
-from iclsq.solver import SolveStatus, SolverConfig, solve
+from iclsq.solver import SolveStatus, SolverConfig
 from iclsq.subproblem import exact_step
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     fd_gradient_oracle,
     interior_stiffness,
     random_factor,
+    solve_traced,
     tridiag_dense,
 )
 
@@ -100,22 +101,20 @@ def desk_runs():
         prob = build()
         u0 = np.ones(prob.n) if u0_kind == "ones" else np.zeros(prob.n)
         for theta in DEFAULT_THETA_GRID:
-            cfg = SolverConfig(
-                eps_R=eps[0], eps_g=eps[1], theta=theta, record_iterates=True
-            )
-            _DESK_CACHE.append((prob, theta, cfg, solve(prob, u0, cfg)))
+            cfg = SolverConfig(eps_R=eps[0], eps_g=eps[1], theta=theta)
+            _DESK_CACHE.append((prob, theta, cfg, *solve_traced(prob, u0, cfg)))
     return _DESK_CACHE
 
 
 def test_criterion_3_step_certificates():
     with criterion(3, "decrease, step-norm, exit-residual, CG-count certificates", 60.0):
         checked = 0
-        for prob, theta, cfg, out in desk_runs():
+        for prob, theta, cfg, out, trace in desk_runs():
             assert out.status in (
                 SolveStatus.CONVERGED_RESIDUAL,
                 SolveStatus.CONVERGED_SCALED_GRADIENT,
             )
-            for t in out.trace:
+            for t in trace:
                 dense = dense_jacobian_oracle(prob, t.u)
                 h_norm = float(np.linalg.norm(dense, 2)) ** 2
                 gamma, gn = t.gamma, t.grad_norm
@@ -151,8 +150,8 @@ def test_norm_estimates_bound_curvature_along_desk_runs():
     # Warm-started estimates must keep the cold estimate's guarantee at every
     # base point: at least ||J||^2, at most the 1.5 safety factor above it.
     checked = 0
-    for prob, theta, cfg, out in desk_runs():
-        for t in out.trace:
+    for prob, theta, cfg, out, trace in desk_runs():
+        for t in trace:
             dense = dense_jacobian_oracle(prob, t.u)
             h_norm = float(np.linalg.norm(dense, 2)) ** 2
             assert h_norm <= t.h_norm_estimate <= 1.5 * h_norm * (1 + 1e-9), (
@@ -170,19 +169,19 @@ def test_norm_estimates_bound_curvature_along_desk_runs():
 
 def test_criterion_4_solver_dynamics():
     with criterion(4, "monotone objective, gamma updates, acceptance rule, counts", 30.0):
-        for prob, theta, cfg, out in desk_runs():
+        for prob, theta, cfg, out, trace in desk_runs():
             assert out.counters.forward_solves == out.iterations + 1
-            values = [t.residual_norm for t in out.trace] + [out.residual_norm]
+            values = [t.residual_norm for t in trace] + [out.residual_norm]
             for a, b in zip(values, values[1:]):
                 assert b <= a * (1 + 1e-13), "objective increased"
-            for prev, cur in zip(out.trace, out.trace[1:]):
+            for prev, cur in zip(trace, trace[1:]):
                 if prev.success:
                     assert cur.gamma == max(0.5 * prev.gamma, cfg.gamma_min)
                     assert not np.array_equal(cur.u, prev.u)
                 else:
                     assert cur.gamma == 2.0 * prev.gamma
                     assert np.array_equal(cur.u, prev.u)
-            for t in out.trace:
+            for t in trace:
                 assert t.gamma >= cfg.gamma_min
                 assert t.rho is not None
                 assert t.success == (t.rho >= cfg.eta)
@@ -192,13 +191,13 @@ def test_criterion_5_elliptic_always_successful():
     with criterion(5, "Gauss-Newton on the quadratic problem never rejects", 60.0):
         prob = EllipticProblem(20, z_choice="zero")
         for theta in (0.0, 1e-1):
-            out = solve(
+            out, trace = solve_traced(
                 prob, np.ones(prob.n), SolverConfig(eps_R=1e-6, eps_g=1e-4, theta=theta)
             )
             assert out.status is SolveStatus.CONVERGED_RESIDUAL
             assert out.iterations > 0
             assert out.successes == out.iterations, "a step was rejected"
-            assert all(t.rho >= 1.0 - 1e-9 for t in out.trace)
+            assert all(t.rho >= 1.0 - 1e-9 for t in trace)
 
 
 def test_criterion_6_elliptic_tables():
@@ -324,16 +323,13 @@ def test_criterion_9_theta_consistency():
     with criterion(9, "near-zero theta reproduces the exact-step trajectory", 30.0):
         prob = EllipticProblem(10, z_choice="zero")
         u0 = np.ones(prob.n)
-        outs = []
-        for theta in (0.0, 1e-14):
-            cfg = SolverConfig(
-                eps_R=1e-6, eps_g=1e-4, theta=theta, record_iterates=True
-            )
-            outs.append(solve(prob, u0, cfg))
-        exact, tiny = outs
+        (exact, exact_trace), (tiny, tiny_trace) = (
+            solve_traced(prob, u0, SolverConfig(eps_R=1e-6, eps_g=1e-4, theta=theta))
+            for theta in (0.0, 1e-14)
+        )
         assert exact.iterations == tiny.iterations
         assert exact.status == tiny.status
-        for a, b in zip(exact.trace, tiny.trace):
+        for a, b in zip(exact_trace, tiny_trace):
             diff = np.linalg.norm(a.u - b.u)
             assert diff <= 1e-6 * (1 + np.linalg.norm(a.u)), f"iterate {a.k} differs"
         final_diff = np.linalg.norm(exact.u - tiny.u)

@@ -132,7 +132,7 @@ class TestMatrices:
             {"nu": True},  # ran with nu = 1
         ],
     )
-    def test_rejects_bad_newton_setting(self, setting):
+    def test_rejects_bad_setting(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
             BurgersProblem(4, 4, **setting)
 

@@ -9,7 +9,13 @@ import scipy.sparse as sp
 from iclsq.elliptic import EllipticProblem
 from iclsq.solver import SolveStatus, SolverConfig, solve
 
-from conftest import assemble_stiffness, constraint_residual, feasibility_tol, interior_stiffness
+from conftest import (
+    assemble_stiffness,
+    constraint_residual,
+    feasibility_tol,
+    interior_stiffness,
+    solve_traced,
+)
 
 
 def quadrature_p1_matrices(N):
@@ -130,7 +136,7 @@ class TestAssembly:
         # lam passes the shared real-number rule; a string raised a TypeError
         + [pytest.param({"lam": "1e-3"}, id="lam-1e-3")],
     )
-    def test_rejects_non_integer_size(self, setting):
+    def test_rejects_bad_setting(self, setting):
         [name] = setting
         rule = "an integer" if name == "N" else "a real number"
         with pytest.raises(ValueError, match=f"{name} must be {rule}"):
@@ -243,10 +249,12 @@ class TestSolverBehavior:
         # Exactly quadratic reduced objective: the model only adds positive
         # regularization, so the decrease ratio never drops below one.
         prob = EllipticProblem(8, z_choice="one")
-        out = solve(prob, np.ones(prob.n), SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2))
+        out, trace = solve_traced(
+            prob, np.ones(prob.n), SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2)
+        )
         assert out.iterations > 0
         assert out.successes == out.iterations
-        assert all(t.rho >= 1.0 - 1e-9 for t in out.trace)
+        assert all(t.rho >= 1.0 - 1e-9 for t in trace)
 
     def test_small_residual_instance_stops_on_residual(self):
         prob = EllipticProblem(8, z_choice="zero")

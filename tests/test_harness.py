@@ -1,5 +1,6 @@
 """Harness: experiment sweeps, table rendering, CLI; and the test oracles."""
 
+import csv
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from iclsq.harness import (
 )
 from iclsq.solver import SolverConfig, solve
 
-from conftest import IdentityProblem, dense_jacobian_oracle, fd_gradient_oracle
+from conftest import IdentityProblem, dense_jacobian_oracle, fd_gradient_oracle, solve_traced
 
 
 class TestFdOracle:
@@ -85,6 +86,7 @@ def make_row(theta, eps_r=1e-3, eps_g=1e-4, status="converged_residual", pde=7, 
         final_residual_norm=1e-4,
         final_scaled_gradient=1e-2,
         error_type="",
+        error_message="",
         wall_ms=1.0,
     )
 
@@ -217,7 +219,7 @@ class TestRunExperiment:
         assert header == (
             "problem,theta,eps_r,eps_g,status,iterations,successes,pde_solves,"
             "adjoint_solves,jvp,cg_iters,final_residual_norm,"
-            "final_scaled_gradient,error_type,wall_ms"
+            "final_scaled_gradient,error_type,error_message,wall_ms"
         )
         assert (out_dir / "table_pde_solves.csv").exists()
         assert (out_dir / "table_jvp.csv").exists()
@@ -266,11 +268,12 @@ class TestErrorRows:
 
         real_solve = harness_mod.solve
         calls = {"count": 0}
+        message = 'synthetic failure, "quoted"\non two lines'
 
         def flaky_solve(problem, u0, config, counters=None, trace_sink=None):
             calls["count"] += 1
             if calls["count"] == 1:
-                raise RuntimeError("synthetic failure")
+                raise RuntimeError(message)
             return real_solve(problem, u0, config, counters=counters, trace_sink=trace_sink)
 
         monkeypatch.setattr(harness_mod, "solve", flaky_solve)
@@ -288,15 +291,13 @@ class TestErrorRows:
 
         # The failed cell says why, in its row, in summary.csv and in its trace.
         assert [r.error_type for r in rows] == ["RuntimeError", ""]
-        summary = [
-            l.split(",") for l in (tmp_path / "summary.csv").read_text().splitlines()
-            if not l.startswith("#")
-        ]
-        assert summary[0][-2:] == ["error_type", "wall_ms"]
-        assert [line[-2] for line in summary[1:]] == ["RuntimeError", ""]
+        with open(tmp_path / "summary.csv", newline="") as f:
+            summary = list(csv.reader(line for line in f if not line.startswith("#")))
+        assert summary[0][-3:] == ["error_type", "error_message", "wall_ms"]
+        assert [line[-3:-1] for line in summary[1:]] == [["RuntimeError", message], ["", ""]]
         trace = tmp_path / "trace_elliptic_theta0_epsr0.01_epsg0.0001.jsonl"
         last = json.loads(trace.read_text().splitlines()[-1])
-        assert last == {"error_type": "RuntimeError", "error_message": "synthetic failure"}
+        assert last == {"error_type": "RuntimeError", "error_message": message}
         ok_trace = tmp_path / "trace_elliptic_theta0.1_epsr0.01_epsg0.0001.jsonl"
         assert "error_type" not in json.loads(ok_trace.read_text().splitlines()[-1])
 
@@ -306,10 +307,10 @@ class TestNearExactPostHoc:
         # Accepted steps of the theta = 0 variant must satisfy the relative
         # termination rule with theta' = 1e-10 and the true curvature norm.
         prob = EllipticProblem(6, z_choice="one")
-        cfg = SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=0.0, record_iterates=True)
-        out = solve(prob, np.ones(prob.n), cfg)
+        cfg = SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=0.0)
+        out, trace = solve_traced(prob, np.ones(prob.n), cfg)
         assert out.successes > 0
-        for t in out.trace:
+        for t in trace:
             if not t.success:
                 continue
             dense = dense_jacobian_oracle(prob, t.u)
@@ -384,6 +385,32 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            ["elliptic", "--n-mesh", "4", "--nu", "5"],
+            ["elliptic", "--n-mesh", "4", "--omega", "-3"],
+            ["burgers", "--nx", "4", "--nt", "2", "--lambda", "-1"],
+            ["burgers", "--nx", "4", "--nt", "2", "--n-mesh", "0"],
+            ["burgers", "--nx", "4", "--nt", "2", "--z", "one"],
+        ],
+        ids=lambda settings: f"{settings[0]}{settings[-2]}",
+    )
+    def test_rejects_flag_of_other_problem(self, command, settings, capsys, monkeypatch, tmp_path):
+        # the flag of the other problem is the one before last
+        flag = settings[-2]
+        monkeypatch.setattr(harness, "solve", lambda *a, **k: pytest.fail("a cell ran"))
+        argv = [command, *settings]
+        if command == "sweep":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0]
         assert not (tmp_path / "out").exists()
 
     def test_solve_reports_solver_error_on_stderr(self, capsys):

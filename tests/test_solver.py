@@ -16,7 +16,7 @@ from iclsq.solver import (
 )
 from iclsq.subproblem import StepResult
 
-from conftest import ConstantResidualProblem, IdentityProblem
+from conftest import ConstantResidualProblem, IdentityProblem, solve_traced
 
 
 class TestDefaultGamma0:
@@ -57,10 +57,8 @@ class TestIdentityTrajectory:
     def test_first_step_and_recurrence(self):
         dim = 4
         prob = IdentityProblem(dim)
-        cfg = SolverConfig(
-            eps_R=1e-8, eps_g=1e-12, theta=0.0, max_iter=100, record_iterates=True
-        )
-        out = solve(prob, np.ones(dim), cfg)
+        cfg = SolverConfig(eps_R=1e-8, eps_g=1e-12, theta=0.0, max_iter=100)
+        out, trace = solve_traced(prob, np.ones(dim), cfg)
         assert out.status is SolveStatus.CONVERGED_RESIDUAL
         assert 0.5 * out.residual_norm**2 <= 0.5 * cfg.eps_R**2
 
@@ -68,19 +66,19 @@ class TestIdentityTrajectory:
         gamma = default_gamma0(np.ones(dim), np.ones(dim))  # ||g0|| = 2, ||u||inf+1 = 2
         scale = 1.0
         gamma_min = cfg.gamma_min
-        for rec in out.trace:
+        for rec in trace:
             np.testing.assert_allclose(rec.u, scale * np.ones(dim), rtol=1e-10)
             assert rec.success  # exactly quadratic, every step accepted
             scale *= gamma / (1.0 + gamma)
             gamma = max(0.5 * gamma, gamma_min)
-        first = out.trace[0]
+        first = trace[0]
         expected_first_step = -1.0 / (1.0 + first.gamma) * np.sqrt(dim)
         assert first.step_norm == pytest.approx(abs(expected_first_step), rel=1e-10)
 
     def test_monotone_objective(self):
         prob = IdentityProblem(3)
-        out = solve(prob, np.full(3, 2.0), SolverConfig(eps_R=1e-6, eps_g=1e-12))
-        values = [t.residual_norm for t in out.trace]
+        _, trace = solve_traced(prob, np.full(3, 2.0), SolverConfig(eps_R=1e-6, eps_g=1e-12))
+        values = [t.residual_norm for t in trace]
         assert all(b <= a * (1 + 1e-14) for a, b in zip(values, values[1:]))
 
 
@@ -106,14 +104,12 @@ class TestDynamicsInvariants:
         cfg = SolverConfig(
             eps_R=1e-2, eps_g=1e-4, theta=theta, hessian_mode=mode, max_iter=300
         )
-        out = solve(prob, np.ones(prob.n), cfg)
-        check_dynamics(out, cfg)
+        check_dynamics(*solve_traced(prob, np.ones(prob.n), cfg), cfg)
 
     def test_trace_invariants_burgers(self):
         prob = BurgersProblem(6, 6, nu=0.1)
         cfg = SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2)
-        out = solve(prob, np.zeros(prob.n), cfg)
-        check_dynamics(out, cfg)
+        check_dynamics(*solve_traced(prob, np.zeros(prob.n), cfg), cfg)
 
     def test_adjoint_solve_identity_zero_mode(self):
         prob = EllipticProblem(6, z_choice="one")
@@ -128,25 +124,25 @@ class TestDynamicsInvariants:
         # forward and one transpose application
         prob = EllipticProblem(6, z_choice="one")
         cfg = SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2)
-        out = solve(prob, np.ones(prob.n), cfg)
+        out, trace = solve_traced(prob, np.ones(prob.n), cfg)
         c = out.counters
         assert c.adjoint_solves == 1 + out.successes + c.cg_iterations
         assert c.linearized_solves == c.cg_iterations
         assert c.jacobian_applies == 1 + out.successes + 2 * c.cg_iterations
-        assert c.cg_iterations == sum(t.cg_iters for t in out.trace)
+        assert c.cg_iterations == sum(t.cg_iters for t in trace)
 
     def test_unsuccessful_streak_bounded(self):
         prob = BurgersProblem(6, 6, nu=0.05)
-        out = solve(prob, np.zeros(prob.n), SolverConfig(eps_R=1e-2, eps_g=1e-5, theta=0.5))
+        cfg = SolverConfig(eps_R=1e-2, eps_g=1e-5, theta=0.5)
+        _, trace = solve_traced(prob, np.zeros(prob.n), cfg)
         streak = longest = 0
-        for t in out.trace:
+        for t in trace:
             streak = 0 if t.success else streak + 1
             longest = max(longest, streak)
         assert longest <= 60
 
 
-def check_dynamics(out, cfg):
-    trace = out.trace
+def check_dynamics(out, trace, cfg):
     assert out.counters.forward_solves == out.iterations + 1
     # objective never increases; iterates move only on success
     values = [t.residual_norm for t in trace] + [out.residual_norm]
@@ -168,14 +164,47 @@ def check_dynamics(out, cfg):
             assert not t.success
 
 
+class TestTraceSink:
+    def test_sink_writing_to_records_leaves_run_unchanged(self):
+        # after a rejection the run steps again from the recorded iterate
+        prob = BurgersProblem(8, 8, nu=0.01)
+        cfg = SolverConfig(theta=0.5, hessian_mode="zero", max_iter=30)
+        plain = solve(prob, np.zeros(prob.n), cfg)
+
+        def scribble(rec):
+            rec.u[:] = np.nan
+
+        out = solve(prob, np.zeros(prob.n), cfg, trace_sink=scribble)
+        assert out.status is plain.status and out.iterations == plain.iterations
+        assert out.successes == plain.successes < out.iterations
+        assert out.counters.snapshot() == plain.counters.snapshot()
+        assert out.u.tobytes() == plain.u.tobytes()
+
+    @pytest.mark.parametrize("max_iter,status", [
+        (300, SolveStatus.CONVERGED_SCALED_GRADIENT),
+        (30, SolveStatus.BUDGET_EXHAUSTED),
+        (0, SolveStatus.BUDGET_EXHAUSTED),
+    ])
+    def test_counts_match_records(self, max_iter, status):
+        # zero curvature rejects about every other step on this problem
+        prob = BurgersProblem(8, 8, nu=0.01)
+        cfg = SolverConfig(theta=0.5, hessian_mode="zero", max_iter=max_iter)
+        out, trace = solve_traced(prob, np.zeros(prob.n), cfg)
+        assert out.status is status
+        assert out.iterations == 0 or 0 < out.successes < out.iterations
+        assert out.iterations == len(trace)
+        assert out.successes == sum(t.success for t in trace)
+        assert [t.k for t in trace] == list(range(len(trace)))
+
+
 class TestNormEstimates:
     def test_linear_problem_is_estimated_once(self):
         # one cold estimate of 31 products for the run's 23 accepted steps
         prob = EllipticProblem(8)
-        out = solve(prob, np.ones(prob.n), SolverConfig(theta=0.5))
+        out, trace = solve_traced(prob, np.ones(prob.n), SolverConfig(theta=0.5))
         assert out.status is SolveStatus.CONVERGED_RESIDUAL and out.successes == 23
         assert out.counters.norm_probe_applies == 62
-        assert len({t.h_norm_estimate for t in out.trace}) == 1
+        assert len({t.h_norm_estimate for t in trace}) == 1
 
 
 class TestBudget:
@@ -210,14 +239,14 @@ class TestDegeneratePrediction:
 
         monkeypatch.setattr(solver_mod, "truncated_cg_step", fake_step)
         cfg = SolverConfig(eps_R=1e-8, eps_g=1e-8, theta=0.1, max_iter=4)
-        out = solve(prob, np.ones(prob.n), cfg)
+        out, trace = solve_traced(prob, np.ones(prob.n), cfg)
         assert calls["count"] == 4
         assert out.status is SolveStatus.BUDGET_EXHAUSTED
         assert out.successes == 0
-        gammas = [t.gamma for t in out.trace]
+        gammas = [t.gamma for t in trace]
         for a, b in zip(gammas, gammas[1:]):
             assert b == 2.0 * a
-        assert all(t.rho is None and t.note for t in out.trace)
+        assert all(t.rho is None and t.note for t in trace)
 
 
 class TestStepRouting:
@@ -242,12 +271,14 @@ class TestStepRouting:
         # rejections (failed Newton solves at trial controls) and a budget
         # that ends at an accepted point, where no step is computed
         prob = BurgersProblem(32, 16, nu=1e-4)
-        out = solve(prob, np.zeros(prob.n), SolverConfig(theta=theta, hessian_mode=mode, max_iter=40))
+        out, trace = solve_traced(
+            prob, np.zeros(prob.n), SolverConfig(theta=theta, hessian_mode=mode, max_iter=40)
+        )
         assert 0 < out.successes < out.iterations == 40
         exact = theta == 0.0
         assert calls["exact_step"] == (out.iterations if exact else 0)
         assert calls["truncated_cg_step"] == (0 if exact else out.iterations)
-        base_points = sum(1 for t in out.trace if t.k == 0 or out.trace[t.k - 1].success)
+        base_points = sum(1 for t in trace if t.k == 0 or trace[t.k - 1].success)
         assert calls["estimate_operator_norm"] == (base_points if mode == "gauss_newton" else 0)
 
     @pytest.mark.parametrize("name", ["burgers", "elliptic"])
@@ -306,11 +337,14 @@ class NaNResidualEllipticProblem(EllipticProblem):
 
 class TestFailurePropagation:
     def test_state_solve_error_escapes_solver(self):
-        from iclsq.core import StateSolveError
+        # the failed solve at u0 is counted, as a failed trial solve is
+        from iclsq.core import EvalCounters, StateSolveError
 
         prob = BurgersProblem(4, 4, newton_max_iter=1)
+        counters = EvalCounters()
         with pytest.raises(StateSolveError):
-            solve(prob, np.zeros(prob.n), SolverConfig(eps_R=1e-10, eps_g=1e-10))
+            solve(prob, np.zeros(prob.n), SolverConfig(eps_R=1e-10, eps_g=1e-10), counters)
+        assert counters.forward_solves == 1
 
     def test_nonfinite_residual_at_u0_is_hard_error(self):
         # Without the check the NaN gradient spins the run until the budget
@@ -328,8 +362,8 @@ class TestFailurePropagation:
         # Newton fails at trial controls once gamma is small; the run must
         # keep its accepted iterates and go on.
         prob = BurgersProblem(32, 16, nu=1e-4)
-        out = solve(prob, np.zeros(prob.n), SolverConfig(theta=1e-2, max_iter=40))
-        failed = [t for t in out.trace if "StateSolveError" in t.note]
+        out, trace = solve_traced(prob, np.zeros(prob.n), SolverConfig(theta=1e-2, max_iter=40))
+        failed = [t for t in trace if "StateSolveError" in t.note]
         assert out.status is SolveStatus.BUDGET_EXHAUSTED
         assert out.iterations == 40
         assert len(failed) == out.counters.failed_trial_solves > 0
@@ -338,7 +372,7 @@ class TestFailurePropagation:
             assert not t.success and t.rho is None and t.actual_decrease is None
             assert "iteration rejected" in t.note
             if t.k + 1 < out.iterations:
-                assert out.trace[t.k + 1].gamma == 2.0 * t.gamma
+                assert trace[t.k + 1].gamma == 2.0 * t.gamma
         assert np.all(np.isfinite(out.residual)) and np.all(np.isfinite(out.u))
 
     def test_overflowing_trial_state_is_rejected_iteration(self):
@@ -346,24 +380,24 @@ class TestFailurePropagation:
         # control; it fails at once and silently, under filterwarnings=error.
         prob = BurgersProblem(8, 4, nu=0.1)
         cfg = SolverConfig(gamma0=1e-120, gamma_min=1e-130, hessian_mode="zero", max_iter=5)
-        out = solve(prob, np.zeros(prob.n), cfg)
+        out, trace = solve_traced(prob, np.zeros(prob.n), cfg)
         assert out.status is SolveStatus.BUDGET_EXHAUSTED
         assert out.counters.failed_trial_solves == 5 and out.successes == 0
-        assert all("StateSolveError" in t.note for t in out.trace)
+        assert all("StateSolveError" in t.note for t in trace)
 
     def test_nonfinite_trial_residual_is_rejected_iteration(self):
         prob = NonFiniteTrialProblem()
         cfg = SolverConfig(eps_R=1e-12, eps_g=1e-12, max_iter=5)
-        out = solve(prob, np.ones(prob.n), cfg)
+        out, trace = solve_traced(prob, np.ones(prob.n), cfg)
         assert out.status is SolveStatus.BUDGET_EXHAUSTED
         assert out.successes == 0
         assert out.counters.failed_trial_solves == 5
         assert out.counters.forward_solves == 6
         np.testing.assert_array_equal(out.u, np.ones(prob.n))
-        gammas = [t.gamma for t in out.trace]
+        gammas = [t.gamma for t in trace]
         for a, b in zip(gammas, gammas[1:]):
             assert b == 2.0 * a
-        assert all(t.rho is None and "not finite" in t.note for t in out.trace)
+        assert all(t.rho is None and "not finite" in t.note for t in trace)
 
 
 class TestConcurrentRuns:
@@ -415,7 +449,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", ["gamma0", "gamma_min", "eps_R", "eps_g"])
     # True, a bool and not a number, used to run as 1
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True])
-    def test_nonfinite_setting_rejected(self, field, value):
+    def test_rejects_bad_setting(self, field, value):
         # A NaN would otherwise pass every comparison check and silently
         # disable the floor, a stopping test or the gamma dynamics.
         with pytest.raises(ValueError, match=field):
