@@ -3,9 +3,11 @@
 Runs the solver over a grid of inexactness levels and stopping tolerances,
 mirroring the benchmark tables: one row of the rendered grid per tolerance
 pair, one column per theta, counts of forward solves or Jacobian products in
-the cells, a dash where the budget ran out. A sweep cell and ``iclsq solve``
-run through the same cell runner, so both trace to JSONL alike and end a
-failed run's trace with its exception.
+the cells, a dash where the budget ran out. ``ExperimentSpec._cells`` is
+the one list of a sweep's cells. A sweep cell and ``iclsq solve`` run
+through the same cell runner, so both trace to JSONL alike and end a failed
+run's trace with its exception. Each command has one sub-parser per problem,
+which takes only that problem's flags.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ CSV_PREAMBLE = (
     "# pde_solves includes the solve at the starting control.\n"
 )
 
+# a table shows the count of a cell whose run ended with one of these
+_CONVERGED = (SolveStatus.CONVERGED_RESIDUAL.value, SolveStatus.CONVERGED_SCALED_GRADIENT.value)
+
 
 @dataclass
 class ExperimentSpec:
@@ -62,9 +67,9 @@ class ExperimentSpec:
     ``problem_params`` are the keyword arguments of the problem's
     constructor (``PROBLEMS[problem]``), so the sizes are required: ``N`` for
     elliptic, ``nx`` and ``nt`` for Burgers. The solver fields default to
-    ``SolverConfig``'s. Every cell is checked before any runs: a setting
-    ``SolverConfig`` rejects, or two cells whose output files would share a
-    name, raise ``ValueError``.
+    ``SolverConfig``'s. Every cell is checked before any runs, by building
+    ``_cells``: a setting ``SolverConfig`` rejects, or two cells whose output
+    files would share a name, raise ``ValueError``.
     """
 
     problem: str
@@ -84,18 +89,23 @@ class ExperimentSpec:
             raise ValueError("theta grid must not be empty")
         if len(self.eps_grid) == 0:
             raise ValueError("tolerance grid must not be empty")
-        tags = set()
+        self._cells()
+
+    def _cells(self) -> dict[str, SolverConfig]:
+        """``{trace tag: SolverConfig}`` of every cell in run order: tolerance
+        pairs outer, theta inner. Built anew on each call, since the spec is
+        mutable; a repeated tag raises ``ValueError``."""
+        shared = {f.name: getattr(self, f.name) for f in fields(self) if f.name in _SOLVER_FIELDS}
+        cells = {}
         for eps_r, eps_g in self.eps_grid:
             for theta in self.theta_grid:
-                self._solver_config(theta, eps_r, eps_g)
-                tag = _cell_tag(self, theta, eps_r, eps_g)
-                if tag in tags:
+                config = SolverConfig(eps_R=eps_r, eps_g=eps_g, theta=theta, **shared)
+                tag = (f"{self.problem}_theta{config.theta:g}"
+                       f"_epsr{config.eps_R:g}_epsg{config.eps_g:g}")
+                if tag in cells:
                     raise ValueError(f"two grid cells share the name {tag!r}")
-                tags.add(tag)
-
-    def _solver_config(self, theta: float, eps_r: float, eps_g: float) -> SolverConfig:
-        shared = {f.name: getattr(self, f.name) for f in fields(self) if f.name in _SOLVER_FIELDS}
-        return SolverConfig(eps_R=eps_r, eps_g=eps_g, theta=theta, **shared)
+                cells[tag] = config
+        return cells
 
 
 @dataclass
@@ -132,18 +142,14 @@ def default_control(problem: ImplicitProblem, name: str) -> np.ndarray:
     return np.ones(problem.n) if name == "elliptic" else np.zeros(problem.n)
 
 
-def _cell_tag(spec: ExperimentSpec, theta: float, eps_r: float, eps_g: float) -> str:
-    return f"{spec.problem}_theta{theta:g}_epsr{eps_r:g}_epsg{eps_g:g}"
-
-
 def _run_cell(
     problem: ImplicitProblem, name: str, config: SolverConfig, trace_path: Path | None
-) -> tuple[ExperimentRow, Exception | None]:
+) -> ExperimentRow:
     """Solve from ``default_control``, one JSONL record per iteration to
-    ``trace_path`` if given. An exception of the solve is returned with the
-    row, not raised, and ends the trace with an ``{"error_type",
-    "error_message"}`` record; an unwritable ``trace_path`` raises
-    ``OSError`` before the solve starts."""
+    ``trace_path`` if given. An exception of the solve is not raised: the row
+    gets status "error" and its class and message, and the trace ends with
+    an ``{"error_type", "error_message"}`` record. An unwritable
+    ``trace_path`` raises ``OSError`` before the solve starts."""
     with open(trace_path, "w") if trace_path is not None else contextlib.nullcontext() as trace:
 
         def write(record: dict):
@@ -163,7 +169,7 @@ def _run_cell(
         if error is not None and trace is not None:
             write({"error_type": type(error).__name__, "error_message": str(error)})
     failed = error is not None
-    row = ExperimentRow(
+    return ExperimentRow(
         problem=name,
         theta=config.theta,
         eps_r=config.eps_R,
@@ -181,11 +187,11 @@ def _run_cell(
         error_message=str(error) if failed else "",
         wall_ms=wall_ms,
     )
-    return row, error
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
-    """Run every grid cell with fresh counters; write CSVs and traces.
+    """Run the cells of ``spec._cells()`` in order, each through ``_run_cell``
+    with fresh counters; write CSVs and traces.
 
     Cells are independent; a failing cell is recorded with status "error"
     and its exception's class and message in ``error_type`` and
@@ -193,18 +199,16 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     "error_message"}`` record, and the sweep continues.
     Output is deterministic apart from wall times.
     """
+    cells = spec._cells()
     problem = PROBLEMS[spec.problem](**spec.problem_params)
     out_dir = Path(spec.out_dir) if spec.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[ExperimentRow] = []
-    for eps_r, eps_g in spec.eps_grid:
-        for theta in spec.theta_grid:
-            trace_path = None
-            if out_dir is not None:
-                trace_path = out_dir / f"trace_{_cell_tag(spec, theta, eps_r, eps_g)}.jsonl"
-            config = spec._solver_config(theta, eps_r, eps_g)
-            rows.append(_run_cell(problem, spec.problem, config, trace_path)[0])
+    rows = [
+        _run_cell(problem, spec.problem, config,
+                  None if out_dir is None else out_dir / f"trace_{tag}.jsonl")
+        for tag, config in cells.items()
+    ]
     if out_dir is not None:
         (out_dir / "summary.csv").write_text(summary_csv(rows))
         for metric in ("pde_solves", "jvp"):
@@ -218,14 +222,20 @@ def _summary_cell(column: str, value) -> str:
     return str(value)
 
 
-def summary_csv(rows: list[ExperimentRow]) -> str:
-    """The rows under the preamble; a field with a comma, quote or line
-    break (an error message, say) is quoted as ``csv`` does."""
+def _csv(header, lines) -> str:
+    """``header`` and ``lines`` under the preamble; a field with a comma,
+    quote or line break (an error message, say) is quoted as ``csv`` does."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    writer.writerows([_summary_cell(c, getattr(r, c)) for c in SUMMARY_COLUMNS] for r in rows)
+    writer.writerow(header)
+    writer.writerows(lines)
     return CSV_PREAMBLE + text.getvalue()
+
+
+def summary_csv(rows: list[ExperimentRow]) -> str:
+    """One line per row, every ``ExperimentRow`` field a column."""
+    return _csv(SUMMARY_COLUMNS, ([_summary_cell(c, getattr(r, c)) for c in SUMMARY_COLUMNS]
+                                  for r in rows))
 
 
 def render_table(rows: list[ExperimentRow], metric: str) -> str:
@@ -238,61 +248,53 @@ def render_table(rows: list[ExperimentRow], metric: str) -> str:
     if metric not in ("pde_solves", "jvp"):
         raise ValueError(f"metric must be 'pde_solves' or 'jvp', got {metric!r}")
     thetas = sorted({r.theta for r in rows})
-    pairs: list[tuple[float, float]] = []
-    for r in rows:
-        if (r.eps_r, r.eps_g) not in pairs:
-            pairs.append((r.eps_r, r.eps_g))
-    cell = {(r.eps_r, r.eps_g, r.theta): r for r in rows}
-    lines = [CSV_PREAMBLE + "eps_r,eps_g," + ",".join(f"theta={t:g}" for t in thetas)]
-    for eps_r, eps_g in pairs:
-        vals = []
-        converged_statuses = (
-            SolveStatus.CONVERGED_RESIDUAL.value,
-            SolveStatus.CONVERGED_SCALED_GRADIENT.value,
-        )
-        for t in thetas:
-            r = cell.get((eps_r, eps_g, t))
-            if r is not None and r.status in converged_statuses:
-                vals.append(str(getattr(r, metric)))
-            else:
-                vals.append("-")
-        lines.append(f"{eps_r:g},{eps_g:g}," + ",".join(vals))
-    return "\n".join(lines) + "\n"
+    pairs = dict.fromkeys((r.eps_r, r.eps_g) for r in rows)
+    shown = {(r.eps_r, r.eps_g, r.theta): str(getattr(r, metric)) if r.status in _CONVERGED
+             else "-" for r in rows}
+    return _csv(
+        ["eps_r", "eps_g", *(f"theta={t:g}" for t in thetas)],
+        ([f"{eps_r:g}", f"{eps_g:g}", *(shown.get((eps_r, eps_g, t), "-") for t in thetas)]
+         for eps_r, eps_g in pairs),
+    )
 
 
 # ---------------------------------------------------------------------------
 # command line
 
 
-# sizes of an unset size flag; every other unset flag keeps the constructor's default
-_SIZE_DEFAULTS = {"elliptic": {"N": 20}, "burgers": {"nx": 16, "nt": 16}}
-
-
-def _add_problem_args(parser):
-    # dests are constructor keywords; problem_flags maps each to its flag
-    parser.add_argument("problem", choices=list(PROBLEMS))
-    flags = [
-        parser.add_argument("--n-mesh", dest="N", type=int,
-                            help="elliptic mesh subdivisions (default 20)"),
-        parser.add_argument("--lambda", dest="lam", type=float,
-                            help="elliptic control regularization"),
-        parser.add_argument("--z", dest="z_choice", choices=["zero", "one"],
-                            help="elliptic desired state"),
-        parser.add_argument("--nx", type=int, help="burgers spatial resolution (default 16)"),
-        parser.add_argument("--nt", type=int, help="burgers time steps (default 16)"),
-        parser.add_argument("--nu", type=float, help="burgers viscosity"),
-        parser.add_argument("--omega", type=float, help="burgers control regularization"),
-    ]
-    parser.set_defaults(problem_flags={a.dest: a.option_strings[0] for a in flags})
-
-
-def _add_solver_args(parser):
-    # dests are SolverConfig fields; an unset flag leaves SolverConfig's default
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--gamma-min", type=float)
-    parser.add_argument("--max-iter", type=int)
-    parser.add_argument("--hessian", dest="hessian_mode", choices=HESSIAN_MODES,
-                        type=lambda mode: mode.replace("-", "_"))
+# add_argument's arguments: each problem's flags, the solver flags of every
+# command, and each command's own. The dests are constructor keywords and
+# SolverConfig fields; an unset flag without a default keeps their default.
+_FLAGS = {
+    "elliptic": [
+        ("--n-mesh", dict(dest="N", type=int, default=20, help="mesh subdivisions (default 20)")),
+        ("--lambda", dict(dest="lam", type=float, help="control regularization")),
+        ("--z", dict(dest="z_choice", choices=["zero", "one"], help="desired state")),
+    ],
+    "burgers": [
+        ("--nx", dict(type=int, default=16, help="spatial resolution (default 16)")),
+        ("--nt", dict(type=int, default=16, help="time steps (default 16)")),
+        ("--nu", dict(type=float, help="viscosity")),
+        ("--omega", dict(type=float, help="control regularization")),
+    ],
+    "solver": [
+        ("--eta", dict(type=float)),
+        ("--gamma-min", dict(type=float)),
+        ("--max-iter", dict(type=int)),
+        ("--hessian", dict(dest="hessian_mode", choices=HESSIAN_MODES,
+                           type=lambda mode: mode.replace("-", "_"))),
+    ],
+    "solve": [
+        ("--theta", dict(type=float)),
+        ("--eps-r", dict(dest="eps_R", type=float)),
+        ("--eps-g", dict(type=float)),
+        ("--jsonl", dict(type=Path, help="write the iteration trace to this file")),
+    ],
+    "sweep": [
+        ("--grid-file", dict(type=Path, help="JSON file with 'theta' and 'eps' (pairs) lists")),
+        ("--out-dir", dict(type=Path, required=True)),
+    ],
+}
 
 
 def _set_args(args, names) -> dict:
@@ -301,20 +303,14 @@ def _set_args(args, names) -> dict:
 
 
 def _problem_params(args) -> dict:
-    """The chosen problem's constructor keywords: its size defaults and the
-    set problem flags. Set flags that it does not take raise ``ValueError``."""
-    params = _set_args(args, args.problem_flags)
-    taken = inspect.signature(PROBLEMS[args.problem]).parameters
-    foreign = [args.problem_flags[name] for name in params if name not in taken]
-    if foreign:
-        raise ValueError(f"the {args.problem} problem takes no {', '.join(foreign)}")
-    return _SIZE_DEFAULTS[args.problem] | params
+    """The chosen problem's constructor keywords among the set flags."""
+    return _set_args(args, inspect.signature(PROBLEMS[args.problem]).parameters)
 
 
-def _default_eps_grid(problem: str, z_choice: str | None) -> tuple:
+def _default_eps_grid(problem: str, params: dict) -> tuple:
     if problem == "burgers":
         return ((1e-2, 1e-3), (1e-2, 1e-4), (1e-2, 1e-6))
-    if z_choice == "one":
+    if params.get("z_choice") == "one":
         return ((1e-2, 1e-4), (1e-2, 1e-6), (1e-2, 1e-8))
     return ((1e-3, 1e-4), (1e-6, 1e-4), (1e-9, 1e-4))
 
@@ -325,38 +321,43 @@ def main(argv=None) -> int:
         description="Regularized Gauss-Newton experiments for implicitly "
         "constrained least squares",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="run a single configuration")
-    _add_problem_args(p_solve)
-    _add_solver_args(p_solve)
-    p_solve.add_argument("--theta", type=float)
-    p_solve.add_argument("--eps-r", dest="eps_R", type=float)
-    p_solve.add_argument("--eps-g", type=float)
-    p_solve.add_argument("--jsonl", type=Path, default=None,
-                         help="write the iteration trace to this file")
-
-    p_sweep = sub.add_parser("sweep", help="run a tolerance x theta grid")
-    _add_problem_args(p_sweep)
-    _add_solver_args(p_sweep)
-    p_sweep.add_argument("--grid-file", type=Path, default=None,
-                         help="JSON file with 'theta' and 'eps' (pairs) lists")
-    p_sweep.add_argument("--out-dir", type=Path, required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, command_help in (("solve", "run a single configuration"),
+                                  ("sweep", "run a tolerance x theta grid")):
+        problems = commands.add_parser(command, help=command_help).add_subparsers(
+            dest="problem", required=True)
+        for name in PROBLEMS:
+            p_problem = problems.add_parser(name, help=f"the {name} problem")
+            for flag, kwargs in _FLAGS[name] + _FLAGS["solver"] + _FLAGS[command]:
+                p_problem.add_argument(flag, **kwargs)
 
     args = parser.parse_args(argv)
+    params = _problem_params(args)
+    settings = _set_args(args, _SOLVER_FIELDS)
 
-    if args.command == "solve":
-        # a failed solve comes back with the row; what escapes _run_cell is a
-        # bad setting or an unwritable trace path, refused before any solve
-        try:
-            problem = PROBLEMS[args.problem](**_problem_params(args))
-            config = SolverConfig(**_set_args(args, _SOLVER_FIELDS))
-            row, error = _run_cell(problem, args.problem, config, args.jsonl)
-        except (OSError, ValueError) as exc:
-            return _setting_error(exc)
-        if error is not None:
-            print(f"solver error: {error}", file=sys.stderr)
-            return 2
+    # every cell records its own failure, so what escapes is a bad setting,
+    # grid file, trace path or output directory, refused before any solve
+    try:
+        if args.command == "solve":
+            problem = PROBLEMS[args.problem](**params)
+            rows = [_run_cell(problem, args.problem, SolverConfig(**settings), args.jsonl)]
+        else:
+            if args.grid_file is not None:
+                theta_grid, eps_grid = _read_grid(args.grid_file)
+            else:
+                theta_grid, eps_grid = DEFAULT_THETA_GRID, _default_eps_grid(args.problem, params)
+            rows = run_experiment(ExperimentSpec(
+                problem=args.problem, problem_params=params, theta_grid=theta_grid,
+                eps_grid=eps_grid, out_dir=args.out_dir, **settings))
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "sweep":
+        print(render_table(rows, "pde_solves"))
+    elif rows[0].status == "error":
+        print(f"solver error: {rows[0].error_message}", file=sys.stderr)
+    else:
+        [row] = rows
         print(
             f"{row.problem}: {row.status} after {row.iterations} "
             f"iterations ({row.successes} successful), "
@@ -365,31 +366,7 @@ def main(argv=None) -> int:
             f"final |R|={row.final_residual_norm:.3e}, "
             f"scaled gradient={row.final_scaled_gradient:.3e}"
         )
-        return 0
-
-    # sweep: every cell records its own failure, so what escapes
-    # run_experiment is a bad setting, grid file or output directory
-    try:
-        if args.grid_file is not None:
-            theta_grid, eps_grid = _read_grid(args.grid_file)
-        else:
-            theta_grid = DEFAULT_THETA_GRID
-            eps_grid = _default_eps_grid(args.problem, args.z_choice)
-        spec = ExperimentSpec(
-            problem=args.problem,
-            problem_params=_problem_params(args),
-            theta_grid=theta_grid,
-            eps_grid=eps_grid,
-            out_dir=args.out_dir,
-            **_set_args(args, _SOLVER_FIELDS),
-        )
-        rows = run_experiment(spec)
-    except (OSError, ValueError) as exc:
-        return _setting_error(exc)
-    print(render_table(rows, "pde_solves"))
-    if any(r.status == "error" for r in rows):
-        return 2
-    return 0
+    return 2 if any(r.status == "error" for r in rows) else 0
 
 
 def _read_grid(path: Path) -> tuple[tuple, tuple]:
@@ -404,8 +381,3 @@ def _read_grid(path: Path) -> tuple[tuple, tuple]:
         ) from exc
     return theta_grid, eps_grid
 
-
-def _setting_error(exc: Exception) -> int:
-    """Report an invalid setting as one line on stderr; exit code 2."""
-    print(f"error: {exc}", file=sys.stderr)
-    return 2

@@ -67,10 +67,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.gamma0 is not None:
             self.gamma0 = check_positive("gamma0", self.gamma0)
-        for name in ("gamma_min", "eps_R", "eps_g"):
+        for name in ("gamma_min", "eps_R", "eps_g", "eta"):
             setattr(self, name, check_positive(name, getattr(self, name)))
+        if isinstance(self.theta, bool) or self.theta != 0:  # theta = 0 is allowed
+            self.theta = check_positive("theta", self.theta)
         self.max_iter = check_integer("max_iter", self.max_iter, 0)
-        if not 0.0 < self.eta < 1.0:
+        if not self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.gamma0 is not None and self.gamma_min > self.gamma0:
             raise ValueError("gamma_min must not exceed gamma0")

@@ -400,18 +400,47 @@ class TestCli:
         ids=lambda settings: f"{settings[0]}{settings[-2]}",
     )
     def test_rejects_flag_of_other_problem(self, command, settings, capsys, monkeypatch, tmp_path):
-        # the flag of the other problem is the one before last
+        # the flag of the other problem is the one before last; each problem's
+        # sub-parser knows only its own flags, so argparse refuses it
         flag = settings[-2]
         monkeypatch.setattr(harness, "solve", lambda *a, **k: pytest.fail("a cell ran"))
         argv = [command, *settings]
         if command == "sweep":
             argv += ["--out-dir", str(tmp_path / "out")]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0]
+        assert f"unrecognized arguments: {flag}" in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize(
+        "problem,own,other",
+        [
+            ("elliptic", ["--n-mesh", "--lambda", "--z"], ["--nx", "--nt", "--nu", "--omega"]),
+            ("burgers", ["--nx", "--nt", "--nu", "--omega"], ["--n-mesh", "--lambda", "--z"]),
+        ],
+        ids=["elliptic", "burgers"],
+    )
+    def test_help_lists_only_the_problems_flags(self, command, problem, own, other, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, problem, "--help"])
+        assert exit_info.value.code == 0
+        words = capsys.readouterr().out.replace("[", " ").replace("]", " ").split()
+        assert all(flag in words for flag in own)
+        assert not any(flag in words for flag in other)
+
+    def test_sweep_runs_the_default_burgers_grid(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "burgers", "--nx", "4", "--nt", "2", "--out-dir", str(out_dir)]) == 0
+        assert len(list(out_dir.glob("trace_*.jsonl"))) == 18
+        table = (out_dir / "table_pde_solves.csv").read_text()
+        body = [line for line in table.splitlines() if not line.startswith("#")]
+        pairs = [line.split(",")[:2] for line in body[1:]]
+        assert pairs == [["0.01", "0.001"], ["0.01", "0.0001"], ["0.01", "1e-06"]]
+        assert capsys.readouterr().out == table + "\n"
 
     def test_solve_reports_solver_error_on_stderr(self, capsys):
         # Newton does not converge at the starting control of this problem

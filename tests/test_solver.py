@@ -446,9 +446,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(hessian_mode="newton")
 
-    @pytest.mark.parametrize("field", ["gamma0", "gamma_min", "eps_R", "eps_g"])
-    # True, a bool and not a number, used to run as 1
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True])
+    @pytest.mark.parametrize("field", ["gamma0", "gamma_min", "eps_R", "eps_g", "eta", "theta"])
+    # True, a bool and not a number, used to run as 1; "0.5" used to escape
+    # a range check of eta or theta as an unnamed TypeError
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "0.5"])
     def test_rejects_bad_setting(self, field, value):
         # A NaN would otherwise pass every comparison check and silently
         # disable the floor, a stopping test or the gamma dynamics.
