@@ -5,7 +5,7 @@ reduced residual u -> R(y(u), u). Its Jacobian is never assembled: a forward
 application solves one linearized constraint, a transpose application solves
 one adjoint (transposed) system, both with the factors of the base point's
 ``Linearization``, and the reduced gradient is one transpose application to
-the residual.
+the residual. Every Jacobian tallies its solves, in the caller's counters or its own.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ class ReducedJacobian(LinearOperator):
     gradient is ``apply_transpose(R)``. The base point is given by its
     linearization, ``problem.linearize(y, u)``; Jacobians that share one
     share its factors. Construction performs no solves; each application
-    solves once. If a counter object is supplied, every forward application
-    adds one linearized solve and every transpose application one adjoint
-    solve, plus one Jacobian application each.
+    solves once. Every forward application adds one linearized solve and
+    every transpose application one adjoint solve to ``counters``, a fresh
+    ``EvalCounters`` unless one is supplied.
     """
 
     def __init__(
@@ -39,7 +39,7 @@ class ReducedJacobian(LinearOperator):
         self.shape = (problem.m, problem.n)
         self.problem = problem
         self.lin = lin
-        self.counters = counters
+        self.counters = EvalCounters() if counters is None else counters
 
     # Methods, not bound methods stored on the instance, which would make
     # every Jacobian a reference cycle that only the garbage collector frees.
@@ -54,16 +54,12 @@ class ReducedJacobian(LinearOperator):
         v = as_vector(v, self.problem.n, name="direction")
         # State response to the control perturbation: c_y w = -c_u v.
         w = self.problem.solve_cy(self.lin, -(self.lin.cu @ v))
-        if self.counters is not None:
-            self.counters.linearized_solves += 1
-            self.counters.jacobian_applies += 1
+        self.counters.linearized_solves += 1
         return self.lin.Gu @ v + self.lin.Gy @ w
 
     def apply_transpose(self, w) -> np.ndarray:
         """Transpose product: residual-space vector to control space."""
         w = as_vector(w, self.problem.m, name="residual direction")
         q = self.problem.solve_cy_transpose(self.lin, self.lin.Gy.rmatvec(w))
-        if self.counters is not None:
-            self.counters.adjoint_solves += 1
-            self.counters.jacobian_applies += 1
+        self.counters.adjoint_solves += 1
         return self.lin.Gu.rmatvec(w) - self.lin.cu.rmatvec(q)

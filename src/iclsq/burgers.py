@@ -15,11 +15,13 @@ applied with ``dgttrs``). ``linearize`` leaves the factoring to the first
 solve at the base point, and the factors live in its ``Linearization``. The
 per-step loops apply their Toeplitz operators to single blocks as one
 3-point ``np.convolve`` each. The operators on all blocks at once, the
-partial Jacobians G_u, G_y and c_u, are ``scipy.sparse`` CSR matrices, each
-the Kronecker product of a shifted identity over the time blocks with one
-tridiagonal block; the residual is linear, G_y (y - z) + G_u u. These
-matrices, the 3-point kernels and ``step_jacobian``'s constant terms are
-built on first use.
+partial Jacobians G_u, G_y and c_u, are ``core.sparse_operator``s on
+``scipy.sparse`` CSR matrices. G_u and G_y both place F_b = I_{nt+1} kron F,
+built with its transpose once: G_u on the control half of the residual, G_y
+without F_b's first block column on the state half. c_u is the Kronecker
+product of a shifted identity with M. The residual is linear,
+G_y (y - z) + G_u u. These matrices, the 3-point kernels and
+``step_jacobian``'s constant terms are built on first use.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -36,19 +38,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf
 
-from .core import ImplicitProblem, LinearOperator, Linearization, StateSolveError, as_vector
-from .core import check_integer, check_positive
+from .core import ImplicitProblem, Linearization, StateSolveError, as_vector
+from .core import check_integer, check_positive, sparse_operator
 
 __all__ = ["BurgersProblem"]
-
-
-def _operator(S, scale: float) -> LinearOperator:
-    """scale * S, applied through S and its transpose, both CSR. The scale
-    stays outside the matrix, so a product rounds as scale * (F x) does."""
-    # Stored, since S.T @ w (a CSC view) made a reduced J^T apply 79 -> 142 us
-    # at nx x nt = 16 x 16 and 238 -> 319 us at 128 x 32 (one Xeon core).
-    S_T = S.T.tocsr()
-    return LinearOperator(S.shape, lambda v: scale * (S @ v), lambda w: scale * (S_T @ w))
 
 
 # scipy's dgttrf/dgttrs wrappers reject n = 2 with an array-size error, so a
@@ -265,19 +258,19 @@ class BurgersProblem(ImplicitProblem):
     @cached_property
     def _operators(self) -> tuple:
         """``(G_u, G_y, c_u)``, the same at every base point, and also what
-        ``residual`` applies. Each is a ``LinearOperator`` on a CSR matrix and
-        its CSR transpose: G_u and G_y hold F's blocks, scaled by
-        sqrt(omega dt) and sqrt(dt), and c_u holds M's, scaled by -1. Zero
-        entries of a block are not stored. Built on first use, so the
-        constructor assembles nothing."""
+        ``residual`` applies. Zero entries of a block are not stored. Built
+        on first use, so the constructor assembles nothing."""
         nx, nt = self.nx, self.nt
         F, M = (sp.diags(T, [-1, 0, 1], shape=(nx, nx)) for T in (self._sqrtM, self.M))
+        F_b = sp.kron(sp.identity(nt + 1), F, format="csr")
+        F_b_T = F_b.T.tocsr()
+        # block 0 of the control enters no constraint
+        c_u = sp.kron(sp.eye(nt, nt + 1, k=1), M, format="csr")
         sd, so = math.sqrt(self.dt), math.sqrt(self.omega * self.dt)
         return (
             # residual rows: nt + 1 state blocks, then nt + 1 control blocks
-            _operator(sp.kron(sp.eye(2 * nt + 2, nt + 1, k=-nt - 1), F, format="csr"), so),
+            sparse_operator(F_b, F_b_T, so, self.m, first=(nt + 1) * nx),
             # the states at steps 1..nt; block 0 holds the initial state, which is data
-            _operator(sp.kron(sp.eye(2 * nt + 2, nt, k=-1), F, format="csr"), sd),
-            # block 0 of the control enters no constraint
-            _operator(sp.kron(sp.eye(nt, nt + 1, k=1), M, format="csr"), -1.0),
+            sparse_operator(F_b[:, nx:], F_b_T[nx:], sd, self.m),
+            sparse_operator(c_u, c_u.T.tocsr(), -1.0, self.n_y),
         )

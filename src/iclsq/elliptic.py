@@ -17,6 +17,10 @@ Laplacian (4 on the diagonal, -1 per grid neighbour): every triangle has its
 right angle opposite the diagonal edge, whose coupling vanishes. A 2-D
 type-I discrete sine transform diagonalizes it, so each constraint solve is
 two transforms and a pointwise divide (Hockney's fast Poisson solver).
+
+The partial Jacobians G_y = [F; 0], G_u = [0; sqrt(lam) F] and c_u = -M are
+``core.sparse_operator``s on F, its one stored transpose, and M, which is its
+own transpose. Being linear, the problem has one linearization for all points.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ImplicitProblem, LinearOperator, Linearization, as_vector
-from .core import check_integer, check_positive
+from .core import ImplicitProblem, Linearization, as_vector, check_integer, check_positive
+from .core import sparse_operator
 
 __all__ = ["EllipticProblem"]
 
@@ -76,8 +80,13 @@ class EllipticProblem(ImplicitProblem):
         S = _incidence(N)
         I = sp.identity(self._n, format="csr")
         self.M = (c * (6.0 * I + S.T @ S)).tocsr()
-        self._sqrtM = math.sqrt(c) * sp.vstack([math.sqrt(6.0) * I, S], format="csr")
-        self._sqrtM_T = self._sqrtM.T.tocsr()
+        self._sqrtM = F = math.sqrt(c) * sp.vstack([math.sqrt(6.0) * I, S], format="csr")
+        F_T = F.T.tocsr()  # one transpose, shared by G_u and G_y
+        self._linearization = Linearization(
+            sparse_operator(F, F_T, math.sqrt(self.lam), self.m, first=F.shape[0]),
+            sparse_operator(F, F_T, 1.0, self.m),  # scaling by 1.0 is exact
+            sparse_operator(self.M, self.M, -1.0, self._n),  # M is symmetric
+        )
         self.z = np.zeros(self._n) if z_choice == "zero" else np.ones(self._n)
         # Imported here and not with the module: scipy.fft loads scipy.special,
         # about 60 ms and 3 MB that Burgers-only users should not pay.
@@ -88,12 +97,6 @@ class EllipticProblem(ImplicitProblem):
         # lam_j = 4 sin^2(j pi / 2N) those of tridiag(-1, 2, -1).
         lam_1d = 4.0 * np.sin(np.arange(1, N) * (math.pi / (2 * N))) ** 2
         self._K_eig = lam_1d[:, None] + lam_1d[None, :]
-        M = self.M
-        self._linearization = Linearization(
-            self._residual_half_op(math.sqrt(self.lam), 1),
-            self._residual_half_op(1.0, 0),  # scaling by 1.0 is exact
-            LinearOperator((self._n, self._n), lambda v: -(M @ v), lambda w: -(M @ w)),
-        )
 
     # dimensions
     @property
@@ -123,22 +126,6 @@ class EllipticProblem(ImplicitProblem):
         lin = self._linearization
         return lin.Gy @ (as_vector(y, self._n, name="state") - self.z) + lin.Gu @ u
 
-    def _residual_half_op(self, scale: float, half: int) -> LinearOperator:
-        """scale * F on residual half ``half`` (0 state, 1 control), zero on the other."""
-        F, F_T = self._sqrtM, self._sqrtM_T
-        rows = F.shape[0]
-        part = slice(half * rows, (half + 1) * rows)
-
-        def fwd(v):
-            out = np.zeros(2 * rows)
-            out[part] = scale * (F @ v)
-            return out
-
-        def adj(w):
-            return scale * (F_T @ w[part])
-
-        return LinearOperator((self.m, self._n), fwd, adj)
-
     def linearize(self, y, u) -> Linearization:
         """The one linearization, built in ``__init__``: the constraint is linear."""
         return self._linearization
@@ -146,6 +133,4 @@ class EllipticProblem(ImplicitProblem):
     def solve_cy(self, lin, rhs) -> np.ndarray:
         return self._solve_K(as_vector(rhs, self._n, name="rhs"))
 
-    def solve_cy_transpose(self, lin, rhs) -> np.ndarray:
-        # K is symmetric, so the transposed solve is the same transform solve.
-        return self._solve_K(as_vector(rhs, self._n, name="rhs"))
+    solve_cy_transpose = solve_cy  # K is symmetric

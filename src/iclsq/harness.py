@@ -278,21 +278,29 @@ _FLAGS = {
         ("--omega", dict(type=float, help="control regularization")),
     ],
     "solver": [
-        ("--eta", dict(type=float)),
-        ("--gamma-min", dict(type=float)),
-        ("--max-iter", dict(type=int)),
+        ("--eta", dict(type=float, help="least ratio of actual to predicted decrease that "
+                       f"accepts a step (default {SolverConfig.eta:g})")),
+        ("--gamma-min", dict(type=float, help="floor of the regularization weight "
+                             f"(default {SolverConfig.gamma_min:g})")),
+        ("--max-iter", dict(type=int, help="iteration budget "
+                            f"(default {SolverConfig.max_iter})")),
         ("--hessian", dict(dest="hessian_mode", choices=HESSIAN_MODES,
-                           type=lambda mode: mode.replace("-", "_"))),
+                           type=lambda mode: mode.replace("-", "_"),
+                           help=f"model curvature (default {SolverConfig.hessian_mode})")),
     ],
     "solve": [
-        ("--theta", dict(type=float)),
-        ("--eps-r", dict(dest="eps_R", type=float)),
-        ("--eps-g", dict(type=float)),
+        ("--theta", dict(type=float, help="relative inexactness of the CG steps, 0 for exact "
+                         f"steps (default {SolverConfig.theta:g})")),
+        ("--eps-r", dict(dest="eps_R", type=float, help="residual norm tolerance "
+                         f"(default {SolverConfig.eps_R:g})")),
+        ("--eps-g", dict(type=float, help="scaled gradient tolerance "
+                         f"(default {SolverConfig.eps_g:g})")),
         ("--jsonl", dict(type=Path, help="write the iteration trace to this file")),
     ],
     "sweep": [
         ("--grid-file", dict(type=Path, help="JSON file with 'theta' and 'eps' (pairs) lists")),
-        ("--out-dir", dict(type=Path, required=True)),
+        ("--out-dir", dict(type=Path, required=True,
+                           help="directory for summary.csv, the table CSVs and the traces")),
     ],
 }
 
@@ -353,7 +361,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "sweep":
-        print(render_table(rows, "pde_solves"))
+        print(render_table(rows, "pde_solves"), end="")
     elif rows[0].status == "error":
         print(f"solver error: {rows[0].error_message}", file=sys.stderr)
     else:

@@ -11,7 +11,9 @@ Each iteration calls ``exact_step`` (theta = 0) or ``truncated_cg_step``
 once, with the model as arguments. With Gauss-Newton curvature the bound on
 ||J^T J|| they need comes from ``estimate_operator_norm``, once per
 linearization the run steps from (once per run on the linear elliptic problem),
-cold at the first and warm-started from the last dominant vector after.
+cold at the first and warm-started from the last dominant vector after, on a
+Jacobian whose own counters give the run's ``norm_probe_applies``. A failed
+trial point and a nonpositive predicted decrease are rejected alike.
 """
 
 from __future__ import annotations
@@ -211,14 +213,13 @@ def solve(
         if not gauss_newton:
             h_norm = 0.0
         elif jac.lin is not h_lin:
-            # Norm probes emulate a known curvature bound; they run on an
-            # uncounted Jacobian at jac's linearization so tallies match
-            # the cost model, and are tallied apart as two applications each.
+            # Norm probes emulate a known curvature bound; they run on a
+            # Jacobian with its own counters at jac's linearization, so the
+            # run's tallies match the cost model, and are tallied apart.
             h_lin = jac.lin
-            h_norm, h_vec, products = estimate_operator_norm(
-                ReducedJacobian(problem, h_lin), start=h_vec
-            )
-            counters.norm_probe_applies += 2 * products
+            probe = ReducedJacobian(problem, h_lin)
+            h_norm, h_vec = estimate_operator_norm(probe, start=h_vec)
+            counters.norm_probe_applies += probe.counters.jacobian_applies
         model = (jac, R) if gauss_newton else ()
         if config.theta == 0.0:
             step = exact_step(g, gamma, h_norm, *model)
@@ -237,27 +238,17 @@ def solve(
             R_trial = problem.residual(y_trial, u_trial)
             if not np.all(np.isfinite(R_trial)):
                 failure = "trial residual is not finite"
-
+        if failure:
+            counters.failed_trial_solves += 1
         actual = None if failure else 0.5 * float(R @ R) - 0.5 * float(R_trial @ R_trial)
         predicted = step.model_decrease
-
-        note = ""
-        if failure:
-            # An unusable trial point is a rejection: gamma doubles and the
-            # run goes on from the current iterate.
-            counters.failed_trial_solves += 1
-            rho = None
-            success = False
-            note = f"{failure}, iteration rejected"
-        elif predicted <= 0.0:
-            # Underflow near convergence; reject and grow gamma instead of
-            # failing the run.
-            rho = None
-            success = False
-            note = "nonpositive predicted decrease, iteration rejected"
-        else:
-            rho = actual / predicted
-            success = rho >= config.eta
+        if not failure and predicted <= 0.0:  # underflow near convergence
+            failure = "nonpositive predicted decrease"
+        # An unusable trial point or prediction is a rejection, not the end of
+        # the run: gamma doubles and the run goes on from the current iterate.
+        rho = None if failure else actual / predicted
+        success = rho is not None and rho >= config.eta
+        note = f"{failure}, iteration rejected" if failure else ""
 
         if trace_sink is not None:
             rn = norm(R)

@@ -21,7 +21,8 @@ theta, ``h_norm``, and for Gauss-Newton curvature the pair (J, R), the
 Jacobian operator and the residual at the base point (g = J^T R); without
 the pair H is zero. g must have one entry per column of J and R one per
 row. ``h_norm`` must bound ||H|| from above for the inexactness rule to
-keep its guarantees.
+keep its guarantees; ``estimate_operator_norm`` gives one, and the Jacobian
+it is given counts the products it takes.
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ class StepResult:
 
 def estimate_operator_norm(
     J: LinearOperator, start: np.ndarray | None = None
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, np.ndarray]:
     """Safety-factored power-iteration estimate of the spectral norm of J^T J.
 
-    Returns ``(estimate, v, products)``: 1.5 times the final Rayleigh
-    quotient, so the result upper-bounds the true norm in practice; the unit
-    vector that quotient belongs to; and the number of products J^T (J v),
-    each one forward and one transpose application of J.
+    Returns ``(estimate, v)``: 1.5 times the final Rayleigh quotient, so the
+    result upper-bounds the true norm in practice, and the unit vector that
+    quotient belongs to. Each product J^T (J v) is one forward and one
+    transpose application of J, which a ``ReducedJacobian`` J tallies.
 
     Without ``start`` (a cold estimate) the iteration begins at a fixed
     start vector, the first draw of ``default_rng(0)``, and takes exactly
@@ -92,19 +93,17 @@ def estimate_operator_norm(
             raise ValueError("start must be finite and nonzero")
     v /= np.linalg.norm(v)
     hv = J.rmatvec(J @ v)
-    products = 1
     quotient = float(v @ hv)
     for _ in range(30):
         nv = np.linalg.norm(hv)
         if nv <= 1e-300:
-            return 0.0, v, products
+            return 0.0, v
         v = hv / nv
         hv = J.rmatvec(J @ v)
-        products += 1
         previous, quotient = quotient, float(v @ hv)
         if start is not None and abs(quotient - previous) <= _WARM_RTOL * quotient:
             break
-    return 1.5 * quotient, v, products
+    return 1.5 * quotient, v
 
 
 def _cgls(g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, tol: float):

@@ -89,6 +89,24 @@ def operator_from_matrix(A):
     return LinearOperator(A.shape, lambda v: A @ v, lambda w: A.T @ w)
 
 
+class CountingOperator(LinearOperator):
+    """A dense matrix as an operator that tallies its forward and transpose
+    applications in ``applies``."""
+
+    def __init__(self, A):
+        self.A = np.asarray(A, dtype=float)
+        self.shape = self.A.shape
+        self.applies = 0
+
+    def _matvec(self, v):
+        self.applies += 1
+        return self.A @ v
+
+    def _rmatvec(self, w):
+        self.applies += 1
+        return self.A.T @ w
+
+
 def assert_adjoint_identity(op, rng, probes=20, tol=1e-10):
     """<A v, w> must equal <v, A^T w> on random probes."""
     rows, cols = op.shape

@@ -11,6 +11,7 @@ from iclsq.solver import SolveStatus, SolverConfig, solve
 
 from conftest import (
     assemble_stiffness,
+    assert_adjoint_identity,
     constraint_residual,
     feasibility_tol,
     interior_stiffness,
@@ -211,6 +212,27 @@ class TestFastSolve:
         lin = prob.linearize(None, None)
         np.testing.assert_array_equal(lin.Gy.rmatvec(w), F.T @ w[:rows])
         np.testing.assert_array_equal(lin.Gu.rmatvec(w), s * (F.T @ w[rows:]))
+
+
+class TestPartialJacobians:
+    @pytest.mark.parametrize("name", ["Gu", "Gy", "cu"])
+    @pytest.mark.parametrize("N", [2, 3, 7])
+    def test_partial_jacobians_match_dense_blocks(self, N, name, rng):
+        # G_y = [F; 0], G_u = [0; sqrt(lam) F] and c_u = -M, zero half included
+        prob = EllipticProblem(N, lam=0.07)
+        F, M = prob._sqrtM.toarray(), prob.M.toarray()
+        zero = np.zeros_like(F)
+        expected = {
+            "Gu": np.vstack([zero, np.sqrt(prob.lam) * F]),
+            "Gy": np.vstack([F, zero]),
+            "cu": -M,
+        }[name]
+        op = getattr(prob.linearize(None, None), name)
+        rows, cols = op.shape
+        assert op.shape == expected.shape
+        np.testing.assert_array_equal(np.column_stack([op @ e for e in np.eye(cols)]), expected)
+        np.testing.assert_array_equal(np.vstack([op.rmatvec(e) for e in np.eye(rows)]), expected)
+        assert_adjoint_identity(op, rng)
 
 
 class TestResidual:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -432,6 +433,31 @@ class TestCli:
         assert all(flag in words for flag in own)
         assert not any(flag in words for flag in other)
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("problem", ["elliptic", "burgers"])
+    def test_every_flag_has_help_and_shows_the_solver_defaults(self, command, problem, capsys):
+        # solver flag -> the SolverConfig field whose default its help shows
+        fields = {"--eta": "eta", "--gamma-min": "gamma_min", "--max-iter": "max_iter",
+                  "--hessian": "hessian_mode", "--theta": "theta", "--eps-r": "eps_R",
+                  "--eps-g": "eps_g"}
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, problem, "--help"])
+        assert exit_info.value.code == 0
+        options = capsys.readouterr().out.split("options:\n", 1)[1]
+        helps = {}
+        for entry in re.split(r"\n(?=  -)", options.strip("\n")):
+            # the flag's invocation, then its help after a gap or on the next line
+            invocation, *text = re.split(r"\s{2,}", entry.strip(), maxsplit=1)
+            assert text and text[0].strip(), f"no help for {invocation!r}"
+            helps[invocation.split()[0].rstrip(",")] = " ".join(text[0].split())
+        solver_flags = [flag for flag in fields if flag in helps]
+        assert solver_flags == list(fields)[:4] + (list(fields)[4:] if command == "solve" else [])
+        for flag in solver_flags:
+            shown = re.search(r"\(default (\S+)\)", helps[flag])
+            assert shown, f"{flag} shows no default: {helps[flag]!r}"
+            default = getattr(SolverConfig, fields[flag])
+            assert shown[1] == default if isinstance(default, str) else float(shown[1]) == default
+
     def test_sweep_runs_the_default_burgers_grid(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         assert main(["sweep", "burgers", "--nx", "4", "--nt", "2", "--out-dir", str(out_dir)]) == 0
@@ -440,7 +466,7 @@ class TestCli:
         body = [line for line in table.splitlines() if not line.startswith("#")]
         pairs = [line.split(",")[:2] for line in body[1:]]
         assert pairs == [["0.01", "0.001"], ["0.01", "0.0001"], ["0.01", "1e-06"]]
-        assert capsys.readouterr().out == table + "\n"
+        assert capsys.readouterr().out == table
 
     def test_solve_reports_solver_error_on_stderr(self, capsys):
         # Newton does not converge at the starting control of this problem

@@ -8,18 +8,32 @@ rejected-trial path and Newton failures at u0. Elliptic problems have N in
 must end in a ``SolveStatus`` with the cost model's counts, an accepted
 step's positive model decrease and gamma at or above its floor in every
 record, or fail at u0 after its one state solve.
+
+The reduced Jacobian is checked too: against its transpose on elliptic
+problems, and its gradient J^T R against central differences on Burgers
+problems with nx in [2, 4] and nt in [1, 3] and elliptic ones with N in
+[2, 5].
 """
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import norm  # BLAS nrm2: no underflow on tiny draws
 
+from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
 from iclsq.core import EvalCounters, StateSolveError
 from iclsq.elliptic import EllipticProblem
 from iclsq.solver import HESSIAN_MODES, SolverConfig, SolveStatus, solve
 
+from conftest import fd_gradient_oracle
+
 fast = settings(max_examples=25, derandomize=True, deadline=None)
+
+# Controls of 50 everywhere: the run rejects trial points whose state solve fails.
+LARGE_CONTROLS = (BurgersProblem(3, 2, nu=0.1), np.full(9, 50.0))
+LARGE_CONTROLS_CONFIG = SolverConfig(theta=1e-2, max_iter=20)
 
 
 def controls(n, amplitude):
@@ -48,13 +62,14 @@ configs = st.builds(
 
 
 def check_run(prob, u0, config):
+    """The run's counters, once its records and outcome pass every check."""
     counters, records = EvalCounters(), []
     try:
         out = solve(prob, u0, config, counters=counters, trace_sink=records.append)
     except (StateSolveError, ValueError):
         # only the solve at u0 may fail the run, before any iteration
         assert counters.forward_solves == 1 and records == []
-        return
+        return counters
     assert isinstance(out.status, SolveStatus)
     assert counters.forward_solves == out.iterations + 1 == len(records) + 1
     assert out.successes == sum(rec.success for rec in records)
@@ -65,15 +80,55 @@ def check_run(prob, u0, config):
         if rec.success:
             assert rec.model_decrease > 0
     assert out.gamma >= config.gamma_min
+    return counters
 
 
 @fast
 @given(burgers_runs(), configs)
+@example(run=LARGE_CONTROLS, config=LARGE_CONTROLS_CONFIG)
 def test_burgers_solve_keeps_the_cost_model(run, config):
     check_run(*run, config)
+
+
+def test_large_controls_reach_the_failed_trial_path():
+    assert check_run(*LARGE_CONTROLS, LARGE_CONTROLS_CONFIG).failed_trial_solves > 0
 
 
 @fast
 @given(elliptic_runs(), configs)
 def test_elliptic_solve_keeps_the_cost_model(run, config):
     check_run(*run, config)
+
+
+@fast
+@given(st.integers(2, 10), st.data())
+def test_elliptic_reduced_jacobian_adjoint_identity(N, data):
+    prob = EllipticProblem(N, z_choice=data.draw(st.sampled_from(["zero", "one"])))
+    u = data.draw(controls(prob.n, 2.0))
+    jac = ReducedJacobian(prob, prob.linearize(prob.solve_state(u), u))
+    v, w = data.draw(controls(prob.n, 1.0)), data.draw(controls(prob.m, 1.0))
+    Jv, JTw = jac.apply(v), jac.apply_transpose(w)
+    scale = norm(Jv) * norm(w) + norm(v) * norm(JTw)
+    assert abs(Jv @ w - v @ JTw) <= 1e-12 * scale + float(np.finfo(float).tiny)
+
+
+@st.composite
+def small_runs(draw):
+    """(problem, control) of either problem, small enough for the FD oracle."""
+    if draw(st.booleans()):
+        prob = BurgersProblem(draw(st.integers(2, 4)), draw(st.integers(1, 3)),
+                              nu=draw(st.floats(1e-3, 1.0)))
+    else:
+        prob = EllipticProblem(draw(st.integers(2, 5)),
+                               z_choice=draw(st.sampled_from(["zero", "one"])))
+    return prob, draw(controls(prob.n, 2.0))
+
+
+@fast
+@given(small_runs())
+def test_gradient_matches_finite_differences(run):
+    prob, u = run
+    y = prob.solve_state(u)
+    g = ReducedJacobian(prob, prob.linearize(y, u)).apply_transpose(prob.residual(y, u))
+    g_fd = fd_gradient_oracle(prob, u, step=1e-6)
+    assert norm(g - g_fd) <= 1e-4 * (1.0 + norm(g_fd))

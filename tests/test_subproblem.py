@@ -14,7 +14,7 @@ from iclsq.subproblem import (
     truncated_cg_step,
 )
 
-from conftest import factor_spec, operator_from_matrix, random_factor
+from conftest import CountingOperator, factor_spec, operator_from_matrix, random_factor
 
 
 def explicit_decrease(J, g, gamma, s):
@@ -138,27 +138,29 @@ def thirty_step_estimate(J):
 
 class TestOperatorNorm:
     def test_zero_operator(self):
-        est, _, products = estimate_operator_norm(operator_from_matrix(np.zeros((3, 7))))
+        J = CountingOperator(np.zeros((3, 7)))
+        est, _ = estimate_operator_norm(J)
         assert est == 0.0
-        assert products == 1
+        assert J.applies == 2  # one product J^T (J v)
 
     def test_identity(self):
-        est, _, _ = estimate_operator_norm(operator_from_matrix(np.eye(10)))
+        est, _ = estimate_operator_norm(operator_from_matrix(np.eye(10)))
         assert 1.0 <= est <= 1.5
 
     def test_overestimates_but_not_wildly(self, rng):
         for _ in range(5):
             J = random_factor(rng, 15)
             true = float(np.linalg.norm(J.T @ J, 2))
-            est, _, _ = estimate_operator_norm(operator_from_matrix(J))
+            est, _ = estimate_operator_norm(operator_from_matrix(J))
             assert true <= est <= 1.5 * true + 1e-12
 
     def test_cold_estimate_is_the_thirty_step_formula(self, rng):
         for _ in range(5):
             J = random_factor(rng, 12)
-            est, v, products = estimate_operator_norm(operator_from_matrix(J))
+            op = CountingOperator(J)
+            est, v = estimate_operator_norm(op)
             assert est == thirty_step_estimate(J)
-            assert products == 31
+            assert op.applies == 62  # 31 products
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
 
     def test_warm_start_from_dominant_eigenvector_stops_early(self, rng):
@@ -166,10 +168,9 @@ class TestOperatorNorm:
             J = random_factor(rng, 15)
             eigvals, eigvecs = np.linalg.eigh(J.T @ J)
             true = float(eigvals[-1])
-            est, v, products = estimate_operator_norm(
-                operator_from_matrix(J), start=eigvecs[:, -1]
-            )
-            assert products <= 2
+            op = CountingOperator(J)
+            est, v = estimate_operator_norm(op, start=eigvecs[:, -1])
+            assert op.applies <= 4  # at most 2 products
             assert true <= est <= 1.5 * true * (1 + 1e-12)
             assert abs(float(v @ eigvecs[:, -1])) == pytest.approx(1.0, abs=1e-12)
 
