@@ -51,7 +51,7 @@ class ReducedJacobian(LinearOperator):
 
     def apply(self, v) -> np.ndarray:
         """Forward product: direction in control space to residual space."""
-        v = as_vector(v, self.problem.n, name="direction")
+        v = as_vector(v, self.shape[1], name="direction")
         # State response to the control perturbation: c_y w = -c_u v.
         w = self.problem.solve_cy(self.lin, -(self.lin.cu @ v))
         self.counters.linearized_solves += 1
@@ -59,7 +59,7 @@ class ReducedJacobian(LinearOperator):
 
     def apply_transpose(self, w) -> np.ndarray:
         """Transpose product: residual-space vector to control space."""
-        w = as_vector(w, self.problem.m, name="residual direction")
+        w = as_vector(w, self.shape[0], name="residual direction")
         q = self.problem.solve_cy_transpose(self.lin, self.lin.Gy.rmatvec(w))
         self.counters.adjoint_solves += 1
         return self.lin.Gu.rmatvec(w) - self.lin.cu.rmatvec(q)

@@ -26,7 +26,8 @@ G_y (y - z) + G_u u. These matrices, the 3-point kernels and
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
 for time zero that enters no constraint and is felt only through its
-regularization term.
+regularization term. So the constructor sets n = (Nt + 1) nx, n_y = Nt nx
+and m = 2 (Nt + 1) nx, a state and a control half of the residual.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class BurgersProblem(ImplicitProblem):
         newton_max_iter: int = 25,
     ):
         self.nx = nx = check_integer("nx", nx, 2)
-        self.nt = check_integer("nt", nt, 1)
+        self.nt = nt = check_integer("nt", nt, 1)
+        self.n, self.n_y, self.m = (nt + 1) * nx, nt * nx, 2 * (nt + 1) * nx
         self.newton_max_iter = check_integer("newton_max_iter", newton_max_iter, 0)
         self.nu = check_positive("nu", nu)
         self.omega = check_positive("omega", omega)
@@ -109,19 +111,6 @@ class BurgersProblem(ImplicitProblem):
         root = np.sqrt(d)
         self._sqrtM = (0.0, root, root[:-1] * e)
         self._gttrf, self._gttrs = (dgttrf, dgttrs) if nx > 2 else (_padded_gttrf, _padded_gttrs)
-
-    # dimensions
-    @property
-    def n(self) -> int:
-        return (self.nt + 1) * self.nx
-
-    @property
-    def n_y(self) -> int:
-        return self.nt * self.nx
-
-    @property
-    def m(self) -> int:
-        return 2 * (self.nt + 1) * self.nx
 
     # block helper
     def state_blocks(self, y) -> np.ndarray:

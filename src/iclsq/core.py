@@ -4,9 +4,10 @@ The solver stack is matrix free: a problem exposes its constraint and
 residual Jacobians only through operator actions, gathered per base point in
 a ``Linearization``, and every inner linear solve is tallied in an explicit
 counter object owned by the caller, never in global state. The contract is
-exactly what the solver calls: the constraint c(y, u) = 0 is only ever solved,
-for the state or linearized (and transposed), never evaluated. Both problems
-build their partial Jacobians with ``sparse_operator``.
+five abstract methods, exactly what the solver calls, and three sizes set as
+data. The constraint c(y, u) = 0 is only ever solved, for the state or
+linearized (and transposed), never evaluated. Both problems build their
+partial Jacobians with ``sparse_operator``.
 """
 
 from __future__ import annotations
@@ -191,27 +192,17 @@ class ImplicitProblem(ABC):
     The constraint is uniquely solvable for the state y given the control u,
     and its state Jacobian is square and invertible along the solution path.
     Implementations expose partial Jacobians of R and c as operators only,
-    one ``Linearization`` per base point.
+    one ``Linearization`` per base point, and set the sizes ``n``, ``n_y``
+    and ``m`` once, in ``__init__`` or as class attributes.
 
     Evaluations must be pure functions of (y, u), and whatever the solves at
     one base point share lives in its ``Linearization``, never on the
     problem, so distinct solver runs can share one instance concurrently.
     """
 
-    @property
-    @abstractmethod
-    def n(self) -> int:
-        """Control dimension."""
-
-    @property
-    @abstractmethod
-    def n_y(self) -> int:
-        """State dimension; equals the constraint dimension."""
-
-    @property
-    @abstractmethod
-    def m(self) -> int:
-        """Residual dimension."""
+    n: int  # control dimension
+    n_y: int  # state dimension; equals the constraint dimension
+    m: int  # residual dimension
 
     @abstractmethod
     def solve_state(self, u: np.ndarray) -> np.ndarray:

@@ -56,15 +56,15 @@ class EllipticProblem(ImplicitProblem):
 
     Parameters
     ----------
-    N : subdivisions per side, an integer of at least 2; the control/state
-        dimension is (N-1)^2.
+    N : subdivisions per side, an integer of at least 2; the control and
+        state sizes are n = n_y = (N-1)^2.
     lam : control regularization weight, positive and finite.
     z_choice : "zero" or "one", the desired state (zero gives a problem
         with an exact zero-residual solution, one a large-residual one).
 
     The residual stacks F (y - z) over sqrt(lam) F u, with the mass factor
     F = sqrt(c) [sqrt(6) I; S] of (N-1)^2 + 2 N^2 rows and 7 (N-1)^2
-    nonzeros, so m = 2 rows(F).
+    nonzeros, so m = 2 rows(F). The constructor sets all three sizes.
     K is the five-point Laplacian on the (N-1) x (N-1) interior grid, and
     the state, linearized and adjoint solves all invert it by DST-I.
     """
@@ -74,20 +74,21 @@ class EllipticProblem(ImplicitProblem):
         self.lam = check_positive("lam", lam)
         if z_choice not in ("zero", "one"):
             raise ValueError(f"z_choice must be 'zero' or 'one', got {z_choice!r}")
-        self._n = (N - 1) ** 2
+        self.n = self.n_y = (N - 1) ** 2
         h = 1.0 / N
         c = 0.5 * (h * h) / 12.0
         S = _incidence(N)
-        I = sp.identity(self._n, format="csr")
+        I = sp.identity(self.n, format="csr")
         self.M = (c * (6.0 * I + S.T @ S)).tocsr()
         self._sqrtM = F = math.sqrt(c) * sp.vstack([math.sqrt(6.0) * I, S], format="csr")
+        self.m = 2 * F.shape[0]
         F_T = F.T.tocsr()  # one transpose, shared by G_u and G_y
         self._linearization = Linearization(
             sparse_operator(F, F_T, math.sqrt(self.lam), self.m, first=F.shape[0]),
             sparse_operator(F, F_T, 1.0, self.m),  # scaling by 1.0 is exact
-            sparse_operator(self.M, self.M, -1.0, self._n),  # M is symmetric
+            sparse_operator(self.M, self.M, -1.0, self.n),  # M is symmetric
         )
-        self.z = np.zeros(self._n) if z_choice == "zero" else np.ones(self._n)
+        self.z = np.zeros(self.n) if z_choice == "zero" else np.ones(self.n)
         # Imported here and not with the module: scipy.fft loads scipy.special,
         # about 60 ms and 3 MB that Burgers-only users should not pay.
         from scipy.fft import dstn, idstn
@@ -98,19 +99,6 @@ class EllipticProblem(ImplicitProblem):
         lam_1d = 4.0 * np.sin(np.arange(1, N) * (math.pi / (2 * N))) ** 2
         self._K_eig = lam_1d[:, None] + lam_1d[None, :]
 
-    # dimensions
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def n_y(self) -> int:
-        return self._n
-
-    @property
-    def m(self) -> int:
-        return 2 * self._sqrtM.shape[0]
-
     def _solve_K(self, b: np.ndarray) -> np.ndarray:
         # The orthonormal DST-I diagonalizes K.
         B = b.reshape(self._K_eig.shape)
@@ -118,19 +106,19 @@ class EllipticProblem(ImplicitProblem):
         return self._idstn(coeffs, type=1, norm="ortho").ravel()
 
     def solve_state(self, u) -> np.ndarray:
-        u = as_vector(u, self._n, name="control")
+        u = as_vector(u, self.n, name="control")
         return self._solve_K(self.M @ u)
 
     def residual(self, y, u) -> np.ndarray:
         """R = G_y (y - z) + G_u u, with the operators of the one linearization."""
         lin = self._linearization
-        return lin.Gy @ (as_vector(y, self._n, name="state") - self.z) + lin.Gu @ u
+        return lin.Gy @ (as_vector(y, self.n, name="state") - self.z) + lin.Gu @ u
 
     def linearize(self, y, u) -> Linearization:
         """The one linearization, built in ``__init__``: the constraint is linear."""
         return self._linearization
 
     def solve_cy(self, lin, rhs) -> np.ndarray:
-        return self._solve_K(as_vector(rhs, self._n, name="rhs"))
+        return self._solve_K(as_vector(rhs, self.n, name="rhs"))
 
     solve_cy_transpose = solve_cy  # K is symmetric

@@ -45,6 +45,9 @@ __all__ = [
 DEFAULT_THETA_GRID = (0.0, 1e-6, 1e-4, 1e-2, 1e-1, 5e-1)
 
 PROBLEMS = {"elliptic": EllipticProblem, "burgers": BurgersProblem}
+# each problem's constructor keywords (the dests of its flags) and their defaults
+_KEYWORDS = {name: {k: p.default for k, p in inspect.signature(cls).parameters.items()}
+             for name, cls in PROBLEMS.items()}
 
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 
@@ -268,14 +271,17 @@ def render_table(rows: list[ExperimentRow], metric: str) -> str:
 _FLAGS = {
     "elliptic": [
         ("--n-mesh", dict(dest="N", type=int, default=20, help="mesh subdivisions (default 20)")),
-        ("--lambda", dict(dest="lam", type=float, help="control regularization")),
-        ("--z", dict(dest="z_choice", choices=["zero", "one"], help="desired state")),
+        ("--lambda", dict(dest="lam", type=float, help="control regularization "
+                          f"(default {_KEYWORDS['elliptic']['lam']:g})")),
+        ("--z", dict(dest="z_choice", choices=["zero", "one"], help="desired state "
+                     f"(default {_KEYWORDS['elliptic']['z_choice']})")),
     ],
     "burgers": [
         ("--nx", dict(type=int, default=16, help="spatial resolution (default 16)")),
         ("--nt", dict(type=int, default=16, help="time steps (default 16)")),
-        ("--nu", dict(type=float, help="viscosity")),
-        ("--omega", dict(type=float, help="control regularization")),
+        ("--nu", dict(type=float, help=f"viscosity (default {_KEYWORDS['burgers']['nu']:g})")),
+        ("--omega", dict(type=float, help="control regularization "
+                         f"(default {_KEYWORDS['burgers']['omega']:g})")),
     ],
     "solver": [
         ("--eta", dict(type=float, help="least ratio of actual to predicted decrease that "
@@ -312,7 +318,7 @@ def _set_args(args, names) -> dict:
 
 def _problem_params(args) -> dict:
     """The chosen problem's constructor keywords among the set flags."""
-    return _set_args(args, inspect.signature(PROBLEMS[args.problem]).parameters)
+    return _set_args(args, _KEYWORDS[args.problem])
 
 
 def _default_eps_grid(problem: str, params: dict) -> tuple:

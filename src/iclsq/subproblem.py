@@ -82,7 +82,8 @@ def estimate_operator_norm(
     two successive Rayleigh quotients agree to a relative 1e-3
     (``_WARM_RTOL``), after at most thirty steps. A zero
     product is detected from the start vector and reported as exactly 0.
-    A ``start`` that is not finite or is zero raises ``ValueError``.
+    A ``start`` that is not finite or is zero raises ``ValueError``, and a
+    product whose norm overflows (or is NaN) raises ``FloatingPointError``.
     """
     dim = J.shape[1]
     if start is None:
@@ -91,15 +92,24 @@ def estimate_operator_norm(
         v = as_vector(start, dim, name="start").copy()
         if not np.all(np.isfinite(v)) or not np.any(v):
             raise ValueError("start must be finite and nonzero")
+
+    def product(v):  # J^T J v and its norm
+        # an overflowing product is refused below, so it warns of nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            hv = J.rmatvec(J @ v)
+            nv = np.linalg.norm(hv)
+        if not math.isfinite(nv):
+            raise FloatingPointError(f"curvature-norm estimate overflowed: |J^T J v| = {nv}")
+        return hv, nv
+
     v /= np.linalg.norm(v)
-    hv = J.rmatvec(J @ v)
+    hv, nv = product(v)
     quotient = float(v @ hv)
     for _ in range(30):
-        nv = np.linalg.norm(hv)
         if nv <= 1e-300:
             return 0.0, v
         v = hv / nv
-        hv = J.rmatvec(J @ v)
+        hv, nv = product(v)
         previous, quotient = quotient, float(v @ hv)
         if start is not None and abs(quotient - previous) <= _WARM_RTOL * quotient:
             break

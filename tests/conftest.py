@@ -25,19 +25,7 @@ class IdentityProblem(ImplicitProblem):
     """
 
     def __init__(self, dim=3):
-        self._dim = dim
-
-    @property
-    def n(self):
-        return self._dim
-
-    @property
-    def n_y(self):
-        return self._dim
-
-    @property
-    def m(self):
-        return self._dim
+        self.n = self.n_y = self.m = dim
 
     def solve_state(self, u):
         return np.asarray(u, dtype=float).copy()
@@ -46,7 +34,7 @@ class IdentityProblem(ImplicitProblem):
         return np.asarray(y, dtype=float).copy()
 
     def linearize(self, y, u):
-        d = self._dim
+        d = self.n
         return Linearization(
             LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d)),
             LinearOperator((d, d), lambda v: v.copy(), lambda w: w.copy()),
@@ -72,7 +60,7 @@ class ConstantResidualProblem(IdentityProblem):
 
     def linearize(self, y, u):
         lin = super().linearize(y, u)
-        d = self._dim
+        d = self.n
         zero = LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d))
         return Linearization(lin.Gu, zero, lin.cu)
 

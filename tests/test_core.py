@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from iclsq.burgers import BurgersProblem
 from iclsq.core import (
     DimensionMismatch,
     EvalCounters,
@@ -58,9 +59,21 @@ class TestContract:
         assert out.status is SolveStatus.CONVERGED_RESIDUAL
         np.testing.assert_allclose(out.u, 0.5, atol=1e-8)
         assert ImplicitProblem.__abstractmethods__ == {
-            "n", "n_y", "m", "solve_state", "residual", "linearize", "solve_cy",
-            "solve_cy_transpose",
+            "solve_state", "residual", "linearize", "solve_cy", "solve_cy_transpose",
         }
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: BurgersProblem(2, 1), lambda: BurgersProblem(5, 4),
+         lambda: EllipticProblem(2), lambda: EllipticProblem(7)],
+        ids=["burgers-2x1", "burgers-5x4", "elliptic-2", "elliptic-7"],
+    )
+    def test_sizes_are_the_shapes_of_the_partial_jacobians(self, make):
+        prob = make()
+        lin = prob.linearize(np.zeros(prob.n_y), np.zeros(prob.n))
+        assert lin.Gu.shape == (prob.m, prob.n)
+        assert lin.Gy.shape == (prob.m, prob.n_y)
+        assert lin.cu.shape == (prob.n_y, prob.n)
 
 
 class TestInnerNorm:

@@ -1,6 +1,7 @@
 """Harness: experiment sweeps, table rendering, CLI; and the test oracles."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import iclsq
 from iclsq import harness
+from iclsq.burgers import BurgersProblem
 from iclsq.elliptic import EllipticProblem
 from iclsq.harness import (
     DEFAULT_THETA_GRID,
@@ -302,6 +304,16 @@ class TestErrorRows:
         ok_trace = tmp_path / "trace_elliptic_theta0.1_epsr0.01_epsg0.0001.jsonl"
         assert "error_type" not in json.loads(ok_trace.read_text().splitlines()[-1])
 
+    def test_overflowing_curvature_estimate_fails_the_cell(self, tmp_path):
+        # ||J^T J v|| overflows at the first norm estimate, after the solve at u0
+        trace = tmp_path / "trace.jsonl"
+        problem = BurgersProblem(4, 2, omega=1e200)
+        row = harness._run_cell(problem, "burgers", SolverConfig(), trace)
+        assert (row.status, row.error_type, row.pde_solves) == ("error", "FloatingPointError", 1)
+        assert "overflowed" in row.error_message
+        last = json.loads(trace.read_text().splitlines()[-1])
+        assert last == {"error_type": "FloatingPointError", "error_message": row.error_message}
+
 
 class TestNearExactPostHoc:
     def test_exact_variant_satisfies_tight_inexactness_rule(self):
@@ -452,11 +464,28 @@ class TestCli:
             helps[invocation.split()[0].rstrip(",")] = " ".join(text[0].split())
         solver_flags = [flag for flag in fields if flag in helps]
         assert solver_flags == list(fields)[:4] + (list(fields)[4:] if command == "solve" else [])
-        for flag in solver_flags:
+        # problem flag -> the constructor default its help shows
+        problem_defaults = {"elliptic": {"--lambda": 0.001, "--z": "zero"},
+                            "burgers": {"--nu": 0.1, "--omega": 0.05}}[problem]
+        defaults = {flag: getattr(SolverConfig, fields[flag]) for flag in solver_flags}
+        for flag, default in {**defaults, **problem_defaults}.items():
             shown = re.search(r"\(default (\S+)\)", helps[flag])
             assert shown, f"{flag} shows no default: {helps[flag]!r}"
-            default = getattr(SolverConfig, fields[flag])
             assert shown[1] == default if isinstance(default, str) else float(shown[1]) == default
+
+    @pytest.mark.parametrize("problem, sizes", [("elliptic", ["--n-mesh", "3"]),
+                                                ("burgers", ["--nx", "3", "--nt", "2"])])
+    def test_unset_problem_flags_pass_nothing(self, problem, sizes, capsys, monkeypatch):
+        built, cls = [], harness.PROBLEMS[problem]
+
+        @functools.wraps(cls)  # keeps the constructor's signature
+        def recording(**params):
+            built.append(params)
+            return cls(**params)
+
+        monkeypatch.setitem(harness.PROBLEMS, problem, recording)
+        assert main(["solve", problem, *sizes, "--max-iter", "1"]) == 0
+        assert built == [{"N": 3} if problem == "elliptic" else {"nx": 3, "nt": 2}]
 
     def test_sweep_runs_the_default_burgers_grid(self, capsys, tmp_path):
         out_dir = tmp_path / "out"

@@ -174,6 +174,11 @@ class TestOperatorNorm:
             assert true <= est <= 1.5 * true * (1 + 1e-12)
             assert abs(float(v @ eigvecs[:, -1])) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e160], ids=["norm-overflows", "product-overflows"])
+    def test_overflowing_product_raises(self, scale):
+        with pytest.raises(FloatingPointError, match="overflowed"):
+            estimate_operator_norm(operator_from_matrix(scale * np.eye(3)))
+
     def test_warm_start_does_not_modify_start(self, rng):
         J = random_factor(rng, 6)
         start = rng.standard_normal(6)
