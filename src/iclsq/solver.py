@@ -10,14 +10,16 @@ gradient norm falls below its tolerance.
 Each iteration calls ``exact_step`` (theta = 0) or ``truncated_cg_step``
 once, with the model as arguments. With Gauss-Newton curvature the bound on
 ||J^T J|| they need comes from ``estimate_operator_norm``, once per
-linearization the run steps from (once per run on the linear elliptic problem),
-cold at the first and warm-started from the last dominant vector after, on a
-Jacobian whose own counters give the run's ``norm_probe_applies``. A failed
-trial point and a nonpositive predicted decrease are rejected alike.
+linearization the run steps from (once per run on the linear elliptic
+problem): Lanczos from a fixed start vector at the first and from the last
+estimate's Ritz vector after, on a Jacobian whose own counters give the
+run's ``norm_probe_applies``. A failed trial point and a nonpositive
+predicted decrease are rejected alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Optional
@@ -176,7 +178,9 @@ def solve(
     trial point whose state solve raises ``StateSolveError``, or whose
     residual is not finite, is a rejected iteration (tallied in
     ``failed_trial_solves``); a failure at u0 propagates, and a non-finite
-    residual at u0 raises ``ValueError`` before any gradient is taken. The
+    residual at u0 raises ``ValueError`` before any gradient is taken, and a
+    gradient at u0 whose norm overflows raises ``FloatingPointError`` before
+    gamma0 or any stopping test is computed from it. The
     problem is linearized and the gradient recomputed only at accepted points;
     with zero curvature the adjoint counter is exactly 1 + number of successes.
     """
@@ -193,6 +197,10 @@ def solve(
         raise ValueError("the residual at u0 is not finite")
     jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
     g = jac.apply_transpose(R)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        g_norm = norm(g)
+    if not math.isfinite(g_norm):
+        raise FloatingPointError(f"the gradient at u0 overflowed: ||g|| = {g_norm}")
 
     gamma = config.gamma0 if config.gamma0 is not None else default_gamma0(g, u)
     if config.gamma_min > gamma:
@@ -202,7 +210,7 @@ def solve(
 
     gauss_newton = config.hessian_mode == "gauss_newton"
     h_norm = h_lin = None  # the curvature bound and the linearization it is estimated at
-    h_vec = None  # dominant vector of the last estimate, the next one's start
+    h_vec = None  # Ritz vector of the last estimate, the next one's start
     successes = 0
 
     for k in range(config.max_iter + 1):

@@ -199,11 +199,11 @@ class TestTraceSink:
 
 class TestNormEstimates:
     def test_linear_problem_is_estimated_once(self):
-        # one cold estimate of 31 products for the run's 23 accepted steps
+        # one cold estimate of 6 products for the run's 23 accepted steps
         prob = EllipticProblem(8)
         out, trace = solve_traced(prob, np.ones(prob.n), SolverConfig(theta=0.5))
         assert out.status is SolveStatus.CONVERGED_RESIDUAL and out.successes == 23
-        assert out.counters.norm_probe_applies == 62
+        assert out.counters.norm_probe_applies == 12
         assert len({t.h_norm_estimate for t in trace}) == 1
 
 
@@ -357,6 +357,20 @@ class TestFailurePropagation:
             solve(prob, np.ones(prob.n), SolverConfig(theta=1e-2, max_iter=50), counters)
         assert counters.forward_solves == 1
         assert counters.adjoint_solves == 0 and counters.jacobian_applies == 0
+
+    @pytest.mark.parametrize("gamma0", [None, 1.0], ids=["default-gamma0", "given-gamma0"])
+    def test_overflowing_first_gradient_is_named_error(self, gamma0):
+        # The gradient's entries are finite but its norm is not. Before the
+        # check, default_gamma0 (or with gamma0 given, stopping_check) died
+        # on a bare RuntimeWarning from that norm.
+        from iclsq.core import EvalCounters
+
+        prob = EllipticProblem(4, lam=1e300)
+        counters = EvalCounters()
+        with pytest.raises(FloatingPointError, match="gradient at u0 overflowed"):
+            solve(prob, np.ones(prob.n), SolverConfig(gamma0=gamma0), counters)
+        assert counters.forward_solves == 1 and counters.adjoint_solves == 1
+        assert counters.norm_probe_applies == 0
 
     def test_failed_trial_solve_is_rejected_iteration(self):
         # Newton fails at trial controls once gamma is small; the run must
