@@ -147,10 +147,12 @@ class EvalCounters:
     Jacobian and its transpose, and cg_iterations sums the inner Krylov
     iterations of all step computations. Each application of the reduced
     residual Jacobian or its transpose is one of those solves, so
-    jacobian_applies is their sum by definition. norm_probe_applies counts
-    the reduced Jacobian applications of the curvature-norm estimator, which
-    runs on a Jacobian with counters of its own; they are excluded from the
-    solve counters. failed_trial_solves counts the trial points whose state
+    jacobian_applies is their sum by definition. norm_estimates counts the
+    runs of the curvature-norm estimator and norm_probe_applies the reduced
+    Jacobian applications they take, on a Jacobian with counters of its own;
+    those are excluded from the solve counters. curvature_raises counts the
+    steps whose CGLS saw curvature above the bound they were given and
+    raised it. failed_trial_solves counts the trial points whose state
     solve failed or whose residual was not finite; each is a rejected
     iteration and is still included in forward_solves.
     """
@@ -159,7 +161,9 @@ class EvalCounters:
     adjoint_solves: int = 0
     linearized_solves: int = 0
     cg_iterations: int = 0
+    norm_estimates: int = 0
     norm_probe_applies: int = 0
+    curvature_raises: int = 0
     failed_trial_solves: int = 0
 
     @property

@@ -9,11 +9,15 @@ gradient norm falls below its tolerance.
 
 Each iteration calls ``exact_step`` (theta = 0) or ``truncated_cg_step``
 once, with the model as arguments. With Gauss-Newton curvature the bound on
-||J^T J|| they need comes from ``estimate_operator_norm``, once per
-linearization the run steps from (once per run on the linear elliptic
-problem): Lanczos from a fixed start vector at the first and from the last
-estimate's Ritz vector after, on a Jacobian whose own counters give the
-run's ``norm_probe_applies``. A failed trial point and a nonpositive
+||J^T J|| they need comes from ``estimate_operator_norm`` at the first
+point, on a Jacobian whose own counters give the run's
+``norm_probe_applies``, and is kept across linearizations after it. Every
+step checks the bound against the curvature CGLS sees and raises it if that
+proves it wrong (``curvature_raises``); the run takes on each step's bound.
+Once a step's ``curvature_seen`` passes the bound divided by its 1.5 safety
+factor, the margin is spent, and the next linearization the run steps from
+gets a fresh estimate. The linear elliptic problem keeps one linearization,
+so it is estimated once per run. A failed trial point and a nonpositive
 predicted decrease are rejected alike.
 """
 
@@ -103,8 +107,9 @@ class IterationTrace:
     cg_iters: int
     step_norm: float
     step_residual_norm: float
-    h_norm_estimate: float
+    h_norm_estimate: float  # the bound the step ended with, which set cg_tolerance
     cg_tolerance: float
+    curvature_seen: float  # the step's largest CGLS Rayleigh quotient, 0 for zero curvature
     counters: dict = field(default_factory=dict)
     note: str = ""
     u: Optional[np.ndarray] = None  # a copy; writing to it does not steer the run
@@ -209,8 +214,8 @@ def solve(
         )
 
     gauss_newton = config.hessian_mode == "gauss_newton"
-    h_norm = h_lin = None  # the curvature bound and the linearization it is estimated at
-    h_vec = None  # Ritz vector of the last estimate, the next one's start
+    h_norm = None  # the curvature bound, kept across linearizations
+    spent = None  # the linearization at which a step spent the bound's margin
     successes = 0
 
     for k in range(config.max_iter + 1):
@@ -220,13 +225,13 @@ def solve(
 
         if not gauss_newton:
             h_norm = 0.0
-        elif jac.lin is not h_lin:
+        elif h_norm is None or (spent is not None and jac.lin is not spent):
             # Norm probes emulate a known curvature bound; they run on a
             # Jacobian with its own counters at jac's linearization, so the
             # run's tallies match the cost model, and are tallied apart.
-            h_lin = jac.lin
-            probe = ReducedJacobian(problem, h_lin)
-            h_norm, h_vec = estimate_operator_norm(probe, start=h_vec)
+            probe = ReducedJacobian(problem, jac.lin)
+            h_norm, spent = estimate_operator_norm(probe), None
+            counters.norm_estimates += 1
             counters.norm_probe_applies += probe.counters.jacobian_applies
         model = (jac, R) if gauss_newton else ()
         if config.theta == 0.0:
@@ -234,6 +239,10 @@ def solve(
         else:
             step = truncated_cg_step(g, gamma, config.theta, h_norm, *model)
         counters.cg_iterations += step.cg_iters
+        if step.h_norm > h_norm:
+            counters.curvature_raises += 1
+        if step.curvature_seen > h_norm / 1.5:
+            spent = jac.lin
 
         u_trial = u + step.step
         counters.forward_solves += 1  # a failed attempt still costs a solve
@@ -273,13 +282,15 @@ def solve(
                 cg_iters=step.cg_iters,
                 step_norm=norm(step.step),
                 step_residual_norm=step.residual_norm,
-                h_norm_estimate=h_norm,
+                h_norm_estimate=step.h_norm,
                 cg_tolerance=step.cg_tolerance,
+                curvature_seen=step.curvature_seen,
                 counters=counters.snapshot(),
                 note=note,
                 u=u.copy(),
             ))
 
+        h_norm = step.h_norm
         if success:
             successes += 1
             u, y, R = u_trial, y_trial, R_trial

@@ -22,11 +22,20 @@ Jacobian operator and the residual at the base point (g = J^T R); without
 the pair H is zero. g must have one entry per column of J and R one per
 row. ``h_norm`` must bound ||H|| from above for the inexactness rule to
 keep its guarantees; ``estimate_operator_norm`` gives one, and the Jacobian
-it is given counts the products it takes.
+it is given counts the products it takes. CGLS checks the bound for free:
+each of its directions p gives the Rayleigh quotient ||J p||^2 / ||p||^2,
+a lower bound on ||H|| (Parlett, The Symmetric Eigenvalue Problem, 1998),
+from sums the step length forms anyway. A quotient above ``h_norm`` proves
+the bound wrong: the solve raises it to 1.5 times the largest quotient, and
+its residual target follows the raised bound. ``StepResult`` reports the
+bound the step ended with and the largest quotient, ``curvature_seen``, so a
+caller can keep a bound across steps and re-estimate only once a step has
+used up its safety margin.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,38 +75,28 @@ class StepResult:
     residual_norm: float
     cg_iters: int
     cg_tolerance: float  # residual target the Krylov solve ran to
+    h_norm: float  # the curvature bound that target follows, raised if the solve saw past it
+    curvature_seen: float  # the largest Rayleigh quotient ||J p||^2 / ||p||^2 CGLS formed
 
 
-def estimate_operator_norm(
-    J: LinearOperator, start: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def estimate_operator_norm(J: LinearOperator) -> float:
     """Safety-factored Lanczos estimate of the spectral norm of J^T J.
 
-    Returns ``(estimate, v)``: 1.5 times the final top Ritz value, so the
-    result upper-bounds the true norm in practice, and the unit Ritz vector
-    that value belongs to. Each product J^T (J q) is one forward and one
+    Returns 1.5 times the final top Ritz value, so the result upper-bounds
+    the true norm in practice. Each product J^T (J q) is one forward and one
     transpose application of J, which a ``ReducedJacobian`` J tallies.
 
-    Lanczos on J^T J, with full reorthogonalization, begins at ``start``,
-    say the vector a previous estimate at a nearby base point returned, or
-    without it (a cold estimate) at a fixed start vector, the first draw of
-    ``default_rng(0)``. Both stop as soon as two successive top Ritz values
-    agree to a relative 1e-3 (``_RITZ_RTOL``), after at most thirty products
-    (``_MAX_PRODUCTS``), or when the Krylov space stops growing. Lanczos
-    from a random start finds the top eigenvalue in far fewer products than
-    the power method (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl.
-    13(4), 1992). A zero product is detected from the start vector and
-    reported as exactly 0. A ``start`` that is not finite or is zero raises
-    ``ValueError``, and a product whose norm overflows (or is NaN) raises
-    ``FloatingPointError``.
+    Lanczos on J^T J, with full reorthogonalization, begins at a fixed start
+    vector, the first draw of ``default_rng(0)``, and stops as soon as two
+    successive top Ritz values agree to a relative 1e-3 (``_RITZ_RTOL``),
+    after at most thirty products (``_MAX_PRODUCTS``), or when the Krylov
+    space stops growing. Lanczos from a random start finds the top
+    eigenvalue in far fewer products than the power method (Kuczynski &
+    Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4), 1992). A zero product is
+    detected from the start vector and reported as exactly 0, and a product
+    whose norm overflows (or is NaN) raises ``FloatingPointError``.
     """
-    dim = J.shape[1]
-    if start is None:
-        v = np.random.default_rng(0).standard_normal(dim)
-    else:
-        v = as_vector(start, dim, name="start").copy()
-        if not np.all(np.isfinite(v)) or not np.any(v):
-            raise ValueError("start must be finite and nonzero")
+    v = np.random.default_rng(0).standard_normal(J.shape[1])
 
     def product(v):  # J^T J v and its norm
         # an overflowing product is refused below, so it warns of nothing
@@ -122,7 +121,7 @@ def estimate_operator_norm(
     for k in range(_MAX_PRODUCTS):
         w, nw = product(basis[k])
         if nw <= 1e-300 and k == 0:
-            return 0.0, v
+            return 0.0
         for _ in range(2):  # Gram-Schmidt against the whole basis, twice
             for q in basis:
                 c = float(q @ w)
@@ -130,7 +129,7 @@ def estimate_operator_norm(
             diag[k] += c
         beta = float(np.linalg.norm(w))
         # dstev takes one off-diagonal entry even for a 1 x 1 T; off[0] is 0 then
-        values, vectors, info = dstev(diag[: k + 1], off[: max(k, 1)])
+        values, _, info = dstev(diag[: k + 1], off[: max(k, 1)])
         if info:
             raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info={info})")
         previous, ritz = ritz, float(values[-1])
@@ -140,18 +139,36 @@ def estimate_operator_norm(
             break
         basis.append(w / beta)
         off[k] = beta
-    v = sum(c * q for c, q in zip(vectors[:, -1], basis))
-    return 1.5 * ritz, v / np.linalg.norm(v)
+    return 1.5 * ritz
 
 
-def _cgls(g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, tol: float):
+def _target(gn: float, gamma: float, theta: float | None, h_norm: float) -> float:
+    """The residual target of the step rule: exact for ``theta`` None, else
+    inexact with relative inexactness theta."""
+    scale = math.sqrt(gamma / (h_norm + gamma))
+    if theta is None:
+        kappa = (h_norm + gamma) / gamma
+        return max(min(1e-12, 1e-11 * scale), 50.0 * _EPS * math.sqrt(kappa)) * gn
+    return theta * scale * gn
+
+
+def _cgls(g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, h_norm: float, target):
     """CGLS on ||J s + R||^2 + gamma ||s||^2 from s = 0.
 
     The tracked quantity is the normal-equation residual -g - (H + gamma I)s,
     exactly the vector the inexactness rule bounds. Runs at most 3 n + 30
     iterations and tracks the best iterate seen, so a stagnating solve still
     returns its most accurate step.
+
+    ``target(h_norm)`` is the residual target. Once the running maximum of
+    the Rayleigh quotients ||J p||^2 / ||p||^2 passes the ``h_norm`` given,
+    ``h_norm`` is 1.5 times that maximum and the target follows it; the
+    iterates do not depend on the target, so nothing restarts. Also returns
+    the final ``h_norm``, target and maximum.
     """
+    h_given = h_norm
+    tol = target(h_norm)
+    seen = 0.0
     sqrt_gamma = math.sqrt(gamma)
     n = g.shape[0]
     x = np.zeros(n)
@@ -166,9 +183,16 @@ def _cgls(g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, tol: fl
     while iters < 3 * n + 30:
         q_top = J @ p
         q_bot = sqrt_gamma * p
-        qq = float(q_top @ q_top) + float(q_bot @ q_bot)
+        jp, gp = float(q_top @ q_top), float(q_bot @ q_bot)
+        qq = jp + gp
         if qq <= 0:
             raise IndefiniteOperator("zero curvature along a nonzero direction")
+        quotient = gamma * jp / gp if gp > 0 else 0.0
+        if quotient > seen:
+            seen = quotient
+            if seen > h_given:
+                h_norm = 1.5 * seen
+                tol = target(h_norm)
         alpha = ss / qq
         x += alpha * p
         r_top -= alpha * q_top
@@ -183,19 +207,19 @@ def _cgls(g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, tol: fl
         else:
             stall += 1
         if res <= tol:
-            return x, res, iters, r_top, r_bot
+            return x, res, iters, r_top, r_bot, h_norm, tol, seen
         if stall >= 30:
             break
         p = s_vec + (ss_new / ss) * p
         ss = ss_new
     bx, bres, _, btop, bbot = best
-    return bx, bres, iters, btop, bbot
+    return bx, bres, iters, btop, bbot, h_norm, tol, seen
 
 
 def _step(g, gamma: float, theta: float | None, h_norm: float, J, R) -> StepResult:
     """The step kernel behind ``exact_step`` (``theta`` None) and
-    ``truncated_cg_step``: check the model, set the residual target, then
-    take the closed form without J or run CGLS with it."""
+    ``truncated_cg_step``: check the model, then take the closed form
+    without J or run CGLS with it."""
     g = as_vector(g, None if J is None else J.shape[1], name="gradient")
     gn = norm(g)
     if gn == 0.0:
@@ -208,22 +232,16 @@ def _step(g, gamma: float, theta: float | None, h_norm: float, J, R) -> StepResu
         raise ValueError(f"h_norm must be nonnegative, got {h_norm}")
     if (J is None) != (R is None):
         raise ValueError("J and R must be supplied together")
-    if J is not None:
-        R = as_vector(R, J.shape[0], name="R")
-    scale = math.sqrt(gamma / (h_norm + gamma))
-    if theta is None:
-        kappa = (h_norm + gamma) / gamma
-        tol = max(min(1e-12, 1e-11 * scale), 50.0 * _EPS * math.sqrt(kappa)) * gn
-    else:
-        tol = theta * scale * gn
+    target = functools.partial(_target, gn, gamma, theta)
     if J is None:
         # Zero curvature: the minimizer -g / gamma, one Krylov iteration.
         x = -g / gamma
         res = norm(-g - gamma * x)
-        iters = 1
+        iters, tol, seen = 1, target(h_norm), 0.0
         decrease = float(-(g @ x) - 0.5 * gamma * (x @ x))
     else:
-        x, res, iters, r_top, r_bot = _cgls(g, gamma, J, R, tol)
+        R = as_vector(R, J.shape[0], name="R")
+        x, res, iters, r_top, r_bot, h_norm, tol, seen = _cgls(g, gamma, J, R, h_norm, target)
         # A x = b - r, so s.(H + gamma I)s = ||A x||^2 without extra applies.
         ax_top = -R - r_top
         ax_bot = -r_bot
@@ -235,6 +253,8 @@ def _step(g, gamma: float, theta: float | None, h_norm: float, J, R) -> StepResu
         residual_norm=res,
         cg_iters=iters,
         cg_tolerance=tol,
+        h_norm=h_norm,
+        curvature_seen=seen,
     )
 
 

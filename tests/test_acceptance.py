@@ -147,8 +147,9 @@ def test_criterion_3_step_certificates():
 
 
 def test_norm_estimates_bound_curvature_along_desk_runs():
-    # Warm-started estimates must keep the cold estimate's guarantee at every
-    # base point: at least ||J||^2, at most the 1.5 safety factor above it.
+    # The bound, kept across base points and re-estimated only after a step
+    # spent its margin, must keep the estimate's guarantee at every base
+    # point: at least ||J||^2, at most the 1.5 safety factor above it.
     checked = 0
     for prob, theta, cfg, out, trace in desk_runs():
         for t in trace:
@@ -162,8 +163,10 @@ def test_norm_estimates_bound_curvature_along_desk_runs():
                 scale = math.sqrt(t.gamma / (t.h_norm_estimate + t.gamma))
                 assert t.cg_tolerance == theta * scale * t.grad_norm
             checked += 1
-        # One cold estimate of at most 8 products, then warm restarts of at
-        # most 3 products on average.
+        # One estimate of at most 8 products at the first point; another only
+        # after a step spent the margin, which none of these runs does (each
+        # reads 10), inside the 3 products per accepted step that estimating
+        # at every base point once needed.
         assert out.counters.norm_probe_applies <= 16 + 6 * out.successes
     assert checked > 0
 

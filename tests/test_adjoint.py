@@ -207,8 +207,8 @@ class TestOperator:
         assert jac.shape == (prob.m, prob.n)
         dense = dense_jacobian_oracle(prob, u)
         dense_op = CountingOperator(dense)
-        est, _ = estimate_operator_norm(jac)
-        est_dense, _ = estimate_operator_norm(dense_op)
+        est = estimate_operator_norm(jac)
+        est_dense = estimate_operator_norm(dense_op)
         assert jac.counters.jacobian_applies == dense_op.applies
         assert est == pytest.approx(est_dense, rel=1e-10)
         R = prob.residual(y, u)

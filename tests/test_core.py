@@ -174,7 +174,9 @@ class TestCounters:
             "linearized_solves": 0,
             "jacobian_applies": 0,
             "cg_iterations": 0,
+            "norm_estimates": 0,
             "norm_probe_applies": 0,
+            "curvature_raises": 0,
             "failed_trial_solves": 0,
         }
         c.forward_solves += 1

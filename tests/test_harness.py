@@ -235,8 +235,9 @@ class TestRunExperiment:
                 "k", "gamma", "residual_norm", "grad_norm", "scaled_gradient",
                 "model_decrease", "actual_decrease", "rho", "success",
                 "cg_iters", "counters", "h_norm_estimate", "cg_tolerance",
+                "curvature_seen",
             }
-            assert "norm_probe_applies" in rec["counters"]
+            assert {"norm_estimates", "norm_probe_applies", "curvature_raises"} <= set(rec["counters"])
         ks = [rec["k"] for rec in records]
         assert ks == list(range(len(ks)))
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iclsq.core import DimensionMismatch, LinearOperator
 from iclsq.subproblem import (
@@ -128,41 +130,38 @@ class TestTruncatedCG:
 class TestOperatorNorm:
     def test_zero_operator(self):
         J = CountingOperator(np.zeros((3, 7)))
-        est, _ = estimate_operator_norm(J)
+        est = estimate_operator_norm(J)
         assert est == 0.0
         assert J.applies == 2  # one product J^T (J v)
 
     def test_identity(self):
-        est, _ = estimate_operator_norm(operator_from_matrix(np.eye(10)))
+        est = estimate_operator_norm(operator_from_matrix(np.eye(10)))
         assert 1.0 <= est <= 1.5
 
     def test_operator_that_hands_back_its_input(self):
         # J^T (J q) is the basis vector q itself; orthogonalizing the product
         # must not overwrite q.
-        est, v = estimate_operator_norm(LinearOperator((10, 10), lambda v: v, lambda w: w))
+        est = estimate_operator_norm(LinearOperator((10, 10), lambda v: v, lambda w: w))
         assert est == pytest.approx(1.5, rel=1e-12)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
 
     def test_overestimates_but_not_wildly(self, rng):
         for _ in range(5):
             J = random_factor(rng, 15)
             true = float(np.linalg.norm(J.T @ J, 2))
-            est, _ = estimate_operator_norm(operator_from_matrix(J))
+            est = estimate_operator_norm(operator_from_matrix(J))
             assert true <= est <= 1.5 * true + 1e-12
 
     def test_cold_estimate_matches_the_top_eigenvalue(self, rng):
         # Lanczos from the seeded start: its top Ritz value, a lower bound,
         # within the 1e-3 stopping rule of the top eigenvalue, in at most 10
-        # products (the power method took 31); v is the unit Ritz vector.
+        # products (the power method took 31).
         for _ in range(5):
             J = random_factor(rng, 12)
             top = float(np.linalg.eigvalsh(J.T @ J)[-1])
             op = CountingOperator(J)
-            est, v = estimate_operator_norm(op)
+            est = estimate_operator_norm(op)
             assert top * (1 - 1e-3) <= est / 1.5 <= top * (1 + 1e-12)
             assert op.applies <= 20
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-            assert float(v @ (J.T @ (J @ v))) == pytest.approx(est / 1.5, rel=1e-12)
 
     def test_stops_after_thirty_products(self):
         # Each application scales by its own call count, so the Ritz values
@@ -176,48 +175,85 @@ class TestOperatorNorm:
                 return calls[0] * (M @ v)
             return apply
 
-        est, _ = estimate_operator_norm(LinearOperator((40, 40), scaled(A), scaled(A.T)))
+        est = estimate_operator_norm(LinearOperator((40, 40), scaled(A), scaled(A.T)))
         assert calls[0] == 60 and math.isfinite(est)
-
-    def test_warm_start_from_dominant_eigenvector_stops_early(self, rng):
-        for _ in range(5):
-            J = random_factor(rng, 15)
-            eigvals, eigvecs = np.linalg.eigh(J.T @ J)
-            true = float(eigvals[-1])
-            op = CountingOperator(J)
-            est, v = estimate_operator_norm(op, start=eigvecs[:, -1])
-            assert op.applies <= 4  # at most 2 products
-            assert true <= est <= 1.5 * true * (1 + 1e-12)
-            assert abs(float(v @ eigvecs[:, -1])) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("scale", [1e100, 1e160], ids=["norm-overflows", "product-overflows"])
     def test_overflowing_product_raises(self, scale):
         with pytest.raises(FloatingPointError, match="overflowed"):
             estimate_operator_norm(operator_from_matrix(scale * np.eye(3)))
 
-    def test_warm_start_does_not_modify_start(self, rng):
-        J = random_factor(rng, 6)
-        start = rng.standard_normal(6)
-        kept = start.copy()
-        estimate_operator_norm(operator_from_matrix(J), start=start)
-        np.testing.assert_array_equal(start, kept)
 
-    @pytest.mark.parametrize(
-        "start",
-        [[0.0, 0.0, 0.0], [np.nan, 1.0, 1.0], [1.0, np.inf, 1.0]],
-        ids=["zero", "nan", "inf"],
+def residual_target(g, gamma, theta, h_norm):
+    """The step rule's residual target for the bound h_norm (theta 0: exact)."""
+    scale = math.sqrt(gamma / (h_norm + gamma))
+    if theta == 0.0:
+        kappa = (h_norm + gamma) / gamma
+        eps = float(np.finfo(float).eps)
+        return max(min(1e-12, 1e-11 * scale), 50.0 * eps * math.sqrt(kappa)) * np.linalg.norm(g)
+    return theta * scale * np.linalg.norm(g)
+
+
+def stale_bound_step(n, top, reach, gamma, theta, seed):
+    """A step against a stale bound: J^T J is diagonal with top eigenvalue 1
+    on e_0, the bound h_norm = 1.5 was estimated for that, and a new top
+    eigenvalue ``top`` sits on e_{n-1}, which g reaches with relative weight
+    ``reach``. Returns the step and the top."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.01, 1.0, n)
+    d[0], d[-1] = 1.0, top
+    J = np.diag(np.sqrt(d))
+    R = rng.standard_normal(n)
+    R[-1] = reach * np.linalg.norm(R[:-1])
+    kw = dict(g=J.T @ R, gamma=gamma, h_norm=1.5, J=operator_from_matrix(J), R=R)
+    return (exact_step(**kw) if theta == 0.0 else truncated_cg_step(theta=theta, **kw)), kw
+
+
+class TestCurvatureCrossCheck:
+    """CGLS checks the bound it is given against the Rayleigh quotients
+    ||J p||^2 / ||p||^2 of its directions, lower bounds on ||J^T J||, and
+    raises a bound they pass to 1.5 times the largest."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        top=st.floats(1.6, 5.0),
+        reach=st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
+        gamma=st.floats(1e-3, 10.0),
+        theta=st.sampled_from([0.0, 1e-2, 0.5]),
+        seed=st.integers(0, 2**16),
     )
-    def test_rejects_bad_start_before_any_product(self, start):
-        applied = []
+    def test_stale_bound_is_raised_once_cgls_sees_past_it(self, n, top, reach, gamma, theta, seed):
+        result, kw = stale_bound_step(n, top, reach, gamma, theta, seed)
+        seen = result.curvature_seen
+        assert 0.0 < seen <= top * (1 + 1e-12)  # a Rayleigh quotient, so at most the top
+        if seen > 1.5:  # only the new direction can take a quotient past the old top
+            assert result.h_norm >= 1.5 * seen
+        else:
+            assert result.h_norm == 1.5
+        assert result.cg_tolerance == residual_target(kw["g"], gamma, theta, result.h_norm)
+        if theta > 0.0:
+            assert result.residual_norm <= result.cg_tolerance
 
-        def record(v):
-            applied.append(v)
-            return v
+    @pytest.mark.parametrize("theta", [0.0, 1e-2, 0.5])
+    def test_gradient_on_the_new_direction_raises_at_once(self, theta):
+        # g on e_{n-1} alone: the first direction is that eigenvector, whose
+        # quotient is the new top itself
+        result, kw = stale_bound_step(8, 3.0, 1e9, 0.1, theta, 0)
+        assert result.curvature_seen == pytest.approx(3.0, rel=1e-12)
+        assert result.h_norm == 1.5 * result.curvature_seen
+        assert result.cg_tolerance == residual_target(kw["g"], 0.1, theta, result.h_norm)
 
-        J = LinearOperator((3, 3), record, record)
-        with pytest.raises(ValueError, match="start"):
-            estimate_operator_norm(J, start=np.array(start))
-        assert applied == []
+    def test_true_bound_is_kept(self, rng):
+        J = random_factor(rng, 10)
+        spec = factor_spec(J, rng.standard_normal(10), gamma=0.5)
+        result = truncated_cg_step(theta=0.1, **spec)
+        assert 0.0 < result.curvature_seen <= spec["h_norm"] * (1 + 1e-12)
+        assert result.h_norm == spec["h_norm"]
+
+    def test_zero_curvature_sees_nothing(self, rng):
+        result = truncated_cg_step(rng.standard_normal(3), gamma=1.0, theta=0.1, h_norm=0.0)
+        assert result.curvature_seen == 0.0 and result.h_norm == 0.0
 
 
 class TestModelDecrease:
