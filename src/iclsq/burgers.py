@@ -7,7 +7,10 @@ constant-coefficient tridiagonals, each stored as its three coefficients
 one LAPACK tridiagonal solve (``dgtsv``) per iteration. The Newton loop
 forms each step's right-hand side (M y_prev)/dt + M u once per step,
 with the control terms of all steps in one sparse apply of c_u, so each
-iteration only evaluates A v + B(v v)/2 - rhs, A = M/dt + nu C.
+iteration only evaluates A v + B(v v)/2 - rhs, A = M/dt + nu C. Newton
+starts each step from the previous step's state, or from the caller's guess
+of the whole trajectory when one is given (the solver predicts its trial
+states); a march that fails from a guess is marched again without it.
 The linearized constraint is block lower bidiagonal in time, so its
 (transposed) solves are forward (backward) substitutions over the time
 blocks, each through one tridiagonal LU factor per time step (``dgttrf``,
@@ -39,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf
 
-from .core import ImplicitProblem, Linearization, StateSolveError, as_vector
+from .core import EvalCounters, ImplicitProblem, Linearization, StateSolveError, as_vector
 from .core import check_integer, check_positive, sparse_operator
 
 __all__ = ["BurgersProblem"]
@@ -148,55 +151,73 @@ class BurgersProblem(ImplicitProblem):
         m_lo, b_lo, c_lo, diag, m_up, b_up, c_up = self._stencils[3]
         return m_lo + b_lo * y[:-1] + c_lo, diag, m_up + b_up * y[1:] + c_up
 
-    def solve_state(self, u) -> np.ndarray:
+    def solve_state(self, u, start=None, counters=None) -> np.ndarray:
         """March the dynamics with one Newton solve per time step.
 
         Each step's residual (M/dt + nu C) v + B(v v)/2 - (M y_prev)/dt - M u
         is evaluated at most ``newton_max_iter + 1`` times; a step still above
         ``newton_tol`` at the last evaluation, or whose residual norm is not
-        finite (it overflowed), raises ``StateSolveError`` at once.
+        finite (it overflowed), or whose step Jacobian has a zero pivot,
+        raises ``StateSolveError`` at once. Newton starts each step from the
+        previous step's state or, if ``start`` is given, from the same step's
+        block of the guess ``start()``. Should any step fail from the guess,
+        the march starts over without it, exactly as without a guess, so a
+        guess never fails a solve that succeeds without one. Newton from a
+        guess far from y(u) may reach another solution of a step's equation.
+        Every iteration, those of a march that failed included, adds one to
+        ``counters.newton_iters`` if counters are given.
         Counts as a single forward solve regardless of Newton iterations.
         """
         u = as_vector(u, self.n, name="control")
-        mass_dt, step_op, half_b, _ = self._stencils
+        tally = EvalCounters() if counters is None else counters
         # every step's control term -c_u u = M u_i in one sparse apply
         forcing = -(self._operators[2] @ u).reshape(self.nt, self.nx)
+        # an overflowing iterate or guess ends its march, so it warns of nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            if start is not None:
+                try:
+                    return self._march(forcing, self.state_blocks(start()), tally)
+                except StateSolveError:
+                    pass  # march again without the guess
+            return self._march(forcing, None, tally)
+
+    def _march(self, forcing, guess, tally: EvalCounters) -> np.ndarray:
+        mass_dt, step_op, half_b, _ = self._stencils
         tol, max_iter, conv = self.newton_tol, self.newton_max_iter, np.convolve
         out = np.empty((self.nt, self.nx))
         y_prev = self.y0
-        # an overflowing iterate ends the solve below, so it warns of nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(self.nt):
-                rhs = conv(y_prev, mass_dt)[1:-1] + forcing[i]
-                v = y_prev  # warm start from the previous step; never written to
-                for newton_iter in range(max_iter + 1):
-                    res = conv(v, step_op)[1:-1] + conv(v * v, half_b)[1:-1] - rhs
-                    res_norm = math.sqrt(res @ res)
-                    if res_norm <= tol:
-                        break
-                    if newton_iter == max_iter or not math.isfinite(res_norm):
-                        raise StateSolveError(
-                            f"Newton failed at time step {i + 1}: residual {res_norm:.3e} "
-                            f"after {newton_iter} iterations",
-                            step_index=i + 1,
-                            residual_norm=res_norm,
-                        )
-                    # fresh off-diagonals and residual are overwritten; the shared
-                    # diagonal is read only and is copied
-                    dl, d, du = self.step_jacobian(v)
-                    *_, delta, info = dgtsv(
-                        dl, d, du, res, overwrite_dl=1, overwrite_du=1, overwrite_b=1
+        for i in range(self.nt):
+            rhs = conv(y_prev, mass_dt)[1:-1] + forcing[i]
+            v = y_prev if guess is None else guess[i]  # never written to
+            for newton_iter in range(max_iter + 1):
+                res = conv(v, step_op)[1:-1] + conv(v * v, half_b)[1:-1] - rhs
+                res_norm = math.sqrt(res @ res)
+                if res_norm <= tol:
+                    break
+                if newton_iter == max_iter or not math.isfinite(res_norm):
+                    raise StateSolveError(
+                        f"Newton failed at time step {i + 1}: residual {res_norm:.3e} "
+                        f"after {newton_iter} iterations",
+                        step_index=i + 1,
+                        residual_norm=res_norm,
                     )
-                    if info > 0:
-                        raise StateSolveError(
-                            f"Newton failed at time step {i + 1}: singular step "
-                            f"Jacobian (zero pivot {info})",
-                            step_index=i + 1,
-                            residual_norm=res_norm,
-                        )
-                    v = v - delta
-                out[i] = v
-                y_prev = v
+                # fresh off-diagonals and residual are overwritten; the shared
+                # diagonal is read only and is copied
+                dl, d, du = self.step_jacobian(v)
+                tally.newton_iters += 1
+                *_, delta, info = dgtsv(
+                    dl, d, du, res, overwrite_dl=1, overwrite_du=1, overwrite_b=1
+                )
+                if info > 0:
+                    raise StateSolveError(
+                        f"Newton failed at time step {i + 1}: singular step "
+                        f"Jacobian (zero pivot {info})",
+                        step_index=i + 1,
+                        residual_norm=res_norm,
+                    )
+                v = v - delta
+            out[i] = v
+            y_prev = v
         return out.ravel()
 
     def residual(self, y, u) -> np.ndarray:

@@ -154,7 +154,13 @@ class EvalCounters:
     steps whose CGLS saw curvature above the bound they were given and
     raised it. failed_trial_solves counts the trial points whose state
     solve failed or whose residual was not finite; each is a rejected
-    iteration and is still included in forward_solves.
+    iteration and is still included in forward_solves. newton_iters counts
+    the Newton iterations of the state solves that were handed these
+    counters, failed ones and restarts included (each one factors and
+    solves a step Jacobian); a direct state solve adds none.
+    predictor_solves counts the linearized solves that predicted a trial
+    point's state as the start of its state solve; they are excluded from
+    linearized_solves.
     """
 
     forward_solves: int = 0
@@ -165,6 +171,8 @@ class EvalCounters:
     norm_probe_applies: int = 0
     curvature_raises: int = 0
     failed_trial_solves: int = 0
+    newton_iters: int = 0
+    predictor_solves: int = 0
 
     @property
     def jacobian_applies(self) -> int:
@@ -209,8 +217,20 @@ class ImplicitProblem(ABC):
     m: int  # residual dimension
 
     @abstractmethod
-    def solve_state(self, u: np.ndarray) -> np.ndarray:
-        """Solve c(y, u) = 0 for y. Callers tally this as one forward solve."""
+    def solve_state(
+        self,
+        u: np.ndarray,
+        start: Callable[[], np.ndarray] | None = None,
+        counters: EvalCounters | None = None,
+    ) -> np.ndarray:
+        """Solve c(y, u) = 0 for y. Callers tally this as one forward solve.
+
+        ``start``, if given, returns a guess of y(u) of length ``n_y`` when
+        called; an iterative solve may call it once and begin there, and a
+        direct one ignores it. The result may depend on the guess only
+        within the solve's tolerance, and a guess must never make a solve
+        fail that succeeds without one. An iterative solve adds its
+        iterations to ``counters.newton_iters`` if counters are given."""
 
     @abstractmethod
     def residual(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:

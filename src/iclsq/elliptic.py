@@ -105,7 +105,9 @@ class EllipticProblem(ImplicitProblem):
         coeffs = self._dstn(B, type=1, norm="ortho") / self._K_eig
         return self._idstn(coeffs, type=1, norm="ortho").ravel()
 
-    def solve_state(self, u) -> np.ndarray:
+    def solve_state(self, u, start=None, counters=None) -> np.ndarray:
+        """One direct solve K y = M u: it never calls ``start`` and counts
+        no Newton iterations."""
         u = as_vector(u, self.n, name="control")
         return self._solve_K(self.M @ u)
 

@@ -27,7 +27,7 @@ class IdentityProblem(ImplicitProblem):
     def __init__(self, dim=3):
         self.n = self.n_y = self.m = dim
 
-    def solve_state(self, u):
+    def solve_state(self, u, start=None, counters=None):
         return np.asarray(u, dtype=float).copy()
 
     def residual(self, y, u):

@@ -240,10 +240,10 @@ class TestFactorOwnership:
         )
         marching, factored, linearized = [False], [], []
 
-        def march(u):
+        def march(u, **kwargs):
             marching[0] = True
             try:
-                return solve_state(u)
+                return solve_state(u, **kwargs)
             finally:
                 marching[0] = False
 

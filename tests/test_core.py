@@ -32,7 +32,7 @@ class Doubling(ImplicitProblem):
 
     n = n_y = m = 3
 
-    def solve_state(self, u):
+    def solve_state(self, u, start=None, counters=None):
         return 2.0 * np.asarray(u, dtype=float)
 
     def residual(self, y, u):
@@ -178,6 +178,8 @@ class TestCounters:
             "norm_probe_applies": 0,
             "curvature_raises": 0,
             "failed_trial_solves": 0,
+            "newton_iters": 0,
+            "predictor_solves": 0,
         }
         c.forward_solves += 1
         assert snap["forward_solves"] == 2

@@ -237,7 +237,10 @@ class TestRunExperiment:
                 "cg_iters", "counters", "h_norm_estimate", "cg_tolerance",
                 "curvature_seen",
             }
-            assert {"norm_estimates", "norm_probe_applies", "curvature_raises"} <= set(rec["counters"])
+            assert {
+                "norm_estimates", "norm_probe_applies", "curvature_raises",
+                "newton_iters", "predictor_solves",
+            } <= set(rec["counters"])
         ks = [rec["k"] for rec in records]
         assert ks == list(range(len(ks)))
 

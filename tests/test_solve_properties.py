@@ -10,7 +10,9 @@ CGLS has a bound to raise. Every run must end in a ``SolveStatus`` with the
 cost model's counts, an accepted step's positive model decrease and gamma
 at or above its floor in every record, or fail at u0 after its one state
 solve. Either way its counters must match a ledger of the problem's own
-solves, of the estimates taken and of the bounds CGLS raised.
+solves, of the Newton iterations inside its state solves, of the estimates
+taken and of the bounds CGLS raised. The elliptic state solve, which is
+direct, must never call the start it is given.
 
 The reduced Jacobian is checked too: against its transpose on elliptic
 problems, and its gradient J^T R against central differences on Burgers
@@ -70,27 +72,35 @@ configs = st.builds(
 
 
 understates = st.sampled_from([1.0, 0.1])
-SOLVES = ("solve_state", "solve_cy", "solve_cy_transpose")
+SOLVES = ("solve_state", "solve_cy", "solve_cy_transpose", "step_jacobian")
 
 
 def check_run(prob, u0, config, understate=1.0):
     """The run's counters, once its records, outcome and ledger pass every
-    check. The ledger counts the calls of the instance's own solves and the
-    estimates, each ``understate`` times the estimator's value."""
+    check. The ledger counts the calls of the instance's own solves, the
+    Burgers step Jacobians formed directly inside a state solve (one per
+    Newton iteration) and the estimates, each ``understate`` times the
+    estimator's value."""
     counters, records = EvalCounters(), []
-    calls, estimates = dict.fromkeys(SOLVES, 0), []
+    calls, estimates, open_calls = dict.fromkeys(SOLVES, 0), [], []
+    wrapped = [name for name in SOLVES if hasattr(prob, name)]
 
     def count(name, method):
-        def counted(*args):
-            calls[name] += 1
-            return method(*args)
+        def counted(*args, **kwargs):
+            if name != "step_jacobian" or open_calls[-1:] == ["solve_state"]:
+                calls[name] += 1
+            open_calls.append(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                open_calls.pop()
         return counted
 
     def estimate(J, _original=solver_mod.estimate_operator_norm):
         estimates.append(understate * _original(J))
         return estimates[-1]
 
-    for name in SOLVES:
+    for name in wrapped:
         setattr(prob, name, count(name, getattr(prob, name)))
     try:
         with mock.patch.object(solver_mod, "estimate_operator_norm", estimate):
@@ -100,7 +110,7 @@ def check_run(prob, u0, config, understate=1.0):
         assert counters.forward_solves == 1 and records == []
         out = None
     finally:
-        for name in SOLVES:
+        for name in wrapped:
             delattr(prob, name)
     check_ledger(counters, calls, estimates, records)
     if out is None:
@@ -112,6 +122,9 @@ def check_run(prob, u0, config, understate=1.0):
     if config.hessian_mode == "zero":
         assert counters.adjoint_solves == 1 + out.successes
         assert estimates == []
+    # the direct elliptic state solve never asks for its prediction
+    predicted = predicted_trials(records) if isinstance(prob, BurgersProblem) else 0
+    assert counters.predictor_solves == predicted
     for rec in records:
         assert rec.gamma >= config.gamma_min
         if rec.success:
@@ -120,15 +133,32 @@ def check_run(prob, u0, config, understate=1.0):
     return counters
 
 
+def predicted_trials(records):
+    """The trials whose state solve started from a linearized prediction: the
+    first from each iterate, and every retry while no earlier trial from that
+    iterate has a solved state with a nonzero step to take the secant to."""
+    count, held = 0, False
+    for rec in records:
+        count += not held
+        solved = not rec.note.startswith("trial state solve failed")
+        held = not rec.success and (held or (solved and rec.step_norm > 0))
+    return count
+
+
 def check_ledger(counters, calls, estimates, records):
     """Every solve the run caused is counted: the norm probes take one c_y
-    and one c_y^T solve per product, apart from the run's solve counters.
-    Every estimate is counted, and every step that raised the bound it was
-    given, which it then ends at 1.5 times its curvature_seen."""
+    and one c_y^T solve per product, apart from the run's solve counters,
+    and each trial state predicted by a linearized solve takes one more c_y
+    solve. Every Newton iteration is counted. Every estimate is counted, and
+    every step that raised the bound it was given, which it then ends at
+    1.5 times its curvature_seen."""
     probes = counters.norm_probe_applies
     assert probes % 2 == 0
     assert calls["solve_state"] == counters.forward_solves
-    assert calls["solve_cy"] == counters.linearized_solves + probes // 2
+    assert calls["step_jacobian"] == counters.newton_iters
+    assert calls["solve_cy"] == (
+        counters.linearized_solves + counters.predictor_solves + probes // 2
+    )
     assert calls["solve_cy_transpose"] == counters.adjoint_solves + probes // 2
     assert counters.norm_estimates == len(estimates)
     bound, taken, raises = None, 0, 0
@@ -169,6 +199,22 @@ def test_zero_control_fails_at_u0():
 @given(elliptic_runs(), configs, understates)
 def test_elliptic_solve_keeps_the_cost_model(run, config, understate):
     check_run(*run, config, understate)
+
+
+@fast
+@given(elliptic_runs())
+def test_elliptic_state_solve_never_calls_start(run):
+    """The elliptic state solve is direct: a guess is never asked for, and
+    no Newton iteration is counted."""
+    prob, u = run
+
+    def start():
+        raise AssertionError("a direct solve called its start")
+
+    counters = EvalCounters()
+    y = prob.solve_state(u, start=start, counters=counters)
+    np.testing.assert_array_equal(y, prob.solve_state(u))
+    assert counters == EvalCounters()
 
 
 @fast
