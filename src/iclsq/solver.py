@@ -223,8 +223,8 @@ def solve(
         )
 
     gauss_newton = config.hessian_mode == "gauss_newton"
-    h_norm = None  # the curvature bound, kept across linearizations
-    spent = None  # the linearization at which a step spent the bound's margin
+    h_norm = None if gauss_newton else 0.0  # the curvature bound; None: estimate it
+    spent = False  # whether a step from this linearization spent the bound's margin
     held = None  # (state, step norm) of the last trial from u whose state was solved
     successes = 0
 
@@ -233,14 +233,12 @@ def solve(
         if status is not None or k == config.max_iter:
             break
 
-        if not gauss_newton:
-            h_norm = 0.0
-        elif h_norm is None or (spent is not None and jac.lin is not spent):
+        if h_norm is None:
             # Norm probes emulate a known curvature bound; they run on a
             # Jacobian with its own counters at jac's linearization, so the
             # run's tallies match the cost model, and are tallied apart.
             probe = ReducedJacobian(problem, jac.lin)
-            h_norm, spent = estimate_operator_norm(probe), None
+            h_norm = estimate_operator_norm(probe)
             counters.norm_estimates += 1
             counters.norm_probe_applies += probe.counters.jacobian_applies
         model = (jac, R) if gauss_newton else ()
@@ -251,18 +249,15 @@ def solve(
         counters.cg_iterations += step.cg_iters
         if step.h_norm > h_norm:
             counters.curvature_raises += 1
-        if step.curvature_seen > h_norm / 1.5:
-            spent = jac.lin
+        spent = spent or step.curvature_seen > h_norm / 1.5
 
         u_trial = u + step.step
         step_norm = norm(step.step)
-        if held is None:
-            def start(s=step.step, y=y, lin=jac.lin):
+        def start():
+            if held is None:
                 counters.predictor_solves += 1
-                return y + problem.solve_cy(lin, -(lin.cu @ s))
-        else:
-            def start(y=y, y_old=held[0], ratio=step_norm / held[1]):
-                return y + ratio * (y_old - y)
+                return y + problem.solve_cy(jac.lin, -(jac.lin.cu @ step.step))
+            return y + (step_norm / held[1]) * (held[0] - y)
         counters.forward_solves += 1  # a failed attempt still costs a solve
         failure = ""
         try:
@@ -314,7 +309,10 @@ def solve(
         if success:
             successes += 1
             u, y, R, held = u_trial, y_trial, R_trial, None
-            jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
+            lin = problem.linearize(y, u)
+            if spent and lin is not jac.lin:
+                h_norm, spent = None, False
+            jac = ReducedJacobian(problem, lin, counters)
             g = jac.apply_transpose(R)
             gamma = max(0.5 * gamma, config.gamma_min)
         else:

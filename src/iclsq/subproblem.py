@@ -97,16 +97,6 @@ def estimate_operator_norm(J: LinearOperator) -> float:
     whose norm overflows (or is NaN) raises ``FloatingPointError``.
     """
     v = np.random.default_rng(0).standard_normal(J.shape[1])
-
-    def product(v):  # J^T J v and its norm
-        # an overflowing product is refused below, so it warns of nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            hv = J.rmatvec(J @ v)
-            nv = np.linalg.norm(hv)
-        if not math.isfinite(nv):
-            raise FloatingPointError(f"curvature-norm estimate overflowed: |J^T J v| = {nv}")
-        return hv, nv
-
     # The orthonormal Krylov basis q_0, q_1, ..., one array each, and the
     # diagonal and off-diagonal of the tridiagonal T = Q^T (J^T J) Q. One
     # preallocated block for all 31 vectors the cap allows would raise peak
@@ -119,7 +109,12 @@ def estimate_operator_norm(J: LinearOperator) -> float:
     off = np.zeros(_MAX_PRODUCTS)
     ritz = None
     for k in range(_MAX_PRODUCTS):
-        w, nw = product(basis[k])
+        # J^T J q_k; an overflowing product is refused below, so it warns of nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = J.rmatvec(J @ basis[k])
+            nw = np.linalg.norm(w)
+        if not math.isfinite(nw):
+            raise FloatingPointError(f"curvature-norm estimate overflowed: |J^T J v| = {nw}")
         if nw <= 1e-300 and k == 0:
             return 0.0
         for _ in range(2):  # Gram-Schmidt against the whole basis, twice
@@ -152,19 +147,22 @@ def _target(gn: float, gamma: float, theta: float | None, h_norm: float) -> floa
     return theta * scale * gn
 
 
-def _cgls(g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, h_norm: float, target):
-    """CGLS on ||J s + R||^2 + gamma ||s||^2 from s = 0.
+def _cgls(
+    g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, h_norm: float, target
+) -> StepResult:
+    """The Gauss-Newton step: CGLS on ||J s + R||^2 + gamma ||s||^2 from s = 0.
 
     The tracked quantity is the normal-equation residual -g - (H + gamma I)s,
-    exactly the vector the inexactness rule bounds. Runs at most 3 n + 30
-    iterations and tracks the best iterate seen, so a stagnating solve still
-    returns its most accurate step.
+    exactly the vector the inexactness rule bounds. The solve stops once that
+    residual meets the target, once 30 iterations in a row bring no better
+    residual, or after 3 n + 30 iterations, and returns the best iterate seen,
+    so a stagnating solve still returns its most accurate step; ``cg_iters``
+    counts every iteration run.
 
     ``target(h_norm)`` is the residual target. Once the running maximum of
     the Rayleigh quotients ||J p||^2 / ||p||^2 passes the ``h_norm`` given,
     ``h_norm`` is 1.5 times that maximum and the target follows it; the
-    iterates do not depend on the target, so nothing restarts. Also returns
-    the final ``h_norm``, target and maximum.
+    iterates do not depend on the target, so nothing restarts.
     """
     h_given = h_norm
     tol = target(h_norm)
@@ -177,10 +175,10 @@ def _cgls(g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, h_norm:
     s_vec = -g.copy()  # A^T (b - A x)
     p = s_vec.copy()
     ss = float(s_vec @ s_vec)
-    best = (x.copy(), math.sqrt(ss), 0, r_top.copy(), r_bot.copy())
-    stall = 0
+    # the best iterate: its residual, iteration, x and the blocks of b - A x
+    best = (math.sqrt(ss), 0, x.copy(), r_top.copy(), r_bot.copy())
     iters = 0
-    while iters < 3 * n + 30:
+    while True:
         q_top = J @ p
         q_bot = sqrt_gamma * p
         jp, gp = float(q_top @ q_top), float(q_bot @ q_bot)
@@ -201,19 +199,25 @@ def _cgls(g: np.ndarray, gamma: float, J: LinearOperator, R: np.ndarray, h_norm:
         iters += 1
         ss_new = float(s_vec @ s_vec)
         res = math.sqrt(ss_new)
-        if res < best[1]:
-            best = (x.copy(), res, iters, r_top.copy(), r_bot.copy())
-            stall = 0
-        else:
-            stall += 1
-        if res <= tol:
-            return x, res, iters, r_top, r_bot, h_norm, tol, seen
-        if stall >= 30:
+        if res < best[0]:
+            best = (res, iters, x.copy(), r_top.copy(), r_bot.copy())
+        if res <= tol or iters - best[1] >= 30 or iters >= 3 * n + 30:
             break
         p = s_vec + (ss_new / ss) * p
         ss = ss_new
-    bx, bres, _, btop, bbot = best
-    return bx, bres, iters, btop, bbot, h_norm, tol, seen
+    res, _, x, r_top, r_bot = best
+    # A x = b - r, so s.(H + gamma I)s = ||A x||^2 without extra applies.
+    ax_top = -R - r_top
+    curv = float(ax_top @ ax_top) + float(r_bot @ r_bot)
+    return StepResult(
+        step=x,
+        model_decrease=float(-(g @ x) - 0.5 * curv),
+        residual_norm=res,
+        cg_iters=iters,
+        cg_tolerance=tol,
+        h_norm=h_norm,
+        curvature_seen=seen,
+    )
 
 
 def _step(g, gamma: float, theta: float | None, h_norm: float, J, R) -> StepResult:
@@ -233,28 +237,18 @@ def _step(g, gamma: float, theta: float | None, h_norm: float, J, R) -> StepResu
     if (J is None) != (R is None):
         raise ValueError("J and R must be supplied together")
     target = functools.partial(_target, gn, gamma, theta)
-    if J is None:
-        # Zero curvature: the minimizer -g / gamma, one Krylov iteration.
-        x = -g / gamma
-        res = norm(-g - gamma * x)
-        iters, tol, seen = 1, target(h_norm), 0.0
-        decrease = float(-(g @ x) - 0.5 * gamma * (x @ x))
-    else:
-        R = as_vector(R, J.shape[0], name="R")
-        x, res, iters, r_top, r_bot, h_norm, tol, seen = _cgls(g, gamma, J, R, h_norm, target)
-        # A x = b - r, so s.(H + gamma I)s = ||A x||^2 without extra applies.
-        ax_top = -R - r_top
-        ax_bot = -r_bot
-        curv = float(ax_top @ ax_top) + float(ax_bot @ ax_bot)
-        decrease = float(-(g @ x) - 0.5 * curv)
+    if J is not None:
+        return _cgls(g, gamma, J, as_vector(R, J.shape[0], name="R"), h_norm, target)
+    # Zero curvature: the minimizer -g / gamma, one Krylov iteration.
+    x = -g / gamma
     return StepResult(
         step=x,
-        model_decrease=decrease,
-        residual_norm=res,
-        cg_iters=iters,
-        cg_tolerance=tol,
+        model_decrease=float(-(g @ x) - 0.5 * gamma * (x @ x)),
+        residual_norm=norm(-g - gamma * x),
+        cg_iters=1,
+        cg_tolerance=target(h_norm),
         h_norm=h_norm,
-        curvature_seen=seen,
+        curvature_seen=0.0,
     )
 
 

@@ -89,6 +89,8 @@ class TestInnerNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             as_vector([1.0, 2.0, 3.0], 2)
+        with pytest.raises(DimensionMismatch, match="must be 1-d, got shape"):
+            as_vector(np.zeros((3, 1)))
 
 
 class TestObjective:
@@ -130,6 +132,13 @@ class TestLinearOperator:
             op.matvec(np.zeros(4))
         with pytest.raises(DimensionMismatch):
             op.rmatvec(np.zeros(3))
+
+    def test_output_dimension_checked(self):
+        op = LinearOperator((4, 3), lambda v: np.zeros(3), lambda w: np.zeros(4))
+        with pytest.raises(DimensionMismatch, match="operator produced length 3, expected 4"):
+            op.matvec(np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="transpose produced length 4, expected 3"):
+            op.rmatvec(np.zeros(4))
 
     def test_adjoint_probes_random_matrix(self, rng):
         assert_adjoint_identity(operator_from_matrix(rng.standard_normal((6, 4))), rng)

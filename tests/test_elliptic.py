@@ -135,11 +135,12 @@ class TestAssembly:
         "setting",
         [pytest.param({"N": N}, id=str(N)) for N in (8.5, 2.0, "4", True)]
         # lam passes the shared real-number rule; a string raised a TypeError
-        + [pytest.param({"lam": "1e-3"}, id="lam-1e-3")],
+        + [pytest.param({"lam": "1e-3"}, id="lam-1e-3")]
+        + [pytest.param({"z_choice": "two"}, id="z_choice-two")],
     )
     def test_rejects_bad_setting(self, setting):
         [name] = setting
-        rule = "an integer" if name == "N" else "a real number"
+        rule = {"N": "an integer", "lam": "a real number", "z_choice": "'zero' or 'one'"}[name]
         with pytest.raises(ValueError, match=f"{name} must be {rule}"):
             EllipticProblem(**({"N": 4} | setting))
 

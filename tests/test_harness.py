@@ -118,6 +118,10 @@ class TestRenderTable:
 
 
 class TestExperimentSpec:
+    def test_unknown_problem_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown problem 'heat'"):
+            ExperimentSpec(problem="heat", eps_grid=((1e-3, 1e-4),))
+
     @pytest.mark.parametrize(
         "theta_grid,eps_grid",
         [
@@ -499,6 +503,23 @@ class TestCli:
         body = [line for line in table.splitlines() if not line.startswith("#")]
         pairs = [line.split(",")[:2] for line in body[1:]]
         assert pairs == [["0.01", "0.001"], ["0.01", "0.0001"], ["0.01", "1e-06"]]
+        assert capsys.readouterr().out == table
+
+    @pytest.mark.parametrize(
+        ("z", "pairs"),
+        [
+            ("zero", [["0.001", "0.0001"], ["1e-06", "0.0001"], ["1e-09", "0.0001"]]),
+            ("one", [["0.01", "0.0001"], ["0.01", "1e-06"], ["0.01", "1e-08"]]),
+        ],
+    )
+    def test_sweep_runs_the_default_elliptic_grid(self, z, pairs, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ["sweep", "elliptic", "--n-mesh", "3", "--z", z, "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        assert len(list(out_dir.glob("trace_*.jsonl"))) == 18
+        table = (out_dir / "table_pde_solves.csv").read_text()
+        body = [line for line in table.splitlines() if not line.startswith("#")]
+        assert [line.split(",")[:2] for line in body[1:]] == pairs
         assert capsys.readouterr().out == table
 
     def test_solve_reports_solver_error_on_stderr(self, capsys):

@@ -543,6 +543,9 @@ class TestConfigValidation:
     def test_gamma_min_above_gamma0(self):
         with pytest.raises(ValueError):
             SolverConfig(gamma0=1e-12, gamma_min=1e-10)
+        # the default gamma0 here is max{1, ||g0||, ||u0||_inf + 1} = 5
+        with pytest.raises(ValueError, match="exceeds the initial gamma 5.0"):
+            solve(IdentityProblem(2), np.array([3.0, 4.0]), SolverConfig(gamma_min=10.0))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iclsq import subproblem
 from iclsq.core import DimensionMismatch, LinearOperator
 from iclsq.subproblem import (
     IndefiniteOperator,
@@ -125,6 +126,48 @@ class TestTruncatedCG:
         spec = factor_spec(np.eye(3), rng.standard_normal(3), gamma=1.0)
         with pytest.raises(ValueError):
             truncated_cg_step(theta=0.0, **spec)
+
+
+class TestUnreachableTarget:
+    """The two exits other than the target: 30 iterations in a row with no
+    better residual, and the cap of 3 n + 30 iterations. The target is
+    patched to 0, and J (40 x 20, singular values spaced geometrically from
+    1 down to ``smallest``) is ill-conditioned enough that the residual
+    stays well above roundoff and moves up and down."""
+
+    @pytest.mark.parametrize(
+        ("smallest", "gamma", "exit_"),
+        [(1e-8, 1e-14, "stall"), (1e-6, 1e-8, "cap")],
+    )
+    def test_returns_the_best_iterate_and_counts_every_iteration(
+        self, monkeypatch, smallest, gamma, exit_
+    ):
+        n = 20
+        rng = np.random.default_rng(0)
+        left, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
+        right, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        J = left @ np.diag(np.geomspace(1.0, smallest, n)) @ right.T
+        R = rng.standard_normal(2 * n)
+        g = J.T @ R
+        monkeypatch.setattr(subproblem, "_target", lambda *args: 0.0)
+        op = CountingOperator(J)
+        result = exact_step(g, gamma, 1.5, op, R)
+        assert op.applies == 2 * result.cg_iters  # one J and one J^T per iteration
+        # A target equal to the best residual stops at the first iterate that
+        # reaches it, the best one; the iterates do not depend on the target.
+        monkeypatch.setattr(subproblem, "_target", lambda *args: result.residual_norm)
+        best = exact_step(g, gamma, 1.5, operator_from_matrix(J), R)
+        np.testing.assert_array_equal(result.step, best.step)
+        assert best.residual_norm == result.residual_norm
+        if exit_ == "stall":
+            assert result.cg_iters == best.cg_iters + 30 < 3 * n + 30
+        else:
+            assert best.cg_iters < result.cg_iters == 3 * n + 30
+        dense = np.linalg.norm(-g - (J.T @ J + gamma * np.eye(n)) @ result.step)
+        assert result.residual_norm == pytest.approx(dense, rel=1e-2)
+        assert result.model_decrease == pytest.approx(
+            explicit_decrease(J, g, gamma, result.step), rel=1e-7
+        )
 
 
 class TestOperatorNorm:
