@@ -30,6 +30,7 @@ from .solver import (
     SolveOutcome,
     SolverConfig,
     SolveStatus,
+    Trajectory,
     default_gamma0,
     solve,
     stopping_check,
@@ -63,6 +64,7 @@ __all__ = [
     "SolverConfig",
     "StateSolveError",
     "StepResult",
+    "Trajectory",
     "default_gamma0",
     "estimate_operator_norm",
     "exact_step",

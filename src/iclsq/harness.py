@@ -4,10 +4,11 @@ Runs the solver over a grid of inexactness levels and stopping tolerances,
 mirroring the benchmark tables: one row of the rendered grid per tolerance
 pair, one column per theta, counts of forward solves or Jacobian products in
 the cells, a dash where the budget ran out. ``ExperimentSpec._cells`` is
-the one list of a sweep's cells. A sweep cell and ``iclsq solve`` run
-through the same cell runner, so both trace to JSONL alike and end a failed
-run's trace with its exception. Each command has one sub-parser per problem,
-which takes only that problem's flags.
+the one list of a sweep's cells. A sweep runs one trajectory of iterates per
+theta, which its cells of that theta share. A sweep cell and ``iclsq solve``
+run through the same cell runner, so both trace to JSONL alike and end a
+failed run's trace with its exception. Each command has one sub-parser per
+problem, which takes only that problem's flags.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .burgers import BurgersProblem
 from .core import EvalCounters, ImplicitProblem
 from .elliptic import EllipticProblem
-from .solver import HESSIAN_MODES, SolverConfig, SolveStatus, solve
+from .solver import HESSIAN_MODES, SolverConfig, SolveStatus, Trajectory, solve
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -146,13 +147,16 @@ def default_control(problem: ImplicitProblem, name: str) -> np.ndarray:
 
 
 def _run_cell(
-    problem: ImplicitProblem, name: str, config: SolverConfig, trace_path: Path | None
+    problem: ImplicitProblem, name: str, config: SolverConfig, trace_path: Path | None,
+    trajectory: Trajectory | None = None,
 ) -> ExperimentRow:
     """Solve from ``default_control``, one JSONL record per iteration to
-    ``trace_path`` if given. An exception of the solve is not raised: the row
-    gets status "error" and its class and message, and the trace ends with
-    an ``{"error_type", "error_message"}`` record. An unwritable
-    ``trace_path`` raises ``OSError`` before the solve starts."""
+    ``trace_path`` if given, reading the result off ``trajectory`` if given.
+    An exception of the solve is not raised: the row gets status "error" and
+    its class and message, and the trace ends with an ``{"error_type",
+    "error_message"}`` record. An unwritable ``trace_path`` raises
+    ``OSError`` before the solve starts. ``wall_ms`` is the solve's wall
+    time, or with a trajectory its stream's elapsed time at this cell's stop."""
     with open(trace_path, "w") if trace_path is not None else contextlib.nullcontext() as trace:
 
         def write(record: dict):
@@ -163,12 +167,14 @@ def _run_cell(
         counters = EvalCounters()
         start = time.perf_counter()
         try:
-            outcome = solve(problem, u0, config, counters=counters, trace_sink=sink)
+            outcome = solve(problem, u0, config, counters=counters, trace_sink=sink,
+                            trajectory=trajectory)
             error = None
         except Exception as exc:
             outcome = None
             error = exc
-        wall_ms = 1000.0 * (time.perf_counter() - start)
+        wall_ms = 1000.0 * (time.perf_counter() - start if trajectory is None
+                            else trajectory.wall_s)
         if error is not None and trace is not None:
             write({"error_type": type(error).__name__, "error_message": str(error)})
     failed = error is not None
@@ -196,10 +202,15 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Run the cells of ``spec._cells()`` in order, each through ``_run_cell``
     with fresh counters; write CSVs and traces.
 
-    Cells are independent; a failing cell is recorded with status "error"
-    and its exception's class and message in ``error_type`` and
-    ``error_message``, its trace ends with an ``{"error_type",
-    "error_message"}`` record, and the sweep continues.
+    The cells of one theta differ only in their tolerances, so they share
+    one ``Trajectory``: the sweep runs one stream of iterates per theta, and
+    each cell reads its row and trace off it at its own stop. A cell's
+    ``wall_ms`` is the stream's elapsed time at that stop. Each row keeps the
+    paper's per-cell counts, those of an independent run of the cell, so
+    their sum exceeds the work the sweep did. A failing cell is recorded
+    with status "error" and its exception's class and message in
+    ``error_type`` and ``error_message``, its trace ends with an
+    ``{"error_type", "error_message"}`` record, and the sweep continues.
     Output is deterministic apart from wall times.
     """
     cells = spec._cells()
@@ -207,9 +218,11 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     out_dir = Path(spec.out_dir) if spec.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    trajectories = {config.theta: Trajectory() for config in cells.values()}
     rows = [
         _run_cell(problem, spec.problem, config,
-                  None if out_dir is None else out_dir / f"trace_{tag}.jsonl")
+                  None if out_dir is None else out_dir / f"trace_{tag}.jsonl",
+                  trajectories[config.theta])
         for tag, config in cells.items()
     ]
     if out_dir is not None:

@@ -28,12 +28,19 @@ retry from the same iterate starts, at no cost, from the secant
 y + (||s|| / ||s_old||)(y_old - y) through the state y_old of the last
 trial from there whose state solve succeeded with a nonzero step s_old, and
 from the predictor while there is none.
+
+``solve`` runs the generator ``_iterate``, which yields each loop top, and
+keeps only the current top. A ``Trajectory`` shares that stream among the
+solves that differ only in their tolerances: a sweep runs one per theta, and
+a cell's ``wall_ms`` is the stream's elapsed time at the cell's stop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, fields
+import time
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -52,6 +59,7 @@ __all__ = [
     "default_gamma0",
     "stopping_check",
     "solve",
+    "Trajectory",
 ]
 
 HESSIAN_MODES = ("zero", "gauss_newton")
@@ -166,10 +174,14 @@ def stopping_check(R, g, eps_R: float, eps_g: float) -> Optional[SolveStatus]:
 
     A zero residual therefore never reaches the scaled-gradient division.
     """
-    rn = norm(R)
-    if rn <= eps_R:
+    return _stop_status(norm(R), norm(g), eps_R, eps_g)
+
+
+def _stop_status(r_norm: float, g_norm: float, eps_R: float,
+                 eps_g: float) -> Optional[SolveStatus]:
+    if r_norm <= eps_R:
         return SolveStatus.CONVERGED_RESIDUAL
-    if norm(g) / rn <= eps_g:
+    if g_norm / r_norm <= eps_g:
         return SolveStatus.CONVERGED_SCALED_GRADIENT
     return None
 
@@ -180,6 +192,7 @@ def solve(
     config: SolverConfig,
     counters: EvalCounters | None = None,
     trace_sink: Callable[[IterationTrace], None] | None = None,
+    trajectory: Trajectory | None = None,
 ) -> SolveOutcome:
     """Run the outer loop from u0 until convergence or budget exhaustion.
 
@@ -197,13 +210,122 @@ def solve(
     gamma0 or any stopping test is computed from it. The
     problem is linearized and the gradient recomputed only at accepted points;
     with zero curvature the adjoint counter is exactly 1 + number of successes.
+
+    With a ``trajectory``, the result is read off the stream it shares with
+    the solves that differ from this one only in ``eps_R`` and ``eps_g``
+    (see ``Trajectory``): the same outcome, records and exception, with
+    ``counters`` set to the stream's at this solve's stop.
     """
     u = as_vector(u0, problem.n, name="u0").copy()
     if not np.all(np.isfinite(u)):
         raise ValueError("u0 must be finite")
     if counters is None:
         counters = EvalCounters()
+    if trajectory is not None:
+        return trajectory._read(problem, u, config, counters, trace_sink)
+    for top in _iterate(problem, u, config, counters, trace_sink):
+        k, _, _, R, g, _, _ = top
+        status = stopping_check(R, g, config.eps_R, config.eps_g)
+        if status is not None or k == config.max_iter:
+            return _outcome(top, status, counters)
 
+
+def _outcome(top, status, counters) -> SolveOutcome:
+    k, u, y, R, g, gamma, successes = top
+    return SolveOutcome(status or SolveStatus.BUDGET_EXHAUSTED, u, y, R, g, gamma, k,
+                        successes, counters)
+
+
+class Trajectory:
+    """One stream of iterates shared by the solves that differ only in
+    ``eps_R`` and ``eps_g``, which enter the method only in the stopping test.
+
+    The first ``solve`` given a trajectory binds it to its problem, ``u0``
+    and config; a later one with another problem or ``u0``, or a config that
+    differs in more than the two tolerances, is refused with ``ValueError``.
+    Each solve advances the stream as far as its own stop needs, replays the
+    stream's records up to there to its sink and sets its counters to the
+    stream's there. A solve whose stop the stream has passed starts it over,
+    on the same code; a grid whose looser tolerances come first never does.
+    A stream that raised raises the same exception in every solve that needs
+    a later top, with the counters and records it had then.
+
+    The stream keeps its own ``counters``, the ``(||R||, ||g||)`` of every
+    top in ``norms``, every ``IterationTrace`` in ``records``, and the
+    current top in ``top``, with the counters and the elapsed seconds there.
+    ``wall_s`` is the stream's elapsed time at the stop (or failure) of the
+    last solve read from it.
+    """
+
+    def __init__(self):
+        self._binding = None
+        self.wall_s = 0.0
+
+    def _start(self, problem, u, config):
+        self.counters = EvalCounters()
+        self.records = []
+        self.norms = []
+        self.top = None  # (yielded state, counters there, elapsed seconds there)
+        self.error = None
+        self.elapsed = 0.0
+        self._stream = _iterate(problem, u, config, self.counters, self.records.append)
+
+    def _advance(self):
+        start = time.perf_counter()
+        try:
+            state = next(self._stream)
+            self.norms.append((norm(state[3]), norm(state[4])))
+        except Exception as exc:
+            self.error = exc
+        self.elapsed += time.perf_counter() - start
+        if self.error is None:
+            self.top = (state, replace(self.counters), self.elapsed)
+
+    def _read(self, problem, u, config, counters, trace_sink) -> SolveOutcome:
+        rest = replace(config, eps_R=1.0, eps_g=1.0)  # the config but its tolerances
+        if self._binding is None:
+            self._binding = (problem, u, rest)
+            self._start(problem, u, config)
+        elif (problem is not self._binding[0] or u.tobytes() != self._binding[1].tobytes()
+              or rest != self._binding[2]):
+            raise ValueError("the trajectory is bound to another problem, u0 or config "
+                             "(apart from eps_R and eps_g)")
+
+        def stop(k):
+            return _stop_status(*self.norms[k], config.eps_R, config.eps_g)
+
+        if any(stop(k) for k in range(len(self.norms) - 1)):
+            self._start(problem, u, config)
+        while True:
+            k = len(self.norms) - 1
+            status = stop(k) if self.norms else None
+            if status is not None or k == config.max_iter or self.error is not None:
+                break
+            self._advance()
+
+        failed = status is None and k < config.max_iter  # the stream raised before the stop
+        if failed:
+            saved, self.wall_s, records = self.counters, self.elapsed, self.records
+        else:
+            state, saved, self.wall_s = self.top
+            records = self.records[:k]
+        for f in fields(EvalCounters):
+            setattr(counters, f.name, getattr(saved, f.name))
+        if trace_sink is not None:
+            for record in records:
+                trace_sink(record)
+        if failed:
+            raise self.error
+        k, u, y, R, g, gamma, successes = state  # copied: the stream steps on from them
+        return _outcome((k, u.copy(), y.copy(), R.copy(), g.copy(), gamma, successes),
+                        status, counters)
+
+
+def _iterate(problem, u, config, counters, trace_sink):
+    """The outer loop from the validated control ``u``. Yields
+    ``(k, u, y, R, g, gamma, successes)`` at each loop top, before its
+    stopping test, and takes iteration k's step when resumed; it keeps no
+    state of earlier tops. ``solve`` says what it counts and raises."""
     counters.forward_solves += 1  # counted before it is tried, as at trial points
     y = problem.solve_state(u, counters=counters)
     R = problem.residual(y, u)
@@ -228,10 +350,8 @@ def solve(
     held = None  # (state, step norm) of the last trial from u whose state was solved
     successes = 0
 
-    for k in range(config.max_iter + 1):
-        status = stopping_check(R, g, config.eps_R, config.eps_g)
-        if status is not None or k == config.max_iter:
-            break
+    for k in itertools.count():
+        yield k, u, y, R, g, gamma, successes
 
         if h_norm is None:
             # Norm probes emulate a known curvature bound; they run on a
@@ -317,15 +437,3 @@ def solve(
             gamma = max(0.5 * gamma, config.gamma_min)
         else:
             gamma = 2.0 * gamma
-
-    return SolveOutcome(
-        status=status or SolveStatus.BUDGET_EXHAUSTED,
-        u=u,
-        y=y,
-        residual=R,
-        gradient=g,
-        gamma=gamma,
-        iterations=k,
-        successes=successes,
-        counters=counters,
-    )

@@ -281,11 +281,12 @@ class TestErrorRows:
         calls = {"count": 0}
         message = 'synthetic failure, "quoted"\non two lines'
 
-        def flaky_solve(problem, u0, config, counters=None, trace_sink=None):
+        def flaky_solve(problem, u0, config, counters=None, trace_sink=None, trajectory=None):
             calls["count"] += 1
             if calls["count"] == 1:
                 raise RuntimeError(message)
-            return real_solve(problem, u0, config, counters=counters, trace_sink=trace_sink)
+            return real_solve(problem, u0, config, counters=counters, trace_sink=trace_sink,
+                              trajectory=trajectory)
 
         monkeypatch.setattr(harness_mod, "solve", flaky_solve)
         spec = ExperimentSpec(

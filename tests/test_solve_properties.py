@@ -18,22 +18,36 @@ The reduced Jacobian is checked too: against its transpose on elliptic
 problems, and its gradient J^T R against central differences on Burgers
 problems with nx in [2, 4] and nt in [1, 3] and elliptic ones with N in
 [2, 5].
+
+A sweep reads the cells of each theta off one ``Trajectory``. Drawn sweeps
+of either problem, in either curvature mode, with theta grids and tolerance
+pairs in any order (so that a cell can stop before the stream's current top
+and start it over), must give every row field but ``wall_ms`` and every
+trace file that independent solves of the cells give; so must a sweep whose
+streams fail part way, and a trajectory must refuse a solve that differs in
+more than its tolerances.
 """
 
+import dataclasses
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import norm  # BLAS nrm2: no underflow on tiny draws
 
 import iclsq.solver as solver_mod
+from iclsq import harness
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
 from iclsq.core import EvalCounters, StateSolveError
 from iclsq.elliptic import EllipticProblem
-from iclsq.solver import HESSIAN_MODES, SolverConfig, SolveStatus, solve
+from iclsq.harness import ExperimentSpec, run_experiment
+from iclsq.solver import HESSIAN_MODES, SolverConfig, SolveStatus, Trajectory, solve
 
 from conftest import fd_gradient_oracle
 
@@ -249,3 +263,179 @@ def test_gradient_matches_finite_differences(run):
     g = ReducedJacobian(prob, prob.linearize(y, u)).apply_transpose(prob.residual(y, u))
     g_fd = fd_gradient_oracle(prob, u, step=1e-6)
     assert norm(g - g_fd) <= 1e-4 * (1.0 + norm(g_fd))
+
+
+def check_sweep_equals_independent_cells(spec):
+    """The sweep's rows, once each equals, but for ``wall_ms``, the row of an
+    independent solve of its cell, and each trace file that solve's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        swept, alone = Path(tmp, "swept"), Path(tmp, "alone")
+        rows = run_experiment(dataclasses.replace(spec, out_dir=swept))
+        alone.mkdir()
+        problem = harness.PROBLEMS[spec.problem](**spec.problem_params)
+        for row, (tag, config) in zip(rows, spec._cells().items(), strict=True):
+            name = f"trace_{tag}.jsonl"
+            independent = harness._run_cell(problem, spec.problem, config, alone / name)
+            assert row_fields(row) == row_fields(independent)
+            assert (swept / name).read_bytes() == (alone / name).read_bytes()
+    return rows
+
+
+def row_fields(row):
+    """Every field of an ``ExperimentRow`` but ``wall_ms``, as reprs (so NaN equals NaN)."""
+    return {f.name: repr(getattr(row, f.name))
+            for f in dataclasses.fields(row) if f.name != "wall_ms"}
+
+
+TOLERANCES = st.sampled_from([1e-1, 1e-2, 1e-4, 1e-8])
+
+
+@st.composite
+def sweeps(draw):
+    if draw(st.booleans()):
+        problem, params = "burgers", dict(nx=draw(st.integers(2, 8)), nt=draw(st.integers(1, 4)),
+                                          nu=draw(st.sampled_from([1e-2, 0.1, 1.0])))
+    else:
+        problem, params = "elliptic", dict(N=draw(st.integers(2, 6)),
+                                           z_choice=draw(st.sampled_from(["zero", "one"])))
+    thetas = draw(st.permutations([0.0, 1e-2, 0.5]))
+    return ExperimentSpec(
+        problem=problem,
+        problem_params=params,
+        theta_grid=tuple(thetas[:draw(st.integers(1, 3))]),
+        eps_grid=tuple(draw(st.lists(st.tuples(TOLERANCES, TOLERANCES),
+                                     min_size=1, max_size=4, unique=True))),
+        max_iter=draw(st.integers(0, 15)),
+        hessian_mode=draw(st.sampled_from(HESSIAN_MODES)),
+    )
+
+
+# the tightest pair first: every later cell stops before the stream's top
+TIGHT_FIRST = ExperimentSpec("burgers", dict(nx=4, nt=4), theta_grid=(0.5, 0.0),
+                             eps_grid=((1e-2, 1e-8), (1e-2, 1e-4), (1e-1, 1e-2)), max_iter=15)
+# Newton diverges at the zero control: every cell fails at u0
+ALL_FAIL_AT_U0 = ExperimentSpec("burgers", dict(nx=12, nt=1, nu=1e-4), theta_grid=(0.0, 1e-2),
+                                eps_grid=((1e-2, 1e-4), (1e-2, 1e-6)))
+
+
+@fast
+@given(sweeps())
+@example(spec=TIGHT_FIRST)
+@example(spec=dataclasses.replace(TIGHT_FIRST, hessian_mode="zero"))
+@example(spec=ALL_FAIL_AT_U0)
+def test_a_sweep_equals_its_independent_cells(spec):
+    check_sweep_equals_independent_cells(spec)
+
+
+def counted_state_solves(spec):
+    """(rows of the sweep, the state solves it ran)."""
+    with mock.patch.object(BurgersProblem, "solve_state", autospec=True,
+                           side_effect=BurgersProblem.solve_state) as state_solve:
+        rows = run_experiment(spec)
+    return rows, state_solve.call_count
+
+
+def test_a_nested_sweep_runs_one_trajectory_per_theta():
+    """Loosest pair first, each theta's stream runs once, to its tightest
+    cell's stop, and a cell's wall_ms, the stream's elapsed time at its
+    stop, grows with the stop; tightest first, every later cell starts its
+    stream over."""
+    spec = dataclasses.replace(TIGHT_FIRST, eps_grid=TIGHT_FIRST.eps_grid[::-1])
+    rows, solves = counted_state_solves(spec)
+    per_theta = {}
+    for row in rows:
+        per_theta.setdefault(row.theta, []).append((row.pde_solves, row.wall_ms))
+    for cells in per_theta.values():
+        assert len({pde for pde, _ in cells}) == len(cells)  # distinct stops
+        assert sorted(cells) == sorted(cells, key=lambda cell: cell[1])
+    assert solves == sum(max(cells)[0] for cells in per_theta.values())
+    _, restarted = counted_state_solves(TIGHT_FIRST)
+    assert restarted == sum(row.pde_solves for row in rows)
+
+
+@pytest.mark.parametrize("change", [{"problem": BurgersProblem(4, 2)}, {"u0": 0.1},
+                                    {"theta": 0.5}, {"max_iter": 6}, {"gamma0": 2.0},
+                                    {"hessian_mode": "zero"}], ids=lambda change: [*change][0])
+def test_a_trajectory_refuses_a_solve_of_another_stream(change):
+    problem = BurgersProblem(4, 2)
+    config = SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2, max_iter=5)
+    args = {"problem": problem, "u0": np.zeros(problem.n), "config": config}
+    trajectory = Trajectory()
+    solve(**args, trajectory=trajectory)
+    solve(problem, np.zeros(problem.n), dataclasses.replace(config, eps_R=1e-3, eps_g=1e-6),
+          trajectory=trajectory)
+    [(name, value)] = change.items()
+    if name == "u0":
+        args["u0"] = np.full(problem.n, value)
+    elif name == "problem":
+        args["problem"] = value
+    else:
+        args["config"] = dataclasses.replace(config, **change)
+    with pytest.raises(ValueError, match="trajectory"):
+        solve(**args, trajectory=trajectory)
+
+
+# Burgers 8 x 4 at nu = 0.01 from the zero control accepts every step; its scaled
+# gradient falls below 0.07 at the fourth top and below 0.06 at the sixth
+FAILING_THETAS = (0.0, 0.5)
+FAILING_PAIRS = ((1e-9, 1e-4), (1e-9, 0.06), (1e-9, 0.07), (1e-9, 0.05))
+ACCEPTED = 7  # linearize raises at the 7th accepted point, before the 7th top
+
+
+def failing_problem_class():
+    """A Burgers problem whose ``linearize`` raises ``StateSolveError`` at the
+    ``ACCEPTED``-th accepted point of every theta's run."""
+    reference, fail_at = BurgersProblem(8, 4, nu=0.01), set()
+    for theta in FAILING_THETAS:
+        points = []
+        linearize = reference.linearize
+        with mock.patch.object(reference, "linearize",
+                               lambda y, u: points.append(u.tobytes()) or linearize(y, u)):
+            solve(reference, np.zeros(reference.n),
+                  SolverConfig(theta=theta, eps_R=1e-12, eps_g=1e-12, max_iter=ACCEPTED + 1))
+        fail_at.add(points[ACCEPTED])  # points[0] is u0
+
+    class FailsPartWay(BurgersProblem):
+        def linearize(self, y, u):
+            if u.tobytes() in fail_at:
+                raise StateSolveError(f"no linearization at accepted point {ACCEPTED}")
+            return super().linearize(y, u)
+
+    return FailsPartWay
+
+
+def test_a_stream_that_fails_part_way(monkeypatch):
+    """The cells that stop before the failure keep their rows; every other
+    cell of the theta fails with the same exception, and its counters,
+    records and trace file are those of its independent run. The order of
+    the pairs also reads a stop at the top the stream failed after, and
+    starts a failed stream over."""
+    cls = failing_problem_class()
+    monkeypatch.setitem(harness.PROBLEMS, "burgers", cls)
+    spec = ExperimentSpec("burgers", dict(nx=8, nt=4, nu=0.01), theta_grid=FAILING_THETAS,
+                          eps_grid=FAILING_PAIRS)
+    rows = check_sweep_equals_independent_cells(spec)
+    failed = [row for row in rows if row.status == "error"]
+    assert [(row.eps_g, row.theta) for row in failed] == [
+        (eps_g, theta) for _, eps_g in FAILING_PAIRS[::3] for theta in FAILING_THETAS]
+    assert {(row.error_type, row.error_message) for row in failed} == {
+        ("StateSolveError", f"no linearization at accepted point {ACCEPTED}")}
+    assert {row.iterations for row in rows if row.status != "error"} == {4, 6}
+
+    problem = cls(8, 4, nu=0.01)
+    u0 = np.zeros(problem.n)
+    for theta in FAILING_THETAS:
+        trajectory = Trajectory()
+        for eps_R, eps_g in FAILING_PAIRS:
+            config = SolverConfig(theta=theta, eps_R=eps_R, eps_g=eps_g)
+            assert read_cell(problem, u0, config, trajectory) == read_cell(problem, u0, config)
+
+
+def read_cell(problem, u0, config, trajectory=None):
+    """(status or exception, counters, records) of one solve."""
+    counters, records = EvalCounters(), []
+    try:
+        end = solve(problem, u0, config, counters, records.append, trajectory).status
+    except StateSolveError as exc:
+        end = repr(exc)
+    return end, counters, [record.to_dict() for record in records]
