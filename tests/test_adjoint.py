@@ -180,7 +180,6 @@ class TestCounting:
 class TestOperator:
     def test_discarded_jacobian_is_freed_without_the_collector(self):
         elliptic = EllipticProblem(4)
-        burgers = BurgersProblem(6, 5)
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -189,12 +188,18 @@ class TestOperator:
             del jac
             assert ref() is None  # freed by reference counting: no cycle
 
-            # A Burgers Jacobian owns its base point's factors once applied.
-            jac, _ = make_jacobian(burgers, np.zeros(burgers.n), EvalCounters())
-            jac.apply(np.ones(burgers.n))
-            refs = [weakref.ref(x) for x in (jac, jac.lin, jac.lin.factors[0][0])]
-            del jac
-            assert [ref() for ref in refs] == [None, None, None]
+            # A Burgers Jacobian owns its base point's factors once applied:
+            # the band LU of c_y^T (nx <= 32), or step 1's tridiagonal LU.
+            for burgers in (BurgersProblem(6, 5), BurgersProblem(33, 2)):
+                jac, _ = make_jacobian(burgers, np.zeros(burgers.n), EvalCounters())
+                jac.apply(np.ones(burgers.n))
+                owned = jac.lin.factors[0]
+                if not isinstance(owned, np.ndarray):
+                    owned = owned[0]
+                assert owned.base is None  # not a view, which would die at once
+                refs = [weakref.ref(x) for x in (jac, jac.lin, owned)]
+                del jac, owned
+                assert [ref() for ref in refs] == [None, None, None]
         finally:
             if enabled:
                 gc.enable()

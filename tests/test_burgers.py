@@ -247,8 +247,10 @@ class TestForwardSolve:
         assert err.value.residual_norm > 0
 
     @pytest.mark.parametrize("method", ["solve_cy", "solve_cy_transpose"])
-    def test_singular_step_factor_reports_step(self, method):
-        prob = SingularStep(5, 4)
+    @pytest.mark.parametrize("nx", [5, 33], ids=["band", "per-step"])
+    def test_singular_step_factor_reports_step(self, nx, method):
+        # odd nx on each side of the band threshold (nx <= 32)
+        prob = SingularStep(nx, 4)
         with pytest.raises(StateSolveError) as err:
             lin = prob.linearize(np.zeros(prob.n_y), np.zeros(prob.n))
             getattr(prob, method)(lin, np.ones(prob.n_y))
@@ -293,7 +295,7 @@ class TestKernels:
             np.testing.assert_allclose(np.convolve(x, kernel)[1:-1], A @ x, rtol=1e-14, atol=1e-14)
 
     def test_linearized_solves_at_two_nodes(self, rng):
-        # 2 x 2 step Jacobians go through a padded factor
+        # at nx = 2 the band row of the steps' superdiagonal also holds -M/dt
         prob = BurgersProblem(2, 3, nu=0.05)
         y = rng.standard_normal(prob.n_y)
         rhs = rng.standard_normal(prob.n_y)
@@ -302,8 +304,10 @@ class TestKernels:
         assert_close(prob.solve_cy(lin, rhs), np.linalg.solve(cy, rhs))
         assert_close(prob.solve_cy_transpose(lin, rhs), np.linalg.solve(cy.T, rhs))
 
-    def test_linearized_solves_match_dense(self, rng):
-        prob = BurgersProblem(7, 5, nu=0.05)
+    # one band LU up to nx = 32, per-step tridiagonal factors above
+    @pytest.mark.parametrize("nx", [2, 7, 32, 33])
+    def test_linearized_solves_match_dense(self, nx, rng):
+        prob = BurgersProblem(nx, 5, nu=0.05)
         y = 0.5 * rng.standard_normal(prob.n_y)
         u = np.zeros(prob.n)
         rhs = rng.standard_normal(prob.n_y)

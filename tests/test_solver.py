@@ -593,8 +593,12 @@ class TestPinnedCounters:
     # Starting each trial state solve from a predicted state, which moves the
     # states within newton_tol, moved the Burgers theta = 0 row from
     # 230/444/214 to 231/446/215; every other row held.
+    # Solving c_y at nx <= 32 with one band LU of c_y^T in place of the
+    # per-step tridiagonal sweeps, which rounds the linearized solves
+    # differently, moved the Burgers theta = 0 row from 231/446/215 to
+    # 232/448/216; every other row held.
     CASES = [
-        ("burgers", "gauss_newton", 0.0, (15, 16, 231, 446, 215)),
+        ("burgers", "gauss_newton", 0.0, (15, 16, 232, 448, 216)),
         ("burgers", "gauss_newton", 1e-2, (15, 16, 81, 146, 65)),
         ("burgers", "gauss_newton", 0.5, (15, 16, 51, 86, 35)),
         ("elliptic", "gauss_newton", 0.0, (20, 21, 132, 243, 111)),
