@@ -3,32 +3,40 @@
 Backward Euler in time, piecewise linear elements in space on a uniform
 mesh, homogeneous Dirichlet ends. The spatial operators M, B and C are
 constant-coefficient tridiagonals, each stored as its three coefficients
-``(lower, diag, upper)``. Each time step is advanced with Newton's method,
-one LAPACK tridiagonal solve (``dgtsv``) per iteration. The Newton loop
-forms each step's right-hand side (M y_prev)/dt + M u once per step,
-with the control terms of all steps in one sparse apply of c_u, so each
-iteration only evaluates A v + B(v v)/2 - rhs, A = M/dt + nu C. Newton
-starts each step from the previous step's state, or from the caller's guess
-of the whole trajectory when one is given (the solver predicts its trial
-states); a march that fails from a guess is marched again without it.
+``(lower, diag, upper)``. Without a guess of the states, each time step
+is advanced with Newton's method, one LAPACK tridiagonal solve (``dgtsv``)
+per iteration, starting from the previous step's state. This march forms
+each step's right-hand side (M y_prev)/dt + M u once per step, with the
+control terms of all steps in one sparse apply of c_u, so each iteration
+only evaluates A v + B(v v)/2 - rhs, A = M/dt + nu C. With the caller's
+guess of the whole trajectory (the solver predicts its trial states), grids
+of up to 32 nodes run Newton on c(y, u) = 0 for all time steps at once
+from the guess: each iteration forms every step's residual in one product
+with a constant (3 nx, nx) matrix and solves with c_y through one band LU
+(Deuflhard, Newton Methods for Nonlinear Problems, 2004). Wider grids march
+from the guess, each step starting at its block. Either way, a solve that
+fails from a guess marches again without it.
 The linearized constraint c_y is block lower bidiagonal in time. On grids
 of up to 32 nodes each of its (transposed) solves is one LAPACK general band
 solve (``dgbtrs``) through one band LU of c_y^T (``dgbtrf``), so no Python
 loop runs over the time steps. On wider grids the band's fill costs more
 than the loop's calls save, and the solves are forward (backward)
-substitutions over the time blocks, each through one tridiagonal LU factor
-per time step (``dgttrf``, applied with ``dgttrs``). ``linearize`` leaves
-the factoring to the first solve at the base point, and the factors live in
-its ``Linearization``. The per-step loops apply their Toeplitz operators to
-single blocks as one 3-point ``np.convolve`` (``np.correlate`` in the
-substitutions) each. The operators on all blocks at once, the
-partial Jacobians G_u, G_y and c_u, are ``core.sparse_operator``s on
+substitutions over the time blocks, each through its time step's
+tridiagonal LU factor (applied with ``dgttrs``); all steps' factors come
+from one ``dgttrf`` of the tridiagonal of order n_y whose blocks are the
+step Jacobians. Either factor build forms every step Jacobian in one
+``step_jacobian`` call. ``linearize`` leaves the factoring to the first
+solve at the base point, and the factors live in its ``Linearization``.
+The per-step loops apply their Toeplitz operators to single blocks as one
+3-point ``np.convolve`` (``np.correlate`` in the substitutions) each.
+The operators on all blocks at once, the partial Jacobians G_u, G_y and
+c_u, are ``core.sparse_operator``s on
 ``scipy.sparse`` CSR matrices. G_u and G_y both place F_b = I_{nt+1} kron F,
 built with its transpose once: G_u on the control half of the residual, G_y
 without F_b's first block column on the state half. c_u is the Kronecker
 product of a shifted identity with M. The residual is linear,
-G_y (y - z) + G_u u. These matrices, the 3-point kernels and
-``step_jacobian``'s constant terms are built on first use.
+G_y (y - z) + G_u u. These matrices, the 3-point kernels, the residual
+matrix and ``step_jacobian``'s constant terms are built on first use.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -46,7 +54,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv, dgttrf, dgttrs, dpttrf
 
-from .core import EvalCounters, ImplicitProblem, Linearization, StateSolveError, as_vector
+from .core import DimensionMismatch, EvalCounters, ImplicitProblem, Linearization
+from .core import StateSolveError, as_vector
 from .core import check_integer, check_positive, sparse_operator
 
 __all__ = ["BurgersProblem"]
@@ -57,6 +66,15 @@ __all__ = ["BurgersProblem"]
 # per-step calls: at 128 x 32 on a 2-vCPU Xeon a band solve took 347 us
 # against the loop's 153 us, and the band LU 6.5 ms against 0.4 ms.
 _BAND_MAX_NX = 32
+
+
+def _singular(info: int, nx: int) -> StateSolveError:
+    """The error for a zero pivot at 1-based row ``info`` of the state."""
+    step, pivot = divmod(info - 1, nx)
+    return StateSolveError(
+        f"singular step Jacobian at time step {step + 1} (zero pivot {pivot + 1})",
+        step_index=step + 1,
+    )
 
 
 class BurgersProblem(ImplicitProblem):
@@ -143,43 +161,101 @@ class BurgersProblem(ImplicitProblem):
             (*lower, diag, *upper),
         )
 
+    @cached_property
+    def _residual_matrix(self) -> np.ndarray:
+        """K of shape (3 nx, nx) with [v, v v, y_prev] K = (M/dt + nu C) v +
+        B(v v)/2 - (M y_prev)/dt for a row of step states v and the row of
+        their previous states: the residual of all time steps, control term
+        aside, in one product. Built on first use."""
+        return np.vstack([
+            sp.diags(kernel, [-1, 0, 1], shape=(self.nx, self.nx)).toarray()
+            for kernel in (self._stencils[1], self._stencils[2], -self._stencils[0])
+        ])
+
     def step_jacobian(self, y_next) -> tuple:
         """Derivative of the step equation in its unknown state, as the
         diagonals ``(lower, diag, upper)`` of M/dt + B diag(y_next) + nu C.
-        The diagonal is shared between calls and read only."""
-        y = as_vector(y_next, self.nx, name="y_next")
+        ``y_next`` is one block or a (k, nx) stack of blocks; a stack gives
+        (k, nx - 1) off-diagonals whose rows are rounded as each block's
+        alone. The diagonal is the same for every block, shared between calls
+        and read only."""
+        y = np.asarray(y_next, dtype=float)
+        if y.ndim not in (1, 2) or y.shape[-1] != self.nx:
+            raise DimensionMismatch(
+                f"y_next must be a block of {self.nx} or a stack of them, got shape {y.shape}"
+            )
         m_lo, b_lo, c_lo, diag, m_up, b_up, c_up = self._stencils[3]
-        return m_lo + b_lo * y[:-1] + c_lo, diag, m_up + b_up * y[1:] + c_up
+        return m_lo + b_lo * y[..., :-1] + c_lo, diag, m_up + b_up * y[..., 1:] + c_up
 
     def solve_state(self, u, start=None, counters=None) -> np.ndarray:
-        """March the dynamics with one Newton solve per time step.
+        """Solve c(y, u) = 0 for the states; one forward solve, however many
+        Newton iterations it takes.
 
-        Each step's residual (M/dt + nu C) v + B(v v)/2 - (M y_prev)/dt - M u
-        is evaluated at most ``newton_max_iter + 1`` times; a step still above
-        ``newton_tol`` at the last evaluation, or whose residual norm is not
-        finite (it overflowed), or whose step Jacobian has a zero pivot,
-        raises ``StateSolveError`` at once. Newton starts each step from the
-        previous step's state or, if ``start`` is given, from the same step's
-        block of the guess ``start()``. Should any step fail from the guess,
-        the march starts over without it, exactly as without a guess, so a
-        guess never fails a solve that succeeds without one. Newton from a
-        guess far from y(u) may reach another solution of a step's equation.
-        Every iteration, those of a march that failed included, adds one to
+        Without ``start``, march the dynamics with one Newton solve per time
+        step, from the previous step's state. Each step's residual
+        (M/dt + nu C) v + B(v v)/2 - (M y_prev)/dt - M u is evaluated at most
+        ``newton_max_iter + 1`` times; a step still above ``newton_tol`` at
+        the last evaluation, or whose residual norm is not finite (it
+        overflowed), or whose step Jacobian has a zero pivot, raises
+        ``StateSolveError`` at once. Each iteration adds one to
         ``counters.newton_iters`` if counters are given.
-        Counts as a single forward solve regardless of Newton iterations.
+
+        With ``start``, the solve begins at the guess ``start()``. Up to
+        ``_BAND_MAX_NX`` nodes, Newton runs on all time steps at once: each
+        iteration forms every step's residual against the trajectory's own
+        previous block, and makes one band LU of c_y and one band solve, and
+        adds one to ``counters.trajectory_newton_iters``. It stops once every
+        step's residual norm is at most ``newton_tol``, and fails on the
+        march's three conditions. A guess the march solved passes at once,
+        unless rounding moves a residual norm across ``newton_tol``. On wider
+        grids the march starts each step from the same step's block of the
+        guess. Should that fail, the march starts over without the guess,
+        exactly as without one, so a guess never fails a solve that succeeds
+        without one; the failed iterations stay counted. Newton from a guess
+        far from y(u) may reach another solution of the step equations.
         """
         u = as_vector(u, self.n, name="control")
         tally = EvalCounters() if counters is None else counters
         # every step's control term -c_u u = M u_i in one sparse apply
         forcing = -(self._operators[2] @ u).reshape(self.nt, self.nx)
-        # an overflowing iterate or guess ends its march, so it warns of nothing
+        # an overflowing iterate or guess ends its solve, so it warns of nothing
         with np.errstate(over="ignore", invalid="ignore"):
             if start is not None:
+                guess = self.state_blocks(start())
                 try:
-                    return self._march(forcing, self.state_blocks(start()), tally)
+                    if self.nx <= _BAND_MAX_NX:
+                        return self._newton(forcing, guess, tally)
+                    return self._march(forcing, guess, tally)
                 except StateSolveError:
                     pass  # march again without the guess
             return self._march(forcing, None, tally)
+
+    def _newton(self, forcing, guess, tally: EvalCounters) -> np.ndarray:
+        nx, nt, tol, max_iter = self.nx, self.nt, self.newton_tol, self.newton_max_iter
+        # row i is [y_i, y_i y_i, y_{i-1}], so that row times K is step i's
+        # residual but for its control term
+        rows = np.empty((nt, 3 * nx))
+        y, squares, prev = rows[:, :nx], rows[:, nx : 2 * nx], rows[:, 2 * nx :]
+        y[...] = guess
+        prev[0] = self.y0
+        kernel = self._residual_matrix
+        for newton_iter in range(max_iter + 1):
+            np.multiply(y, y, out=squares)
+            prev[1:] = y[:-1]
+            res = rows @ kernel
+            res -= forcing
+            res_norm = math.sqrt(np.einsum("ij,ij->i", res, res).max())
+            if res_norm <= tol:
+                return y.ravel()
+            if newton_iter == max_iter or not math.isfinite(res_norm):
+                raise StateSolveError(
+                    f"Newton failed on the trajectory: largest step residual "
+                    f"{res_norm:.3e} after {newton_iter} iterations",
+                    residual_norm=res_norm,
+                )
+            tally.trajectory_newton_iters += 1
+            lu, ipiv = self._band_factor(y)
+            y -= dgbtrs(lu, 1, nx + 1, res.ravel(), ipiv, trans=1)[0].reshape(nt, nx)
 
     def _march(self, forcing, guess, tally: EvalCounters) -> np.ndarray:
         mass_dt, step_op, half_b, _ = self._stencils
@@ -229,47 +305,56 @@ class BurgersProblem(ImplicitProblem):
     # linearization: the factors live in each base point's Linearization
     def linearize(self, y, u) -> Linearization:
         """The operators at (y, u). The first c_y solve that reads the result
-        factors c_y at y once for all, with one ``step_jacobian`` call per time
-        step. Up to ``_BAND_MAX_NX`` nodes that is one general band LU
-        (``dgbtrf``) of c_y^T, which is block upper bidiagonal: the transposed
-        step Jacobians on the diagonal and -M/dt above it, so kl = 1 and
-        ku = nx + 1. Its row swaps stay inside a time step, so a zero pivot
-        names its step. On wider grids it is one tridiagonal LU per step
-        (``dgttrf``)."""
+        factors c_y at y once for all, with one ``step_jacobian`` call on the
+        stack of all time steps' blocks. Up to ``_BAND_MAX_NX`` nodes that is
+        one general band LU (``dgbtrf``) of c_y^T, which is block upper
+        bidiagonal: the transposed step Jacobians on the diagonal and -M/dt
+        above it, so kl = 1 and ku = nx + 1. Its row swaps stay inside a time
+        step, so a zero pivot names its step. On wider grids it is one
+        tridiagonal LU (``dgttrf``) of the step Jacobians side by side, and
+        each step's factor is a slice of it, its pivot indices shifted to the
+        step."""
         yb = self.state_blocks(y)
         nx, nt = self.nx, self.nt
 
-        def singular(i: int, pivot: int) -> StateSolveError:
-            return StateSolveError(
-                f"singular step Jacobian at time step {i} (zero pivot {pivot})", step_index=i
-            )
-
         def factor():  # (lu, ipiv) of c_y^T, or per-step (dl, d, du, du2, ipiv)
-            if nx > _BAND_MAX_NX:
-                factors = []
-                for i in range(nt):
-                    *lu, info = dgttrf(*self.step_jacobian(yb[i]))
-                    if info > 0:
-                        raise singular(i + 1, info)
-                    factors.append(lu)
-                return factors
-            # band row nx + 2 - d holds diagonal d of c_y^T, row 0 the fill
-            ab = np.zeros((nx + 4, nt, nx))
-            for i in range(nt):
-                ab[nx + 1, i, 1:], ab[nx + 2, i], ab[nx + 3, i, :-1] = self.step_jacobian(yb[i])
-            # -M/dt at diagonals nx + 1, nx and nx - 1; added, because at
-            # nx = 2 row 3 is also the step Jacobians' superdiagonal
-            m_up, m_d, m_lo = self._stencils[0]
-            ab[1, 1:, 1:] -= m_lo
-            ab[2, 1:] -= m_d
-            ab[3, 1:, :-1] -= m_up
-            lu, ipiv, info = dgbtrf(ab.reshape(nx + 4, nt * nx), 1, nx + 1)
+            if nx <= _BAND_MAX_NX:
+                return self._band_factor(yb)
+            # the step Jacobians as one tridiagonal of order n_y, with zero
+            # couplings between steps, so its LU is theirs side by side
+            lower, diag, upper = self.step_jacobian(yb)
+            dl, du = np.zeros((2, nt, nx))
+            dl[:, :-1], du[:, :-1] = lower, upper
+            dl, d, du, du2, ipiv, info = dgttrf(
+                dl.ravel()[:-1], np.tile(diag, nt), du.ravel()[:-1]
+            )
             if info > 0:
-                step, pivot = divmod(info - 1, nx)
-                raise singular(step + 1, pivot + 1)
-            return lu, ipiv
+                raise _singular(info, nx)
+            return [
+                (dl[s : s + nx - 1], d[s : s + nx], du[s : s + nx - 1], du2[s : s + nx - 2],
+                 ipiv[s : s + nx] - s)
+                for s in range(0, nt * nx, nx)
+            ]
 
         return Linearization(*self._operators, factor=factor)
+
+    def _band_factor(self, yb) -> tuple:
+        """``(lu, ipiv)``: the band LU (``dgbtrf``) of c_y^T at the state
+        blocks ``yb``, with one ``step_jacobian`` call for all time steps."""
+        nx, nt = self.nx, self.nt
+        # band row nx + 2 - d holds diagonal d of c_y^T, row 0 the fill
+        ab = np.zeros((nx + 4, nt, nx))
+        ab[nx + 1, :, 1:], ab[nx + 2], ab[nx + 3, :, :-1] = self.step_jacobian(yb)
+        # -M/dt at diagonals nx + 1, nx and nx - 1; added, because at nx = 2
+        # row 3 is also the step Jacobians' superdiagonal
+        m_up, m_d, m_lo = self._stencils[0]
+        ab[1, 1:, 1:] -= m_lo
+        ab[2, 1:] -= m_d
+        ab[3, 1:, :-1] -= m_up
+        lu, ipiv, info = dgbtrf(ab.reshape(nx + 4, nt * nx), 1, nx + 1)
+        if info > 0:
+            raise _singular(info, nx)
+        return lu, ipiv
 
     def solve_cy(self, lin, rhs) -> np.ndarray:
         """One band solve with the factor of c_y^T, or on wide grids block

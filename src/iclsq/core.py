@@ -155,9 +155,12 @@ class EvalCounters:
     raised it. failed_trial_solves counts the trial points whose state
     solve failed or whose residual was not finite; each is a rejected
     iteration and is still included in forward_solves. newton_iters counts
-    the Newton iterations of the state solves that were handed these
-    counters, failed ones and restarts included (each one factors and
+    the per-time-step Newton iterations of the state solves that were handed
+    these counters, failed ones and restarts included (each one factors and
     solves a step Jacobian); a direct state solve adds none.
+    trajectory_newton_iters counts the Newton iterations on a whole state
+    trajectory at once, failed attempts included (each one factors and
+    solves c_y), which Burgers runs from a guess on narrow grids.
     predictor_solves counts the linearized solves that predicted a trial
     point's state as the start of its state solve; they are excluded from
     linearized_solves.
@@ -172,6 +175,7 @@ class EvalCounters:
     curvature_raises: int = 0
     failed_trial_solves: int = 0
     newton_iters: int = 0
+    trajectory_newton_iters: int = 0
     predictor_solves: int = 0
 
     @property

@@ -218,7 +218,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     out_dir = Path(spec.out_dir) if spec.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    trajectories = {config.theta: Trajectory() for config in cells.values()}
+    trajectories = {theta: Trajectory() for theta in {config.theta for config in cells.values()}}
     rows = [
         _run_cell(problem, spec.problem, config,
                   None if out_dir is None else out_dir / f"trace_{tag}.jsonl",

@@ -189,13 +189,14 @@ class TestOperator:
             assert ref() is None  # freed by reference counting: no cycle
 
             # A Burgers Jacobian owns its base point's factors once applied:
-            # the band LU of c_y^T (nx <= 32), or step 1's tridiagonal LU.
+            # the band LU of c_y^T (nx <= 32), or the one tridiagonal LU of
+            # all steps, which step 1's factor views.
             for burgers in (BurgersProblem(6, 5), BurgersProblem(33, 2)):
                 jac, _ = make_jacobian(burgers, np.zeros(burgers.n), EvalCounters())
                 jac.apply(np.ones(burgers.n))
                 owned = jac.lin.factors[0]
                 if not isinstance(owned, np.ndarray):
-                    owned = owned[0]
+                    owned = owned[0].base
                 assert owned.base is None  # not a view, which would die at once
                 refs = [weakref.ref(x) for x in (jac, jac.lin, owned)]
                 del jac, owned
@@ -236,7 +237,8 @@ class TestFactorOwnership:
         for _ in range(3):
             for jac in jacs:
                 jac.apply(v)
-        assert len(calls) == 2 * prob.nt
+        # one call per build, on the stack of all time steps' blocks
+        assert [y.shape for y in calls] == [(prob.nt, prob.nx)] * 2
 
     def test_solve_factors_each_accepted_base_point_once(self, monkeypatch):
         prob = BurgersProblem(8, 8, nu=0.1)
@@ -263,4 +265,4 @@ class TestFactorOwnership:
         out = solve(prob, np.zeros(prob.n), SolverConfig(theta=0.1))
         assert out.successes > 0 and out.counters.norm_probe_applies > 0
         assert len(linearized) == 1 + out.successes
-        assert len(factored) == prob.nt * (1 + out.successes)
+        assert [y.shape for y in factored] == [(prob.nt, prob.nx)] * (1 + out.successes)

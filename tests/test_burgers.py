@@ -8,7 +8,8 @@ import scipy.sparse as sp
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
-from iclsq.core import LinearOperator, StateSolveError
+from iclsq.core import DimensionMismatch, EvalCounters, LinearOperator, StateSolveError
+from iclsq.solver import SolverConfig, solve
 
 from conftest import (
     assert_adjoint_identity,
@@ -342,6 +343,23 @@ class TestMarchingIsBitIdentical:
             for got, expected in zip(prob.step_jacobian(block), reference_step_jacobian(prob, block)):
                 assert_same_bits(got, expected)
 
+    @pytest.mark.parametrize("nx", [2, 16, 128])
+    def test_stacked_step_jacobian_matches_each_block(self, nx):
+        prob = BurgersProblem(nx, 3, nu=0.01)
+        stack = np.random.default_rng(nx).standard_normal((5, nx))
+        lower, diag, upper = prob.step_jacobian(stack)
+        assert lower.shape == upper.shape == (5, nx - 1)
+        for i, block in enumerate(stack):
+            got = prob.step_jacobian(block)
+            assert_same_bits(lower[i], got[0])
+            assert_same_bits(upper[i], got[2])
+            assert diag is got[1] and not diag.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 5), ()])
+    def test_step_jacobian_refuses_other_shapes(self, shape):
+        with pytest.raises(DimensionMismatch):
+            BurgersProblem(5, 3).step_jacobian(np.zeros(shape))
+
     def test_jacobian_diagonal_is_read_only(self):
         prob = BurgersProblem(5, 4)
         _, diag, _ = prob.step_jacobian(np.ones(5))
@@ -363,6 +381,89 @@ class TestMarchingIsBitIdentical:
         assert err.value.step_index == ref.value.step_index == 3
         assert ref.value.residual_norm > 0
         assert err.value.residual_norm == pytest.approx(ref.value.residual_norm, rel=1e-12)
+
+
+def guessed_trials(prob, configs):
+    """(control, guess) of every trial state solve of ``solve`` runs from
+    zero, one run per config."""
+    trials, solve_state = [], prob.solve_state
+
+    def record(u, start=None, counters=None):
+        if start is not None:
+            guess = start()
+            trials.append((u.copy(), guess.copy()))
+            start = lambda: guess  # noqa: E731
+        return solve_state(u, start=start, counters=counters)
+
+    prob.solve_state = record
+    try:
+        for config in configs:
+            solve(prob, np.zeros(prob.n), config)
+    finally:
+        del prob.solve_state
+    return trials
+
+
+class TestTrajectoryNewton:
+    """From a guess, grids of up to 32 nodes run Newton on all time steps at
+    once, and march without the guess should that fail."""
+
+    def test_sweep_trials_reach_the_marched_states(self):
+        # every trial of the burgers-sweep workload's four theta streams
+        prob = BurgersProblem(16, 16, nu=0.01)
+        configs = [
+            SolverConfig(theta=theta, eps_R=1e-2, eps_g=1e-6) for theta in (0.0, 1e-4, 1e-2, 0.5)
+        ]
+        trials = guessed_trials(prob, configs)
+        assert len(trials) >= 80
+        for u, guess in trials:
+            counters = EvalCounters()
+            y = prob.solve_state(u, start=lambda: guess, counters=counters)
+            # no fallback: the trajectory converged from the guess
+            assert counters.newton_iters == 0 < counters.trajectory_newton_iters
+            assert np.max(np.abs(y - prob.solve_state(u))) <= 1e-10
+            assert np.linalg.norm(constraint_residual(prob, y, u)) <= feasibility_tol(prob)
+
+    @pytest.mark.parametrize(
+        "prob,control,guess,iterations",
+        [
+            (BurgersProblem(8, 6, nu=0.01), 0.1, np.nan, 0),  # non-finite residual
+            (BurgersProblem(8, 6, nu=0.01), 0.1, 1e200, 0),  # its squares overflow
+            # the zero state marches with no iteration; the guess meets a zero pivot
+            (SingularStep(5, 4, y_init=np.zeros(5)), 0.0, 1.0, 1),
+        ],
+        ids=["nan", "huge", "singular"],
+    )
+    def test_failed_guess_marches_as_without_one(self, prob, control, guess, iterations):
+        u = control * np.sin(np.arange(prob.n))
+        cold_counters, counters = EvalCounters(), EvalCounters()
+        cold = prob.solve_state(u, counters=cold_counters)
+        y = prob.solve_state(u, start=lambda: np.full(prob.n_y, guess), counters=counters)
+        assert_same_bits(y, cold)
+        assert counters.newton_iters == cold_counters.newton_iters
+        assert counters.trajectory_newton_iters == iterations
+        assert cold_counters.trajectory_newton_iters == 0
+
+    def test_too_many_iterations_march_as_without_a_guess(self):
+        # each step marches in at most 3 iterations, and the whole
+        # trajectory takes more from a guess 2 off
+        prob = BurgersProblem(8, 6, nu=0.01, newton_max_iter=3, y_init=np.zeros(8))
+        u = 0.1 * np.sin(np.arange(prob.n))
+        cold_counters, counters = EvalCounters(), EvalCounters()
+        cold = prob.solve_state(u, counters=cold_counters)
+        y = prob.solve_state(u, start=lambda: cold + 2.0, counters=counters)
+        assert_same_bits(y, cold)
+        assert counters.trajectory_newton_iters == 3
+        assert counters.newton_iters == cold_counters.newton_iters
+
+    def test_wide_grids_march_from_the_guess(self):
+        prob = BurgersProblem(33, 3, nu=0.01)
+        u = 0.1 * np.sin(np.arange(prob.n))
+        cold = prob.solve_state(u)
+        counters = EvalCounters()
+        y = prob.solve_state(u, start=lambda: cold, counters=counters)
+        assert_same_bits(y, cold)
+        assert counters.newton_iters == counters.trajectory_newton_iters == 0
 
 
 class TestResidual:

@@ -188,6 +188,7 @@ class TestCounters:
             "curvature_raises": 0,
             "failed_trial_solves": 0,
             "newton_iters": 0,
+            "trajectory_newton_iters": 0,
             "predictor_solves": 0,
         }
         c.forward_solves += 1

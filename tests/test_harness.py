@@ -1,6 +1,7 @@
 """Harness: experiment sweeps, table rendering, CLI; and the test oracles."""
 
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -218,6 +219,18 @@ class TestRunExperiment:
             )
             assert row.pde_solves == row.iterations + 1
 
+    def test_one_trajectory_per_theta(self, small_spec, monkeypatch):
+        built = []
+
+        class Counted(harness.Trajectory):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(harness, "Trajectory", Counted)
+        rows = run_experiment(dataclasses.replace(small_spec, out_dir=None))
+        assert len(rows) == 4 and len(built) == len(small_spec.theta_grid) == 2
+
     def test_artifacts_written_and_parseable(self, small_spec):
         out_dir = small_spec.out_dir
         run_experiment(small_spec)
@@ -243,7 +256,7 @@ class TestRunExperiment:
             }
             assert {
                 "norm_estimates", "norm_probe_applies", "curvature_raises",
-                "newton_iters", "predictor_solves",
+                "newton_iters", "trajectory_newton_iters", "predictor_solves",
             } <= set(rec["counters"])
         ks = [rec["k"] for rec in records]
         assert ks == list(range(len(ks)))

@@ -169,7 +169,7 @@ def check_ledger(counters, calls, estimates, records):
     probes = counters.norm_probe_applies
     assert probes % 2 == 0
     assert calls["solve_state"] == counters.forward_solves
-    assert calls["step_jacobian"] == counters.newton_iters
+    assert calls["step_jacobian"] == counters.newton_iters + counters.trajectory_newton_iters
     assert calls["solve_cy"] == (
         counters.linearized_solves + counters.predictor_solves + probes // 2
     )

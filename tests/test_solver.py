@@ -490,7 +490,8 @@ class TestTrialStarts:
 
         def paper_counts(out):
             snapshot = out.counters.snapshot()
-            del snapshot["newton_iters"], snapshot["predictor_solves"]
+            del snapshot["newton_iters"], snapshot["trajectory_newton_iters"]
+            del snapshot["predictor_solves"]
             return out.status, out.iterations, out.successes, snapshot
 
         assert paper_counts(started) == paper_counts(cold)
@@ -499,7 +500,11 @@ class TestTrialStarts:
         # one prediction per iterate stepped from; every retry takes the secant
         assert started.counters.predictor_solves == started.successes
         assert cold.counters.predictor_solves == 0
-        assert started.counters.newton_iters <= 0.7 * cold.counters.newton_iters
+        # on this narrow grid a started solve runs Newton on the whole
+        # trajectory, and only the solve at u0 marches
+        assert cold.counters.trajectory_newton_iters == 0
+        newton = started.counters.newton_iters + started.counters.trajectory_newton_iters
+        assert newton <= 0.7 * cold.counters.newton_iters
 
 
 class TestConcurrentRuns:
