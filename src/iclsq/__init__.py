@@ -33,7 +33,6 @@ from .solver import (
     Trajectory,
     default_gamma0,
     solve,
-    stopping_check,
 )
 from .subproblem import (
     IndefiniteOperator,
@@ -72,6 +71,5 @@ __all__ = [
     "render_table",
     "run_experiment",
     "solve",
-    "stopping_check",
     "truncated_cg_step",
 ]

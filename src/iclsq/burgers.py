@@ -9,24 +9,25 @@ per iteration, starting from the previous step's state. This march forms
 each step's right-hand side (M y_prev)/dt + M u once per step, with the
 control terms of all steps in one sparse apply of c_u, so each iteration
 only evaluates A v + B(v v)/2 - rhs, A = M/dt + nu C. With the caller's
-guess of the whole trajectory (the solver predicts its trial states), grids
-of up to 32 nodes run Newton on c(y, u) = 0 for all time steps at once
-from the guess: each iteration forms every step's residual in one product
-with a constant (3 nx, nx) matrix and solves with c_y through one band LU
-(Deuflhard, Newton Methods for Nonlinear Problems, 2004). Wider grids march
-from the guess, each step starting at its block. Either way, a solve that
-fails from a guess marches again without it.
-The linearized constraint c_y is block lower bidiagonal in time. On grids
-of up to 32 nodes each of its (transposed) solves is one LAPACK general band
-solve (``dgbtrs``) through one band LU of c_y^T (``dgbtrf``), so no Python
-loop runs over the time steps. On wider grids the band's fill costs more
-than the loop's calls save, and the solves are forward (backward)
-substitutions over the time blocks, each through its time step's
-tridiagonal LU factor (applied with ``dgttrs``); all steps' factors come
-from one ``dgttrf`` of the tridiagonal of order n_y whose blocks are the
-step Jacobians. Either factor build forms every step Jacobian in one
-``step_jacobian`` call. ``linearize`` leaves the factoring to the first
-solve at the base point, and the factors live in its ``Linearization``.
+guess of the whole trajectory (the solver predicts its trial states),
+Newton runs on c(y, u) = 0 for all time steps at once from the guess
+(Deuflhard, Newton Methods for Nonlinear Problems, 2004): each iteration
+forms every step's residual in one product with a constant sparse
+(nx, 3 nx) matrix and solves with c_y at the current trajectory. A solve
+that fails from a guess marches again without it.
+The linearized constraint c_y is block lower bidiagonal in time. One
+method, ``_factor``, factors it with one ``step_jacobian`` call on the stack
+of all time steps' blocks and returns its solve; ``linearize``'s solves and
+the Newton from a guess both use it. On grids of up to 32 nodes each
+(transposed) solve is one LAPACK general band solve (``dgbtrs``) through
+one band LU of c_y^T (``dgbtrf``), so no Python loop runs over the time
+steps. On wider grids the band's fill costs more than the loop's calls
+save, and the solves are forward (backward) substitutions over the time
+blocks, each through its time step's tridiagonal LU factor (applied with
+``dgttrs``); all steps' factors come from one ``dgttrf`` of the
+tridiagonal of order n_y whose blocks are the step Jacobians.
+``linearize`` leaves the factoring to the first solve at the base point,
+and the solve lives in its ``Linearization``.
 The per-step loops apply their Toeplitz operators to single blocks as one
 3-point ``np.convolve`` (``np.correlate`` in the substitutions) each.
 The operators on all blocks at once, the partial Jacobians G_u, G_y and
@@ -162,15 +163,16 @@ class BurgersProblem(ImplicitProblem):
         )
 
     @cached_property
-    def _residual_matrix(self) -> np.ndarray:
-        """K of shape (3 nx, nx) with [v, v v, y_prev] K = (M/dt + nu C) v +
-        B(v v)/2 - (M y_prev)/dt for a row of step states v and the row of
-        their previous states: the residual of all time steps, control term
-        aside, in one product. Built on first use."""
-        return np.vstack([
-            sp.diags(kernel, [-1, 0, 1], shape=(self.nx, self.nx)).toarray()
+    def _residual_matrix(self) -> sp.csr_matrix:
+        """K, the CSR matrix of shape (nx, 3 nx) with K [v; v v; y_prev] =
+        (M/dt + nu C) v + B(v v)/2 - (M y_prev)/dt for a column of step
+        states v and the column of their previous states: the residual of
+        all time steps, control term aside, in one product. It stores the
+        three tridiagonals' nonzeros, so O(nx) entries. Built on first use."""
+        return sp.hstack([
+            sp.diags(kernel, [1, 0, -1], shape=(self.nx, self.nx))
             for kernel in (self._stencils[1], self._stencils[2], -self._stencils[0])
-        ])
+        ], format="csr")
 
     def step_jacobian(self, y_next) -> tuple:
         """Derivative of the step equation in its unknown state, as the
@@ -200,19 +202,18 @@ class BurgersProblem(ImplicitProblem):
         ``StateSolveError`` at once. Each iteration adds one to
         ``counters.newton_iters`` if counters are given.
 
-        With ``start``, the solve begins at the guess ``start()``. Up to
-        ``_BAND_MAX_NX`` nodes, Newton runs on all time steps at once: each
-        iteration forms every step's residual against the trajectory's own
-        previous block, and makes one band LU of c_y and one band solve, and
-        adds one to ``counters.trajectory_newton_iters``. It stops once every
-        step's residual norm is at most ``newton_tol``, and fails on the
-        march's three conditions. A guess the march solved passes at once,
-        unless rounding moves a residual norm across ``newton_tol``. On wider
-        grids the march starts each step from the same step's block of the
-        guess. Should that fail, the march starts over without the guess,
-        exactly as without one, so a guess never fails a solve that succeeds
-        without one; the failed iterations stay counted. Newton from a guess
-        far from y(u) may reach another solution of the step equations.
+        With ``start``, Newton runs on all time steps at once from the guess
+        ``start()``: each iteration forms every step's residual against the
+        trajectory's own previous block, factors c_y at the trajectory and
+        solves with it once, and adds one to
+        ``counters.trajectory_newton_iters``. It stops once every step's
+        residual norm is at most ``newton_tol``, and fails on the march's
+        three conditions. A guess the march solved passes at once, unless
+        rounding moves a residual norm across ``newton_tol``. Should it fail,
+        the march starts over without the guess, exactly as without one, so
+        a guess never fails a solve that succeeds without one; the failed
+        iterations stay counted. Newton from a guess far from y(u) may reach
+        another solution of the step equations.
         """
         u = as_vector(u, self.n, name="control")
         tally = EvalCounters() if counters is None else counters
@@ -223,30 +224,27 @@ class BurgersProblem(ImplicitProblem):
             if start is not None:
                 guess = self.state_blocks(start())
                 try:
-                    if self.nx <= _BAND_MAX_NX:
-                        return self._newton(forcing, guess, tally)
-                    return self._march(forcing, guess, tally)
+                    return self._newton(forcing, guess, tally)
                 except StateSolveError:
                     pass  # march again without the guess
-            return self._march(forcing, None, tally)
+            return self._march(forcing, tally)
 
     def _newton(self, forcing, guess, tally: EvalCounters) -> np.ndarray:
         nx, nt, tol, max_iter = self.nx, self.nt, self.newton_tol, self.newton_max_iter
-        # row i is [y_i, y_i y_i, y_{i-1}], so that row times K is step i's
+        # column i is [y_i; y_i y_i; y_{i-1}], so that K times it is step i's
         # residual but for its control term
-        rows = np.empty((nt, 3 * nx))
-        y, squares, prev = rows[:, :nx], rows[:, nx : 2 * nx], rows[:, 2 * nx :]
-        y[...] = guess
-        prev[0] = self.y0
+        cols = np.empty((3 * nx, nt))
+        y, squares, prev = cols[:nx], cols[nx : 2 * nx], cols[2 * nx :]
+        y[...] = guess.T
+        prev[:, 0] = self.y0
         kernel = self._residual_matrix
         for newton_iter in range(max_iter + 1):
             np.multiply(y, y, out=squares)
-            prev[1:] = y[:-1]
-            res = rows @ kernel
-            res -= forcing
+            prev[:, 1:] = y[:, :-1]
+            res = (kernel @ cols).T - forcing
             res_norm = math.sqrt(np.einsum("ij,ij->i", res, res).max())
             if res_norm <= tol:
-                return y.ravel()
+                return y.T.ravel()
             if newton_iter == max_iter or not math.isfinite(res_norm):
                 raise StateSolveError(
                     f"Newton failed on the trajectory: largest step residual "
@@ -254,17 +252,16 @@ class BurgersProblem(ImplicitProblem):
                     residual_norm=res_norm,
                 )
             tally.trajectory_newton_iters += 1
-            lu, ipiv = self._band_factor(y)
-            y -= dgbtrs(lu, 1, nx + 1, res.ravel(), ipiv, trans=1)[0].reshape(nt, nx)
+            y -= self._factor(y.T)(res.ravel(), False).reshape(nt, nx).T
 
-    def _march(self, forcing, guess, tally: EvalCounters) -> np.ndarray:
+    def _march(self, forcing, tally: EvalCounters) -> np.ndarray:
         mass_dt, step_op, half_b, _ = self._stencils
         tol, max_iter, conv = self.newton_tol, self.newton_max_iter, np.convolve
         out = np.empty((self.nt, self.nx))
         y_prev = self.y0
         for i in range(self.nt):
             rhs = conv(y_prev, mass_dt)[1:-1] + forcing[i]
-            v = y_prev if guess is None else guess[i]  # never written to
+            v = y_prev  # never written to
             for newton_iter in range(max_iter + 1):
                 res = conv(v, step_op)[1:-1] + conv(v * v, half_b)[1:-1] - rhs
                 res_norm = math.sqrt(res @ res)
@@ -302,84 +299,76 @@ class BurgersProblem(ImplicitProblem):
         Gu, Gy, _ = self._operators
         return Gy @ (self.state_blocks(y) - self.z).ravel() + Gu @ u
 
-    # linearization: the factors live in each base point's Linearization
+    # linearization: the c_y solve lives in each base point's Linearization
     def linearize(self, y, u) -> Linearization:
         """The operators at (y, u). The first c_y solve that reads the result
-        factors c_y at y once for all, with one ``step_jacobian`` call on the
-        stack of all time steps' blocks. Up to ``_BAND_MAX_NX`` nodes that is
-        one general band LU (``dgbtrf``) of c_y^T, which is block upper
-        bidiagonal: the transposed step Jacobians on the diagonal and -M/dt
-        above it, so kl = 1 and ku = nx + 1. Its row swaps stay inside a time
-        step, so a zero pivot names its step. On wider grids it is one
-        tridiagonal LU (``dgttrf``) of the step Jacobians side by side, and
-        each step's factor is a slice of it, its pivot indices shifted to the
-        step."""
+        factors c_y at y once for all (see ``_factor``)."""
         yb = self.state_blocks(y)
-        nx, nt = self.nx, self.nt
+        return Linearization(*self._operators, factor=lambda: self._factor(yb))
 
-        def factor():  # (lu, ipiv) of c_y^T, or per-step (dl, d, du, du2, ipiv)
-            if nx <= _BAND_MAX_NX:
-                return self._band_factor(yb)
-            # the step Jacobians as one tridiagonal of order n_y, with zero
-            # couplings between steps, so its LU is theirs side by side
-            lower, diag, upper = self.step_jacobian(yb)
-            dl, du = np.zeros((2, nt, nx))
-            dl[:, :-1], du[:, :-1] = lower, upper
-            dl, d, du, du2, ipiv, info = dgttrf(
-                dl.ravel()[:-1], np.tile(diag, nt), du.ravel()[:-1]
-            )
+    def _factor(self, yb):
+        """``solve(rhs, transpose)``: the solve with c_y (or with c_y^T) at
+        the state blocks ``yb``, factored here with one ``step_jacobian`` call
+        on the stack of all time steps' blocks. Up to ``_BAND_MAX_NX`` nodes
+        that is one general band LU (``dgbtrf``) of c_y^T, which is block
+        upper bidiagonal: the transposed step Jacobians on the diagonal and
+        -M/dt above it, so kl = 1 and ku = nx + 1. Its row swaps stay inside a
+        time step, so a zero pivot names its step. On wider grids it is one
+        tridiagonal LU (``dgttrf``) of the step Jacobians side by side, each
+        step's factor a slice of it, its pivot indices shifted to the step,
+        and a solve substitutes through the time steps."""
+        nx, nt = self.nx, self.nt
+        lower, diag, upper = self.step_jacobian(yb)
+        mass_dt = self._stencils[0]
+        if nx <= _BAND_MAX_NX:
+            # band row nx + 2 - d holds diagonal d of c_y^T, row 0 the fill
+            ab = np.zeros((nx + 4, nt, nx))
+            ab[nx + 1, :, 1:], ab[nx + 2], ab[nx + 3, :, :-1] = lower, diag, upper
+            # -M/dt at diagonals nx + 1, nx and nx - 1; added, because at nx = 2
+            # row 3 is also the step Jacobians' superdiagonal
+            m_up, m_d, m_lo = mass_dt
+            ab[1, 1:, 1:] -= m_lo
+            ab[2, 1:] -= m_d
+            ab[3, 1:, :-1] -= m_up
+            lu, ipiv, info = dgbtrf(ab.reshape(nx + 4, nt * nx), 1, nx + 1)
             if info > 0:
                 raise _singular(info, nx)
-            return [
-                (dl[s : s + nx - 1], d[s : s + nx], du[s : s + nx - 1], du2[s : s + nx - 2],
-                 ipiv[s : s + nx] - s)
-                for s in range(0, nt * nx, nx)
-            ]
-
-        return Linearization(*self._operators, factor=factor)
-
-    def _band_factor(self, yb) -> tuple:
-        """``(lu, ipiv)``: the band LU (``dgbtrf``) of c_y^T at the state
-        blocks ``yb``, with one ``step_jacobian`` call for all time steps."""
-        nx, nt = self.nx, self.nt
-        # band row nx + 2 - d holds diagonal d of c_y^T, row 0 the fill
-        ab = np.zeros((nx + 4, nt, nx))
-        ab[nx + 1, :, 1:], ab[nx + 2], ab[nx + 3, :, :-1] = self.step_jacobian(yb)
-        # -M/dt at diagonals nx + 1, nx and nx - 1; added, because at nx = 2
-        # row 3 is also the step Jacobians' superdiagonal
-        m_up, m_d, m_lo = self._stencils[0]
-        ab[1, 1:, 1:] -= m_lo
-        ab[2, 1:] -= m_d
-        ab[3, 1:, :-1] -= m_up
-        lu, ipiv, info = dgbtrf(ab.reshape(nx + 4, nt * nx), 1, nx + 1)
+            # c_y is the transpose of the factored matrix
+            return lambda rhs, transpose: dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0]
+        # the step Jacobians as one tridiagonal of order n_y, with zero
+        # couplings between steps, so its LU is theirs side by side
+        dl, du = np.zeros((2, nt, nx))
+        dl[:, :-1], du[:, :-1] = lower, upper
+        dl, d, du, du2, ipiv, info = dgttrf(dl.ravel()[:-1], np.tile(diag, nt), du.ravel()[:-1])
         if info > 0:
             raise _singular(info, nx)
-        return lu, ipiv
+        steps = [
+            (dl[s : s + nx - 1], d[s : s + nx], du[s : s + nx - 1], du2[s : s + nx - 2],
+             ipiv[s : s + nx] - s)
+            for s in range(0, nt * nx, nx)
+        ]
+
+        def substitute(rhs, transpose):
+            rb, trans = rhs.reshape(nt, nx), "T" if transpose else "N"
+            out = np.empty((nt, nx))
+            x = np.zeros(nx)
+            for i in range(nt - 1, -1, -1) if transpose else range(nt):
+                # M is symmetric, so c_y and c_y^T couple the steps alike
+                x, _ = dgttrs(*steps[i], rb[i] + np.correlate(x, mass_dt, "same"), trans, 1)
+                out[i] = x
+            return out.ravel()
+
+        return substitute
 
     def solve_cy(self, lin, rhs) -> np.ndarray:
         """One band solve with the factor of c_y^T, or on wide grids block
         forward substitution through the time steps."""
-        return self._substitute(lin, rhs, 1, "N", range(self.nt))
+        return lin.factors(as_vector(rhs, self.n_y, name="rhs"), False)
 
     def solve_cy_transpose(self, lin, rhs) -> np.ndarray:
         """One band solve, or block backward substitution with the transposed
         step Jacobians."""
-        return self._substitute(lin, rhs, 0, "T", range(self.nt - 1, -1, -1))
-
-    def _substitute(self, lin, rhs, band_trans: int, trans: str, steps: range) -> np.ndarray:
-        factors = lin.factors
-        rhs = as_vector(rhs, self.n_y, name="rhs")
-        if self.nx <= _BAND_MAX_NX:
-            lu, ipiv = factors
-            return dgbtrs(lu, 1, self.nx + 1, rhs, ipiv, trans=band_trans)[0]
-        rb = rhs.reshape(self.nt, self.nx)
-        mass_dt, corr = self._stencils[0], np.correlate  # M is symmetric
-        out = np.empty((self.nt, self.nx))
-        x = np.zeros(self.nx)
-        for i in steps:
-            x, _ = dgttrs(*factors[i], rb[i] + corr(x, mass_dt, "same"), trans, 1)
-            out[i] = x
-        return out.ravel()
+        return lin.factors(as_vector(rhs, self.n_y, name="rhs"), True)
 
     @cached_property
     def _operators(self) -> tuple:

@@ -160,7 +160,7 @@ class EvalCounters:
     solves a step Jacobian); a direct state solve adds none.
     trajectory_newton_iters counts the Newton iterations on a whole state
     trajectory at once, failed attempts included (each one factors and
-    solves c_y), which Burgers runs from a guess on narrow grids.
+    solves c_y), which Burgers runs from a guess.
     predictor_solves counts the linearized solves that predicted a trial
     point's state as the start of its state solve; they are excluded from
     linearized_solves.
@@ -234,7 +234,9 @@ class ImplicitProblem(ABC):
         direct one ignores it. The result may depend on the guess only
         within the solve's tolerance, and a guess must never make a solve
         fail that succeeds without one. An iterative solve adds its
-        iterations to ``counters.newton_iters`` if counters are given."""
+        iterations to the counters if they are given: per-time-step Newton
+        iterations to ``newton_iters``, and Newton iterations on the whole
+        trajectory at once to ``trajectory_newton_iters``."""
 
     @abstractmethod
     def residual(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:

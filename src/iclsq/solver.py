@@ -57,7 +57,6 @@ __all__ = [
     "IterationTrace",
     "SolveOutcome",
     "default_gamma0",
-    "stopping_check",
     "solve",
     "Trajectory",
 ]
@@ -169,16 +168,11 @@ def default_gamma0(g0, u0) -> float:
     return max(1.0, norm(g0), u_inf + 1.0)
 
 
-def stopping_check(R, g, eps_R: float, eps_g: float) -> Optional[SolveStatus]:
-    """Termination test; the residual branch is checked first.
-
-    A zero residual therefore never reaches the scaled-gradient division.
-    """
-    return _stop_status(norm(R), norm(g), eps_R, eps_g)
-
-
 def _stop_status(r_norm: float, g_norm: float, eps_R: float,
                  eps_g: float) -> Optional[SolveStatus]:
+    """Termination test on the residual and gradient norms; the residual
+    branch is checked first, so a zero residual never reaches the
+    scaled-gradient division."""
     if r_norm <= eps_R:
         return SolveStatus.CONVERGED_RESIDUAL
     if g_norm / r_norm <= eps_g:
@@ -225,7 +219,7 @@ def solve(
         return trajectory._read(problem, u, config, counters, trace_sink)
     for top in _iterate(problem, u, config, counters, trace_sink):
         k, _, _, R, g, _, _ = top
-        status = stopping_check(R, g, config.eps_R, config.eps_g)
+        status = _stop_status(norm(R), norm(g), config.eps_R, config.eps_g)
         if status is not None or k == config.max_iter:
             return _outcome(top, status, counters)
 

@@ -188,16 +188,14 @@ class TestOperator:
             del jac
             assert ref() is None  # freed by reference counting: no cycle
 
-            # A Burgers Jacobian owns its base point's factors once applied:
-            # the band LU of c_y^T (nx <= 32), or the one tridiagonal LU of
-            # all steps, which step 1's factor views.
+            # A Burgers Jacobian owns its base point's c_y solve once applied,
+            # and the solve owns the factors: the band LU of c_y^T
+            # (nx <= 32), or the one tridiagonal LU of all steps.
             for burgers in (BurgersProblem(6, 5), BurgersProblem(33, 2)):
                 jac, _ = make_jacobian(burgers, np.zeros(burgers.n), EvalCounters())
                 jac.apply(np.ones(burgers.n))
-                owned = jac.lin.factors[0]
-                if not isinstance(owned, np.ndarray):
-                    owned = owned[0].base
-                assert owned.base is None  # not a view, which would die at once
+                owned = jac.lin.factors
+                assert jac.lin.factors is owned  # kept, not built at each read
                 refs = [weakref.ref(x) for x in (jac, jac.lin, owned)]
                 del jac, owned
                 assert [ref() for ref in refs] == [None, None, None]

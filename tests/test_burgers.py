@@ -405,17 +405,14 @@ def guessed_trials(prob, configs):
 
 
 class TestTrajectoryNewton:
-    """From a guess, grids of up to 32 nodes run Newton on all time steps at
-    once, and march without the guess should that fail."""
+    """From a guess, Newton runs on all time steps at once, through the band
+    LU of c_y^T up to 32 nodes and the per-step tridiagonal factors above,
+    and marches without the guess should that fail."""
 
-    def test_sweep_trials_reach_the_marched_states(self):
-        # every trial of the burgers-sweep workload's four theta streams
-        prob = BurgersProblem(16, 16, nu=0.01)
-        configs = [
-            SolverConfig(theta=theta, eps_R=1e-2, eps_g=1e-6) for theta in (0.0, 1e-4, 1e-2, 0.5)
-        ]
+    @staticmethod
+    def assert_trials_reach_the_cold_states(prob, configs, min_trials):
         trials = guessed_trials(prob, configs)
-        assert len(trials) >= 80
+        assert len(trials) >= min_trials
         for u, guess in trials:
             counters = EvalCounters()
             y = prob.solve_state(u, start=lambda: guess, counters=counters)
@@ -424,6 +421,17 @@ class TestTrajectoryNewton:
             assert np.max(np.abs(y - prob.solve_state(u))) <= 1e-10
             assert np.linalg.norm(constraint_residual(prob, y, u)) <= feasibility_tol(prob)
 
+    def test_sweep_trials_reach_the_marched_states(self):
+        # every trial of the burgers-sweep workload's four theta streams
+        configs = [
+            SolverConfig(theta=theta, eps_R=1e-2, eps_g=1e-6) for theta in (0.0, 1e-4, 1e-2, 0.5)
+        ]
+        self.assert_trials_reach_the_cold_states(BurgersProblem(16, 16, nu=0.01), configs, 80)
+
+    def test_wide_grid_trials_reach_the_marched_states(self):
+        configs = [SolverConfig(theta=theta, eps_R=1e-2, eps_g=1e-6) for theta in (0.0, 1e-2)]
+        self.assert_trials_reach_the_cold_states(BurgersProblem(40, 8, nu=0.01), configs, 40)
+
     @pytest.mark.parametrize(
         "prob,control,guess,iterations",
         [
@@ -431,8 +439,12 @@ class TestTrajectoryNewton:
             (BurgersProblem(8, 6, nu=0.01), 0.1, 1e200, 0),  # its squares overflow
             # the zero state marches with no iteration; the guess meets a zero pivot
             (SingularStep(5, 4, y_init=np.zeros(5)), 0.0, 1.0, 1),
+            (BurgersProblem(33, 3, nu=0.01), 0.1, np.nan, 0),
+            (BurgersProblem(33, 3, nu=0.01), 0.1, 1e200, 0),
+            # the zero pivot of the per-step factors at odd nx
+            (SingularStep(33, 4, y_init=np.zeros(33)), 0.0, 1.0, 1),
         ],
-        ids=["nan", "huge", "singular"],
+        ids=["nan", "huge", "singular", "nan-wide", "huge-wide", "singular-wide"],
     )
     def test_failed_guess_marches_as_without_one(self, prob, control, guess, iterations):
         u = control * np.sin(np.arange(prob.n))
@@ -447,17 +459,19 @@ class TestTrajectoryNewton:
     def test_too_many_iterations_march_as_without_a_guess(self):
         # each step marches in at most 3 iterations, and the whole
         # trajectory takes more from a guess 2 off
-        prob = BurgersProblem(8, 6, nu=0.01, newton_max_iter=3, y_init=np.zeros(8))
-        u = 0.1 * np.sin(np.arange(prob.n))
-        cold_counters, counters = EvalCounters(), EvalCounters()
-        cold = prob.solve_state(u, counters=cold_counters)
-        y = prob.solve_state(u, start=lambda: cold + 2.0, counters=counters)
-        assert_same_bits(y, cold)
-        assert counters.trajectory_newton_iters == 3
-        assert counters.newton_iters == cold_counters.newton_iters
+        for nx in (8, 33):
+            prob = BurgersProblem(nx, 6, nu=0.01, newton_max_iter=3, y_init=np.zeros(nx))
+            u = 0.1 * np.sin(np.arange(prob.n))
+            cold_counters, counters = EvalCounters(), EvalCounters()
+            cold = prob.solve_state(u, counters=cold_counters)
+            y = prob.solve_state(u, start=lambda: cold + 2.0, counters=counters)
+            assert_same_bits(y, cold)
+            assert counters.trajectory_newton_iters == 3
+            assert counters.newton_iters == cold_counters.newton_iters
 
-    def test_wide_grids_march_from_the_guess(self):
-        prob = BurgersProblem(33, 3, nu=0.01)
+    @pytest.mark.parametrize("nx", [8, 33], ids=["band", "per-step"])
+    def test_exact_guess_takes_no_iteration(self, nx):
+        prob = BurgersProblem(nx, 3, nu=0.01)
         u = 0.1 * np.sin(np.arange(prob.n))
         cold = prob.solve_state(u)
         counters = EvalCounters()

@@ -1,11 +1,13 @@
 """Property tests of the Burgers kernels on small random problems.
 
-Problems have nx in [2, 12], nt in [1, 8] and nu in [1e-3, 1]; controls and
-base states have entries in [-2, 2]. The Newton march is checked against a
-loop built on ``step_residual``, the block sweeps against dense solves of
-the block lower bidiagonal c_y, and the reduced Jacobian against its
-transpose. A march from a guess is checked against the march without one,
-with controls up to 50 too, so that both succeed and fail.
+Problems have nx in [2, 12] and nt in [1, 8], or, in about one draw in
+three, nx in [33, 40] and nt in [1, 3], just above the 32 nodes up to which
+c_y is one band LU; nu is in [1e-3, 1]. Controls and base states have
+entries in [-2, 2]. The Newton march is checked against a loop built on
+``step_residual``, the block sweeps against dense solves of the block lower
+bidiagonal c_y, and the reduced Jacobian against its transpose. A solve
+from a guess is checked against the march without one, with controls up to
+50 too, so that both succeed and fail.
 """
 
 import numpy as np
@@ -30,8 +32,9 @@ def entries(amplitude):
 
 @st.composite
 def problems(draw):
-    nx = draw(st.integers(2, 12))
-    nt = draw(st.integers(1, 8))
+    wide = draw(st.sampled_from([False, False, True]))
+    nx = draw(st.integers(33, 40) if wide else st.integers(2, 12))
+    nt = draw(st.integers(1, 3) if wide else st.integers(1, 8))
     nu = draw(st.floats(1e-3, 1.0))
     return BurgersProblem(nx, nt, nu=nu)
 

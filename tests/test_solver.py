@@ -12,7 +12,6 @@ from iclsq.solver import (
     SolverConfig,
     default_gamma0,
     solve,
-    stopping_check,
 )
 from iclsq.subproblem import StepResult
 
@@ -32,22 +31,28 @@ class TestDefaultGamma0:
 
 
 class TestStoppingCheck:
+    """The stopping tests at u0, seen through ``solve`` with no iteration
+    allowed."""
+
+    @staticmethod
+    def status(problem, u0):
+        config = SolverConfig(eps_R=1e-3, eps_g=1e-4, max_iter=0)
+        return solve(problem, np.asarray(u0, dtype=float), config).status
+
     def test_zero_residual_wins(self):
-        status = stopping_check(np.zeros(3), np.ones(3), eps_R=1e-3, eps_g=1e-4)
-        assert status is SolveStatus.CONVERGED_RESIDUAL
+        # R = u0 = 0 and g = 0: the residual test comes first
+        assert self.status(IdentityProblem(3), np.zeros(3)) is SolveStatus.CONVERGED_RESIDUAL
 
     def test_zero_gradient(self):
-        status = stopping_check(10.0 * np.ones(1), np.zeros(2), eps_R=1e-3, eps_g=1e-4)
+        status = self.status(ConstantResidualProblem(10.0 * np.ones(1)), np.ones(1))
         assert status is SolveStatus.CONVERGED_SCALED_GRADIENT
 
     def test_residual_boundary_inclusive(self):
-        R = np.array([1e-3])
-        g = np.array([1e-3])  # scaled gradient 1, far from eps_g
-        status = stopping_check(R, g, eps_R=1e-3, eps_g=1e-4)
-        assert status is SolveStatus.CONVERGED_RESIDUAL
+        # ||R|| = eps_R, and the scaled gradient is 1, far from eps_g
+        assert self.status(IdentityProblem(1), [1e-3]) is SolveStatus.CONVERGED_RESIDUAL
 
     def test_continue(self):
-        assert stopping_check(np.ones(2), np.ones(2), 1e-3, 1e-4) is None
+        assert self.status(IdentityProblem(2), np.ones(2)) is SolveStatus.BUDGET_EXHAUSTED
 
 
 class TestIdentityTrajectory:
@@ -420,7 +425,7 @@ class TestFailurePropagation:
     @pytest.mark.parametrize("gamma0", [None, 1.0], ids=["default-gamma0", "given-gamma0"])
     def test_overflowing_first_gradient_is_named_error(self, gamma0):
         # The gradient's entries are finite but its norm is not. Before the
-        # check, default_gamma0 (or with gamma0 given, stopping_check) died
+        # check, default_gamma0 (or with gamma0 given, the stopping test) died
         # on a bare RuntimeWarning from that norm.
         from iclsq.core import EvalCounters
 
@@ -602,8 +607,11 @@ class TestPinnedCounters:
     # per-step tridiagonal sweeps, which rounds the linearized solves
     # differently, moved the Burgers theta = 0 row from 231/446/215 to
     # 232/448/216; every other row held.
+    # Forming the trajectory Newton's residuals with a sparse product in place
+    # of a dense one, which rounds them differently, moved the Burgers
+    # theta = 0 row from 232/448/216 to 231/446/215; every other row held.
     CASES = [
-        ("burgers", "gauss_newton", 0.0, (15, 16, 232, 448, 216)),
+        ("burgers", "gauss_newton", 0.0, (15, 16, 231, 446, 215)),
         ("burgers", "gauss_newton", 1e-2, (15, 16, 81, 146, 65)),
         ("burgers", "gauss_newton", 0.5, (15, 16, 51, 86, 35)),
         ("elliptic", "gauss_newton", 0.0, (20, 21, 132, 243, 111)),
