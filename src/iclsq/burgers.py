@@ -3,18 +3,20 @@
 Backward Euler in time, piecewise linear elements in space on a uniform
 mesh, homogeneous Dirichlet ends. The spatial operators M, B and C are
 constant-coefficient tridiagonals, each stored as its three coefficients
-``(lower, diag, upper)``. Without a guess of the states, each time step
-is advanced with Newton's method, one LAPACK tridiagonal solve (``dgtsv``)
-per iteration, starting from the previous step's state. This march forms
-each step's right-hand side (M y_prev)/dt + M u once per step, with the
-control terms of all steps in one sparse apply of c_u, so each iteration
-only evaluates A v + B(v v)/2 - rhs, A = M/dt + nu C. With the caller's
-guess of the whole trajectory (the solver predicts its trial states),
-Newton runs on c(y, u) = 0 for all time steps at once from the guess
-(Deuflhard, Newton Methods for Nonlinear Problems, 2004): each iteration
-forms every step's residual in one product with a constant sparse
-(nx, 3 nx) matrix and solves with c_y at the current trajectory. A solve
-that fails from a guess marches again without it.
+``(lower, diag, upper)``. One Newton loop, ``_newton``, solves c(y, u) = 0
+for the k time steps that follow a known state, from a guess of their
+states. Each iteration evaluates every step's residual
+(M/dt + nu C) y_i + B(y_i y_i)/2 - (M y_{i-1})/dt - M u_i with three 3-point
+``np.correlate`` calls on the states laid end to end, each after a zero, so
+that a step's residual rounds alike whatever k, and subtracts one
+correction. Without a guess, the loop runs once per time step (k = 1) from
+the previous step's state, and each correction is one LAPACK tridiagonal
+solve (``dgtsv``) with the step Jacobian. With the caller's guess of the
+whole trajectory (the solver predicts its trial states), it runs once on
+all time steps at once (k = nt; Deuflhard, Newton Methods for Nonlinear
+Problems, 2004), and each correction is one solve with c_y at the current
+trajectory. A solve that fails from a guess marches again without it. The
+control terms M u_i of all steps come from one sparse apply of c_u.
 The linearized constraint c_y is block lower bidiagonal in time. One
 method, ``_factor``, factors it with one ``step_jacobian`` call on the stack
 of all time steps' blocks and returns its solve; ``linearize``'s solves and
@@ -28,16 +30,16 @@ blocks, each through its time step's tridiagonal LU factor (applied with
 tridiagonal of order n_y whose blocks are the step Jacobians.
 ``linearize`` leaves the factoring to the first solve at the base point,
 and the solve lives in its ``Linearization``.
-The per-step loops apply their Toeplitz operators to single blocks as one
-3-point ``np.convolve`` (``np.correlate`` in the substitutions) each.
+The substitutions apply M/dt to single blocks with the same 3-point
+``np.correlate``.
 The operators on all blocks at once, the partial Jacobians G_u, G_y and
 c_u, are ``core.sparse_operator``s on
 ``scipy.sparse`` CSR matrices. G_u and G_y both place F_b = I_{nt+1} kron F,
 built with its transpose once: G_u on the control half of the residual, G_y
 without F_b's first block column on the state half. c_u is the Kronecker
 product of a shifted identity with M. The residual is linear,
-G_y (y - z) + G_u u. These matrices, the 3-point kernels, the residual
-matrix and ``step_jacobian``'s constant terms are built on first use.
+G_y (y - z) + G_u u. These matrices, the 3-point kernels and
+``step_jacobian``'s constant terms are built on first use.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -76,6 +78,16 @@ def _singular(info: int, nx: int) -> StateSolveError:
         f"singular step Jacobian at time step {step + 1} (zero pivot {pivot + 1})",
         step_index=step + 1,
     )
+
+
+def _padded(y_prev, y) -> tuple:
+    """``(flat, rows)``: a zero, then ``y_prev`` and the rows of the (k, nx)
+    ``y``, each followed by a zero, and the (k, nx) view of flat's copy of y."""
+    k, nx = y.shape
+    flat = np.zeros((k + 1) * (nx + 1) + 1)
+    rows = flat[1:].reshape(k + 1, nx + 1)[:, :nx]
+    rows[0], rows[1:] = y_prev, y
+    return flat, rows[1:]
 
 
 class BurgersProblem(ImplicitProblem):
@@ -140,15 +152,14 @@ class BurgersProblem(ImplicitProblem):
     # dynamics
     @cached_property
     def _stencils(self) -> tuple:
-        """``(M/dt, M/dt + nu C, B/2, jacobian)``: the per-step loops' 3-point
-        kernels, where ``np.convolve(x, k)[1:-1]`` applies ``(lower, diag,
-        upper)`` for ``k = [upper, diag, lower]`` exactly at every nx >= 2
-        (M/dt also gives the band factor of c_y^T its coupling entries),
-        and the arrays ``jacobian = (M.lower/dt, B.lower, nu C.lower, diag,
-        M.upper/dt, B.upper, nu C.upper)`` that ``step_jacobian`` adds, each
-        rounded as the full expression rounds it (array operands are cheaper
-        there than scalars). The constant diagonal M/dt + nu C (B's zero
-        diagonal adds a signed zero) is read only. Built on first use."""
+        """``(M/dt, M/dt + nu C, B/2, jacobian)``: three 3-point kernels
+        ``(lower, diag, upper)``, which ``np.correlate(x, k, "same")`` applies
+        to a vector x with zeros beyond its ends, and the arrays ``jacobian =
+        (M.lower/dt, B.lower, nu C.lower, diag, M.upper/dt, B.upper, nu
+        C.upper)`` that ``step_jacobian`` adds, each rounded as the full
+        expression rounds it (array operands are cheaper there than scalars).
+        The constant diagonal M/dt + nu C (B's zero diagonal adds a signed
+        zero) is read only. Built on first use."""
         (m_lo, m_d, m_up), (b_lo, b_d, b_up), (c_lo, c_d, c_up) = self.M, self.B, self.C
         nx, dt, nu = self.nx, self.dt, self.nu
         diag = np.full(nx, m_d / dt + nu * c_d)
@@ -156,23 +167,11 @@ class BurgersProblem(ImplicitProblem):
         lower = [np.full(nx - 1, x) for x in (m_lo / dt, b_lo, nu * c_lo)]
         upper = [np.full(nx - 1, x) for x in (m_up / dt, b_up, nu * c_up)]
         return (
-            np.array([m_up / dt, m_d / dt, m_lo / dt]),
-            np.array([m_up / dt + nu * c_up, diag[0], m_lo / dt + nu * c_lo]),
-            0.5 * np.array([b_up, b_d, b_lo]),
+            np.array([m_lo / dt, m_d / dt, m_up / dt]),
+            np.array([m_lo / dt + nu * c_lo, diag[0], m_up / dt + nu * c_up]),
+            0.5 * np.array([b_lo, b_d, b_up]),
             (*lower, diag, *upper),
         )
-
-    @cached_property
-    def _residual_matrix(self) -> sp.csr_matrix:
-        """K, the CSR matrix of shape (nx, 3 nx) with K [v; v v; y_prev] =
-        (M/dt + nu C) v + B(v v)/2 - (M y_prev)/dt for a column of step
-        states v and the column of their previous states: the residual of
-        all time steps, control term aside, in one product. It stores the
-        three tridiagonals' nonzeros, so O(nx) entries. Built on first use."""
-        return sp.hstack([
-            sp.diags(kernel, [1, 0, -1], shape=(self.nx, self.nx))
-            for kernel in (self._stencils[1], self._stencils[2], -self._stencils[0])
-        ], format="csr")
 
     def step_jacobian(self, y_next) -> tuple:
         """Derivative of the step equation in its unknown state, as the
@@ -191,29 +190,19 @@ class BurgersProblem(ImplicitProblem):
 
     def solve_state(self, u, start=None, counters=None) -> np.ndarray:
         """Solve c(y, u) = 0 for the states; one forward solve, however many
-        Newton iterations it takes.
+        Newton iterations (``_newton``) it takes.
 
-        Without ``start``, march the dynamics with one Newton solve per time
-        step, from the previous step's state. Each step's residual
-        (M/dt + nu C) v + B(v v)/2 - (M y_prev)/dt - M u is evaluated at most
-        ``newton_max_iter + 1`` times; a step still above ``newton_tol`` at
-        the last evaluation, or whose residual norm is not finite (it
-        overflowed), or whose step Jacobian has a zero pivot, raises
-        ``StateSolveError`` at once. Each iteration adds one to
-        ``counters.newton_iters`` if counters are given.
-
-        With ``start``, Newton runs on all time steps at once from the guess
-        ``start()``: each iteration forms every step's residual against the
-        trajectory's own previous block, factors c_y at the trajectory and
-        solves with it once, and adds one to
-        ``counters.trajectory_newton_iters``. It stops once every step's
-        residual norm is at most ``newton_tol``, and fails on the march's
-        three conditions. A guess the march solved passes at once, unless
-        rounding moves a residual norm across ``newton_tol``. Should it fail,
-        the march starts over without the guess, exactly as without one, so
-        a guess never fails a solve that succeeds without one; the failed
-        iterations stay counted. Newton from a guess far from y(u) may reach
-        another solution of the step equations.
+        Without ``start``, Newton runs once per time step from the previous
+        step's state, each iteration one ``dgtsv`` with the step Jacobian and
+        one more ``counters.newton_iters`` if counters are given; a failure
+        raises ``StateSolveError`` naming its step. With ``start``, it runs
+        once on all time steps from the guess ``start()``, each iteration one
+        c_y solve (``_factor``) and one more ``trajectory_newton_iters``. A
+        step's residual rounds alike either way, so a guess the march solved
+        passes at once. A guess that fails marches again without it, exactly
+        as without one, so a guess never fails a solve that succeeds without
+        one; its iterations stay counted. Newton from a guess far from y(u)
+        may reach another solution of the step equations.
         """
         u = as_vector(u, self.n, name="control")
         tally = EvalCounters() if counters is None else counters
@@ -222,76 +211,84 @@ class BurgersProblem(ImplicitProblem):
         # an overflowing iterate or guess ends its solve, so it warns of nothing
         with np.errstate(over="ignore", invalid="ignore"):
             if start is not None:
-                guess = self.state_blocks(start())
+
+                def trajectory(y, res):
+                    tally.trajectory_newton_iters += 1
+                    return self._factor(y)(res.ravel(), False).reshape(y.shape)
+
                 try:
-                    return self._newton(forcing, guess, tally)
+                    guess = self.state_blocks(start())
+                    return self._newton(forcing, guess, self.y0, trajectory).ravel()
                 except StateSolveError:
                     pass  # march again without the guess
-            return self._march(forcing, tally)
 
-    def _newton(self, forcing, guess, tally: EvalCounters) -> np.ndarray:
-        nx, nt, tol, max_iter = self.nx, self.nt, self.newton_tol, self.newton_max_iter
-        # column i is [y_i; y_i y_i; y_{i-1}], so that K times it is step i's
-        # residual but for its control term
-        cols = np.empty((3 * nx, nt))
-        y, squares, prev = cols[:nx], cols[nx : 2 * nx], cols[2 * nx :]
-        y[...] = guess.T
-        prev[:, 0] = self.y0
-        kernel = self._residual_matrix
-        for newton_iter in range(max_iter + 1):
-            np.multiply(y, y, out=squares)
-            prev[:, 1:] = y[:, :-1]
-            res = (kernel @ cols).T - forcing
-            res_norm = math.sqrt(np.einsum("ij,ij->i", res, res).max())
-            if res_norm <= tol:
-                return y.T.ravel()
-            if newton_iter == max_iter or not math.isfinite(res_norm):
-                raise StateSolveError(
-                    f"Newton failed on the trajectory: largest step residual "
-                    f"{res_norm:.3e} after {newton_iter} iterations",
-                    residual_norm=res_norm,
-                )
-            tally.trajectory_newton_iters += 1
-            y -= self._factor(y.T)(res.ravel(), False).reshape(nt, nx).T
-
-    def _march(self, forcing, tally: EvalCounters) -> np.ndarray:
-        mass_dt, step_op, half_b, _ = self._stencils
-        tol, max_iter, conv = self.newton_tol, self.newton_max_iter, np.convolve
-        out = np.empty((self.nt, self.nx))
-        y_prev = self.y0
-        for i in range(self.nt):
-            rhs = conv(y_prev, mass_dt)[1:-1] + forcing[i]
-            v = y_prev  # never written to
-            for newton_iter in range(max_iter + 1):
-                res = conv(v, step_op)[1:-1] + conv(v * v, half_b)[1:-1] - rhs
-                res_norm = math.sqrt(res @ res)
-                if res_norm <= tol:
-                    break
-                if newton_iter == max_iter or not math.isfinite(res_norm):
-                    raise StateSolveError(
-                        f"Newton failed at time step {i + 1}: residual {res_norm:.3e} "
-                        f"after {newton_iter} iterations",
-                        step_index=i + 1,
-                        residual_norm=res_norm,
-                    )
+            def step(y, res):
                 # fresh off-diagonals and residual are overwritten; the shared
                 # diagonal is read only and is copied
-                dl, d, du = self.step_jacobian(v)
+                dl, d, du = self.step_jacobian(y[0])
                 tally.newton_iters += 1
                 *_, delta, info = dgtsv(
-                    dl, d, du, res, overwrite_dl=1, overwrite_du=1, overwrite_b=1
+                    dl, d, du, res[0], overwrite_dl=1, overwrite_du=1, overwrite_b=1
                 )
                 if info > 0:
+                    raise StateSolveError(f"singular step Jacobian (zero pivot {info})")
+                return delta
+
+            out = np.empty((self.nt, self.nx))
+            y_prev = self.y0
+            for i in range(self.nt):
+                try:
+                    y_prev = self._newton(forcing[i : i + 1], y_prev[None], y_prev, step)[0]
+                except StateSolveError as exc:
                     raise StateSolveError(
-                        f"Newton failed at time step {i + 1}: singular step "
-                        f"Jacobian (zero pivot {info})",
+                        f"Newton failed at time step {i + 1}: {exc}",
                         step_index=i + 1,
-                        residual_norm=res_norm,
-                    )
-                v = v - delta
-            out[i] = v
-            y_prev = v
-        return out.ravel()
+                        residual_norm=exc.residual_norm,
+                    ) from None
+                out[i] = y_prev
+            return out.ravel()
+
+    def _newton(self, forcing, guess, y_prev, solve) -> np.ndarray:
+        """The states of the k time steps after the state ``y_prev`` by
+        Newton's method from the (k, nx) ``guess``, ``forcing`` their control
+        terms: each iteration takes ``y -= solve(y, res)`` at the steps'
+        residuals ``res`` until their largest norm is at most ``newton_tol``.
+        After ``newton_max_iter`` iterations, at a norm that is not finite or
+        at a ``StateSolveError`` of ``solve``, it raises ``StateSolveError``
+        with that norm."""
+        tol, max_iter = self.newton_tol, self.newton_max_iter
+        flat, y = _padded(y_prev, guess)
+        for newton_iter in range(max_iter + 1):
+            res, res_norm = self._step_residuals(flat, forcing)
+            if res_norm <= tol:
+                return y
+            if newton_iter == max_iter or not math.isfinite(res_norm):
+                raise StateSolveError(
+                    f"residual {res_norm:.3e} after {newton_iter} iterations",
+                    residual_norm=res_norm,
+                )
+            try:
+                y -= solve(y, res)
+            except StateSolveError as exc:
+                exc.residual_norm = res_norm
+                raise
+
+    def _step_residuals(self, flat, forcing) -> tuple:
+        """``(res, norm)`` at the states y_1, ..., y_k that ``_padded`` laid
+        out in ``flat`` after y_0: row i of ``res`` is the residual
+        (M/dt + nu C) y_i + B(y_i y_i)/2 - (M y_{i-1})/dt - f_i, f_i row i of
+        the (k, nx) ``forcing``, and ``norm`` is the largest row norm. The
+        zeros between the states let one ``np.correlate`` apply a 3-point
+        kernel to all of them, and a row rounds alike whatever k."""
+        k, nx = forcing.shape
+        width = nx + 1
+        mass_dt, step_op, half_b, _ = self._stencils
+        corr = np.correlate
+        lhs = corr(flat, step_op, "same") + corr(flat * flat, half_b, "same")
+        # state i sits width entries after state i - 1
+        lhs = lhs[width + 1 :] - corr(flat, mass_dt, "same")[1:-width]
+        res = lhs.reshape(k, width)[:, :nx] - forcing
+        return res, math.sqrt(np.maximum.reduce(np.add.reduce(res * res, 1)))
 
     def residual(self, y, u) -> np.ndarray:
         """R = G_y (y - z) + G_u u, linear in (y, u). Its first block,
@@ -326,7 +323,7 @@ class BurgersProblem(ImplicitProblem):
             ab[nx + 1, :, 1:], ab[nx + 2], ab[nx + 3, :, :-1] = lower, diag, upper
             # -M/dt at diagonals nx + 1, nx and nx - 1; added, because at nx = 2
             # row 3 is also the step Jacobians' superdiagonal
-            m_up, m_d, m_lo = mass_dt
+            m_lo, m_d, m_up = mass_dt
             ab[1, 1:, 1:] -= m_lo
             ab[2, 1:] -= m_d
             ab[3, 1:, :-1] -= m_up

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from iclsq.adjoint import ReducedJacobian
-from iclsq.burgers import BurgersProblem
+from iclsq.burgers import BurgersProblem, _padded
 from iclsq.core import DimensionMismatch, EvalCounters, LinearOperator, StateSolveError
 from iclsq.solver import SolverConfig, solve
 
@@ -57,6 +57,12 @@ def assert_close(got, expected, rtol=1e-12):
 def assert_same_bits(a, b):
     np.testing.assert_array_equal(a, b)
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # signed zeros too
+
+
+def assert_names_step_once(err, step):
+    message = str(err.value)
+    assert message.startswith(f"Newton failed at time step {step}:"), message
+    assert message.count("time step") == 1, message
 
 
 class SingularStep(BurgersProblem):
@@ -230,6 +236,7 @@ class TestForwardSolve:
             prob.solve_state(u)
         assert err.value.step_index == 1
         assert err.value.residual_norm > 0
+        assert_names_step_once(err, 1)
 
     def test_overflowing_newton_fails_at_once(self):
         # The residual norm overflows in the first Newton iteration; iterating
@@ -246,6 +253,7 @@ class TestForwardSolve:
         assert "singular" in str(err.value)
         assert err.value.step_index == 1
         assert err.value.residual_norm > 0
+        assert_names_step_once(err, 1)
 
     @pytest.mark.parametrize("method", ["solve_cy", "solve_cy_transpose"])
     @pytest.mark.parametrize("nx", [5, 33], ids=["band", "per-step"])
@@ -293,7 +301,32 @@ class TestKernels:
         M, B, C = (tridiag_dense(op, prob.nx) for op in (prob.M, prob.B, prob.C))
         x = rng.standard_normal(nx)
         for kernel, A in zip(prob._stencils, (M / prob.dt, M / prob.dt + prob.nu * C, 0.5 * B)):
-            np.testing.assert_allclose(np.convolve(x, kernel)[1:-1], A @ x, rtol=1e-14, atol=1e-14)
+            got = np.correlate(np.pad(x, 1), kernel, "same")[1:-1]
+            np.testing.assert_allclose(got, A @ x, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("nx", [2, 3, 16, 33])
+    def test_step_residuals_match_each_step(self, nx, rng):
+        prob = BurgersProblem(nx, 5, nu=0.3)
+        y_prev, y, u = (rng.standard_normal(shape) for shape in (nx, (4, nx), (4, nx)))
+        forcing = u @ tridiag_dense(prob.M, nx).T
+        res, norm = prob._step_residuals(_padded(y_prev, y)[0], forcing)
+        assert res.shape == (4, nx)
+        for i, prev in enumerate([y_prev, *y[:-1]]):
+            expected = step_residual(prob, prev, y[i], u[i])
+            assert np.abs(res[i] - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert norm == pytest.approx(np.linalg.norm(res, axis=1).max(), rel=1e-14)
+
+    @pytest.mark.parametrize("nx", [2, 3, 16, 33])
+    def test_a_step_residual_rounds_alike_whatever_k(self, nx, rng):
+        prob = BurgersProblem(nx, 7, nu=0.05)
+        y_prev, y, forcing = (rng.standard_normal(shape) for shape in (nx, (7, nx), (7, nx)))
+        res, norm = prob._step_residuals(_padded(y_prev, y)[0], forcing)
+        norms = []
+        for i, prev in enumerate([y_prev, *y[:-1]]):
+            row, row_norm = prob._step_residuals(_padded(prev, y[i : i + 1])[0], forcing[i : i + 1])
+            assert_same_bits(row[0], res[i])
+            norms.append(row_norm)
+        assert max(norms) == norm
 
     def test_linearized_solves_at_two_nodes(self, rng):
         # at nx = 2 the band row of the steps' superdiagonal also holds -M/dt
@@ -381,6 +414,7 @@ class TestMarchingIsBitIdentical:
         assert err.value.step_index == ref.value.step_index == 3
         assert ref.value.residual_norm > 0
         assert err.value.residual_norm == pytest.approx(ref.value.residual_norm, rel=1e-12)
+        assert_names_step_once(err, 3)
 
 
 def guessed_trials(prob, configs):
@@ -468,6 +502,26 @@ class TestTrajectoryNewton:
             assert_same_bits(y, cold)
             assert counters.trajectory_newton_iters == 3
             assert counters.newton_iters == cold_counters.newton_iters
+
+    @pytest.mark.parametrize("nx", [8, 33], ids=["band", "per-step"])
+    def test_exact_guess_at_the_tolerance_takes_no_iteration(self, nx):
+        # newton_tol is the largest step residual norm the march ends on, so
+        # the exact guess sits on the tolerance: a step residual that rounded
+        # up on the whole trajectory would take an iteration
+        prob = BurgersProblem(nx, 4, nu=0.01)
+        u = 0.1 * np.sin(np.arange(prob.n))
+        cold = prob.solve_state(u)
+        forcing = -(prob._operators[2] @ u).reshape(prob.nt, prob.nx)  # as solve_state forms it
+        blocks = prob.state_blocks(cold)
+        tol = max(
+            prob._step_residuals(_padded(prev, blocks[i : i + 1])[0], forcing[i : i + 1])[1]
+            for i, prev in enumerate([prob.y0, *blocks[:-1]])
+        )
+        prob = BurgersProblem(nx, 4, nu=0.01, newton_tol=tol)
+        counters = EvalCounters()
+        assert_same_bits(prob.solve_state(u), cold)
+        assert_same_bits(prob.solve_state(u, start=lambda: cold, counters=counters), cold)
+        assert counters.newton_iters == counters.trajectory_newton_iters == 0
 
     @pytest.mark.parametrize("nx", [8, 33], ids=["band", "per-step"])
     def test_exact_guess_takes_no_iteration(self, nx):

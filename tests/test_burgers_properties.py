@@ -175,6 +175,6 @@ def test_a_guess_never_fails_a_march_and_moves_it_only_within_newton_tol(case):
             assert counters.newton_iters == cold_counters.newton_iters
         elif kind == "exact":
             np.testing.assert_array_equal(y, cold)
-            assert counters.newton_iters == 0
+            assert counters.newton_iters == counters.trajectory_newton_iters == 0
         elif kind == "near":
             assert norm(dense_cy(prob, cold) @ (y - cold)) <= 2.0 * feasibility_tol(prob)
