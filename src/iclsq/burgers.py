@@ -15,12 +15,16 @@ solve (``dgtsv``) with the step Jacobian. With the caller's guess of the
 whole trajectory (the solver predicts its trial states), it runs once on
 all time steps at once (k = nt; Deuflhard, Newton Methods for Nonlinear
 Problems, 2004), and each correction is one solve with c_y at the current
-trajectory. A solve that fails from a guess marches again without it. The
-control terms M u_i of all steps come from one sparse apply of c_u.
+trajectory (``_correct``): up to 32 nodes through ``_factor`` below, on
+wider grids one ``dgtsv`` per time step, which factors and solves at once,
+since a correction would use a factor only once. A solve that fails from a
+guess marches again without it. The control terms M u_i of all steps come
+from one sparse apply of c_u.
 The linearized constraint c_y is block lower bidiagonal in time. One
 method, ``_factor``, factors it with one ``step_jacobian`` call on the stack
-of all time steps' blocks and returns its solve; ``linearize``'s solves and
-the Newton from a guess both use it. On grids of up to 32 nodes each
+of all time steps' blocks and returns its solve; ``linearize``'s solves use
+it and keep its factors, since they solve many times at one base point. On
+grids of up to 32 nodes each
 (transposed) solve is one LAPACK general band solve (``dgbtrs``) through
 one band LU of c_y^T (``dgbtrf``), so no Python loop runs over the time
 steps. On wider grids the band's fill costs more than the loop's calls
@@ -197,7 +201,9 @@ class BurgersProblem(ImplicitProblem):
         one more ``counters.newton_iters`` if counters are given; a failure
         raises ``StateSolveError`` naming its step. With ``start``, it runs
         once on all time steps from the guess ``start()``, each iteration one
-        c_y solve (``_factor``) and one more ``trajectory_newton_iters``. A
+        c_y solve (``_correct``: ``_factor``'s band solve up to
+        ``_BAND_MAX_NX`` nodes, one ``dgtsv`` per time step above) and one
+        more ``trajectory_newton_iters``. A
         step's residual rounds alike either way, so a guess the march solved
         passes at once. A guess that fails marches again without it, exactly
         as without one, so a guess never fails a solve that succeeds without
@@ -214,7 +220,7 @@ class BurgersProblem(ImplicitProblem):
 
                 def trajectory(y, res):
                     tally.trajectory_newton_iters += 1
-                    return self._factor(y)(res.ravel(), False).reshape(y.shape)
+                    return self._correct(y, res)
 
                 try:
                     guess = self.state_blocks(start())
@@ -253,6 +259,8 @@ class BurgersProblem(ImplicitProblem):
         Newton's method from the (k, nx) ``guess``, ``forcing`` their control
         terms: each iteration takes ``y -= solve(y, res)`` at the steps'
         residuals ``res`` until their largest norm is at most ``newton_tol``.
+        ``solve`` is one ``dgtsv`` with the step Jacobian when k = 1, and
+        ``_correct`` when k = nt.
         After ``newton_max_iter`` iterations, at a norm that is not finite or
         at a ``StateSolveError`` of ``solve``, it raises ``StateSolveError``
         with that norm."""
@@ -313,7 +321,9 @@ class BurgersProblem(ImplicitProblem):
         time step, so a zero pivot names its step. On wider grids it is one
         tridiagonal LU (``dgttrf``) of the step Jacobians side by side, each
         step's factor a slice of it, its pivot indices shifted to the step,
-        and a solve substitutes through the time steps."""
+        and a solve substitutes through the time steps. A linearization keeps
+        these factors, since it solves with them many times; a wide-grid
+        Newton correction, which would solve once, goes through ``_correct``."""
         nx, nt = self.nx, self.nt
         lower, diag, upper = self.step_jacobian(yb)
         mass_dt = self._stencils[0]
@@ -356,6 +366,32 @@ class BurgersProblem(ImplicitProblem):
             return out.ravel()
 
         return substitute
+
+    def _correct(self, yb, res) -> np.ndarray:
+        """The (nt, nx) Newton correction c_y^{-1} res at the state blocks
+        ``yb``, for the (nt, nx) residuals ``res``. Up to ``_BAND_MAX_NX``
+        nodes it is ``_factor``'s solve. On wider grids no factor is kept,
+        since a correction uses it once: one ``step_jacobian`` call on the
+        stack, then one ``dgtsv`` per time step, which eliminates and
+        substitutes as ``dgttrf`` and ``dgttrs`` do, to the same bits."""
+        nx = self.nx
+        if nx <= _BAND_MAX_NX:
+            return self._factor(yb)(res.ravel(), False).reshape(res.shape)
+        lower, diag, upper = self.step_jacobian(yb)
+        mass_dt = self._stencils[0]
+        out = np.empty(res.shape)
+        x = np.zeros(nx)
+        for i in range(self.nt):
+            # fresh off-diagonals and right-hand side are overwritten; the
+            # shared diagonal is read only and is copied
+            *_, x, info = dgtsv(
+                lower[i], diag, upper[i], res[i] + np.correlate(x, mass_dt, "same"),
+                overwrite_dl=1, overwrite_du=1, overwrite_b=1,
+            )
+            if info > 0:
+                raise _singular(i * nx + info, nx)
+            out[i] = x
+        return out
 
     def solve_cy(self, lin, rhs) -> np.ndarray:
         """One band solve with the factor of c_y^T, or on wide grids block

@@ -73,6 +73,19 @@ class SingularStep(BurgersProblem):
         return lower, np.zeros(self.nx), upper
 
 
+class ZeroPivotStep(BurgersProblem):
+    """Step Jacobians of the blocks whose first entry is zero get lower[0] =
+    upper[0] = diag[0] and lower[1] = 0, so elimination meets an exact zero
+    pivot in row 2 of those steps alone."""
+
+    def step_jacobian(self, y_next):
+        lower, diag, upper = super().step_jacobian(y_next)
+        hit = np.asarray(y_next)[..., :1] == 0
+        lower[..., :2] = np.where(hit, [diag[0], 0.0], lower[..., :2])
+        upper[..., :1] = np.where(hit, diag[0], upper[..., :1])
+        return lower, diag, upper
+
+
 class TestMatrices:
     def test_mass_entries(self):
         prob = BurgersProblem(4, 4)
@@ -439,9 +452,40 @@ def guessed_trials(prob, configs):
 
 
 class TestTrajectoryNewton:
-    """From a guess, Newton runs on all time steps at once, through the band
-    LU of c_y^T up to 32 nodes and the per-step tridiagonal factors above,
-    and marches without the guess should that fail."""
+    """From a guess, Newton runs on all time steps at once, each correction
+    through the band LU of c_y^T up to 32 nodes and one ``dgtsv`` per time
+    step above, and marches without the guess should that fail."""
+
+    @pytest.mark.parametrize("nt", [1, 3])
+    @pytest.mark.parametrize("nx", [33, 40])
+    def test_wide_correction_is_the_factor_solve_bit_for_bit(self, nx, nt):
+        # states and right-hand sides drawn as the property tests draw them
+        rng = np.random.default_rng(nx * 10 + nt)
+        for _ in range(10):
+            prob = BurgersProblem(nx, nt, nu=rng.uniform(1e-3, 1.0))
+            # the strided view of the states that the Newton loop corrects
+            yb = _padded(prob.y0, rng.uniform(-2.0, 2.0, (nt, nx)))[1]
+            res = rng.uniform(-2.0, 2.0, (nt, nx))
+            expected = prob._factor(yb)(res.ravel(), False).reshape(nt, nx)
+            assert_same_bits(prob._correct(yb, res), expected)
+
+    @pytest.mark.parametrize("nt", [1, 3])
+    @pytest.mark.parametrize("nx", [33, 40])
+    def test_wide_correction_names_the_zero_pivot_step(self, nx, nt):
+        rng = np.random.default_rng(nx * 10 + nt)
+        prob = ZeroPivotStep(nx, nt, nu=rng.uniform(1e-3, 1.0))
+        for k in range(1, nt + 1):
+            # steps k onwards meet a zero pivot; step k is named
+            yb = rng.uniform(-2.0, 2.0, (nt, nx))
+            yb[k - 1 :, 0] = 0.0
+            res = rng.uniform(-2.0, 2.0, (nt, nx))
+            for correct in (
+                lambda: prob._correct(yb, res),
+                lambda: prob._factor(yb)(res.ravel(), False),
+            ):
+                with pytest.raises(StateSolveError, match="zero pivot 2") as err:
+                    correct()
+                assert err.value.step_index == k
 
     @staticmethod
     def assert_trials_reach_the_cold_states(prob, configs, min_trials):
