@@ -30,8 +30,8 @@ one band LU of c_y^T (``dgbtrf``), so no Python loop runs over the time
 steps. On wider grids the band's fill costs more than the loop's calls
 save, and the solves are forward (backward) substitutions over the time
 blocks, each through its time step's tridiagonal LU factor (applied with
-``dgttrs``); all steps' factors come from one ``dgttrf`` of the
-tridiagonal of order n_y whose blocks are the step Jacobians.
+``dgttrs``) from one ``dgttrf`` per time step; these solves and the
+wide-grid Newton corrections share one substitution loop, ``_substitute``.
 ``linearize`` leaves the factoring to the first solve at the base point,
 and the solve lives in its ``Linearization``.
 The substitutions apply M/dt to single blocks with the same 3-point
@@ -319,21 +319,20 @@ class BurgersProblem(ImplicitProblem):
         upper bidiagonal: the transposed step Jacobians on the diagonal and
         -M/dt above it, so kl = 1 and ku = nx + 1. Its row swaps stay inside a
         time step, so a zero pivot names its step. On wider grids it is one
-        tridiagonal LU (``dgttrf``) of the step Jacobians side by side, each
-        step's factor a slice of it, its pivot indices shifted to the step,
-        and a solve substitutes through the time steps. A linearization keeps
-        these factors, since it solves with them many times; a wide-grid
-        Newton correction, which would solve once, goes through ``_correct``."""
+        tridiagonal LU (``dgttrf``) per time step, of its step Jacobian, and a
+        solve substitutes through the time steps (``_substitute``). A
+        linearization keeps these factors, since it solves with them many
+        times; a wide-grid Newton correction, which would solve once, goes
+        through ``_correct``."""
         nx, nt = self.nx, self.nt
         lower, diag, upper = self.step_jacobian(yb)
-        mass_dt = self._stencils[0]
         if nx <= _BAND_MAX_NX:
             # band row nx + 2 - d holds diagonal d of c_y^T, row 0 the fill
             ab = np.zeros((nx + 4, nt, nx))
             ab[nx + 1, :, 1:], ab[nx + 2], ab[nx + 3, :, :-1] = lower, diag, upper
             # -M/dt at diagonals nx + 1, nx and nx - 1; added, because at nx = 2
             # row 3 is also the step Jacobians' superdiagonal
-            m_lo, m_d, m_up = mass_dt
+            m_lo, m_d, m_up = self._stencils[0]
             ab[1, 1:, 1:] -= m_lo
             ab[2, 1:] -= m_d
             ab[3, 1:, :-1] -= m_up
@@ -342,28 +341,18 @@ class BurgersProblem(ImplicitProblem):
                 raise _singular(info, nx)
             # c_y is the transpose of the factored matrix
             return lambda rhs, transpose: dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0]
-        # the step Jacobians as one tridiagonal of order n_y, with zero
-        # couplings between steps, so its LU is theirs side by side
-        dl, du = np.zeros((2, nt, nx))
-        dl[:, :-1], du[:, :-1] = lower, upper
-        dl, d, du, du2, ipiv, info = dgttrf(dl.ravel()[:-1], np.tile(diag, nt), du.ravel()[:-1])
-        if info > 0:
-            raise _singular(info, nx)
-        steps = [
-            (dl[s : s + nx - 1], d[s : s + nx], du[s : s + nx - 1], du2[s : s + nx - 2],
-             ipiv[s : s + nx] - s)
-            for s in range(0, nt * nx, nx)
-        ]
+        steps = []
+        for i in range(nt):
+            *factor, info = dgttrf(lower[i], diag, upper[i])
+            if info > 0:
+                raise _singular(i * nx + info, nx)
+            steps.append(factor)
 
         def substitute(rhs, transpose):
-            rb, trans = rhs.reshape(nt, nx), "T" if transpose else "N"
-            out = np.empty((nt, nx))
-            x = np.zeros(nx)
-            for i in range(nt - 1, -1, -1) if transpose else range(nt):
-                # M is symmetric, so c_y and c_y^T couple the steps alike
-                x, _ = dgttrs(*steps[i], rb[i] + np.correlate(x, mass_dt, "same"), trans, 1)
-                out[i] = x
-            return out.ravel()
+            trans = "T" if transpose else "N"
+            return self._substitute(
+                rhs.reshape(nt, nx), lambda i, b: dgttrs(*steps[i], b, trans, 1), transpose
+            ).ravel()
 
         return substitute
 
@@ -372,22 +361,27 @@ class BurgersProblem(ImplicitProblem):
         ``yb``, for the (nt, nx) residuals ``res``. Up to ``_BAND_MAX_NX``
         nodes it is ``_factor``'s solve. On wider grids no factor is kept,
         since a correction uses it once: one ``step_jacobian`` call on the
-        stack, then one ``dgtsv`` per time step, which eliminates and
-        substitutes as ``dgttrf`` and ``dgttrs`` do, to the same bits."""
-        nx = self.nx
-        if nx <= _BAND_MAX_NX:
+        stack, then ``_substitute`` with one ``dgtsv`` per time step, which
+        eliminates and substitutes as ``dgttrf`` and ``dgttrs`` do."""
+        if self.nx <= _BAND_MAX_NX:
             return self._factor(yb)(res.ravel(), False).reshape(res.shape)
         lower, diag, upper = self.step_jacobian(yb)
+        # fresh off-diagonals and right-hand side are overwritten, the diagonal copied
+        return self._substitute(res, lambda i, b: dgtsv(
+            lower[i], diag, upper[i], b, overwrite_dl=1, overwrite_du=1, overwrite_b=1))
+
+    def _substitute(self, rhs, solve, backward=False) -> np.ndarray:
+        """Block forward (``backward``: backward) substitution with c_y (c_y^T)
+        for the (nt, nx) ``rhs``. ``solve(i, b)`` solves step i's block for
+        b = rhs[i] + M/dt times the block solved before it and returns a LAPACK
+        result ending in ``(x, info)``; info > 0, a zero pivot, names step i + 1."""
+        nt, nx = rhs.shape
         mass_dt = self._stencils[0]
-        out = np.empty(res.shape)
+        out = np.empty((nt, nx))
         x = np.zeros(nx)
-        for i in range(self.nt):
-            # fresh off-diagonals and right-hand side are overwritten; the
-            # shared diagonal is read only and is copied
-            *_, x, info = dgtsv(
-                lower[i], diag, upper[i], res[i] + np.correlate(x, mass_dt, "same"),
-                overwrite_dl=1, overwrite_du=1, overwrite_b=1,
-            )
+        for i in range(nt - 1, -1, -1) if backward else range(nt):
+            # M is symmetric, so c_y and c_y^T couple the steps alike
+            x, info = solve(i, rhs[i] + np.correlate(x, mass_dt, "same"))[-2:]
             if info > 0:
                 raise _singular(i * nx + info, nx)
             out[i] = x

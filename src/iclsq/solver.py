@@ -95,6 +95,8 @@ class SolverConfig:
             setattr(self, name, check_positive(name, getattr(self, name)))
         if isinstance(self.theta, bool) or self.theta != 0:  # theta = 0 is allowed
             self.theta = check_positive("theta", self.theta)
+        else:  # -0.0 is the same theta as 0.0
+            self.theta = 0.0
         self.max_iter = check_integer("max_iter", self.max_iter, 0)
         if not self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")

@@ -479,9 +479,12 @@ class TestTrajectoryNewton:
             yb = rng.uniform(-2.0, 2.0, (nt, nx))
             yb[k - 1 :, 0] = 0.0
             res = rng.uniform(-2.0, 2.0, (nt, nx))
+            lin = prob.linearize(yb.ravel(), np.zeros(prob.n))
             for correct in (
                 lambda: prob._correct(yb, res),
                 lambda: prob._factor(yb)(res.ravel(), False),
+                # the public transposed path factors at its first solve
+                lambda: prob.solve_cy_transpose(lin, res.ravel()),
             ):
                 with pytest.raises(StateSolveError, match="zero pivot 2") as err:
                     correct()

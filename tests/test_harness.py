@@ -606,6 +606,7 @@ class TestCli:
         "grid",
         [
             {"theta": [0.0, 0.01, 0.01], "eps": [[1e-2, 1e-4]]},
+            {"theta": [0.0, -0.0], "eps": [[1e-2, 1e-4]]},
             {"theta": [0.0], "eps": [[1e-2, 1e-4], [1e-2, 1e-6], [1e-2, 1e-4]]},
         ],
     )
