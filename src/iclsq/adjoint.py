@@ -4,8 +4,9 @@ Eliminating the state from the constrained least-squares problem leaves the
 reduced residual u -> R(y(u), u). Its Jacobian is never assembled: a forward
 application solves one linearized constraint, a transpose application solves
 one adjoint (transposed) system, both with the factors of the base point's
-``Linearization``, and the reduced gradient is one transpose application to
-the residual. Every Jacobian tallies its solves, in the caller's counters or its own.
+``Linearization``, and each applies G = [R_u R_y] once: forward to the
+stacked (v, w), in transpose to the residual-space vector. Every Jacobian
+tallies its solves, in the caller's counters or its own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ __all__ = ["ReducedJacobian"]
 
 
 class ReducedJacobian(LinearOperator):
-    """Matrix-free Jacobian J = G_u - G_y c_y^{-1} c_u at a fixed base point.
+    """Matrix-free Jacobian J = R_u - R_y c_y^{-1} c_u at a fixed base point.
 
     It is itself the linear operator J: ``J @ v`` and ``J.rmatvec(w)`` check
     dimensions and call ``apply`` and ``apply_transpose``, and the reduced
@@ -55,11 +56,12 @@ class ReducedJacobian(LinearOperator):
         # State response to the control perturbation: c_y w = -c_u v.
         w = self.problem.solve_cy(self.lin, -(self.lin.cu @ v))
         self.counters.linearized_solves += 1
-        return self.lin.Gu @ v + self.lin.Gy @ w
+        return self.lin.G @ np.concatenate([v, w])
 
     def apply_transpose(self, w) -> np.ndarray:
         """Transpose product: residual-space vector to control space."""
         w = as_vector(w, self.shape[0], name="residual direction")
-        q = self.problem.solve_cy_transpose(self.lin, self.lin.Gy.rmatvec(w))
+        x = self.lin.G.rmatvec(w)  # (R_u^T w, R_y^T w)
+        q = self.problem.solve_cy_transpose(self.lin, x[self.shape[1]:])
         self.counters.adjoint_solves += 1
-        return self.lin.Gu.rmatvec(w) - self.lin.cu.rmatvec(q)
+        return x[: self.shape[1]] - self.lin.cu.rmatvec(q)

@@ -36,14 +36,16 @@ wide-grid Newton corrections share one substitution loop, ``_substitute``.
 and the solve lives in its ``Linearization``.
 The substitutions apply M/dt to single blocks with the same 3-point
 ``np.correlate``.
-The operators on all blocks at once, the partial Jacobians G_u, G_y and
-c_u, are ``core.sparse_operator``s on
-``scipy.sparse`` CSR matrices. G_u and G_y both place F_b = I_{nt+1} kron F,
-built with its transpose once: G_u on the control half of the residual, G_y
-without F_b's first block column on the state half. c_u is the Kronecker
-product of a shifted identity with M. The residual is linear,
-G_y (y - z) + G_u u. These matrices, the 3-point kernels and
-``step_jacobian``'s constant terms are built on first use.
+The operators on all blocks at once, the residual Jacobian G = [R_u R_y]
+and c_u, are ``core.sparse_operator``s on ``scipy.sparse`` CSR matrices. G
+is one CSR on the stacked (u, y), built with its transpose once, that places
+F_b = I_{nt+1} kron F on the controls in the control half of the residual
+and F_b without its first block column on the states in the state half,
+with scales outside the matrix: sqrt(dt) on the state half (in transpose,
+the state columns), sqrt(omega dt) on the control half. c_u is the
+Kronecker product of a shifted identity with M. The residual is linear,
+G (u, y - z). These matrices, the 3-point kernels and ``step_jacobian``'s
+constant terms are built on first use.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -213,7 +215,7 @@ class BurgersProblem(ImplicitProblem):
         u = as_vector(u, self.n, name="control")
         tally = EvalCounters() if counters is None else counters
         # every step's control term -c_u u = M u_i in one sparse apply
-        forcing = -(self._operators[2] @ u).reshape(self.nt, self.nx)
+        forcing = -(self._operators[1] @ u).reshape(self.nt, self.nx)
         # an overflowing iterate or guess ends its solve, so it warns of nothing
         with np.errstate(over="ignore", invalid="ignore"):
             if start is not None:
@@ -299,10 +301,10 @@ class BurgersProblem(ImplicitProblem):
         return res, math.sqrt(np.maximum.reduce(np.add.reduce(res * res, 1)))
 
     def residual(self, y, u) -> np.ndarray:
-        """R = G_y (y - z) + G_u u, linear in (y, u). Its first block,
-        sqrt(dt) F (y0 - z), is zero since z = y0, so G_y leaves it empty."""
-        Gu, Gy, _ = self._operators
-        return Gy @ (self.state_blocks(y) - self.z).ravel() + Gu @ u
+        """R = G (u, y - z), linear in (y, u). Its first block,
+        sqrt(dt) F (y0 - z), is zero since z = y0, so G leaves it empty."""
+        u = as_vector(u, self.n, name="control")
+        return self._operators[0] @ np.concatenate([u, (self.state_blocks(y) - self.z).ravel()])
 
     # linearization: the c_y solve lives in each base point's Linearization
     def linearize(self, y, u) -> Linearization:
@@ -399,20 +401,22 @@ class BurgersProblem(ImplicitProblem):
 
     @cached_property
     def _operators(self) -> tuple:
-        """``(G_u, G_y, c_u)``, the same at every base point, and also what
-        ``residual`` applies. Zero entries of a block are not stored. Built
-        on first use, so the constructor assembles nothing."""
-        nx, nt = self.nx, self.nt
+        """``(G, c_u)``, the same at every base point, and also what
+        ``residual`` and ``solve_state`` apply. Zero entries of a block are
+        not stored. Built on first use, so the constructor assembles nothing."""
+        nx, nt, n = self.nx, self.nt, self.n
         F, M = (sp.diags(T, [-1, 0, 1], shape=(nx, nx)) for T in (self._sqrtM, self.M))
         F_b = sp.kron(sp.identity(nt + 1), F, format="csr")
-        F_b_T = F_b.T.tocsr()
+        # residual rows: nt + 1 state blocks, then nt + 1 control blocks; columns:
+        # the controls, then the states at steps 1..nt (block 0 holds the
+        # initial state, which is data)
+        G = sp.bmat([[None, F_b[:, nx:]], [F_b, None]], format="csr")
         # block 0 of the control enters no constraint
         c_u = sp.kron(sp.eye(nt, nt + 1, k=1), M, format="csr")
         sd, so = math.sqrt(self.dt), math.sqrt(self.omega * self.dt)
+        # sqrt(dt) on the state half of the rows and the state columns
+        row_scale, col_scale = np.repeat([sd, so], n), np.repeat([so, sd], [n, self.n_y])
         return (
-            # residual rows: nt + 1 state blocks, then nt + 1 control blocks
-            sparse_operator(F_b, F_b_T, so, self.m, first=(nt + 1) * nx),
-            # the states at steps 1..nt; block 0 holds the initial state, which is data
-            sparse_operator(F_b[:, nx:], F_b_T[nx:], sd, self.m),
-            sparse_operator(c_u, c_u.T.tocsr(), -1.0, self.n_y),
+            sparse_operator(G, G.T.tocsr(), row_scale, col_scale),
+            sparse_operator(c_u, c_u.T.tocsr(), -1.0, -1.0),
         )

@@ -6,8 +6,8 @@ a ``Linearization``, and every inner linear solve is tallied in an explicit
 counter object owned by the caller, never in global state. The contract is
 five abstract methods, exactly what the solver calls, and three sizes set as
 data. The constraint c(y, u) = 0 is only ever solved, for the state or
-linearized (and transposed), never evaluated. Both problems build their
-partial Jacobians with ``sparse_operator``.
+linearized (and transposed), never evaluated. The residual Jacobian is one
+operator, G = [R_u R_y] on the stacked (u, y).
 """
 
 from __future__ import annotations
@@ -121,21 +121,14 @@ class LinearOperator:
         return self.matvec(v)
 
 
-def sparse_operator(S, S_T, scale: float, rows: int, first: int = 0) -> LinearOperator:
-    """scale * S on rows ``first:first + S.shape[0]`` of a ``rows``-row
-    operator, zero on the others, for a CSR matrix S and its CSR transpose
-    ``S_T``. The transpose is passed, not built, so operators that share a
-    matrix share it too (S.T @ w, a CSC view, made a reduced J^T apply
-    79 -> 142 us on Burgers at 16 x 16 on one Xeon core). The scale stays
-    outside the matrix, so a product rounds as scale * (S x) does."""
-    part = slice(first, first + S.shape[0])
-
-    def fwd(v):
-        out = np.zeros(rows)
-        out[part] = scale * (S @ v)
-        return out
-
-    return LinearOperator((rows, S.shape[1]), fwd, lambda w: scale * (S_T @ w[part]))
+def sparse_operator(S, S_T, row_scale, col_scale) -> LinearOperator:
+    """row_scale * (S v) forward and col_scale * (S_T w) in transpose, for a
+    CSR matrix S, its CSR transpose ``S_T`` and scales that are numbers or
+    arrays, per row and per column of S. The transpose is passed, not built
+    (S.T @ w, a CSC view, made a reduced J^T apply 79 -> 142 us on Burgers at
+    16 x 16 on one Xeon core). The scales stay outside the matrix, so a
+    product rounds as scale * (S x) does."""
+    return LinearOperator(S.shape, lambda v: row_scale * (S @ v), lambda w: col_scale * (S_T @ w))
 
 
 @dataclass
@@ -187,12 +180,12 @@ class EvalCounters:
 
 
 class Linearization:
-    """R_u, R_y and c_u at one base point, as the operators ``Gu``, ``Gy`` and
-    ``cu``, and ``factors``: what the problem's c_y solves reuse there, built
-    by ``factor()`` on the first read and then shared (None without it)."""
+    """G = [R_u R_y] on the stacked (u, y) and c_u at one base point, as the
+    operators ``G`` and ``cu``, and ``factors``: what the problem's c_y solves
+    reuse there, built by ``factor()`` on the first read, then shared (or None)."""
 
-    def __init__(self, Gu, Gy, cu, factor: Callable[[], object] | None = None):
-        self.Gu, self.Gy, self.cu = Gu, Gy, cu
+    def __init__(self, G, cu, factor: Callable[[], object] | None = None):
+        self.G, self.cu = G, cu
         self._factor, self._factors = factor, None
 
     @property

@@ -18,9 +18,10 @@ right angle opposite the diagonal edge, whose coupling vanishes. A 2-D
 type-I discrete sine transform diagonalizes it, so each constraint solve is
 two transforms and a pointwise divide (Hockney's fast Poisson solver).
 
-The partial Jacobians G_y = [F; 0], G_u = [0; sqrt(lam) F] and c_u = -M are
-``core.sparse_operator``s on F, its one stored transpose, and M, which is its
-own transpose. Being linear, the problem has one linearization for all points.
+The residual Jacobian G = [[0, F], [sqrt(lam) F, 0]] on the stacked (u, y)
+is two products with F or its one stored transpose (a stacked CSR would
+store F twice), and c_u = -M a ``core.sparse_operator`` on M, its own
+transpose. Being linear, the problem has one linearization for all points.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ImplicitProblem, Linearization, as_vector, check_integer, check_positive
-from .core import sparse_operator
+from .core import ImplicitProblem, LinearOperator, Linearization, as_vector
+from .core import check_integer, check_positive, sparse_operator
 
 __all__ = ["EllipticProblem"]
 
@@ -82,11 +83,15 @@ class EllipticProblem(ImplicitProblem):
         self.M = (c * (6.0 * I + S.T @ S)).tocsr()
         self._sqrtM = F = math.sqrt(c) * sp.vstack([math.sqrt(6.0) * I, S], format="csr")
         self.m = 2 * F.shape[0]
-        F_T = F.T.tocsr()  # one transpose, shared by G_u and G_y
+        F_T = F.T.tocsr()  # one transpose, for both halves of G
+        rows, n, s = F.shape[0], self.n, math.sqrt(self.lam)
         self._linearization = Linearization(
-            sparse_operator(F, F_T, math.sqrt(self.lam), self.m, first=F.shape[0]),
-            sparse_operator(F, F_T, 1.0, self.m),  # scaling by 1.0 is exact
-            sparse_operator(self.M, self.M, -1.0, self.n),  # M is symmetric
+            LinearOperator(  # G (u, y) = (F y, sqrt(lam) F u), each half one product
+                (self.m, 2 * n),
+                lambda x: np.concatenate([F @ x[n:], s * (F @ x[:n])]),
+                lambda w: np.concatenate([s * (F_T @ w[rows:]), F_T @ w[:rows]]),
+            ),
+            sparse_operator(self.M, self.M, -1.0, -1.0),  # M is symmetric
         )
         self.z = np.zeros(self.n) if z_choice == "zero" else np.ones(self.n)
         # Imported here and not with the module: scipy.fft loads scipy.special,
@@ -112,9 +117,9 @@ class EllipticProblem(ImplicitProblem):
         return self._solve_K(self.M @ u)
 
     def residual(self, y, u) -> np.ndarray:
-        """R = G_y (y - z) + G_u u, with the operators of the one linearization."""
-        lin = self._linearization
-        return lin.Gy @ (as_vector(y, self.n, name="state") - self.z) + lin.Gu @ u
+        """R = G (u, y - z), with G of the one linearization."""
+        u, y = as_vector(u, self.n, name="control"), as_vector(y, self.n, name="state")
+        return self._linearization.G @ np.concatenate([u, y - self.z])
 
     def linearize(self, y, u) -> Linearization:
         """The one linearization, built in ``__init__``: the constraint is linear."""

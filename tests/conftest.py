@@ -36,8 +36,8 @@ class IdentityProblem(ImplicitProblem):
     def linearize(self, y, u):
         d = self.n
         return Linearization(
-            LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d)),
-            LinearOperator((d, d), lambda v: v.copy(), lambda w: w.copy()),
+            # G = [0 I]
+            LinearOperator((d, 2 * d), lambda x: x[d:].copy(), lambda w: np.r_[np.zeros(d), w]),
             LinearOperator((d, d), lambda v: -v, lambda w: -w),
         )
 
@@ -61,8 +61,8 @@ class ConstantResidualProblem(IdentityProblem):
     def linearize(self, y, u):
         lin = super().linearize(y, u)
         d = self.n
-        zero = LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d))
-        return Linearization(lin.Gu, zero, lin.cu)
+        zero = LinearOperator((d, 2 * d), lambda x: np.zeros(d), lambda w: np.zeros(2 * d))
+        return Linearization(zero, lin.cu)
 
 
 def solve_traced(problem, u0, config, counters=None):
@@ -93,6 +93,22 @@ class CountingOperator(LinearOperator):
     def _rmatvec(self, w):
         self.applies += 1
         return self.A.T @ w
+
+
+def partial_jacobian(lin, name, n):
+    """``lin.cu`` for "cu", else the control ("Gu") or state ("Gy") columns
+    of ``lin.G`` as an operator of their own; n is the control size."""
+    if name == "cu":
+        return lin.cu
+    rows, cols = lin.G.shape
+    part = slice(0, n) if name == "Gu" else slice(n, cols)
+
+    def fwd(v):
+        x = np.zeros(cols)
+        x[part] = v
+        return lin.G @ x
+
+    return LinearOperator((rows, part.stop - part.start), fwd, lambda w: lin.G.rmatvec(w)[part])
 
 
 def assert_adjoint_identity(op, rng, probes=20, tol=1e-10):

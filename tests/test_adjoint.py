@@ -8,7 +8,8 @@ import pytest
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
-from iclsq.core import EvalCounters, LinearOperator
+from iclsq.core import DimensionMismatch, EvalCounters, ImplicitProblem, LinearOperator
+from iclsq.core import Linearization
 from iclsq.elliptic import EllipticProblem
 from iclsq.solver import SolverConfig, solve
 from iclsq.subproblem import estimate_operator_norm, exact_step
@@ -19,6 +20,7 @@ from conftest import (
     dense_jacobian_oracle,
     fd_gradient_oracle,
     interior_stiffness,
+    operator_from_matrix,
 )
 
 
@@ -97,6 +99,93 @@ class TestBurgers:
             lhs = float(jac.apply(v) @ w)
             rhs = float(v @ jac.apply_transpose(w))
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
+class MixedRowsProblem(ImplicitProblem):
+    """c(y, u) = K y - C u and R(y, u) = A u + B y - z with dense random K,
+    C, A and B, K well conditioned: every residual row mixes u and y, so
+    neither block of G = [A B] has rows of its own."""
+
+    def __init__(self, rng, n=4, n_y=5, m=7):
+        self.n, self.n_y, self.m = n, n_y, m
+        self.K = 3.0 * np.eye(n_y) + 0.3 * rng.standard_normal((n_y, n_y))
+        self.C, self.A, self.B = (rng.standard_normal(s) for s in ((n_y, n), (m, n), (m, n_y)))
+        self.z = rng.standard_normal(m)
+
+    def solve_state(self, u, start=None, counters=None):
+        return np.linalg.solve(self.K, self.C @ u)
+
+    def residual(self, y, u):
+        return self.A @ u + self.B @ y - self.z
+
+    def linearize(self, y, u):
+        return Linearization(operator_from_matrix(np.hstack([self.A, self.B])),
+                             operator_from_matrix(-self.C))
+
+    def solve_cy(self, lin, rhs):
+        return np.linalg.solve(self.K, rhs)
+
+    def solve_cy_transpose(self, lin, rhs):
+        return np.linalg.solve(self.K.T, rhs)
+
+
+class TestMixedRows:
+    """Both shipped problems keep R_u and R_y on disjoint rows; this one
+    does not, so an adjoint that split G's rows into halves would fail."""
+
+    def test_products_match_dense_and_finite_differences(self, rng):
+        prob = MixedRowsProblem(rng)
+        u, v = rng.standard_normal((2, prob.n))
+        w = rng.standard_normal(prob.m)
+        jac, _ = make_jacobian(prob, u)
+        dense = prob.A + prob.B @ np.linalg.solve(prob.K, prob.C)  # R_u - R_y c_y^-1 c_u
+        np.testing.assert_allclose(jac @ v, dense @ v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(jac.rmatvec(w), dense.T @ w, rtol=1e-12, atol=1e-12)
+
+        def reduced(point):
+            return prob.residual(prob.solve_state(point), point)
+
+        fd = (reduced(u + 1e-6 * v) - reduced(u - 1e-6 * v)) / 2e-6
+        np.testing.assert_allclose(jac @ v, fd, rtol=1e-6, atol=1e-8)
+
+    def test_gradient_matches_dense_and_finite_differences(self, rng):
+        prob = MixedRowsProblem(rng)
+        u = rng.standard_normal(prob.n)
+        jac, y = make_jacobian(prob, u)
+        R = prob.residual(y, u)
+        g = jac.apply_transpose(R)
+        dense = prob.A + prob.B @ np.linalg.solve(prob.K, prob.C)
+        np.testing.assert_allclose(g, dense.T @ R, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g, fd_gradient_oracle(prob, u), rtol=1e-6, atol=1e-8)
+
+
+PROBLEMS = [lambda: BurgersProblem(4, 3), lambda: EllipticProblem(4)]
+
+
+class TestContractBoundary:
+    @pytest.mark.parametrize("make", PROBLEMS, ids=["burgers", "elliptic"])
+    @pytest.mark.parametrize(
+        ("du", "dy"), [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]
+    )
+    def test_residual_refuses_wrong_lengths(self, make, du, dy):
+        # (1, -1) and (-1, 1) concatenate to G's width: only the split is wrong
+        prob = make()
+        with pytest.raises(DimensionMismatch):
+            prob.residual(np.zeros(prob.n_y + dy), np.zeros(prob.n + du))
+
+    @pytest.mark.parametrize("make", PROBLEMS, ids=["burgers", "elliptic"])
+    @pytest.mark.parametrize("shape", [(0, 1), (0, -1), (1, 0), (-1, 0)])
+    def test_jacobian_refuses_g_of_wrong_shape(self, make, shape, rng):
+        prob = make()
+        u = rng.standard_normal(prob.n)
+        lin = prob.linearize(prob.solve_state(u), u)
+        rows, cols = prob.m + shape[0], prob.n + prob.n_y + shape[1]
+        G = operator_from_matrix(rng.standard_normal((rows, cols)))
+        jac = ReducedJacobian(prob, Linearization(G, lin.cu, lambda: lin.factors))
+        with pytest.raises(DimensionMismatch):
+            jac @ rng.standard_normal(prob.n)
+        with pytest.raises(DimensionMismatch):
+            jac.rmatvec(rng.standard_normal(prob.m))
 
 
 class TestLinearity:

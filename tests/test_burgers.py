@@ -18,6 +18,7 @@ from conftest import (
     dense_partials,
     dense_jacobian_oracle,
     feasibility_tol,
+    partial_jacobian,
     reference_solve_state,
     reference_step_jacobian,
     step_residual,
@@ -300,13 +301,35 @@ class TestKernels:
     def test_partial_jacobians_match_dense_blocks(self, nx, nt, name, rng):
         prob = BurgersProblem(nx, nt, nu=0.3, omega=0.07)
         lin = prob.linearize(rng.standard_normal(prob.n_y), rng.standard_normal(prob.n))
-        op = getattr(lin, name)
+        op = partial_jacobian(lin, name, prob.n)
         expected = dict(zip(("Gu", "Gy", "cu"), dense_partials(prob)))[name]
         rows, cols = op.shape
         assert op.shape == expected.shape
         np.testing.assert_array_equal(np.column_stack([op @ e for e in np.eye(cols)]), expected)
         np.testing.assert_array_equal(np.vstack([op.rmatvec(e) for e in np.eye(rows)]), expected)
         assert_adjoint_identity(op, rng)
+
+    @pytest.mark.parametrize(
+        ("nx", "nt"), [(2, 1), (2, 3), (5, 1), (16, 5)], ids=["2-nt1", "2", "5-nt1", "16"]
+    )
+    def test_g_rounds_as_its_scaled_products(self, nx, nt, rng):
+        # G's halves are sqrt(dt) F_b without its first block column on the
+        # states and sqrt(omega dt) F_b on the controls, each scale applied
+        # outside the matrix, and the residual is G on (u, y - z), bit for bit
+        prob = BurgersProblem(nx, nt, nu=0.3, omega=0.07)
+        S_u = sp.csr_matrix(np.kron(np.eye(nt + 1), tridiag_dense(prob._sqrtM, nx)))
+        S_y = S_u[:, nx:]
+        a, b, half = math.sqrt(prob.dt), math.sqrt(prob.omega * prob.dt), prob.n
+        G = prob.linearize(np.zeros(prob.n_y), np.zeros(prob.n)).G
+        u, y = rng.standard_normal(prob.n), rng.standard_normal(prob.n_y)
+        w = rng.standard_normal(prob.m)
+        np.testing.assert_array_equal(
+            G @ np.concatenate([u, y]), np.concatenate([a * (S_y @ y), b * (S_u @ u)])
+        )
+        np.testing.assert_array_equal(G.rmatvec(w), np.concatenate(
+            [b * (S_u.T.tocsr() @ w[half:]), a * (S_y.T.tocsr() @ w[:half])]))
+        z = np.tile(prob.z, nt)
+        np.testing.assert_array_equal(prob.residual(y, u), G @ np.concatenate([u, y - z]))
 
     @pytest.mark.parametrize("nx", [2, 3, 16])
     def test_stencils_apply_the_step_operators(self, nx, rng):
@@ -558,7 +581,7 @@ class TestTrajectoryNewton:
         prob = BurgersProblem(nx, 4, nu=0.01)
         u = 0.1 * np.sin(np.arange(prob.n))
         cold = prob.solve_state(u)
-        forcing = -(prob._operators[2] @ u).reshape(prob.nt, prob.nx)  # as solve_state forms it
+        forcing = -(prob._operators[1] @ u).reshape(prob.nt, prob.nx)  # as solve_state forms it
         blocks = prob.state_blocks(cold)
         tol = max(
             prob._step_residuals(_padded(prev, blocks[i : i + 1])[0], forcing[i : i + 1])[1]

@@ -41,8 +41,7 @@ class Doubling(ImplicitProblem):
     def linearize(self, y, u):
         d = self.n
         return Linearization(
-            LinearOperator((d, d), lambda v: np.zeros(d), lambda w: np.zeros(d)),
-            LinearOperator((d, d), lambda v: v, lambda w: w),
+            LinearOperator((d, 2 * d), lambda x: x[d:], lambda w: np.r_[np.zeros(d), w]),  # [0 I]
             LinearOperator((d, d), lambda v: -2.0 * v, lambda w: -2.0 * w),
         )
 
@@ -71,8 +70,7 @@ class TestContract:
     def test_sizes_are_the_shapes_of_the_partial_jacobians(self, make):
         prob = make()
         lin = prob.linearize(np.zeros(prob.n_y), np.zeros(prob.n))
-        assert lin.Gu.shape == (prob.m, prob.n)
-        assert lin.Gy.shape == (prob.m, prob.n_y)
+        assert lin.G.shape == (prob.m, prob.n + prob.n_y)
         assert lin.cu.shape == (prob.n_y, prob.n)
 
 
@@ -152,7 +150,7 @@ class TestProblemOperators:
         u = rng.standard_normal(prob.n)
         y = prob.solve_state(u)
         lin = prob.linearize(y, u)
-        for op in (lin.Gu, lin.Gy, lin.cu):
+        for op in (lin.G, lin.cu):
             assert_adjoint_identity(op, rng)
 
     def test_burgers_operator_adjoints(self, rng):
@@ -162,7 +160,7 @@ class TestProblemOperators:
         u = 0.2 * rng.standard_normal(prob.n)
         y = prob.solve_state(u)
         lin = prob.linearize(y, u)
-        for op in (lin.Gu, lin.Gy, lin.cu):
+        for op in (lin.G, lin.cu):
             assert_adjoint_identity(op, rng)
 
     def test_elliptic_feasibility(self, rng):

@@ -1,5 +1,6 @@
 """Elliptic benchmark: assembly oracle, constraint solves, residual identity."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     constraint_residual,
     feasibility_tol,
     interior_stiffness,
+    partial_jacobian,
     solve_traced,
 )
 
@@ -203,19 +205,27 @@ class TestFastSolve:
         y = prob.solve_state(u)
         assert np.linalg.norm(constraint_residual(prob, y, u)) <= feasibility_tol(prob)
 
-    @pytest.mark.parametrize("N", [2, 7, 20])
-    def test_cached_transpose_gives_identical_adjoint_actions(self, N, rng):
-        prob = EllipticProblem(N)
-        F = prob._sqrtM
-        rows = F.shape[0]
-        s = np.sqrt(prob.lam)
-        w = rng.standard_normal(prob.m)
-        lin = prob.linearize(None, None)
-        np.testing.assert_array_equal(lin.Gy.rmatvec(w), F.T @ w[:rows])
-        np.testing.assert_array_equal(lin.Gu.rmatvec(w), s * (F.T @ w[rows:]))
 
 
 class TestPartialJacobians:
+    @pytest.mark.parametrize("N", [2, 7, 20])
+    def test_g_rounds_as_its_scaled_products(self, N, rng):
+        # each half of G is one product with F or its CSR transpose, scaled
+        # outside the matrix, and the residual is G on (u, y - z), bit for bit
+        prob = EllipticProblem(N, lam=0.07, z_choice="one")
+        F = prob._sqrtM
+        F_T, rows, s = F.T.tocsr(), F.shape[0], math.sqrt(prob.lam)
+        G = prob.linearize(None, None).G
+        u, y = rng.standard_normal((2, prob.n))
+        w = rng.standard_normal(prob.m)
+        np.testing.assert_array_equal(
+            G @ np.concatenate([u, y]), np.concatenate([F @ y, s * (F @ u)])
+        )
+        np.testing.assert_array_equal(
+            G.rmatvec(w), np.concatenate([s * (F_T @ w[rows:]), F_T @ w[:rows]])
+        )
+        np.testing.assert_array_equal(prob.residual(y, u), G @ np.concatenate([u, y - prob.z]))
+
     @pytest.mark.parametrize("name", ["Gu", "Gy", "cu"])
     @pytest.mark.parametrize("N", [2, 3, 7])
     def test_partial_jacobians_match_dense_blocks(self, N, name, rng):
@@ -228,7 +238,7 @@ class TestPartialJacobians:
             "Gy": np.vstack([F, zero]),
             "cu": -M,
         }[name]
-        op = getattr(prob.linearize(None, None), name)
+        op = partial_jacobian(prob.linearize(None, None), name, prob.n)
         rows, cols = op.shape
         assert op.shape == expected.shape
         np.testing.assert_array_equal(np.column_stack([op @ e for e in np.eye(cols)]), expected)
