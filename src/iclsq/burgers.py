@@ -37,15 +37,15 @@ and the solve lives in its ``Linearization``.
 The substitutions apply M/dt to single blocks with the same 3-point
 ``np.correlate``.
 The operators on all blocks at once, the residual Jacobian G = [R_u R_y]
-and c_u, are ``core.sparse_operator``s on ``scipy.sparse`` CSR matrices. G
-is one CSR on the stacked (u, y), built with its transpose once, that places
-F_b = I_{nt+1} kron F on the controls in the control half of the residual
-and F_b without its first block column on the states in the state half,
-with scales outside the matrix: sqrt(dt) on the state half (in transpose,
-the state columns), sqrt(omega dt) on the control half. c_u is the
-Kronecker product of a shifted identity with M. The residual is linear,
-G (u, y - z). These matrices, the 3-point kernels and ``step_jacobian``'s
-constant terms are built on first use.
+and c_u, are ``core.sparse_operator``s on CSR matrices that tile F's and
+M's coefficient triples (``core.stencil_csr``). G is one CSR on the stacked
+(u, y), built with its transpose once, that places F_b = I_{nt+1} kron F on
+the controls in the control half of the residual and F_b without its first
+block column on the states in the state half, with scales outside the
+matrix: sqrt(dt) on the state half (in transpose, the state columns),
+sqrt(omega dt) on the control half. c_u places M one block right of the
+diagonal. The residual is linear, G (u, y - z). These matrices, the 3-point
+kernels and ``step_jacobian``'s constant terms are built on first use.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -60,12 +60,11 @@ import math
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv, dgttrf, dgttrs, dpttrf
 
 from .core import DimensionMismatch, EvalCounters, ImplicitProblem, Linearization
 from .core import StateSolveError, as_vector
-from .core import check_integer, check_positive, sparse_operator
+from .core import check_integer, check_positive, sparse_operator, stencil_csr
 
 __all__ = ["BurgersProblem"]
 
@@ -405,14 +404,20 @@ class BurgersProblem(ImplicitProblem):
         ``residual`` and ``solve_state`` apply. Zero entries of a block are
         not stored. Built on first use, so the constructor assembles nothing."""
         nx, nt, n = self.nx, self.nt, self.n
-        F, M = (sp.diags(T, [-1, 0, 1], shape=(nx, nx)) for T in (self._sqrtM, self.M))
-        F_b = sp.kron(sp.identity(nt + 1), F, format="csr")
-        # residual rows: nt + 1 state blocks, then nt + 1 control blocks; columns:
-        # the controls, then the states at steps 1..nt (block 0 holds the
-        # initial state, which is data)
-        G = sp.bmat([[None, F_b[:, nx:]], [F_b, None]], format="csr")
+        F, M = np.zeros((2, nx, 3))  # a tridiagonal's row k at columns k - 1, k, k + 1
+        for vals, T in ((F, self._sqrtM), (M, self.M)):
+            vals[1:, 0], vals[:, 1], vals[:-1, 2] = T
+        cols = np.arange(-1, nx - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
+        offset = nx * np.arange(nt + 1, dtype=np.int32)[:, None, None]
+        # rows: nt + 1 state blocks, then nt + 1 control blocks; columns: the controls,
+        # then the states at steps 1..nt (state 0 is data, so its rows stay empty)
+        G = stencil_csr(
+            np.concatenate([cols + offset + (n - nx), cols + offset]),
+            np.concatenate([F * (offset > 0), np.broadcast_to(F, (nt + 1, nx, 3))]),
+            n + self.n_y,
+        )
         # block 0 of the control enters no constraint
-        c_u = sp.kron(sp.eye(nt, nt + 1, k=1), M, format="csr")
+        c_u = stencil_csr(cols + offset[1:], np.broadcast_to(M, (nt, nx, 3)), n)
         sd, so = math.sqrt(self.dt), math.sqrt(self.omega * self.dt)
         # sqrt(dt) on the state half of the rows and the state columns
         row_scale, col_scale = np.repeat([sd, so], n), np.repeat([so, sd], [n, self.n_y])

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "DimensionMismatch",
@@ -28,6 +29,7 @@ __all__ = [
     "norm",
     "LinearOperator",
     "sparse_operator",
+    "stencil_csr",
     "EvalCounters",
     "Linearization",
     "ImplicitProblem",
@@ -129,6 +131,19 @@ def sparse_operator(S, S_T, row_scale, col_scale) -> LinearOperator:
     16 x 16 on one Xeon core). The scales stay outside the matrix, so a
     product rounds as scale * (S x) does."""
     return LinearOperator(S.shape, lambda v: row_scale * (S @ v), lambda w: col_scale * (S_T @ w))
+
+
+def stencil_csr(cols, vals, n_cols) -> sp.csr_matrix:
+    """The CSR matrix of n_cols columns whose row i holds vals[i, k] at
+    column cols[i, k], in order of k, wherever that column is not negative
+    and that value not zero; the leading axes of the equal-shape ``cols``
+    and ``vals`` run over the rows, and cols' integer type is the index type."""
+    keep = (cols >= 0) & (vals != 0)
+    per_row = keep.reshape(-1, keep.shape[-1]).view(np.int8)
+    indptr = np.zeros(len(per_row) + 1, dtype=cols.dtype)
+    # a sum over the few columns runs faster than a reduction along each row
+    np.cumsum(sum(per_row.T), dtype=cols.dtype, out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(per_row), n_cols))
 
 
 @dataclass

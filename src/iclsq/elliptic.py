@@ -11,6 +11,9 @@ Every triangle has the element mass matrix c (I + 1 1^T), c = area / 12,
 and every interior node lies in six triangles, so with S the 0/1 incidence
 of triangles against interior nodes the interior mass matrix is
 M = c (6 I + S^T S), and F = sqrt(c) [sqrt(6) I; S] has F^T F = M exactly.
+Both are assembled as CSR arrays by index arithmetic on a grid of node
+indices (``core.stencil_csr``): a row of S reads its triangle's interior
+corners, and M is a 7-point stencil.
 
 On this mesh the interior stiffness matrix K is exactly the five-point
 Laplacian (4 on the diagonal, -1 per grid neighbour): every triangle has its
@@ -29,27 +32,37 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import ImplicitProblem, LinearOperator, Linearization, as_vector
-from .core import check_integer, check_positive, sparse_operator
+from .core import check_integer, check_positive, sparse_operator, stencil_csr
 
 __all__ = ["EllipticProblem"]
 
 
-def _incidence(N: int) -> sp.csr_matrix:
-    """0/1 incidence S of the 2 N^2 triangles (all lower ones, then all
-    upper ones, cell by cell in row-major order) against the (N-1)^2 interior
-    nodes. Along one axis cell r has interior node r - 1 on its low side (P0)
-    and r on its high side (P1), so each corner is a Kronecker product of the
-    two. The two corner triangles that touch no interior node leave empty rows.
-    """
-    P0, P1 = sp.eye(N, N - 1, k=-1), sp.eye(N, N - 1)
-    lower = sp.kron(P0, P0) + sp.kron(P0, P1) + sp.kron(P1, P1)
-    upper = sp.kron(P0, P0) + sp.kron(P1, P1) + sp.kron(P1, P0)
-    S = sp.vstack([lower, upper], format="csr")
-    S.eliminate_zeros()  # sp.eye stores explicit zeros at small N
-    return S
+def _mass_matrices(N: int) -> tuple:
+    """``(F, M)``, apart from the constructor so that the arrays they are
+    assembled from are freed before it builds F's transpose."""
+    n, h = (N - 1) ** 2, 1.0 / N
+    c = 0.5 * (h * h) / 12.0
+    # interior index of each node of the (N+1) x (N+1) grid in row-major
+    # order, -1 on the boundary; the stencils step through grid positions
+    node = np.full((N + 1) ** 2, -1, dtype=np.int32)
+    inner = (np.arange(N + 1, N * (N + 1), N + 1)[:, None] + np.arange(1, N)).ravel()
+    node[inner] = np.arange(n)
+    # M = c (6 I + S^T S) is a 7-point stencil: 12 c on the diagonal, 2 c to
+    # the neighbours along x, y and the SW-NE diagonal (two triangles per edge)
+    cols = node[inner[:, None] + np.array([-N - 2, -N - 1, -1, 0, 1, N + 1, N + 2])]
+    M = stencil_csr(cols, np.tile(c * np.array([2, 2, 2, 12, 2, 2, 2.0]), (n, 1)), n)
+    # rows of F: the interior nodes (sqrt(6) I), then the lower (sw, se, ne) and
+    # upper (sw, nw, ne) triangles, cells by sw corner, corners in index order
+    sw = (np.arange(0, N * (N + 1), N + 1)[:, None] + np.arange(N)).ravel()
+    corners = np.array([[[0, 1, N + 2]], [[0, N + 1, N + 2]]])
+    cols = np.full((n + 2 * N * N, 3), -1, dtype=np.int32)
+    cols[:n, 0] = np.arange(n)
+    cols[n:] = node[sw[:, None] + corners].reshape(-1, 3)
+    vals = np.full(cols.shape, math.sqrt(c))
+    vals[:n] *= math.sqrt(6.0)
+    return stencil_csr(cols, vals, n), M
 
 
 class EllipticProblem(ImplicitProblem):
@@ -76,13 +89,8 @@ class EllipticProblem(ImplicitProblem):
         if z_choice not in ("zero", "one"):
             raise ValueError(f"z_choice must be 'zero' or 'one', got {z_choice!r}")
         self.n = self.n_y = (N - 1) ** 2
-        h = 1.0 / N
-        c = 0.5 * (h * h) / 12.0
-        S = _incidence(N)
-        I = sp.identity(self.n, format="csr")
-        self.M = (c * (6.0 * I + S.T @ S)).tocsr()
-        self._sqrtM = F = math.sqrt(c) * sp.vstack([math.sqrt(6.0) * I, S], format="csr")
-        self.m = 2 * F.shape[0]
+        F, self.M = _mass_matrices(N)
+        self._sqrtM, self.m = F, 2 * F.shape[0]
         F_T = F.T.tocsr()  # one transpose, for both halves of G
         rows, n, s = F.shape[0], self.n, math.sqrt(self.lam)
         self._linearization = Linearization(

@@ -235,6 +235,49 @@ def interior_stiffness(N):
     return K[np.ix_(interior, interior)]
 
 
+def reference_incidence(N):
+    """0/1 incidence S of the 2 N^2 triangles (all lower ones, then all upper
+    ones, cell by cell in row-major order) against the (N-1)^2 interior
+    nodes, from Kronecker products: along one axis cell r has interior node
+    r - 1 on its low side (P0) and r on its high side (P1)."""
+    P0, P1 = sp.eye(N, N - 1, k=-1), sp.eye(N, N - 1)
+    lower = sp.kron(P0, P0) + sp.kron(P0, P1) + sp.kron(P1, P1)
+    upper = sp.kron(P0, P0) + sp.kron(P1, P1) + sp.kron(P1, P0)
+    S = sp.vstack([lower, upper], format="csr")
+    S.eliminate_zeros()  # sp.eye stores explicit zeros at small N
+    return S
+
+
+def reference_elliptic_matrices(N):
+    """``(F, M)`` of ``EllipticProblem(N)`` built with scipy.sparse's
+    construction helpers: F = sqrt(c) [sqrt(6) I; S], M = c (6 I + S^T S)."""
+    h = 1.0 / N
+    c = 0.5 * (h * h) / 12.0
+    S = reference_incidence(N)
+    I = sp.identity((N - 1) ** 2, format="csr")
+    M = (c * (6.0 * I + S.T @ S)).tocsr()
+    F = math.sqrt(c) * sp.vstack([math.sqrt(6.0) * I, S], format="csr")
+    return F, M
+
+
+def reference_burgers_matrices(prob):
+    """``(G, c_u)`` of a ``BurgersProblem`` without their scales, built with
+    scipy.sparse's construction helpers: G places F_b = I_{nt+1} kron F on
+    the controls and F_b without its first block column on the states, and
+    c_u is a shifted identity kron M."""
+    nx, nt = prob.nx, prob.nt
+    F, M = (sp.diags(T, [-1, 0, 1], shape=(nx, nx)) for T in (prob._sqrtM, prob.M))
+    F_b = sp.kron(sp.identity(nt + 1), F, format="csr")
+    G = sp.bmat([[None, F_b[:, nx:]], [F_b, None]], format="csr")
+    c_u = sp.kron(sp.eye(nt, nt + 1, k=1), M, format="csr")
+    return G, c_u
+
+
+def captured(fn):
+    """The variables a closure captured, by name."""
+    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
+
+
 def constraint_residual(prob, y, u):
     """c(y, u) of a ``BurgersProblem`` or an ``EllipticProblem``, evaluated
     directly: the feasibility probe of ``solve_state``."""

@@ -1,6 +1,7 @@
 """Nonlinear transport benchmark: matrices, stepping, adjoint structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ class TestMatrices:
         assert not sparse_held()
         prob.residual(np.zeros(prob.n_y), np.zeros(prob.n))
         assert sparse_held()
+
+    def test_operators_build_without_dense_matrices(self):
+        # A dense G at 256 x 64 would hold 33,280 x 33,024 entries, 8.8 GB;
+        # the CSR build of G and c_u with their transposes peaks near 4 MB.
+        prob = BurgersProblem(256, 64)
+        tracemalloc.start()
+        try:
+            prob._operators
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestStepResidual:

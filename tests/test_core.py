@@ -19,10 +19,31 @@ from iclsq.solver import SolveStatus, SolverConfig, solve
 from conftest import (
     IdentityProblem,
     assert_adjoint_identity,
+    captured,
     constraint_residual,
     feasibility_tol,
     operator_from_matrix,
+    reference_burgers_matrices,
+    reference_elliptic_matrices,
 )
+
+# Problems whose stored matrices are compared with scipy.sparse's construction:
+# the elliptic grids, one interior node (N = 2) up, and Burgers grids, one
+# off-diagonal per block (nx = 2) up, on both sides of the band-solve cut at 32.
+ASSEMBLY_CASES = [("elliptic", N) for N in (2, 3, 4, 10, 80)] + [
+    ("burgers", shape) for shape in ((2, 1), (2, 3), (3, 4), (5, 1), (16, 16), (128, 32), (33, 5))
+]
+
+
+def assert_same_csr(A, B):
+    """A and B are the same CSR arrays: shape, indptr, indices and data bit
+    for bit, their dtypes, and whether their indices are sorted."""
+    assert A.format == B.format == "csr" and A.shape == B.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8), err_msg=name)
+    assert A.has_sorted_indices == B.has_sorted_indices
 
 
 class Doubling(ImplicitProblem):
@@ -162,6 +183,29 @@ class TestProblemOperators:
         lin = prob.linearize(y, u)
         for op in (lin.G, lin.cu):
             assert_adjoint_identity(op, rng)
+
+    @pytest.mark.parametrize(
+        ("kind", "size"),
+        ASSEMBLY_CASES,
+        ids=[f"{k}-{s}" if k == "elliptic" else f"{k}-{s[0]}x{s[1]}" for k, s in ASSEMBLY_CASES],
+    )
+    def test_stored_matrices_are_scipy_sparse_constructions_exactly(self, kind, size):
+        # Every stored CSR matrix, built from index arithmetic on its stencil,
+        # holds the arrays that scipy.sparse's kron, bmat and vstack gave, so
+        # every product with it rounds as it did.
+        if kind == "elliptic":
+            prob = EllipticProblem(size)
+            F, M = reference_elliptic_matrices(size)
+            F_T = captured(prob._linearization.G._rmatvec)["F_T"]
+            pairs = [(prob._sqrtM, F), (F_T, F.T.tocsr()), (prob.M, M)]
+        else:
+            prob = BurgersProblem(*size)
+            pairs = []
+            for op, S in zip(prob._operators, reference_burgers_matrices(prob)):  # G, c_u
+                stored = captured(op._matvec)["S"], captured(op._rmatvec)["S_T"]
+                pairs += zip(stored, (S, S.T.tocsr()))
+        for A, B in pairs:
+            assert_same_csr(A, B)
 
     def test_elliptic_feasibility(self, rng):
         prob = EllipticProblem(5)

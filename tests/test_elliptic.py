@@ -264,14 +264,15 @@ class TestResidual:
 
 class TestScale:
     def test_n150_builds_without_dense_matrices_and_solves(self):
-        # A dense (N-1)^2 x (N-1)^2 array would take 3.9 GB at N = 150.
+        # A dense (N-1)^2 x (N-1)^2 array would take 3.9 GB at N = 150; the
+        # direct CSR assembly of F, its transpose and M peaks near 7 MB.
         tracemalloc.start()
         try:
             prob = EllipticProblem(150, z_choice="one")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+        assert peak < 16e6
         out = solve(prob, np.ones(prob.n), SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2))
         assert out.status is SolveStatus.CONVERGED_SCALED_GRADIENT
         assert out.counters.forward_solves == out.iterations + 1
