@@ -7,13 +7,17 @@ one adjoint (transposed) system, both with the factors of the base point's
 ``Linearization``, and each applies G = [R_u R_y] once: forward to the
 stacked (v, w), in transpose to the residual-space vector. Every Jacobian
 tallies its solves, in the caller's counters or its own.
+
+A Jacobian checks the shapes of G and c_u once, when built, and a product's
+vectors once, at ``J @ v`` and ``J.rmatvec(w)``; inside, G and c_u are
+applied unchecked (``_matvec``, ``_rmatvec``), and the c_y solves check theirs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import EvalCounters, ImplicitProblem, LinearOperator, Linearization, as_vector
+from .core import DimensionMismatch, EvalCounters, ImplicitProblem, LinearOperator, Linearization
 
 __all__ = ["ReducedJacobian"]
 
@@ -25,10 +29,11 @@ class ReducedJacobian(LinearOperator):
     dimensions and call ``apply`` and ``apply_transpose``, and the reduced
     gradient is ``apply_transpose(R)``. The base point is given by its
     linearization, ``problem.linearize(y, u)``; Jacobians that share one
-    share its factors. Construction performs no solves; each application
-    solves once. Every forward application adds one linearized solve and
-    every transpose application one adjoint solve to ``counters``, a fresh
-    ``EvalCounters`` unless one is supplied.
+    share its factors. Construction checks the shapes of ``lin.G`` and
+    ``lin.cu`` and performs no solves; each application solves once. Every
+    forward application adds one linearized solve and every transpose
+    application one adjoint solve to ``counters``, a fresh ``EvalCounters``
+    unless one is supplied.
     """
 
     def __init__(
@@ -37,7 +42,11 @@ class ReducedJacobian(LinearOperator):
         lin: Linearization,
         counters: EvalCounters | None = None,
     ):
-        self.shape = (problem.m, problem.n)
+        n, n_y, m = problem.n, problem.n_y, problem.m
+        if lin.G.shape != (m, n + n_y) or lin.cu.shape != (n_y, n):
+            raise DimensionMismatch(f"G of shape {lin.G.shape} and c_u of shape "
+                                    f"{lin.cu.shape}, expected {(m, n + n_y)} and {(n_y, n)}")
+        self.shape = (m, n)
         self.problem = problem
         self.lin = lin
         self.counters = EvalCounters() if counters is None else counters
@@ -51,17 +60,18 @@ class ReducedJacobian(LinearOperator):
         return self.apply_transpose(w)
 
     def apply(self, v) -> np.ndarray:
-        """Forward product: direction in control space to residual space."""
-        v = as_vector(v, self.shape[1], name="direction")
+        """Forward product J v of a float vector v of length n, unchecked (``J @ v`` checks)."""
+        lin = self.lin
         # State response to the control perturbation: c_y w = -c_u v.
-        w = self.problem.solve_cy(self.lin, -(self.lin.cu @ v))
+        w = self.problem.solve_cy(lin, -lin.cu._matvec(v))
         self.counters.linearized_solves += 1
-        return self.lin.G @ np.concatenate([v, w])
+        return lin.G._matvec(np.concatenate([v, w]))
 
     def apply_transpose(self, w) -> np.ndarray:
-        """Transpose product: residual-space vector to control space."""
-        w = as_vector(w, self.shape[0], name="residual direction")
-        x = self.lin.G.rmatvec(w)  # (R_u^T w, R_y^T w)
-        q = self.problem.solve_cy_transpose(self.lin, x[self.shape[1]:])
+        """Transpose product J^T w of a float vector w of length m, unchecked
+        (``J.rmatvec(w)`` checks)."""
+        lin, n = self.lin, self.shape[1]
+        x = lin.G._rmatvec(w)  # (R_u^T w, R_y^T w)
+        q = self.problem.solve_cy_transpose(lin, x[n:])
         self.counters.adjoint_solves += 1
-        return x[: self.shape[1]] - self.lin.cu.rmatvec(q)
+        return x[:n] - lin.cu._rmatvec(q)

@@ -23,8 +23,9 @@ two transforms and a pointwise divide (Hockney's fast Poisson solver).
 
 The residual Jacobian G = [[0, F], [sqrt(lam) F, 0]] on the stacked (u, y)
 is two products with F or its one stored transpose (a stacked CSR would
-store F twice), and c_u = -M a ``core.sparse_operator`` on M, its own
-transpose. Being linear, the problem has one linearization for all points.
+store F twice), each ``core.csr_apply`` into its half of one zeroed output,
+and c_u = -M a ``core.sparse_operator`` on M, its own transpose. Being
+linear, the problem has one linearization for all points.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from .core import ImplicitProblem, LinearOperator, Linearization, as_vector
-from .core import check_integer, check_positive, sparse_operator, stencil_csr
+from .core import check_integer, check_positive, csr_apply, sparse_operator, stencil_csr
 
 __all__ = ["EllipticProblem"]
 
@@ -92,13 +93,22 @@ class EllipticProblem(ImplicitProblem):
         F, self.M = _mass_matrices(N)
         self._sqrtM, self.m = F, 2 * F.shape[0]
         F_T = F.T.tocsr()  # one transpose, for both halves of G
-        rows, n, s = F.shape[0], self.n, math.sqrt(self.lam)
+        m, rows, n, s = self.m, F.shape[0], self.n, math.sqrt(self.lam)
+
+        def forward(x):  # G (u, y) = (F y, sqrt(lam) F u), each half one product
+            out = np.zeros(m)
+            csr_apply(F, x[n:], out[:rows])
+            csr_apply(F, x[:n], out[rows:], s)
+            return out
+
+        def transpose(w):
+            out = np.zeros(2 * n)
+            csr_apply(F_T, w[rows:], out[:n], s)
+            csr_apply(F_T, w[:rows], out[n:])
+            return out
+
         self._linearization = Linearization(
-            LinearOperator(  # G (u, y) = (F y, sqrt(lam) F u), each half one product
-                (self.m, 2 * n),
-                lambda x: np.concatenate([F @ x[n:], s * (F @ x[:n])]),
-                lambda w: np.concatenate([s * (F_T @ w[rows:]), F_T @ w[:rows]]),
-            ),
+            LinearOperator((m, 2 * n), forward, transpose),
             sparse_operator(self.M, self.M, -1.0, -1.0),  # M is symmetric
         )
         self.z = np.zeros(self.n) if z_choice == "zero" else np.ones(self.n)

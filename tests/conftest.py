@@ -278,6 +278,12 @@ def captured(fn):
     return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
 
 
+def sparse_parts(op):
+    """``(S, S_T, row_scale, col_scale)``, what a ``core.sparse_operator`` was built from."""
+    forward, transpose = captured(op._matvec), captured(op._rmatvec)
+    return forward["S"], transpose["S_T"], forward["row_scale"], transpose["col_scale"]
+
+
 def constraint_residual(prob, y, u):
     """c(y, u) of a ``BurgersProblem`` or an ``EllipticProblem``, evaluated
     directly: the feasibility probe of ``solve_state``."""

@@ -176,11 +176,38 @@ class TestContractBoundary:
     @pytest.mark.parametrize("make", PROBLEMS, ids=["burgers", "elliptic"])
     @pytest.mark.parametrize("shape", [(0, 1), (0, -1), (1, 0), (-1, 0)])
     def test_jacobian_refuses_g_of_wrong_shape(self, make, shape, rng):
+        # shapes are checked once, when the Jacobian is built
         prob = make()
         u = rng.standard_normal(prob.n)
         lin = prob.linearize(prob.solve_state(u), u)
         rows, cols = prob.m + shape[0], prob.n + prob.n_y + shape[1]
         G = operator_from_matrix(rng.standard_normal((rows, cols)))
+        with pytest.raises(DimensionMismatch):
+            ReducedJacobian(prob, Linearization(G, lin.cu, lambda: lin.factors))
+
+    @pytest.mark.parametrize("make", PROBLEMS, ids=["burgers", "elliptic"])
+    @pytest.mark.parametrize("shape", [(0, 1), (0, -1), (1, 0), (-1, 0)])
+    def test_jacobian_refuses_cu_of_wrong_shape(self, make, shape, rng):
+        prob = make()
+        u = rng.standard_normal(prob.n)
+        lin = prob.linearize(prob.solve_state(u), u)
+        cu = operator_from_matrix(rng.standard_normal((prob.n_y + shape[0], prob.n + shape[1])))
+        with pytest.raises(DimensionMismatch):
+            ReducedJacobian(prob, Linearization(lin.G, cu, lambda: lin.factors))
+
+    @pytest.mark.parametrize("make", PROBLEMS, ids=["burgers", "elliptic"])
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_jacobian_refuses_products_of_wrong_length(self, make, extra, rng):
+        # G declares the right shape but returns vectors of the wrong length:
+        # the products inside are not checked, the public boundary still is
+        prob = make()
+        u = rng.standard_normal(prob.n)
+        lin = prob.linearize(prob.solve_state(u), u)
+        G = LinearOperator(
+            lin.G.shape,
+            lambda x: np.zeros(prob.m + extra),
+            lambda w: np.zeros(prob.n + prob.n_y + extra),
+        )
         jac = ReducedJacobian(prob, Linearization(G, lin.cu, lambda: lin.factors))
         with pytest.raises(DimensionMismatch):
             jac @ rng.standard_normal(prob.n)

@@ -1,7 +1,10 @@
 """Core contract: vectors, operators, counters, objective."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from iclsq.burgers import BurgersProblem
 from iclsq.core import (
@@ -11,6 +14,7 @@ from iclsq.core import (
     LinearOperator,
     Linearization,
     as_vector,
+    csr_apply,
     norm,
 )
 from iclsq.elliptic import EllipticProblem
@@ -25,6 +29,7 @@ from conftest import (
     operator_from_matrix,
     reference_burgers_matrices,
     reference_elliptic_matrices,
+    sparse_parts,
 )
 
 # Problems whose stored matrices are compared with scipy.sparse's construction:
@@ -33,6 +38,7 @@ from conftest import (
 ASSEMBLY_CASES = [("elliptic", N) for N in (2, 3, 4, 10, 80)] + [
     ("burgers", shape) for shape in ((2, 1), (2, 3), (3, 4), (5, 1), (16, 16), (128, 32), (33, 5))
 ]
+ASSEMBLY_IDS = [f"{k}-{s}" if k == "elliptic" else f"{k}-{s[0]}x{s[1]}" for k, s in ASSEMBLY_CASES]
 
 
 def assert_same_csr(A, B):
@@ -44,6 +50,14 @@ def assert_same_csr(A, B):
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8), err_msg=name)
     assert A.has_sorted_indices == B.has_sorted_indices
+
+
+def extreme_vector(size, rng):
+    """Random floats of magnitudes 1 to 1e300 and either sign, every fifth
+    entry from the second -0.0."""
+    v = rng.standard_normal(size) * 10.0 ** rng.integers(0, 301, size)
+    v[1::5] = -0.0
+    return v
 
 
 class Doubling(ImplicitProblem):
@@ -162,6 +176,14 @@ class TestLinearOperator:
     def test_adjoint_probes_random_matrix(self, rng):
         assert_adjoint_identity(operator_from_matrix(rng.standard_normal((6, 4))), rng)
 
+    def test_csr_apply_refuses_lengths_the_kernel_would_overrun(self, rng):
+        S = sp.csr_matrix(rng.standard_normal((2, 3)))
+        x = rng.standard_normal(3)
+        np.testing.assert_array_equal(csr_apply(S, x, np.zeros(2), 0.5), 0.5 * (S @ x))
+        for x, out in ((np.ones(2), None), (np.ones(4), None), (x, np.zeros(1)), (x, np.zeros(3))):
+            with pytest.raises(DimensionMismatch, match="csr_apply of a 2 x 3 matrix"):
+                csr_apply(S, x, out)
+
 
 class TestProblemOperators:
     """Every operator a problem exposes must pass the adjoint probe."""
@@ -184,11 +206,7 @@ class TestProblemOperators:
         for op in (lin.G, lin.cu):
             assert_adjoint_identity(op, rng)
 
-    @pytest.mark.parametrize(
-        ("kind", "size"),
-        ASSEMBLY_CASES,
-        ids=[f"{k}-{s}" if k == "elliptic" else f"{k}-{s[0]}x{s[1]}" for k, s in ASSEMBLY_CASES],
-    )
+    @pytest.mark.parametrize(("kind", "size"), ASSEMBLY_CASES, ids=ASSEMBLY_IDS)
     def test_stored_matrices_are_scipy_sparse_constructions_exactly(self, kind, size):
         # Every stored CSR matrix, built from index arithmetic on its stencil,
         # holds the arrays that scipy.sparse's kron, bmat and vstack gave, so
@@ -202,10 +220,47 @@ class TestProblemOperators:
             prob = BurgersProblem(*size)
             pairs = []
             for op, S in zip(prob._operators, reference_burgers_matrices(prob)):  # G, c_u
-                stored = captured(op._matvec)["S"], captured(op._rmatvec)["S_T"]
-                pairs += zip(stored, (S, S.T.tocsr()))
+                pairs += zip(sparse_parts(op)[:2], (S, S.T.tocsr()))
         for A, B in pairs:
             assert_same_csr(A, B)
+
+    @pytest.mark.parametrize(("kind", "size"), ASSEMBLY_CASES, ids=ASSEMBLY_IDS)
+    def test_products_round_as_scipy_sparse_products(self, kind, size, rng):
+        # Each operator's products, checked and unchecked, are the scaled
+        # products scipy.sparse's ``@`` gives with the stored matrices, bit
+        # for bit, signed zeros and values near the end of the float range too
+        if kind == "elliptic":
+            prob = EllipticProblem(size)
+            lin = prob._linearization
+            F, F_T = prob._sqrtM, captured(lin.G._rmatvec)["F_T"]
+            n, rows, s = prob.n, F.shape[0], math.sqrt(prob.lam)
+            expected = [(
+                lin.G,
+                lambda x: np.concatenate([F @ x[n:], s * (F @ x[:n])]),
+                lambda w: np.concatenate([s * (F_T @ w[rows:]), F_T @ w[:rows]]),
+            )]
+            sparse = [lin.cu]
+        else:
+            prob = BurgersProblem(*size)
+            expected, sparse = [], list(prob._operators)  # G, c_u
+        for op in sparse:
+            S, S_T, row_scale, col_scale = sparse_parts(op)
+            expected.append((
+                op,
+                lambda v, S=S, scale=row_scale: scale * (S @ v),
+                lambda w, S_T=S_T, scale=col_scale: scale * (S_T @ w),
+            ))
+        for op, forward, transpose in expected:
+            for make in (extreme_vector, lambda size, rng: np.full(size, -0.0)):
+                v, w = make(op.shape[1], rng), make(op.shape[0], rng)
+                for got in (op._matvec(v), op.matvec(v)):
+                    np.testing.assert_array_equal(got.view(np.uint64), forward(v).view(np.uint64))
+                for got in (op._rmatvec(w), op.rmatvec(w)):
+                    np.testing.assert_array_equal(got.view(np.uint64), transpose(w).view(np.uint64))
+        if kind == "burgers":
+            # state 0 is data: G's first block of rows is empty and reads +0.0
+            G = prob._operators[0]
+            assert not G._matvec(extreme_vector(G.shape[1], rng))[: prob.nx].view(np.uint64).any()
 
     def test_elliptic_feasibility(self, rng):
         prob = EllipticProblem(5)
