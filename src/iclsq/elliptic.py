@@ -19,7 +19,10 @@ On this mesh the interior stiffness matrix K is exactly the five-point
 Laplacian (4 on the diagonal, -1 per grid neighbour): every triangle has its
 right angle opposite the diagonal edge, whose coupling vanishes. A 2-D
 type-I discrete sine transform diagonalizes it, so each constraint solve is
-two transforms and a pointwise divide (Hockney's fast Poisson solver).
+two transforms and a pointwise divide (Hockney's fast Poisson solver). Both
+transforms call pocketfft's DST kernel, the one scipy.fft.dstn and idstn end
+in, without their dispatch (about 10 us a transform); the inverse runs in
+place in the solve's own coefficient array.
 
 The residual Jacobian G = [[0, F], [sqrt(lam) F, 0]] on the stacked (u, y)
 is two products with F or its one stored transpose (a stacked CSR would
@@ -112,27 +115,33 @@ class EllipticProblem(ImplicitProblem):
             sparse_operator(self.M, self.M, -1.0, -1.0),  # M is symmetric
         )
         self.z = np.zeros(self.n) if z_choice == "zero" else np.ones(self.n)
-        # Imported here and not with the module: scipy.fft loads scipy.special,
-        # about 60 ms and 3 MB that Burgers-only users should not pay.
-        from scipy.fft import dstn, idstn
+        # Imported here and not with the module: importing the kernel loads the
+        # scipy.fft package and with it scipy.special, about 60 ms and 3.6 MB
+        # that Burgers-only users should not pay.
+        from scipy.fft._pocketfft.pypocketfft import dst
 
-        self._dstn, self._idstn = dstn, idstn
+        self._dst = dst
         # Eigenvalues of K: lam_j + lam_k on the sine mode (j, k), with
         # lam_j = 4 sin^2(j pi / 2N) those of tridiag(-1, 2, -1).
         lam_1d = 4.0 * np.sin(np.arange(1, N) * (math.pi / (2 * N))) ** 2
         self._K_eig = lam_1d[:, None] + lam_1d[None, :]
 
     def _solve_K(self, b: np.ndarray) -> np.ndarray:
-        # The orthonormal DST-I diagonalizes K.
-        B = b.reshape(self._K_eig.shape)
-        coeffs = self._dstn(B, type=1, norm="ortho") / self._K_eig
-        return self._idstn(coeffs, type=1, norm="ortho").ravel()
+        # The orthonormal 2-D DST-I diagonalizes K and is its own inverse.
+        # pocketfft's kernel, called without scipy.fft's dispatch (about
+        # 10 us a transform), takes (a, type, axes, inorm, out, nthreads);
+        # inorm 1 makes type I orthonormal both ways. The inverse writes into
+        # the fresh coefficients, so b is never written and concurrent solves
+        # share no buffer.
+        coeffs = self._dst(b.reshape(self._K_eig.shape), 1, (0, 1), 1, None, 1)
+        coeffs /= self._K_eig
+        return self._dst(coeffs, 1, (0, 1), 1, coeffs, 1).ravel()
 
     def solve_state(self, u, start=None, counters=None) -> np.ndarray:
         """One direct solve K y = M u: it never calls ``start`` and counts
         no Newton iterations."""
         u = as_vector(u, self.n, name="control")
-        return self._solve_K(self.M @ u)
+        return self._solve_K(csr_apply(self.M, u))
 
     def residual(self, y, u) -> np.ndarray:
         """R = G (u, y - z), with G of the one linearization."""

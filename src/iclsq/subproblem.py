@@ -157,7 +157,9 @@ def _cgls(
     residual meets the target, once 30 iterations in a row bring no better
     residual, or after 3 n + 30 iterations, and returns the best iterate seen,
     so a stagnating solve still returns its most accurate step; ``cg_iters``
-    counts every iteration run.
+    counts every iteration run. Every update makes new arrays, never writing
+    into one it holds, so the best iterate is kept by reference, not copied
+    (x and the residual blocks, m + 2 n floats per improving iteration).
 
     ``target(h_norm)`` is the residual target. Once the running maximum of
     the Rayleigh quotients ||J p||^2 / ||p||^2 passes the ``h_norm`` given,
@@ -170,13 +172,13 @@ def _cgls(
     sqrt_gamma = math.sqrt(gamma)
     n = g.shape[0]
     x = np.zeros(n)
-    r_top = -R.copy()  # top block of b - A x with b = [-R; 0]
+    r_top = -R  # top block of b - A x with b = [-R; 0]
     r_bot = np.zeros(n)
-    s_vec = -g.copy()  # A^T (b - A x)
-    p = s_vec.copy()
+    s_vec = -g  # A^T (b - A x)
+    p = s_vec
     ss = float(s_vec @ s_vec)
     # the best iterate: its residual, iteration, x and the blocks of b - A x
-    best = (math.sqrt(ss), 0, x.copy(), r_top.copy(), r_bot.copy())
+    best = (math.sqrt(ss), 0, x, r_top, r_bot)
     iters = 0
     while True:
         q_top = J @ p
@@ -192,15 +194,15 @@ def _cgls(
                 h_norm = 1.5 * seen
                 tol = target(h_norm)
         alpha = ss / qq
-        x += alpha * p
-        r_top -= alpha * q_top
-        r_bot -= alpha * q_bot
+        x = x + alpha * p
+        r_top = r_top - alpha * q_top
+        r_bot = r_bot - alpha * q_bot
         s_vec = J.rmatvec(r_top) + sqrt_gamma * r_bot
         iters += 1
         ss_new = float(s_vec @ s_vec)
         res = math.sqrt(ss_new)
         if res < best[0]:
-            best = (res, iters, x.copy(), r_top.copy(), r_bot.copy())
+            best = (res, iters, x, r_top, r_bot)
         if res <= tol or iters - best[1] >= 30 or iters >= 3 * n + 30:
             break
         p = s_vec + (ss_new / ss) * p

@@ -205,6 +205,46 @@ class TestFastSolve:
         y = prob.solve_state(u)
         assert np.linalg.norm(constraint_residual(prob, y, u)) <= feasibility_tol(prob)
 
+    @pytest.mark.parametrize("N", [2, 3, 10, 80])
+    def test_solve_k_is_scipy_fft_dst_solve_bit_for_bit(self, N, rng):
+        # The direct pocketfft calls must give exactly scipy.fft's dstn/idstn
+        # solve, also for signed zeros, huge entries and a strided rhs.
+        from scipy.fft import dstn, idstn
+
+        prob = EllipticProblem(N)
+        n = prob.n
+        b = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+        b[::3] = -0.0
+        b[0] = 1e300
+        strided = np.empty(2 * n)
+        strided[::2], strided[1::2] = b, np.nan
+        for rhs in (b, strided[::2]):
+            B = rhs.reshape(N - 1, N - 1)
+            expected = idstn(
+                dstn(B, type=1, norm="ortho") / prob._K_eig, type=1, norm="ortho"
+            ).ravel()
+            for got in (prob._solve_K(rhs), prob.solve_cy(prob.linearize(None, None), rhs)):
+                assert np.all(np.isfinite(got))
+                np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("N", [2, 10])
+    def test_solves_leave_a_read_only_argument_untouched(self, N, rng):
+        prob = EllipticProblem(N)
+        lin = prob.linearize(None, None)
+        solves = {
+            "solve_state": prob.solve_state,
+            "solve_cy": lambda v: prob.solve_cy(lin, v),
+            "solve_cy_transpose": lambda v: prob.solve_cy_transpose(lin, v),
+        }
+        for name, solve_ in solves.items():
+            v = rng.standard_normal(prob.n)
+            frozen = v.copy()
+            frozen.flags.writeable = False
+            expected = solve_(v.copy())
+            got = solve_(frozen)
+            np.testing.assert_array_equal(frozen.view(np.uint64), v.view(np.uint64), name)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64), name)
+
 
 
 class TestPartialJacobians:

@@ -516,12 +516,17 @@ class TestTrialStarts:
 
 
 class TestConcurrentRuns:
-    def test_shared_problem_instance_gives_sequential_results(self):
+    @pytest.mark.parametrize(
+        "make_problem",
+        [lambda: BurgersProblem(6, 6, nu=0.1), lambda: EllipticProblem(10, z_choice="one")],
+        ids=["burgers", "elliptic"],
+    )
+    def test_shared_problem_instance_gives_sequential_results(self, make_problem):
         # Problems are pure evaluators; two solver runs sharing one instance
         # must produce the same outcomes as running them alone.
         import threading
 
-        prob = BurgersProblem(6, 6, nu=0.1)
+        prob = make_problem()
         configs = [
             SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=0.0),
             SolverConfig(eps_R=1e-2, eps_g=1e-5, theta=1e-1),

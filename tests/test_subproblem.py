@@ -170,6 +170,35 @@ class TestUnreachableTarget:
         )
 
 
+class TestAliasingOperator:
+    """CGLS keeps its best iterate by reference, so it must never write into
+    an array it has kept or been given, even when J's products hand back
+    their input array itself."""
+
+    @pytest.mark.parametrize("theta", [None, 0.5, 1e-3])
+    def test_step_is_unchanged_and_leaves_g_and_r_untouched(self, theta, rng):
+        n = 9
+        R = rng.standard_normal(n)
+        g = R.copy()  # J^T R for J = I
+        R.flags.writeable = g.flags.writeable = False
+        frozen = R.copy(), g.copy()
+        aliasing = LinearOperator((n, n), lambda v: v, lambda w: w)
+        copying = LinearOperator((n, n), lambda v: v.copy(), lambda w: w.copy())
+        results = []
+        for J in (aliasing, copying):
+            if theta is None:
+                results.append(exact_step(g, 0.3, 1.5, J, R))
+            else:
+                results.append(truncated_cg_step(g, 0.3, theta, 1.5, J, R))
+        got, expected = results
+        np.testing.assert_array_equal(got.step.view(np.uint64), expected.step.view(np.uint64))
+        for field in ("model_decrease", "residual_norm", "cg_iters", "cg_tolerance",
+                      "h_norm", "curvature_seen"):
+            assert float(getattr(got, field)).hex() == float(getattr(expected, field)).hex()
+        np.testing.assert_array_equal(R, frozen[0])
+        np.testing.assert_array_equal(g, frozen[1])
+
+
 class TestOperatorNorm:
     def test_zero_operator(self):
         J = CountingOperator(np.zeros((3, 7)))
