@@ -10,7 +10,8 @@ tallies its solves, in the caller's counters or its own.
 
 A Jacobian checks the shapes of G and c_u once, when built, and a product's
 vectors once, at ``J @ v`` and ``J.rmatvec(w)``; inside, G and c_u are
-applied unchecked (``_matvec``, ``_rmatvec``), and the c_y solves check theirs.
+applied unchecked (``apply``, ``apply_transpose``), and the c_y solves
+check theirs.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ class ReducedJacobian(LinearOperator):
     """Matrix-free Jacobian J = R_u - R_y c_y^{-1} c_u at a fixed base point.
 
     It is itself the linear operator J: ``J @ v`` and ``J.rmatvec(w)`` check
-    dimensions and call ``apply`` and ``apply_transpose``, and the reduced
-    gradient is ``apply_transpose(R)``. The base point is given by its
-    linearization, ``problem.linearize(y, u)``; Jacobians that share one
+    dimensions and call its methods ``apply`` and ``apply_transpose``, and
+    the reduced gradient is ``apply_transpose(R)``. The base point is given
+    by its linearization, ``problem.linearize(y, u)``; Jacobians that share one
     share its factors. Construction checks the shapes of ``lin.G`` and
     ``lin.cu`` and performs no solves; each application solves once. Every
     forward application adds one linearized solve and every transpose
@@ -51,27 +52,19 @@ class ReducedJacobian(LinearOperator):
         self.lin = lin
         self.counters = EvalCounters() if counters is None else counters
 
-    # Methods, not bound methods stored on the instance, which would make
-    # every Jacobian a reference cycle that only the garbage collector frees.
-    def _matvec(self, v) -> np.ndarray:
-        return self.apply(v)
-
-    def _rmatvec(self, w) -> np.ndarray:
-        return self.apply_transpose(w)
-
     def apply(self, v) -> np.ndarray:
         """Forward product J v of a float vector v of length n, unchecked (``J @ v`` checks)."""
         lin = self.lin
         # State response to the control perturbation: c_y w = -c_u v.
-        w = self.problem.solve_cy(lin, -lin.cu._matvec(v))
+        w = self.problem.solve_cy(lin, -lin.cu.apply(v))
         self.counters.linearized_solves += 1
-        return lin.G._matvec(np.concatenate([v, w]))
+        return lin.G.apply(np.concatenate([v, w]))
 
     def apply_transpose(self, w) -> np.ndarray:
         """Transpose product J^T w of a float vector w of length m, unchecked
         (``J.rmatvec(w)`` checks)."""
         lin, n = self.lin, self.shape[1]
-        x = lin.G._rmatvec(w)  # (R_u^T w, R_y^T w)
+        x = lin.G.apply_transpose(w)  # (R_u^T w, R_y^T w)
         q = self.problem.solve_cy_transpose(lin, x[n:])
         self.counters.adjoint_solves += 1
-        return x[:n] - lin.cu._rmatvec(q)
+        return x[:n] - lin.cu.apply_transpose(q)

@@ -159,18 +159,19 @@ class BurgersProblem(ImplicitProblem):
     def _stencils(self) -> tuple:
         """``(M/dt, M/dt + nu C, B/2, jacobian)``: three 3-point kernels
         ``(lower, diag, upper)``, which ``np.correlate(x, k, "same")`` applies
-        to a vector x with zeros beyond its ends, and the arrays ``jacobian =
-        (M.lower/dt, B.lower, nu C.lower, diag, M.upper/dt, B.upper, nu
-        C.upper)`` that ``step_jacobian`` adds, each rounded as the full
-        expression rounds it (array operands are cheaper there than scalars).
-        The constant diagonal M/dt + nu C (B's zero diagonal adds a signed
-        zero) is read only. Built on first use."""
+        to a vector x with zeros beyond its ends, and ``jacobian = (M.lower/dt,
+        B.lower, nu C.lower, diag, M.upper/dt, B.upper, nu C.upper)`` that
+        ``step_jacobian`` adds, each rounded as the full expression rounds it:
+        the off-diagonal terms one 0-d array each, which broadcast over a
+        stack of blocks faster than (nx - 1)-vectors would, and the constant
+        diagonal M/dt + nu C (B's zero diagonal adds a signed zero) an
+        nx-vector, read only. Built on first use."""
         (m_lo, m_d, m_up), (b_lo, b_d, b_up), (c_lo, c_d, c_up) = self.M, self.B, self.C
         nx, dt, nu = self.nx, self.dt, self.nu
         diag = np.full(nx, m_d / dt + nu * c_d)
         diag.setflags(write=False)
-        lower = [np.full(nx - 1, x) for x in (m_lo / dt, b_lo, nu * c_lo)]
-        upper = [np.full(nx - 1, x) for x in (m_up / dt, b_up, nu * c_up)]
+        lower = [np.array(x) for x in (m_lo / dt, b_lo, nu * c_lo)]
+        upper = [np.array(x) for x in (m_up / dt, b_up, nu * c_up)]
         return (
             np.array([m_lo / dt, m_d / dt, m_up / dt]),
             np.array([m_lo / dt + nu * c_lo, diag[0], m_up / dt + nu * c_up]),

@@ -9,10 +9,11 @@ data. The constraint c(y, u) = 0 is only ever solved, for the state or
 linearized (and transposed), never evaluated. The residual Jacobian is one
 operator, G = [R_u R_y] on the stacked (u, y).
 
-Vectors are checked once, at a public boundary (an operator's ``matvec`` and
-``rmatvec``, a problem's methods). ``_matvec`` and ``_rmatvec`` check nothing,
-and ``csr_apply``, scipy.sparse's own CSR kernel without ``S @ x``'s dispatch,
-checks only the lengths it hands to that kernel.
+Vectors are checked once, at a public boundary (an operator's ``matvec``,
+``rmatvec`` and ``@``, a problem's methods). Every operator's unchecked pair
+is ``apply`` and ``apply_transpose``, which check nothing, and ``csr_apply``,
+scipy.sparse's own CSR kernel without ``S @ x``'s dispatch, checks only the
+lengths it hands to that kernel.
 """
 
 from __future__ import annotations
@@ -94,23 +95,24 @@ class LinearOperator:
 
     Instances must satisfy the adjoint identity <A v, w> == <v, A^T w>;
     the test suite probes this on random vectors for every operator a
-    problem exposes. A subclass may set ``shape`` and define ``_matvec`` and
-    ``_rmatvec`` as methods instead of passing callables.
+    problem exposes. ``apply`` and ``apply_transpose`` are the unchecked
+    products, given as callables or, by a subclass that sets ``shape``, as
+    methods; ``matvec``, ``rmatvec`` and ``@`` check the vectors and call them.
     """
 
     def __init__(
         self,
         shape: tuple[int, int],
-        matvec: Callable[[np.ndarray], np.ndarray],
-        rmatvec: Callable[[np.ndarray], np.ndarray],
+        apply: Callable[[np.ndarray], np.ndarray],
+        apply_transpose: Callable[[np.ndarray], np.ndarray],
     ):
         self.shape = (int(shape[0]), int(shape[1]))
-        self._matvec = matvec
-        self._rmatvec = rmatvec
+        self.apply = apply
+        self.apply_transpose = apply_transpose
 
     def matvec(self, v) -> np.ndarray:
         v = as_vector(v, self.shape[1], name="operator input")
-        out = as_vector(self._matvec(v), name="operator output")
+        out = as_vector(self.apply(v), name="operator output")
         if out.shape[0] != self.shape[0]:
             raise DimensionMismatch(
                 f"operator produced length {out.shape[0]}, expected {self.shape[0]}"
@@ -119,7 +121,7 @@ class LinearOperator:
 
     def rmatvec(self, w) -> np.ndarray:
         w = as_vector(w, self.shape[0], name="transpose input")
-        out = as_vector(self._rmatvec(w), name="transpose output")
+        out = as_vector(self.apply_transpose(w), name="transpose output")
         if out.shape[0] != self.shape[1]:
             raise DimensionMismatch(
                 f"transpose produced length {out.shape[0]}, expected {self.shape[1]}"

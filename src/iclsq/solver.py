@@ -4,8 +4,9 @@ Levenberg-Marquardt style iteration: build a quadratic model of the reduced
 objective with curvature H + gamma I, step, solve the constraint at the
 trial control, and accept or reject on the ratio of actual to predicted
 decrease. gamma halves (floored) after acceptance and doubles after
-rejection. The run stops as soon as the residual norm or the scaled
-gradient norm falls below its tolerance.
+rejection. One stop rule, ``_stop``, read by ``solve`` and ``Trajectory``
+alike, ends the run once the residual norm or the scaled gradient norm
+falls below its tolerance, or at the iteration budget.
 
 Each iteration calls ``exact_step`` (theta = 0) or ``truncated_cg_step``
 once, with the model as arguments. With Gauss-Newton curvature the bound on
@@ -14,11 +15,11 @@ point, on a Jacobian whose own counters give the run's
 ``norm_probe_applies``, and is kept across linearizations after it. Every
 step checks the bound against the curvature CGLS sees and raises it if that
 proves it wrong (``curvature_raises``); the run takes on each step's bound.
-Once a step's ``curvature_seen`` passes the bound divided by its 1.5 safety
-factor, the margin is spent, and the next linearization the run steps from
-gets a fresh estimate. The linear elliptic problem keeps one linearization,
-so it is estimated once per run. A failed trial point and a nonpositive
-predicted decrease are rejected alike.
+Once a step's ``curvature_seen`` passes the bound divided by its safety
+factor ``SAFETY_FACTOR``, the margin is spent, and the next linearization
+the run steps from gets a fresh estimate. The linear elliptic problem keeps
+one linearization, so it is estimated once per run. A failed trial point
+and a nonpositive predicted decrease are rejected alike.
 
 Every trial state solve gets a start, a guess of its state. The first trial
 from an iterate starts from the Euler predictor y + c_y^{-1}(-c_u s), one
@@ -49,7 +50,7 @@ import numpy as np
 from .adjoint import ReducedJacobian
 from .core import EvalCounters, ImplicitProblem, StateSolveError, as_vector, norm
 from .core import check_integer, check_positive
-from .subproblem import estimate_operator_norm, exact_step, truncated_cg_step
+from .subproblem import SAFETY_FACTOR, estimate_operator_norm, exact_step, truncated_cg_step
 
 __all__ = [
     "SolveStatus",
@@ -170,16 +171,17 @@ def default_gamma0(g0, u0) -> float:
     return max(1.0, norm(g0), u_inf + 1.0)
 
 
-def _stop_status(r_norm: float, g_norm: float, eps_R: float,
-                 eps_g: float) -> Optional[SolveStatus]:
-    """Termination test on the residual and gradient norms; the residual
-    branch is checked first, so a zero residual never reaches the
-    scaled-gradient division."""
-    if r_norm <= eps_R:
+def _stop(config: SolverConfig, k: int, r_norm: float, g_norm: float) -> Optional[SolveStatus]:
+    """The stop rule at loop top ``k`` with residual and gradient norms
+    ``r_norm`` and ``g_norm``: a converged status, else ``BUDGET_EXHAUSTED``
+    at ``k == config.max_iter``, else None. The residual test comes first,
+    so a zero residual never reaches the scaled-gradient division, and a top
+    that converges at the budget reads converged."""
+    if r_norm <= config.eps_R:
         return SolveStatus.CONVERGED_RESIDUAL
-    if g_norm / r_norm <= eps_g:
+    if g_norm / r_norm <= config.eps_g:
         return SolveStatus.CONVERGED_SCALED_GRADIENT
-    return None
+    return SolveStatus.BUDGET_EXHAUSTED if k == config.max_iter else None
 
 
 def solve(
@@ -194,7 +196,7 @@ def solve(
 
     Each iteration, accepted or not, goes to ``trace_sink`` as an
     ``IterationTrace`` holding a copy of its starting iterate; without a sink
-    none is built. The stopping tests run before each step and at the budget.
+    none is built. The stop rule ``_stop`` runs before each step.
 
     One forward solve happens at u0 and one per trial point, so the forward
     counter always equals the number of completed iterations plus one. A
@@ -219,17 +221,10 @@ def solve(
         counters = EvalCounters()
     if trajectory is not None:
         return trajectory._read(problem, u, config, counters, trace_sink)
-    for top in _iterate(problem, u, config, counters, trace_sink):
-        k, _, _, R, g, _, _ = top
-        status = _stop_status(norm(R), norm(g), config.eps_R, config.eps_g)
-        if status is not None or k == config.max_iter:
-            return _outcome(top, status, counters)
-
-
-def _outcome(top, status, counters) -> SolveOutcome:
-    k, u, y, R, g, gamma, successes = top
-    return SolveOutcome(status or SolveStatus.BUDGET_EXHAUSTED, u, y, R, g, gamma, k,
-                        successes, counters)
+    for k, u, y, R, g, gamma, successes in _iterate(problem, u, config, counters, trace_sink):
+        status = _stop(config, k, norm(R), norm(g))
+        if status is not None:
+            return SolveOutcome(status, u, y, R, g, gamma, k, successes, counters)
 
 
 class Trajectory:
@@ -240,11 +235,12 @@ class Trajectory:
     and config; a later one with another problem or ``u0``, or a config that
     differs in more than the two tolerances, is refused with ``ValueError``.
     Each solve advances the stream as far as its own stop needs, replays the
-    stream's records up to there to its sink and sets its counters to the
-    stream's there. A solve whose stop the stream has passed starts it over,
-    on the same code; a grid whose looser tolerances come first never does.
-    A stream that raised raises the same exception in every solve that needs
-    a later top, with the counters and records it had then.
+    stream's records up to there to its sink, each with its own ``u`` and
+    ``counters``, and sets its counters to the stream's there. A solve whose
+    stop the stream has passed starts it over, on the same code; a grid
+    whose looser tolerances come first never does. A stream that raised
+    raises the same exception in every solve that needs a later top, with
+    the counters and records it had then.
 
     The stream keeps its own ``counters``, the ``(||R||, ||g||)`` of every
     top in ``norms``, every ``IterationTrace`` in ``records``, and the
@@ -287,19 +283,16 @@ class Trajectory:
             raise ValueError("the trajectory is bound to another problem, u0 or config "
                              "(apart from eps_R and eps_g)")
 
-        def stop(k):
-            return _stop_status(*self.norms[k], config.eps_R, config.eps_g)
-
-        if any(stop(k) for k in range(len(self.norms) - 1)):
+        if any(_stop(config, k, *top) for k, top in enumerate(self.norms[:-1])):
             self._start(problem, u, config)
         while True:
             k = len(self.norms) - 1
-            status = stop(k) if self.norms else None
-            if status is not None or k == config.max_iter or self.error is not None:
+            status = _stop(config, k, *self.norms[k]) if self.norms else None
+            if status is not None or self.error is not None:
                 break
             self._advance()
 
-        failed = status is None and k < config.max_iter  # the stream raised before the stop
+        failed = status is None  # the stream raised before the stop
         if failed:
             saved, self.wall_s, records = self.counters, self.elapsed, self.records
         else:
@@ -307,14 +300,14 @@ class Trajectory:
             records = self.records[:k]
         for f in fields(EvalCounters):
             setattr(counters, f.name, getattr(saved, f.name))
-        if trace_sink is not None:
+        if trace_sink is not None:  # copies, so no sink changes what a later one reads
             for record in records:
-                trace_sink(record)
+                trace_sink(replace(record, u=record.u.copy(), counters=dict(record.counters)))
         if failed:
             raise self.error
         k, u, y, R, g, gamma, successes = state  # copied: the stream steps on from them
-        return _outcome((k, u.copy(), y.copy(), R.copy(), g.copy(), gamma, successes),
-                        status, counters)
+        return SolveOutcome(status, u.copy(), y.copy(), R.copy(), g.copy(), gamma, k,
+                            successes, counters)
 
 
 def _iterate(problem, u, config, counters, trace_sink):
@@ -365,7 +358,7 @@ def _iterate(problem, u, config, counters, trace_sink):
         counters.cg_iterations += step.cg_iters
         if step.h_norm > h_norm:
             counters.curvature_raises += 1
-        spent = spent or step.curvature_seen > h_norm / 1.5
+        spent = spent or step.curvature_seen > h_norm / SAFETY_FACTOR
 
         u_trial = u + step.step
         step_norm = norm(step.step)

@@ -26,11 +26,11 @@ it is given counts the products it takes. CGLS checks the bound for free:
 each of its directions p gives the Rayleigh quotient ||J p||^2 / ||p||^2,
 a lower bound on ||H|| (Parlett, The Symmetric Eigenvalue Problem, 1998),
 from sums the step length forms anyway. A quotient above ``h_norm`` proves
-the bound wrong: the solve raises it to 1.5 times the largest quotient, and
-its residual target follows the raised bound. ``StepResult`` reports the
-bound the step ended with and the largest quotient, ``curvature_seen``, so a
-caller can keep a bound across steps and re-estimate only once a step has
-used up its safety margin.
+the bound wrong: the solve raises it to ``SAFETY_FACTOR`` times the largest
+quotient, and its residual target follows the raised bound. ``StepResult``
+reports the bound the step ended with and the largest quotient,
+``curvature_seen``, so a caller can keep a bound across steps and
+re-estimate only once a step has used up its safety margin.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from scipy.linalg.lapack import dstev
 from .core import LinearOperator, as_vector, norm
 
 __all__ = [
+    "SAFETY_FACTOR",
     "StepResult",
     "IndefiniteOperator",
     "estimate_operator_norm",
@@ -57,6 +58,8 @@ _EPS = float(np.finfo(float).eps)
 # and the most products J^T (J q) one estimate takes.
 _RITZ_RTOL = 1e-3
 _MAX_PRODUCTS = 30
+# The factor by which a curvature bound exceeds the largest curvature measured.
+SAFETY_FACTOR = 1.5
 
 
 class IndefiniteOperator(RuntimeError):
@@ -82,9 +85,10 @@ class StepResult:
 def estimate_operator_norm(J: LinearOperator) -> float:
     """Safety-factored Lanczos estimate of the spectral norm of J^T J.
 
-    Returns 1.5 times the final top Ritz value, so the result upper-bounds
-    the true norm in practice. Each product J^T (J q) is one forward and one
-    transpose application of J, which a ``ReducedJacobian`` J tallies.
+    Returns ``SAFETY_FACTOR`` times the final top Ritz value, so the result
+    upper-bounds the true norm in practice. Each product J^T (J q) is one
+    forward and one transpose application of J, which a ``ReducedJacobian``
+    J tallies.
 
     Lanczos on J^T J, with full reorthogonalization, begins at a fixed start
     vector, the first draw of ``default_rng(0)``, and stops as soon as two
@@ -134,7 +138,7 @@ def estimate_operator_norm(J: LinearOperator) -> float:
             break
         basis.append(w / beta)
         off[k] = beta
-    return 1.5 * ritz
+    return SAFETY_FACTOR * ritz
 
 
 def _target(gn: float, gamma: float, theta: float | None, h_norm: float) -> float:
@@ -163,7 +167,7 @@ def _cgls(
 
     ``target(h_norm)`` is the residual target. Once the running maximum of
     the Rayleigh quotients ||J p||^2 / ||p||^2 passes the ``h_norm`` given,
-    ``h_norm`` is 1.5 times that maximum and the target follows it; the
+    ``h_norm`` is ``SAFETY_FACTOR`` times it and the target follows it; the
     iterates do not depend on the target, so nothing restarts.
     """
     h_given = h_norm
@@ -191,7 +195,7 @@ def _cgls(
         if quotient > seen:
             seen = quotient
             if seen > h_given:
-                h_norm = 1.5 * seen
+                h_norm = SAFETY_FACTOR * seen
                 tol = target(h_norm)
         alpha = ss / qq
         x = x + alpha * p

@@ -86,11 +86,11 @@ class CountingOperator(LinearOperator):
         self.shape = self.A.shape
         self.applies = 0
 
-    def _matvec(self, v):
+    def apply(self, v):
         self.applies += 1
         return self.A @ v
 
-    def _rmatvec(self, w):
+    def apply_transpose(self, w):
         self.applies += 1
         return self.A.T @ w
 
@@ -280,7 +280,7 @@ def captured(fn):
 
 def sparse_parts(op):
     """``(S, S_T, row_scale, col_scale)``, what a ``core.sparse_operator`` was built from."""
-    forward, transpose = captured(op._matvec), captured(op._rmatvec)
+    forward, transpose = captured(op.apply), captured(op.apply_transpose)
     return forward["S"], transpose["S_T"], forward["row_scale"], transpose["col_scale"]
 
 

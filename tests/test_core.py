@@ -214,7 +214,7 @@ class TestProblemOperators:
         if kind == "elliptic":
             prob = EllipticProblem(size)
             F, M = reference_elliptic_matrices(size)
-            F_T = captured(prob._linearization.G._rmatvec)["F_T"]
+            F_T = captured(prob._linearization.G.apply_transpose)["F_T"]
             pairs = [(prob._sqrtM, F), (F_T, F.T.tocsr()), (prob.M, M)]
         else:
             prob = BurgersProblem(*size)
@@ -232,7 +232,7 @@ class TestProblemOperators:
         if kind == "elliptic":
             prob = EllipticProblem(size)
             lin = prob._linearization
-            F, F_T = prob._sqrtM, captured(lin.G._rmatvec)["F_T"]
+            F, F_T = prob._sqrtM, captured(lin.G.apply_transpose)["F_T"]
             n, rows, s = prob.n, F.shape[0], math.sqrt(prob.lam)
             expected = [(
                 lin.G,
@@ -253,14 +253,14 @@ class TestProblemOperators:
         for op, forward, transpose in expected:
             for make in (extreme_vector, lambda size, rng: np.full(size, -0.0)):
                 v, w = make(op.shape[1], rng), make(op.shape[0], rng)
-                for got in (op._matvec(v), op.matvec(v)):
+                for got in (op.apply(v), op.matvec(v)):
                     np.testing.assert_array_equal(got.view(np.uint64), forward(v).view(np.uint64))
-                for got in (op._rmatvec(w), op.rmatvec(w)):
+                for got in (op.apply_transpose(w), op.rmatvec(w)):
                     np.testing.assert_array_equal(got.view(np.uint64), transpose(w).view(np.uint64))
         if kind == "burgers":
             # state 0 is data: G's first block of rows is empty and reads +0.0
             G = prob._operators[0]
-            assert not G._matvec(extreme_vector(G.shape[1], rng))[: prob.nx].view(np.uint64).any()
+            assert not G.apply(extreme_vector(G.shape[1], rng))[: prob.nx].view(np.uint64).any()
 
     def test_elliptic_feasibility(self, rng):
         prob = EllipticProblem(5)

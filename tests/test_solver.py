@@ -10,6 +10,7 @@ from iclsq.elliptic import EllipticProblem
 from iclsq.solver import (
     SolveStatus,
     SolverConfig,
+    Trajectory,
     default_gamma0,
     solve,
 )
@@ -30,29 +31,33 @@ class TestDefaultGamma0:
         assert default_gamma0(np.zeros(4), np.ones(4)) == 2.0
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["solve", "trajectory"])
 class TestStoppingCheck:
-    """The stopping tests at u0, seen through ``solve`` with no iteration
-    allowed."""
+    """The stop rule at u0, seen through ``solve`` with no iteration allowed,
+    run plainly and read off a ``Trajectory``: a top that converges at the
+    budget reads converged, not ``budget_exhausted``."""
 
     @staticmethod
-    def status(problem, u0):
+    def status(problem, u0, shared):
         config = SolverConfig(eps_R=1e-3, eps_g=1e-4, max_iter=0)
-        return solve(problem, np.asarray(u0, dtype=float), config).status
+        trajectory = Trajectory() if shared else None
+        return solve(problem, np.asarray(u0, dtype=float), config, trajectory=trajectory).status
 
-    def test_zero_residual_wins(self):
+    def test_zero_residual_wins(self, shared):
         # R = u0 = 0 and g = 0: the residual test comes first
-        assert self.status(IdentityProblem(3), np.zeros(3)) is SolveStatus.CONVERGED_RESIDUAL
+        status = self.status(IdentityProblem(3), np.zeros(3), shared)
+        assert status is SolveStatus.CONVERGED_RESIDUAL
 
-    def test_zero_gradient(self):
-        status = self.status(ConstantResidualProblem(10.0 * np.ones(1)), np.ones(1))
+    def test_zero_gradient(self, shared):
+        status = self.status(ConstantResidualProblem(10.0 * np.ones(1)), np.ones(1), shared)
         assert status is SolveStatus.CONVERGED_SCALED_GRADIENT
 
-    def test_residual_boundary_inclusive(self):
+    def test_residual_boundary_inclusive(self, shared):
         # ||R|| = eps_R, and the scaled gradient is 1, far from eps_g
-        assert self.status(IdentityProblem(1), [1e-3]) is SolveStatus.CONVERGED_RESIDUAL
+        assert self.status(IdentityProblem(1), [1e-3], shared) is SolveStatus.CONVERGED_RESIDUAL
 
-    def test_continue(self):
-        assert self.status(IdentityProblem(2), np.ones(2)) is SolveStatus.BUDGET_EXHAUSTED
+    def test_continue(self, shared):
+        assert self.status(IdentityProblem(2), np.ones(2), shared) is SolveStatus.BUDGET_EXHAUSTED
 
 
 class TestIdentityTrajectory:
@@ -184,6 +189,25 @@ class TestTraceSink:
         assert out.successes == plain.successes < out.iterations
         assert out.counters.snapshot() == plain.counters.snapshot()
         assert out.u.tobytes() == plain.u.tobytes()
+
+    def test_sink_writing_to_records_leaves_later_cells_unchanged(self):
+        # each solve read off a trajectory gets its own copy of every record
+        prob = BurgersProblem(8, 8, nu=0.01)
+        loose = SolverConfig(theta=0.5, hessian_mode="zero", eps_g=1e-2)
+        tight = SolverConfig(theta=0.5, hessian_mode="zero", eps_g=1e-4)
+
+        def scribble(rec):
+            rec.u[:] = np.nan
+            rec.counters["forward_solves"] = -1
+
+        trajectory = Trajectory()
+        first = solve(prob, np.zeros(prob.n), loose, trace_sink=scribble, trajectory=trajectory)
+        shared = []
+        solve(prob, np.zeros(prob.n), tight, trace_sink=shared.append, trajectory=trajectory)
+        _, alone = solve_traced(prob, np.zeros(prob.n), tight)
+        assert 0 < first.iterations < len(alone)
+        assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
+        assert [r.u.tobytes() for r in shared] == [r.u.tobytes() for r in alone]
 
     @pytest.mark.parametrize("max_iter,status", [
         (300, SolveStatus.CONVERGED_SCALED_GRADIENT),
