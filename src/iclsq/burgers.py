@@ -24,14 +24,18 @@ The linearized constraint c_y is block lower bidiagonal in time. One
 method, ``_factor``, factors it with one ``step_jacobian`` call on the stack
 of all time steps' blocks and returns its solve; ``linearize``'s solves use
 it and keep its factors, since they solve many times at one base point. On
-grids of up to 32 nodes each
-(transposed) solve is one LAPACK general band solve (``dgbtrs``) through
-one band LU of c_y^T (``dgbtrf``), so no Python loop runs over the time
-steps. On wider grids the band's fill costs more than the loop's calls
-save, and the solves are forward (backward) substitutions over the time
-blocks, each through its time step's tridiagonal LU factor (applied with
+grids of up to 32 nodes it is one band LU of c_y^T (``dgbtrf``), built in a
+copy of a band that holds the constant -M/dt blocks, so no Python loop runs
+over the time steps. A c_y solve is one LAPACK band solve (``dgbtrs``,
+transposed). So is a c_y^T solve when the LU swapped a row; when it swapped
+none, the solve is two BLAS band triangular solves (``dtbsv``), with L and
+with U, the same arithmetic as ``dgbtrs`` without its one BLAS call per
+row. On wider grids the band's fill costs more than the loop's calls save,
+and the solves are forward (backward) substitutions over the time blocks,
+each through its time step's tridiagonal LU factor (applied with
 ``dgttrs``) from one ``dgttrf`` per time step; these solves and the
-wide-grid Newton corrections share one substitution loop, ``_substitute``.
+wide-grid Newton corrections share one substitution loop, ``_substitute``,
+which solves each block in place in its row of the result.
 ``linearize`` leaves the factoring to the first solve at the base point,
 and the solve lives in its ``Linearization``.
 The substitutions apply M/dt to single blocks with the same 3-point
@@ -45,7 +49,8 @@ block column on the states in the state half, with scales outside the
 matrix: sqrt(dt) on the state half (in transpose, the state columns),
 sqrt(omega dt) on the control half. c_u places M one block right of the
 diagonal. The residual is linear, G (u, y - z). These matrices, the 3-point
-kernels and ``step_jacobian``'s constant terms are built on first use.
+kernels, ``step_jacobian``'s constant terms and the band's -M/dt blocks are
+built on first use.
 
 Unknowns for the implicit-problem contract are the states at steps 1..Nt;
 the initial state is data. Controls carry Nt + 1 blocks including a block
@@ -60,6 +65,7 @@ import math
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv, dgttrf, dgttrs, dpttrf
 
 from .core import DimensionMismatch, EvalCounters, ImplicitProblem, Linearization
@@ -69,10 +75,11 @@ from .core import check_integer, check_positive, sparse_operator, stencil_csr
 __all__ = ["BurgersProblem"]
 
 
-# c_y solves on grids of up to this many nodes are one band LU solve. Wider
+# c_y solves on grids of up to this many nodes go through one band LU. Wider
 # grids solve step by step, since there the band's fill costs more than the
-# per-step calls: at 128 x 32 on a 2-vCPU Xeon a band solve took 347 us
-# against the loop's 153 us, and the band LU 6.5 ms against 0.4 ms.
+# per-step calls: at 128 x 32 on a 2-vCPU Xeon a band solve took 500 us
+# with c_y and 260 us with c_y^T, against the loop's 190 us either way, and
+# the band LU 5.3 ms against 0.2 ms for the per-step factors.
 _BAND_MAX_NX = 32
 
 
@@ -319,44 +326,53 @@ class BurgersProblem(ImplicitProblem):
         on the stack of all time steps' blocks. Up to ``_BAND_MAX_NX`` nodes
         that is one general band LU (``dgbtrf``) of c_y^T, which is block
         upper bidiagonal: the transposed step Jacobians on the diagonal and
-        -M/dt above it, so kl = 1 and ku = nx + 1. Its row swaps stay inside a
-        time step, so a zero pivot names its step. On wider grids it is one
-        tridiagonal LU (``dgttrf``) per time step, of its step Jacobian, and a
-        solve substitutes through the time steps (``_substitute``). A
-        linearization keeps these factors, since it solves with them many
-        times; a wide-grid Newton correction, which would solve once, goes
-        through ``_correct``."""
+        -M/dt above it, so kl = 1 and ku = nx + 1. The band is a copy of
+        ``_band``'s Fortran-ordered template with the step Jacobians filled
+        in, factored in place. Its row swaps stay inside a time step, so a
+        zero pivot names its step. A c_y solve is ``dgbtrs``'s transposed
+        one; a c_y^T solve is ``dgbtrs`` too if the LU swapped a row, and
+        otherwise two ``dtbsv`` calls that round as ``dgbtrs`` does. On
+        wider grids it is one tridiagonal LU (``dgttrf``) per time step, of
+        its step Jacobian, and a solve substitutes through the time steps
+        (``_substitute``). Every solve returns new memory and leaves ``rhs``
+        as it was. A linearization keeps these factors, since it solves with
+        them many times; a wide-grid Newton correction, which would solve
+        once, goes through ``_correct``."""
         nx, nt = self.nx, self.nt
         lower, diag, upper = self.step_jacobian(yb)
         if nx <= _BAND_MAX_NX:
-            # band row nx + 2 - d holds diagonal d of c_y^T, row 0 the fill
-            ab = np.zeros((nx + 4, nt, nx))
-            ab[nx + 1, :, 1:], ab[nx + 2], ab[nx + 3, :, :-1] = lower, diag, upper
-            # -M/dt at diagonals nx + 1, nx and nx - 1; added, because at nx = 2
-            # row 3 is also the step Jacobians' superdiagonal
-            m_lo, m_d, m_up = self._stencils[0]
-            ab[1, 1:, 1:] -= m_lo
-            ab[2, 1:] -= m_d
-            ab[3, 1:, :-1] -= m_up
-            lu, ipiv, info = dgbtrf(ab.reshape(nx + 4, nt * nx), 1, nx + 1)
+            template, unswapped = self._band
+            lu = template.copy(order="F")
+            # the band's columns as (step, node, band row): the transposed step
+            # Jacobians go in rows nx + 1 to nx + 3
+            cols = lu.T.reshape(nt, nx, nx + 4)
+            cols[:, 1:, nx + 1], cols[:, :, nx + 2], cols[:, :-1, nx + 3] = lower, diag, upper
+            lu, ipiv, info = dgbtrf(lu, 1, nx + 1, overwrite_ab=1)
             if info > 0:
                 raise _singular(info, nx)
-            # c_y is the transpose of the factored matrix
-            return lambda rhs, transpose: dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0]
+            # Without a row swap, c_y^T = L U with L unit lower bidiagonal, its
+            # multipliers in lu's last row; a c_y^T solve is then two dtbsv
+            # calls, dgbtrs's own U solve after an L solve in the same axpy
+            # kernel as its dger steps, so it rounds alike.
+            unit_lower = np.asfortranarray(lu[nx + 2 :]) if (ipiv == unswapped).all() else None
+
+            def solve(rhs, transpose):
+                if transpose and unit_lower is not None:
+                    x = dtbsv(1, unit_lower, rhs, lower=1, diag=1)
+                    return dtbsv(nx + 2, lu, x, overwrite_x=1)
+                # c_y is the transpose of the factored matrix
+                return dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0]
+
+            return solve
         steps = []
         for i in range(nt):
             *factor, info = dgttrf(lower[i], diag, upper[i])
             if info > 0:
                 raise _singular(i * nx + info, nx)
             steps.append(factor)
-
-        def substitute(rhs, transpose):
-            trans = "T" if transpose else "N"
-            return self._substitute(
-                rhs.reshape(nt, nx), lambda i, b: dgttrs(*steps[i], b, trans, 1), transpose
-            ).ravel()
-
-        return substitute
+        # dgttrs(dl, d, du, du2, ipiv, b, trans, overwrite_b)
+        return lambda rhs, transpose: self._substitute(
+            rhs.reshape(nt, nx), dgttrs, steps, ("T" if transpose else "N", 1), transpose).ravel()
 
     def _correct(self, yb, res) -> np.ndarray:
         """The (nt, nx) Newton correction c_y^{-1} res at the state blocks
@@ -368,36 +384,61 @@ class BurgersProblem(ImplicitProblem):
         if self.nx <= _BAND_MAX_NX:
             return self._factor(yb)(res.ravel(), False).reshape(res.shape)
         lower, diag, upper = self.step_jacobian(yb)
-        # fresh off-diagonals and right-hand side are overwritten, the diagonal copied
-        return self._substitute(res, lambda i, b: dgtsv(
-            lower[i], diag, upper[i], b, overwrite_dl=1, overwrite_du=1, overwrite_b=1))
+        # dgtsv(dl, d, du, b, overwrite_dl, overwrite_d, overwrite_du, overwrite_b):
+        # fresh off-diagonals are overwritten; the shared diagonal is copied, as
+        # f2py would overwrite it although it is read only
+        return self._substitute(res, dgtsv, [(lo, diag, up) for lo, up in zip(lower, upper)],
+                                (1, 0, 1, 1))
 
-    def _substitute(self, rhs, solve, backward=False) -> np.ndarray:
+    def _substitute(self, rhs, routine, args, tail, backward=False) -> np.ndarray:
         """Block forward (``backward``: backward) substitution with c_y (c_y^T)
-        for the (nt, nx) ``rhs``. ``solve(i, b)`` solves step i's block for
-        b = rhs[i] + M/dt times the block solved before it and returns a LAPACK
-        result ending in ``(x, info)``; info > 0, a zero pivot, names step i + 1."""
+        for the (nt, nx) ``rhs``. Row i of the result first holds step i's
+        right-hand side, rhs[i] + M/dt times the block solved before it, and
+        ``routine(*args[i], row, *tail)``, a LAPACK tridiagonal solve
+        (``dgttrs``, ``dgtsv``) whose trailing arguments ``tail`` tell it to
+        overwrite its right-hand side, solves it there; its last result,
+        info > 0, a zero pivot, names step i + 1. The arguments are
+        positional, since keywords would cost a dict per call."""
         nt, nx = rhs.shape
         mass_dt = self._stencils[0]
         out = np.empty((nt, nx))
         x = np.zeros(nx)
         for i in range(nt - 1, -1, -1) if backward else range(nt):
+            row = out[i]
             # M is symmetric, so c_y and c_y^T couple the steps alike
-            x, info = solve(i, rhs[i] + np.correlate(x, mass_dt, "same"))[-2:]
+            np.add(rhs[i], np.correlate(x, mass_dt, "same"), out=row)
+            info = routine(*args[i], row, *tail)[-1]
             if info > 0:
                 raise _singular(i * nx + info, nx)
-            out[i] = x
+            x = row
         return out
 
     def solve_cy(self, lin, rhs) -> np.ndarray:
-        """One band solve with the factor of c_y^T, or on wide grids block
-        forward substitution through the time steps."""
+        """One transposed band solve with the factor of c_y^T, or on wide
+        grids block forward substitution through the time steps."""
         return lin.factors(as_vector(rhs, self.n_y, name="rhs"), False)
 
     def solve_cy_transpose(self, lin, rhs) -> np.ndarray:
-        """One band solve, or block backward substitution with the transposed
-        step Jacobians."""
+        """One band solve (two triangular ones if the LU swapped no row), or
+        block backward substitution with the transposed step Jacobians."""
         return lin.factors(as_vector(rhs, self.n_y, name="rhs"), True)
+
+    @cached_property
+    def _band(self) -> tuple:
+        """``(template, unswapped)``: the band that ``_factor`` copies up to
+        ``_BAND_MAX_NX`` nodes, LAPACK's (nx + 4, nt nx) general band storage
+        of c_y^T in Fortran order, whose row nx + 2 - d holds diagonal d and
+        row 0 the LU's fill, here with only the blocks -M/dt above the
+        diagonal set (diagonals nx + 1, nx and nx - 1), read only; and the
+        0-based pivots of an LU that swaps no row. Built on first use."""
+        nx, nt = self.nx, self.nt
+        template = np.zeros((nx + 4, nt * nx), order="F")
+        cols = template.T.reshape(nt, nx, nx + 4)
+        m_lo, m_d, m_up = self._stencils[0]
+        # at nx = 2 the steps' lower diagonal shares row 3, in the other column
+        cols[1:, 1:, 1], cols[1:, :, 2], cols[1:, :-1, 3] = -m_lo, -m_d, -m_up
+        template.setflags(write=False)
+        return template, np.arange(nt * nx, dtype=np.int32)
 
     @cached_property
     def _operators(self) -> tuple:

@@ -5,7 +5,8 @@ mirroring the benchmark tables: one row of the rendered grid per tolerance
 pair, one column per theta, counts of forward solves or Jacobian products in
 the cells, a dash where the budget ran out. ``ExperimentSpec._cells`` is
 the one list of a sweep's cells. A sweep runs one trajectory of iterates per
-theta, which its cells of that theta share. A sweep cell and ``iclsq solve``
+theta, which its cells of that theta share, and every trajectory begins at
+the sweep's one start at u0. A sweep cell and ``iclsq solve``
 run through the same cell runner, so both trace to JSONL alike and end a
 failed run's trace with its exception. Each command has one sub-parser per
 problem, which takes only that problem's flags.
@@ -29,7 +30,7 @@ import numpy as np
 from .burgers import BurgersProblem
 from .core import EvalCounters, ImplicitProblem
 from .elliptic import EllipticProblem
-from .solver import HESSIAN_MODES, SolverConfig, SolveStatus, Trajectory, solve
+from .solver import HESSIAN_MODES, SolverConfig, SolveStatus, Trajectory, _Start, solve
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -204,10 +205,13 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
 
     The cells of one theta differ only in their tolerances, so they share
     one ``Trajectory``: the sweep runs one stream of iterates per theta, and
-    each cell reads its row and trace off it at its own stop. A cell's
-    ``wall_ms`` is the stream's elapsed time at that stop. Each row keeps the
-    paper's per-cell counts, those of an independent run of the cell, so
-    their sum exceeds the work the sweep did. A failing cell is recorded
+    each cell reads its row and trace off it at its own stop. The streams
+    share one start, the work before the first step (the state solve,
+    linearization and gradient at u0, and the first curvature-norm
+    estimate), done once for the sweep. A cell's ``wall_ms`` is the stream's
+    elapsed time at that stop. Each row keeps the paper's per-cell counts,
+    those of an independent run of the cell, start included, so their sum
+    exceeds the work the sweep did. A failing cell is recorded
     with status "error" and its exception's class and message in
     ``error_type`` and ``error_message``, its trace ends with an
     ``{"error_type", "error_message"}`` record, and the sweep continues.
@@ -218,7 +222,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     out_dir = Path(spec.out_dir) if spec.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    trajectories = {theta: Trajectory() for theta in {config.theta for config in cells.values()}}
+    start = _Start()  # the work before the first step, the same for every theta
+    trajectories = {theta: Trajectory(start)
+                    for theta in {config.theta for config in cells.values()}}
     rows = [
         _run_cell(problem, spec.problem, config,
                   None if out_dir is None else out_dir / f"trace_{tag}.jsonl",

@@ -31,9 +31,15 @@ trial from there whose state solve succeeded with a nonzero step s_old, and
 from the predictor while there is none.
 
 ``solve`` runs the generator ``_iterate``, which yields each loop top, and
-keeps only the current top. A ``Trajectory`` shares that stream among the
-solves that differ only in their tolerances: a sweep runs one per theta, and
-a cell's ``wall_ms`` is the stream's elapsed time at the cell's stop.
+keeps only the current top. Every run begins at a ``_Start``: the state
+solve, residual, linearization and gradient at u0, and the first
+curvature-norm estimate there, none of which depends on theta or the
+tolerances; a plain ``solve`` makes its own. A ``Trajectory`` shares that
+stream among the solves that differ only in their tolerances, and
+trajectories may share one start: a sweep runs one stream per theta, all
+from one start, and a cell's ``wall_ms`` is its stream's elapsed time at the
+cell's stop. Each stream's counters still count the start's work, so every
+cell reads the counts of its independent run.
 """
 
 from __future__ import annotations
@@ -221,7 +227,8 @@ def solve(
         counters = EvalCounters()
     if trajectory is not None:
         return trajectory._read(problem, u, config, counters, trace_sink)
-    for k, u, y, R, g, gamma, successes in _iterate(problem, u, config, counters, trace_sink):
+    for k, u, y, R, g, gamma, successes in _iterate(problem, u, config, counters, trace_sink,
+                                                    _Start()):
         status = _stop(config, k, norm(R), norm(g))
         if status is not None:
             return SolveOutcome(status, u, y, R, g, gamma, k, successes, counters)
@@ -242,6 +249,14 @@ class Trajectory:
     raises the same exception in every solve that needs a later top, with
     the counters and records it had then.
 
+    Every stream of a trajectory, restarts included, begins at its
+    ``start``: the work before the first step, which depends on neither
+    theta nor the tolerances, done once. Trajectories given the same
+    ``start`` share it, so a sweep's streams, one per theta, share one
+    (``run_experiment``); each stream's counters still count the start's
+    work, as an independent run's would. Without one a trajectory has its
+    own.
+
     The stream keeps its own ``counters``, the ``(||R||, ||g||)`` of every
     top in ``norms``, every ``IterationTrace`` in ``records``, and the
     current top in ``top``, with the counters and the elapsed seconds there.
@@ -249,18 +264,20 @@ class Trajectory:
     last solve read from it.
     """
 
-    def __init__(self):
+    def __init__(self, start: _Start | None = None):
         self._binding = None
+        self._first = _Start() if start is None else start
         self.wall_s = 0.0
 
-    def _start(self, problem, u, config):
+    def _new_stream(self, problem, u, config):
         self.counters = EvalCounters()
         self.records = []
         self.norms = []
         self.top = None  # (yielded state, counters there, elapsed seconds there)
         self.error = None
         self.elapsed = 0.0
-        self._stream = _iterate(problem, u, config, self.counters, self.records.append)
+        self._stream = _iterate(problem, u, config, self.counters, self.records.append,
+                                self._first)
 
     def _advance(self):
         start = time.perf_counter()
@@ -276,15 +293,16 @@ class Trajectory:
     def _read(self, problem, u, config, counters, trace_sink) -> SolveOutcome:
         rest = replace(config, eps_R=1.0, eps_g=1.0)  # the config but its tolerances
         if self._binding is None:
+            self._first.bind(problem, u)
             self._binding = (problem, u, rest)
-            self._start(problem, u, config)
+            self._new_stream(problem, u, config)
         elif (problem is not self._binding[0] or u.tobytes() != self._binding[1].tobytes()
               or rest != self._binding[2]):
             raise ValueError("the trajectory is bound to another problem, u0 or config "
                              "(apart from eps_R and eps_g)")
 
         if any(_stop(config, k, *top) for k, top in enumerate(self.norms[:-1])):
-            self._start(problem, u, config)
+            self._new_stream(problem, u, config)
         while True:
             k = len(self.norms) - 1
             status = _stop(config, k, *self.norms[k]) if self.norms else None
@@ -310,23 +328,89 @@ class Trajectory:
                             successes, counters)
 
 
-def _iterate(problem, u, config, counters, trace_sink):
-    """The outer loop from the validated control ``u``. Yields
-    ``(k, u, y, R, g, gamma, successes)`` at each loop top, before its
-    stopping test, and takes iteration k's step when resumed; it keeps no
-    state of earlier tops. ``solve`` says what it counts and raises."""
-    counters.forward_solves += 1  # counted before it is tried, as at trial points
-    y = problem.solve_state(u, counters=counters)
-    R = problem.residual(y, u)
-    if not np.all(np.isfinite(R)):
-        raise ValueError("the residual at u0 is not finite")
-    jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
-    g = jac.apply_transpose(R)
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        g_norm = norm(g)
-    if not math.isfinite(g_norm):
-        raise FloatingPointError(f"the gradient at u0 overflowed: ||g|| = {g_norm}")
+class _Start:
+    """The start of a run at a (problem, u0): the state solve at u0, the
+    residual and its finiteness check, the linearization there, and the
+    gradient and its overflow check, which depend on neither the config nor
+    theta. The first ``take`` does them, on counters of its own; every
+    ``take`` adds those counts to its run's counters and hands it copies of
+    y, R and g and a Jacobian with its counters on the shared linearization,
+    whose factors the run only reads, or raises the exception the start
+    failed with, after adding the counts it had spent. The curvature-norm
+    estimate at the start's linearization is taken lazily, by the first run
+    that reaches its first step in Gauss-Newton mode, and kept for the rest.
 
+    A start binds to the first (problem, u0) it is given and refuses another
+    with ``ValueError``. ``solve`` runs on a fresh one; a ``Trajectory``
+    keeps one for all its streams.
+    """
+
+    def __init__(self):
+        self._binding = None
+        self._spent = None  # the counts of the work below, once done
+        self._estimate = None
+
+    def bind(self, problem, u):
+        if self._binding is None:
+            self._binding = (problem, u.copy())
+        elif problem is not self._binding[0] or u.tobytes() != self._binding[1].tobytes():
+            raise ValueError("the start is bound to another problem or u0")
+
+    def take(self, problem, u, counters):
+        """``(y, R, jac, g)`` at ``u`` for a run that tallies in ``counters``."""
+        self.bind(problem, u)
+        if self._spent is None:
+            spent = EvalCounters()
+            try:
+                result = self._run(problem, u, spent)
+            except Exception as exc:
+                result = exc
+            self._spent, self._result = spent, result
+        for f in fields(EvalCounters):
+            setattr(counters, f.name, getattr(counters, f.name) + getattr(self._spent, f.name))
+        if isinstance(self._result, Exception):
+            raise self._result
+        y, R, lin, g = self._result
+        return y.copy(), R.copy(), ReducedJacobian(problem, lin, counters), g.copy()
+
+    @staticmethod
+    def _run(problem, u, counters):
+        counters.forward_solves += 1  # counted before it is tried, as at trial points
+        y = problem.solve_state(u, counters=counters)
+        R = problem.residual(y, u)
+        if not np.all(np.isfinite(R)):
+            raise ValueError("the residual at u0 is not finite")
+        jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
+        g = jac.apply_transpose(R)
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            g_norm = norm(g)
+        if not math.isfinite(g_norm):
+            raise FloatingPointError(f"the gradient at u0 overflowed: ||g|| = {g_norm}")
+        return y, R, jac.lin, g
+
+    def estimate(self, problem) -> tuple:
+        """``_estimate`` at the start's linearization, taken once."""
+        if self._estimate is None:
+            self._estimate = _estimate(problem, self._result[2])
+        return self._estimate
+
+
+def _estimate(problem, lin) -> tuple:
+    """``(bound, applies)``: the curvature-norm bound at ``lin`` and the
+    Jacobian applications it took. Norm probes emulate a known curvature
+    bound; they run on a Jacobian with its own counters, so the run's
+    tallies match the cost model, and are tallied apart."""
+    probe = ReducedJacobian(problem, lin)
+    return estimate_operator_norm(probe), probe.counters.jacobian_applies
+
+
+def _iterate(problem, u, config, counters, trace_sink, start):
+    """The outer loop from the validated control ``u``, beginning at the
+    ``_Start`` ``start``. Yields ``(k, u, y, R, g, gamma, successes)`` at
+    each loop top, before its stopping test, and takes iteration k's step
+    when resumed; it keeps no state of earlier tops. ``solve`` says what it
+    counts and raises."""
+    y, R, jac, g = start.take(problem, u, counters)
     gamma = config.gamma0 if config.gamma0 is not None else default_gamma0(g, u)
     if config.gamma_min > gamma:
         raise ValueError(
@@ -342,14 +426,13 @@ def _iterate(problem, u, config, counters, trace_sink):
     for k in itertools.count():
         yield k, u, y, R, g, gamma, successes
 
-        if h_norm is None:
-            # Norm probes emulate a known curvature bound; they run on a
-            # Jacobian with its own counters at jac's linearization, so the
-            # run's tallies match the cost model, and are tallied apart.
-            probe = ReducedJacobian(problem, jac.lin)
-            h_norm = estimate_operator_norm(probe)
+        if h_norm is None:  # at k = 0 the start's estimate, shared by its streams
+            h_norm, probes = start.estimate(problem) if k == 0 else _estimate(problem, jac.lin)
             counters.norm_estimates += 1
-            counters.norm_probe_applies += probe.counters.jacobian_applies
+            counters.norm_probe_applies += probes
+        # no later top reads the start; unreferenced, a plain solve's start and
+        # the u0 arrays it keeps are freed here, not held to the end of the run
+        start = None
         model = (jac, R) if gauss_newton else ()
         if config.theta == 0.0:
             step = exact_step(g, gamma, h_norm, *model)
@@ -362,7 +445,7 @@ def _iterate(problem, u, config, counters, trace_sink):
 
         u_trial = u + step.step
         step_norm = norm(step.step)
-        def start():
+        def guess():
             if held is None:
                 counters.predictor_solves += 1
                 return y + problem.solve_cy(jac.lin, -(jac.lin.cu @ step.step))
@@ -370,7 +453,7 @@ def _iterate(problem, u, config, counters, trace_sink):
         counters.forward_solves += 1  # a failed attempt still costs a solve
         failure = ""
         try:
-            y_trial = problem.solve_state(u_trial, start=start, counters=counters)
+            y_trial = problem.solve_state(u_trial, start=guess, counters=counters)
         except StateSolveError as exc:
             failure = f"trial state solve failed ({type(exc).__name__}: {exc})"
         else:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgbtrf, dgtsv, dgttrf, dgttrs
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
@@ -140,6 +140,43 @@ def dense_cy(prob, y):
         if i > 0:
             cy[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -M / prob.dt
     return cy
+
+
+def reference_band_lu(prob, yb):
+    """``(lu, ipiv, info)`` of LAPACK's band LU of c_y^T (kl = 1, ku = nx + 1)
+    at the (nt, nx) state blocks ``yb``, its band built in C order from
+    zeros, with the steps' Jacobians written in and -M/dt subtracted, and
+    handed to ``dgbtrf`` to copy into Fortran order."""
+    nx, nt = prob.nx, prob.nt
+    lower, diag, upper = prob.step_jacobian(yb)
+    ab = np.zeros((nx + 4, nt, nx))  # row nx + 2 - d holds diagonal d
+    ab[nx + 1, :, 1:], ab[nx + 2], ab[nx + 3, :, :-1] = lower, diag, upper
+    m_lo, m_d, m_up = (x / prob.dt for x in prob.M)
+    ab[1, 1:, 1:] -= m_lo
+    ab[2, 1:] -= m_d
+    ab[3, 1:, :-1] -= m_up  # at nx = 2 the same row as the steps' lower diagonal
+    return dgbtrf(ab.reshape(nx + 4, nt * nx), 1, nx + 1)
+
+
+def reference_substitution(prob, yb, rhs, transpose=False, fused=False):
+    """c_y^{-1} rhs (c_y^{-T} rhs if ``transpose``) at the (nt, nx) state
+    blocks ``yb`` by block substitution through the time steps, each step's
+    right-hand side formed as a new array and solved into another: with the
+    step's ``dgttrf`` factor and ``dgttrs``, or with ``fused``, forward
+    only, with one ``dgtsv``."""
+    nx, nt = prob.nx, prob.nt
+    lower, diag, upper = prob.step_jacobian(yb)
+    mass_dt = np.array([x / prob.dt for x in prob.M])
+    out = np.empty((nt, nx))
+    x = np.zeros(nx)
+    for i in range(nt - 1, -1, -1) if transpose else range(nt):
+        b = rhs.reshape(nt, nx)[i] + np.correlate(x, mass_dt, "same")
+        if fused:
+            x = dgtsv(lower[i].copy(), diag, upper[i].copy(), b)[-2]
+        else:
+            x = dgttrs(*dgttrf(lower[i], diag, upper[i])[:-1], b, "T" if transpose else "N")[0]
+        out[i] = x
+    return out.ravel()
 
 
 def dense_partials(prob):

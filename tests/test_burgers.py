@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrs
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem, _padded
@@ -14,14 +15,17 @@ from iclsq.solver import SolverConfig, solve
 
 from conftest import (
     assert_adjoint_identity,
+    captured,
     constraint_residual,
     dense_cy,
     dense_partials,
     dense_jacobian_oracle,
     feasibility_tol,
     partial_jacobian,
+    reference_band_lu,
     reference_solve_state,
     reference_step_jacobian,
+    reference_substitution,
     step_residual,
     tridiag_dense,
 )
@@ -57,8 +61,8 @@ def assert_close(got, expected, rtol=1e-12):
 
 
 def assert_same_bits(a, b):
-    np.testing.assert_array_equal(a, b)
-    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # signed zeros too
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))  # signed zeros too
 
 
 def assert_names_step_once(err, step):
@@ -464,6 +468,92 @@ class TestMarchingIsBitIdentical:
         assert ref.value.residual_norm > 0
         assert err.value.residual_norm == pytest.approx(ref.value.residual_norm, rel=1e-12)
         assert_names_step_once(err, 3)
+
+
+def band_draws(nx, nt):
+    """(problem, state blocks) pairs at nu = 0.1 and 1e-4 whose band LU of
+    c_y^T swaps no row (the states of size 0 and 0.5) or swaps rows (size 30)."""
+    rng = np.random.default_rng(nx * 100 + nt)
+    for nu in (0.1, 1e-4):
+        prob = BurgersProblem(nx, nt, nu=nu)
+        for scale in (0.0, 0.5, 30.0):
+            yield prob, scale * rng.uniform(-1.0, 1.0, (nt, nx))
+
+
+def right_hand_sides(rng, n):
+    """A random right-hand side, one with signed zeros among its entries, and -0 everywhere."""
+    zeros = rng.standard_normal(n)
+    zeros[::5], zeros[1::7] = -0.0, 0.0
+    return rng.standard_normal(n), zeros, np.full(n, -0.0)
+
+
+def assert_fresh(solution, rhs, kept, *held):
+    """The solve left its right-hand side as it was and wrote new memory."""
+    assert_same_bits(rhs, kept)
+    assert not any(np.shares_memory(solution, other) for other in (rhs, *held))
+
+
+class TestFactorSolvesBitForBit:
+    """Up to 32 nodes, ``_factor`` fills a copy of a prebuilt band and solves
+    with c_y^T by two ``dtbsv`` calls when its LU swapped no row; above, the
+    solves write each step's right-hand side into the result and solve it
+    there. Each gives the bits of the LAPACK calls it replaced."""
+
+    @pytest.mark.parametrize("nt", [1, 2, 16])
+    @pytest.mark.parametrize("nx", [2, 3, 16, 32])
+    def test_band_lu_is_the_reference_band_lu(self, nx, nt):
+        swapped = set()
+        for prob, yb in band_draws(nx, nt):
+            factors = captured(prob._factor(yb))
+            lu, ipiv, info = reference_band_lu(prob, yb)
+            assert info == 0
+            assert_same_bits(factors["lu"], lu)
+            assert factors["ipiv"].dtype == ipiv.dtype
+            np.testing.assert_array_equal(factors["ipiv"], ipiv)
+            swapped.add(bool(np.any(ipiv != np.arange(prob.n_y))))
+        assert swapped == {False, True}
+
+    @pytest.mark.parametrize("nt", [1, 2, 16])
+    @pytest.mark.parametrize("nx", [2, 3, 16, 32])
+    def test_band_solves_are_dgbtrs_bit_for_bit(self, nx, nt):
+        rng = np.random.default_rng(nx * 10 + nt)
+        for prob, yb in band_draws(nx, nt):
+            solve = prob._factor(yb)
+            lu, ipiv, _ = reference_band_lu(prob, yb)
+            for rhs in right_hand_sides(rng, prob.n_y):
+                kept = rhs.copy()
+                for transpose in (True, False):
+                    got = solve(rhs, transpose)
+                    # c_y^T is the factored matrix, c_y its transpose
+                    assert_same_bits(got, dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0])
+                    assert_fresh(got, rhs, kept, solve(rhs, transpose), captured(solve)["lu"])
+
+    def test_band_template_is_built_on_first_use_and_read_only(self):
+        prob = BurgersProblem(5, 4)
+        assert "_band" not in vars(prob)
+        prob.linearize(np.zeros(prob.n_y), np.zeros(prob.n)).factors
+        template, _ = prob._band
+        assert template.flags.f_contiguous and not template.flags.writeable
+
+    @pytest.mark.parametrize("nt", [1, 3])
+    @pytest.mark.parametrize("nx", [33, 40])
+    def test_wide_solves_are_the_reference_substitution(self, nx, nt):
+        rng = np.random.default_rng(nx * 10 + nt)
+        for _ in range(5):
+            prob = BurgersProblem(nx, nt, nu=rng.uniform(1e-3, 1.0))
+            # the strided view of the states that the Newton loop corrects
+            yb = _padded(prob.y0, rng.uniform(-2.0, 2.0, (nt, nx)))[1]
+            solve = prob._factor(yb)
+            for rhs in right_hand_sides(rng, prob.n_y):
+                kept = rhs.copy()
+                for transpose in (False, True):
+                    got = solve(rhs, transpose)
+                    assert_same_bits(got, reference_substitution(prob, yb, rhs, transpose))
+                    assert_fresh(got, rhs, kept, solve(rhs, transpose))
+                res = rhs.reshape(nt, nx)
+                got = prob._correct(yb, res)
+                assert_same_bits(got.ravel(), reference_substitution(prob, yb, rhs, fused=True))
+                assert_fresh(got, res, kept.reshape(nt, nx), prob._correct(yb, res))
 
 
 def guessed_trials(prob, configs):

@@ -223,8 +223,8 @@ class TestRunExperiment:
         built = []
 
         class Counted(harness.Trajectory):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 built.append(self)
 
         monkeypatch.setattr(harness, "Trajectory", Counted)

@@ -316,6 +316,9 @@ TIGHT_FIRST = ExperimentSpec("burgers", dict(nx=4, nt=4), theta_grid=(0.5, 0.0),
 # Newton diverges at the zero control: every cell fails at u0
 ALL_FAIL_AT_U0 = ExperimentSpec("burgers", dict(nx=12, nt=1, nu=1e-4), theta_grid=(0.0, 1e-2),
                                 eps_grid=((1e-2, 1e-4), (1e-2, 1e-6)))
+# the tolerance pairs of CI's sweep that is not nested: some cells start their stream over
+NOT_NESTED = ExperimentSpec("burgers", dict(nx=4, nt=2), theta_grid=(0.0, 0.01, 0.5),
+                            eps_grid=((1e-2, 1e-6), (1e-2, 1e-3), (1e-3, 1e-8), (1e-1, 1e-4)))
 
 
 @fast
@@ -323,6 +326,7 @@ ALL_FAIL_AT_U0 = ExperimentSpec("burgers", dict(nx=12, nt=1, nu=1e-4), theta_gri
 @example(spec=TIGHT_FIRST)
 @example(spec=dataclasses.replace(TIGHT_FIRST, hessian_mode="zero"))
 @example(spec=ALL_FAIL_AT_U0)
+@example(spec=NOT_NESTED)
 def test_a_sweep_equals_its_independent_cells(spec):
     check_sweep_equals_independent_cells(spec)
 
@@ -339,7 +343,9 @@ def test_a_nested_sweep_runs_one_trajectory_per_theta():
     """Loosest pair first, each theta's stream runs once, to its tightest
     cell's stop, and a cell's wall_ms, the stream's elapsed time at its
     stop, grows with the stop; tightest first, every later cell starts its
-    stream over."""
+    stream over. Every stream begins at the sweep's one start, so the state
+    solve at u0 runs once in all: each stream after the first runs one
+    state solve fewer than its cells count."""
     spec = dataclasses.replace(TIGHT_FIRST, eps_grid=TIGHT_FIRST.eps_grid[::-1])
     rows, solves = counted_state_solves(spec)
     per_theta = {}
@@ -348,9 +354,67 @@ def test_a_nested_sweep_runs_one_trajectory_per_theta():
     for cells in per_theta.values():
         assert len({pde for pde, _ in cells}) == len(cells)  # distinct stops
         assert sorted(cells) == sorted(cells, key=lambda cell: cell[1])
-    assert solves == sum(max(cells)[0] for cells in per_theta.values())
+    assert solves == sum(max(cells)[0] for cells in per_theta.values()) - (len(per_theta) - 1)
     _, restarted = counted_state_solves(TIGHT_FIRST)
-    assert restarted == sum(row.pde_solves for row in rows)
+    assert restarted == sum(row.pde_solves for row in rows) - (len(rows) - 1)
+
+
+def test_a_sweep_takes_its_start_once(monkeypatch):
+    """However many thetas it has, a sweep solves the state at u0 (its only
+    solve without a guess), factors c_y there and estimates the curvature
+    norm there once; its cells run alone do each once per cell."""
+    spec = ExperimentSpec("burgers", dict(nx=8, nt=4, nu=0.01), theta_grid=(0.0, 1e-2, 0.5),
+                          eps_grid=((1e-2, 1e-4), (1e-2, 1e-6)))
+    cold = BurgersProblem(**spec.problem_params).solve_state(np.zeros(40))
+    calls, at_u0 = dict.fromkeys(("state solves", "factor builds", "estimates"), 0), []
+    solve_state, linearize, factor = (BurgersProblem.solve_state, BurgersProblem.linearize,
+                                      BurgersProblem._factor)
+
+    def counted_solve_state(self, u, start=None, counters=None):
+        calls["state solves"] += start is None
+        return solve_state(self, u, start, counters)
+
+    def recorded_linearize(self, y, u):
+        lin = linearize(self, y, u)
+        if not u.any():
+            at_u0.append(lin)
+        return lin
+
+    def counted_factor(self, yb):
+        calls["factor builds"] += yb.tobytes() == cold.tobytes()
+        return factor(self, yb)
+
+    def counted_estimate(J, _original=solver_mod.estimate_operator_norm):
+        calls["estimates"] += any(J.lin is lin for lin in at_u0)
+        return _original(J)
+
+    monkeypatch.setattr(BurgersProblem, "solve_state", counted_solve_state)
+    monkeypatch.setattr(BurgersProblem, "linearize", recorded_linearize)
+    monkeypatch.setattr(BurgersProblem, "_factor", counted_factor)
+    monkeypatch.setattr(solver_mod, "estimate_operator_norm", counted_estimate)
+    rows = run_experiment(spec)
+    assert {row.status for row in rows} == {"converged_scaled_gradient"}
+    assert calls == dict.fromkeys(calls, 1)
+    problem = BurgersProblem(**spec.problem_params)
+    for config in spec._cells().values():
+        harness._run_cell(problem, "burgers", config, None)
+    assert calls == dict.fromkeys(calls, 1 + len(rows))
+
+
+@pytest.mark.parametrize("change", ["problem", "u0"])
+def test_a_start_refuses_another_problem_or_u0(change):
+    problem = BurgersProblem(4, 2)
+    config = SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2, max_iter=5)
+    start = solver_mod._Start()
+    solve(problem, np.zeros(problem.n), config, trajectory=Trajectory(start))
+    other = ((BurgersProblem(4, 2), np.zeros(problem.n)) if change == "problem"
+             else (problem, np.full(problem.n, 0.1)))
+    with pytest.raises(ValueError, match="start is bound"):
+        solve(*other, config, trajectory=Trajectory(start))
+    # the pair it is bound to is still served, to another theta
+    read = read_cell(problem, np.zeros(problem.n), dataclasses.replace(config, theta=0.5),
+                     Trajectory(start))
+    assert read == read_cell(problem, np.zeros(problem.n), dataclasses.replace(config, theta=0.5))
 
 
 @pytest.mark.parametrize("change", [{"problem": BurgersProblem(4, 2)}, {"u0": 0.1},
