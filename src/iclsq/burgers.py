@@ -26,16 +26,17 @@ of all time steps' blocks and returns its solve; ``linearize``'s solves use
 it and keep its factors, since they solve many times at one base point. On
 grids of up to 32 nodes it is one band LU of c_y^T (``dgbtrf``), built in a
 copy of a band that holds the constant -M/dt blocks, so no Python loop runs
-over the time steps. A c_y solve is one LAPACK band solve (``dgbtrs``,
-transposed). So is a c_y^T solve when the LU swapped a row; when it swapped
-none, the solve is two BLAS band triangular solves (``dtbsv``), with L and
-with U, the same arithmetic as ``dgbtrs`` without its one BLAS call per
-row. On wider grids the band's fill costs more than the loop's calls save,
-and the solves are forward (backward) substitutions over the time blocks,
-each through its time step's tridiagonal LU factor (applied with
-``dgttrs``) from one ``dgttrf`` per time step; these solves and the
-wide-grid Newton corrections share one substitution loop, ``_substitute``,
-which solves each block in place in its row of the result.
+over the time steps. When the LU swapped no row, a solve in either
+direction is two BLAS band triangular solves (``dtbsv``) on its factors,
+with L and then U for c_y^T and with U^T and then L^T for c_y, without
+``dgbtrs``'s one BLAS call per row; when it swapped a row, a solve is one
+LAPACK band solve (``dgbtrs``, transposed for c_y). On wider grids the
+band's fill costs more than the loop's calls save, and the solves are
+forward (backward) substitutions over the time blocks, each through its time
+step's tridiagonal LU factor (applied with ``dgttrs``) from one ``dgttrf``
+per time step; these solves and the wide-grid Newton corrections share one
+substitution loop, ``_substitute``, which solves each block in place in its
+row of the result.
 ``linearize`` leaves the factoring to the first solve at the base point,
 and the solve lives in its ``Linearization``.
 The substitutions apply M/dt to single blocks with the same 3-point
@@ -77,9 +78,10 @@ __all__ = ["BurgersProblem"]
 
 # c_y solves on grids of up to this many nodes go through one band LU. Wider
 # grids solve step by step, since there the band's fill costs more than the
-# per-step calls: at 128 x 32 on a 2-vCPU Xeon a band solve took 500 us
-# with c_y and 260 us with c_y^T, against the loop's 190 us either way, and
-# the band LU 5.3 ms against 0.2 ms for the per-step factors.
+# per-step calls: at 128 x 32 on a 2-vCPU Xeon a band solve (two dtbsv
+# calls, its LU swapping no row) took 170 us with c_y and 200 us with c_y^T,
+# against the loop's 120 us either way, and the band LU 2.6 ms against
+# 0.11 ms for the per-step factors.
 _BAND_MAX_NX = 32
 
 
@@ -329,11 +331,10 @@ class BurgersProblem(ImplicitProblem):
         -M/dt above it, so kl = 1 and ku = nx + 1. The band is a copy of
         ``_band``'s Fortran-ordered template with the step Jacobians filled
         in, factored in place. Its row swaps stay inside a time step, so a
-        zero pivot names its step. A c_y solve is ``dgbtrs``'s transposed
-        one; a c_y^T solve is ``dgbtrs`` too if the LU swapped a row, and
-        otherwise two ``dtbsv`` calls that round as ``dgbtrs`` does. On
-        wider grids it is one tridiagonal LU (``dgttrf``) per time step, of
-        its step Jacobian, and a solve substitutes through the time steps
+        zero pivot names its step. If the LU swapped no row, a solve is two
+        ``dtbsv`` calls on its factors, and otherwise ``dgbtrs`` (transposed
+        for c_y). On wider grids it is one tridiagonal LU (``dgttrf``) per
+        time step, of its step Jacobian, and a solve substitutes through the time steps
         (``_substitute``). Every solve returns new memory and leaves ``rhs``
         as it was. A linearization keeps these factors, since it solves with
         them many times; a wide-grid Newton correction, which would solve
@@ -351,17 +352,22 @@ class BurgersProblem(ImplicitProblem):
             if info > 0:
                 raise _singular(info, nx)
             # Without a row swap, c_y^T = L U with L unit lower bidiagonal, its
-            # multipliers in lu's last row; a c_y^T solve is then two dtbsv
-            # calls, dgbtrs's own U solve after an L solve in the same axpy
-            # kernel as its dger steps, so it rounds alike.
+            # multipliers in lu's last row, and c_y = U^T L^T: each solve is two
+            # dtbsv calls, where dgbtrs's L step makes one BLAS call per row. A
+            # c_y^T solve rounds as dgbtrs does (its U solve is dgbtrs's own, its
+            # L solve ends in the axpy kernel of dgbtrs's dger steps); a c_y
+            # solve's dot products are not dgbtrs's dgemv, so its last bits differ.
             unit_lower = np.asfortranarray(lu[nx + 2 :]) if (ipiv == unswapped).all() else None
 
             def solve(rhs, transpose):
-                if transpose and unit_lower is not None:
+                if unit_lower is None:
+                    # c_y is the transpose of the factored matrix
+                    return dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0]
+                if transpose:
                     x = dtbsv(1, unit_lower, rhs, lower=1, diag=1)
                     return dtbsv(nx + 2, lu, x, overwrite_x=1)
-                # c_y is the transpose of the factored matrix
-                return dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0]
+                x = dtbsv(nx + 2, lu, rhs, trans=1)
+                return dtbsv(1, unit_lower, x, lower=1, trans=1, diag=1, overwrite_x=1)
 
             return solve
         steps = []
@@ -377,10 +383,11 @@ class BurgersProblem(ImplicitProblem):
     def _correct(self, yb, res) -> np.ndarray:
         """The (nt, nx) Newton correction c_y^{-1} res at the state blocks
         ``yb``, for the (nt, nx) residuals ``res``. Up to ``_BAND_MAX_NX``
-        nodes it is ``_factor``'s solve. On wider grids no factor is kept,
-        since a correction uses it once: one ``step_jacobian`` call on the
-        stack, then ``_substitute`` with one ``dgtsv`` per time step, which
-        eliminates and substitutes as ``dgttrf`` and ``dgttrs`` do."""
+        nodes it is ``_factor``'s c_y solve, two ``dtbsv`` calls if its LU
+        swapped no row. On wider grids no factor is kept, since a correction
+        uses it once: one ``step_jacobian`` call on the stack, then
+        ``_substitute`` with one ``dgtsv`` per time step, which eliminates
+        and substitutes as ``dgttrf`` and ``dgttrs`` do."""
         if self.nx <= _BAND_MAX_NX:
             return self._factor(yb)(res.ravel(), False).reshape(res.shape)
         lower, diag, upper = self.step_jacobian(yb)
@@ -414,13 +421,15 @@ class BurgersProblem(ImplicitProblem):
         return out
 
     def solve_cy(self, lin, rhs) -> np.ndarray:
-        """One transposed band solve with the factor of c_y^T, or on wide
-        grids block forward substitution through the time steps."""
+        """Two transposed band triangular solves with the factors of c_y^T
+        (one transposed band solve if the LU swapped a row), or on wide grids
+        block forward substitution through the time steps."""
         return lin.factors(as_vector(rhs, self.n_y, name="rhs"), False)
 
     def solve_cy_transpose(self, lin, rhs) -> np.ndarray:
-        """One band solve (two triangular ones if the LU swapped no row), or
-        block backward substitution with the transposed step Jacobians."""
+        """Two band triangular solves with the factors of c_y^T (one band
+        solve if the LU swapped a row), or on wide grids block backward
+        substitution with the transposed step Jacobians."""
         return lin.factors(as_vector(rhs, self.n_y, name="rhs"), True)
 
     @cached_property

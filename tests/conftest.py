@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgtsv, dgttrf, dgttrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv, dgttrf, dgttrs
 
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem
@@ -156,6 +157,20 @@ def reference_band_lu(prob, yb):
     ab[2, 1:] -= m_d
     ab[3, 1:, :-1] -= m_up  # at nx = 2 the same row as the steps' lower diagonal
     return dgbtrf(ab.reshape(nx + 4, nt * nx), 1, nx + 1)
+
+
+def reference_band_solve(lu, ipiv, rhs, transpose):
+    """c_y^{-T} rhs (if ``transpose``) or c_y^{-1} rhs with the band LU
+    ``(lu, ipiv)`` of c_y^T that ``reference_band_lu`` returns: ``dgbtrs``,
+    but for a c_y solve on an LU that swapped no row, where c_y = U^T L^T,
+    two transposed ``dtbsv`` calls, with U^T and then with L^T, whose
+    multipliers are a Fortran copy of lu's last row."""
+    nx = lu.shape[0] - 4
+    if transpose or np.any(ipiv != np.arange(ipiv.size)):
+        # c_y^T is the factored matrix, c_y its transpose
+        return dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0]
+    x = dtbsv(nx + 2, lu, rhs, trans=1)
+    return dtbsv(1, np.asfortranarray(lu[nx + 2 :]), x, lower=1, trans=1, diag=1)
 
 
 def reference_substitution(prob, yb, rhs, transpose=False, fused=False):

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrs
 
+from iclsq import burgers
 from iclsq.adjoint import ReducedJacobian
 from iclsq.burgers import BurgersProblem, _padded
 from iclsq.core import DimensionMismatch, EvalCounters, LinearOperator, StateSolveError
@@ -23,6 +24,7 @@ from conftest import (
     feasibility_tol,
     partial_jacobian,
     reference_band_lu,
+    reference_band_solve,
     reference_solve_state,
     reference_step_jacobian,
     reference_substitution,
@@ -494,10 +496,12 @@ def assert_fresh(solution, rhs, kept, *held):
 
 
 class TestFactorSolvesBitForBit:
-    """Up to 32 nodes, ``_factor`` fills a copy of a prebuilt band and solves
-    with c_y^T by two ``dtbsv`` calls when its LU swapped no row; above, the
-    solves write each step's right-hand side into the result and solve it
-    there. Each gives the bits of the LAPACK calls it replaced."""
+    """Up to 32 nodes, ``_factor`` fills a copy of a prebuilt band and, when
+    its LU swapped no row, solves in both directions by two ``dtbsv`` calls
+    on its factors; above, the solves write each step's right-hand side into
+    the result and solve it there. Each gives the bits of its reference: the
+    LAPACK calls it replaced, or for a c_y solve without a row swap, the two
+    transposed ``dtbsv`` calls on the reference LU."""
 
     @pytest.mark.parametrize("nt", [1, 2, 16])
     @pytest.mark.parametrize("nx", [2, 3, 16, 32])
@@ -515,7 +519,7 @@ class TestFactorSolvesBitForBit:
 
     @pytest.mark.parametrize("nt", [1, 2, 16])
     @pytest.mark.parametrize("nx", [2, 3, 16, 32])
-    def test_band_solves_are_dgbtrs_bit_for_bit(self, nx, nt):
+    def test_band_solves_are_the_reference_band_solves(self, nx, nt):
         rng = np.random.default_rng(nx * 10 + nt)
         for prob, yb in band_draws(nx, nt):
             solve = prob._factor(yb)
@@ -524,9 +528,39 @@ class TestFactorSolvesBitForBit:
                 kept = rhs.copy()
                 for transpose in (True, False):
                     got = solve(rhs, transpose)
-                    # c_y^T is the factored matrix, c_y its transpose
-                    assert_same_bits(got, dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0])
+                    assert_same_bits(got, reference_band_solve(lu, ipiv, rhs, transpose))
+                    # and LAPACK's band solve, to rounding
+                    lapack = dgbtrs(lu, 1, nx + 1, rhs, ipiv, int(not transpose))[0]
+                    assert_close(got, lapack, rtol=1e-13)
                     assert_fresh(got, rhs, kept, solve(rhs, transpose), captured(solve)["lu"])
+
+    def test_band_solves_without_a_row_swap_call_no_dgbtrs(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dgbtrs(*args)
+
+        monkeypatch.setattr(burgers, "dgbtrs", counted)
+        rng = np.random.default_rng(7)
+        prob = BurgersProblem(16, 16)
+        yb = 0.5 * rng.uniform(-1.0, 1.0, (16, 16))
+        rhs = rng.standard_normal(prob.n_y)
+        solve = prob._factor(yb)
+        solve(rhs, False)
+        solve(rhs, True)
+        prob._correct(yb, rhs.reshape(16, 16))
+        assert calls == []
+        # every factor of this problem swaps a row, and keeps dgbtrs both ways
+        prob = BurgersProblem(12, 6, nu=1e-4)
+        yb = prob.state_blocks(prob.solve_state(np.zeros(prob.n)))
+        rhs = rng.standard_normal(prob.n_y)
+        solve = prob._factor(yb)
+        solve(rhs, False)
+        solve(rhs, True)
+        prob._correct(yb, rhs.reshape(6, 12))
+        # dgbtrs's last argument is its trans flag, 1 for a c_y solve
+        assert [args[-1] for args in calls] == [1, 0, 1]
 
     def test_band_template_is_built_on_first_use_and_read_only(self):
         prob = BurgersProblem(5, 4)

@@ -646,8 +646,14 @@ class TestPinnedCounters:
     # with 3-point correlations over zero-padded rows in place of the march's
     # unpadded convolutions and the sparse product moved the Burgers
     # theta = 0 row from 231/446/215 to 232/448/216; every other row held.
+    # Solving c_y at nx <= 32, when the band LU swapped no row, with two
+    # transposed dtbsv calls in place of dgbtrs's transposed solve, which
+    # rounds the linearized solves differently, moved the Burgers theta = 0
+    # row from 232/448/216 to 233/450/217; every other row held. The row now
+    # reads the same under OpenBLAS's SkylakeX, Haswell, Zen and Sandybridge
+    # kernels, and 230/444/214 under Prescott.
     CASES = [
-        ("burgers", "gauss_newton", 0.0, (15, 16, 232, 448, 216)),
+        ("burgers", "gauss_newton", 0.0, (15, 16, 233, 450, 217)),
         ("burgers", "gauss_newton", 1e-2, (15, 16, 81, 146, 65)),
         ("burgers", "gauss_newton", 0.5, (15, 16, 51, 86, 35)),
         ("elliptic", "gauss_newton", 0.0, (20, 21, 132, 243, 111)),
