@@ -4,11 +4,10 @@ Runs the solver over a grid of inexactness levels and stopping tolerances,
 mirroring the benchmark tables: one row of the rendered grid per tolerance
 pair, one column per theta, counts of forward solves or Jacobian products in
 the cells, a dash where the budget ran out. ``ExperimentSpec._cells`` is
-the one list of a sweep's cells. A sweep runs one trajectory of iterates per
-theta, which its cells of that theta share, and every trajectory begins at
-the sweep's one start at u0. A sweep cell and ``iclsq solve``
-run through the same cell runner, so both trace to JSONL alike and end a
-failed run's trace with its exception. Each command has one sub-parser per
+the one list of a sweep's cells. A sweep's cells share one trajectory, which
+runs one stream of iterates per theta, every stream from the one start at
+u0. A sweep cell and ``iclsq solve`` run through the same cell runner, so
+both trace to JSONL alike and end a failed run's trace with its exception. Each command has one sub-parser per
 problem, which takes only that problem's flags.
 """
 
@@ -30,7 +29,7 @@ import numpy as np
 from .burgers import BurgersProblem
 from .core import EvalCounters, ImplicitProblem
 from .elliptic import EllipticProblem
-from .solver import HESSIAN_MODES, SolverConfig, SolveStatus, Trajectory, _Start, solve
+from .solver import HESSIAN_MODES, SolverConfig, SolveStatus, Trajectory, solve
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -203,32 +202,30 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Run the cells of ``spec._cells()`` in order, each through ``_run_cell``
     with fresh counters; write CSVs and traces.
 
-    The cells of one theta differ only in their tolerances, so they share
-    one ``Trajectory``: the sweep runs one stream of iterates per theta, and
-    each cell reads its row and trace off it at its own stop. The streams
-    share one start, the work before the first step (the state solve,
-    linearization and gradient at u0, and the first curvature-norm
-    estimate), done once for the sweep. A cell's ``wall_ms`` is the stream's
-    elapsed time at that stop. Each row keeps the paper's per-cell counts,
-    those of an independent run of the cell, start included, so their sum
-    exceeds the work the sweep did. A failing cell is recorded
-    with status "error" and its exception's class and message in
-    ``error_type`` and ``error_message``, its trace ends with an
-    ``{"error_type", "error_message"}`` record, and the sweep continues.
-    Output is deterministic apart from wall times.
+    Every cell reads its result off one ``Trajectory``. The cells of one
+    theta differ only in their tolerances, so the trajectory runs one stream
+    of iterates per theta, and each cell reads its row and trace off its
+    stream at its own stop. The streams share the trajectory's one start,
+    the work before the first step (the state solve, linearization and
+    gradient at u0, and the first curvature-norm estimate), done once for
+    the sweep. A cell's ``wall_ms`` is its stream's elapsed time at that
+    stop. Each row keeps the paper's per-cell counts, those of an
+    independent run of the cell, start included, so their sum exceeds the
+    work the sweep did. A failing cell is recorded with status "error" and
+    its exception's class and message in ``error_type`` and
+    ``error_message``, its trace ends with an ``{"error_type",
+    "error_message"}`` record, and the sweep continues. Output is
+    deterministic apart from wall times.
     """
     cells = spec._cells()
     problem = PROBLEMS[spec.problem](**spec.problem_params)
     out_dir = Path(spec.out_dir) if spec.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    start = _Start()  # the work before the first step, the same for every theta
-    trajectories = {theta: Trajectory(start)
-                    for theta in {config.theta for config in cells.values()}}
+    trajectory = Trajectory()  # one stream per theta, all from one start at u0
     rows = [
         _run_cell(problem, spec.problem, config,
-                  None if out_dir is None else out_dir / f"trace_{tag}.jsonl",
-                  trajectories[config.theta])
+                  None if out_dir is None else out_dir / f"trace_{tag}.jsonl", trajectory)
         for tag, config in cells.items()
     ]
     if out_dir is not None:
@@ -335,11 +332,6 @@ def _set_args(args, names) -> dict:
     return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
-def _problem_params(args) -> dict:
-    """The chosen problem's constructor keywords among the set flags."""
-    return _set_args(args, _KEYWORDS[args.problem])
-
-
 def _default_eps_grid(problem: str, params: dict) -> tuple:
     if problem == "burgers":
         return ((1e-2, 1e-3), (1e-2, 1e-4), (1e-2, 1e-6))
@@ -365,7 +357,7 @@ def main(argv=None) -> int:
                 p_problem.add_argument(flag, **kwargs)
 
     args = parser.parse_args(argv)
-    params = _problem_params(args)
+    params = _set_args(args, _KEYWORDS[args.problem])
     settings = _set_args(args, _SOLVER_FIELDS)
 
     # every cell records its own failure, so what escapes is a bad setting,

@@ -31,15 +31,16 @@ trial from there whose state solve succeeded with a nonzero step s_old, and
 from the predictor while there is none.
 
 ``solve`` runs the generator ``_iterate``, which yields each loop top, and
-keeps only the current top. Every run begins at a ``_Start``: the state
-solve, residual, linearization and gradient at u0, and the first
-curvature-norm estimate there, none of which depends on theta or the
-tolerances; a plain ``solve`` makes its own. A ``Trajectory`` shares that
-stream among the solves that differ only in their tolerances, and
-trajectories may share one start: a sweep runs one stream per theta, all
-from one start, and a cell's ``wall_ms`` is its stream's elapsed time at the
-cell's stop. Each stream's counters still count the start's work, so every
-cell reads the counts of its independent run.
+keeps only the current top. Every run begins at the start a ``Trajectory``
+holds: the state solve, residual, linearization and gradient at u0, and the
+first curvature-norm estimate there, none of which depends on theta or the
+tolerances; a plain ``solve`` makes a fresh one. A ``Trajectory`` given to
+``solve`` keeps one stream of iterates per config apart from the
+tolerances, all from its one start, and each solve reads its result off
+its config's stream: a sweep shares one trajectory among its cells, so it
+runs one stream per theta, and a cell's ``wall_ms`` is its stream's elapsed
+time at the cell's stop. Each stream's counters still count the start's
+work, so every cell reads the counts of its independent run.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -215,10 +216,9 @@ def solve(
     problem is linearized and the gradient recomputed only at accepted points;
     with zero curvature the adjoint counter is exactly 1 + number of successes.
 
-    With a ``trajectory``, the result is read off the stream it shares with
+    With a ``trajectory``, the result is read off the stream it keeps for
     the solves that differ from this one only in ``eps_R`` and ``eps_g``
-    (see ``Trajectory``): the same outcome, records and exception, with
-    ``counters`` set to the stream's at this solve's stop.
+    (see ``Trajectory``): the same outcome, records, counters and exception.
     """
     u = as_vector(u0, problem.n, name="u0").copy()
     if not np.all(np.isfinite(u)):
@@ -228,171 +228,157 @@ def solve(
     if trajectory is not None:
         return trajectory._read(problem, u, config, counters, trace_sink)
     for k, u, y, R, g, gamma, successes in _iterate(problem, u, config, counters, trace_sink,
-                                                    _Start()):
+                                                    Trajectory()):
         status = _stop(config, k, norm(R), norm(g))
         if status is not None:
             return SolveOutcome(status, u, y, R, g, gamma, k, successes, counters)
 
 
 class Trajectory:
-    """One stream of iterates shared by the solves that differ only in
-    ``eps_R`` and ``eps_g``, which enter the method only in the stopping test.
+    """The iterates shared by the solves from one problem and ``u0``, one
+    stream per config apart from ``eps_R`` and ``eps_g``, which enter the
+    method only in the stopping test.
 
-    The first ``solve`` given a trajectory binds it to its problem, ``u0``
-    and config; a later one with another problem or ``u0``, or a config that
-    differs in more than the two tolerances, is refused with ``ValueError``.
-    Each solve advances the stream as far as its own stop needs, replays the
-    stream's records up to there to its sink, each with its own ``u`` and
-    ``counters``, and sets its counters to the stream's there. A solve whose
-    stop the stream has passed starts it over, on the same code; a grid
-    whose looser tolerances come first never does. A stream that raised
-    raises the same exception in every solve that needs a later top, with
-    the counters and records it had then.
+    The first ``solve`` given a trajectory binds it to its problem and
+    ``u0``; a later one with another problem or ``u0`` is refused with
+    ``ValueError``. Each solve advances its config's stream as far as its own
+    stop needs, replays the stream's records up to there to its sink, each
+    with its own ``u`` and with ``counters`` offset by the solve's counters
+    before it, and adds the stream's counters there to its own, as a plain
+    ``solve`` would. A solve whose stop the stream has passed starts it over,
+    on the same code; a grid whose looser tolerances come first never does.
+    A stream that raised raises the same exception in every solve that needs
+    a later top, with the counters and records it had then.
 
-    Every stream of a trajectory, restarts included, begins at its
-    ``start``: the work before the first step, which depends on neither
-    theta nor the tolerances, done once. Trajectories given the same
-    ``start`` share it, so a sweep's streams, one per theta, share one
-    (``run_experiment``); each stream's counters still count the start's
-    work, as an independent run's would. Without one a trajectory has its
-    own.
+    Every stream, restarts included, begins at the trajectory's start: the
+    state solve, residual, linearization and gradient at ``u0``, and the
+    first curvature-norm estimate there, which depend on neither the config
+    nor theta. The first stream to need each does it once, on counters of its
+    own; every stream adds those counts to its own counters, as an
+    independent run's would, and steps from copies of the start's vectors on
+    its shared linearization, whose factors it only reads. A sweep passes one
+    trajectory to all its cells (``run_experiment``), so its streams, one per
+    theta, share one start; a plain ``solve`` runs on a fresh one.
 
-    The stream keeps its own ``counters``, the ``(||R||, ||g||)`` of every
-    top in ``norms``, every ``IterationTrace`` in ``records``, and the
-    current top in ``top``, with the counters and the elapsed seconds there.
-    ``wall_s`` is the stream's elapsed time at the stop (or failure) of the
-    last solve read from it.
+    ``wall_s`` is the elapsed time of the stream read last at that solve's
+    stop (or failure).
     """
 
-    def __init__(self, start: _Start | None = None):
+    def __init__(self):
         self._binding = None
-        self._first = _Start() if start is None else start
+        self._streams = {}  # {the config but its tolerances, as a tuple: _Stream}
+        self._start = None  # (its counts, (y, R, lin, g) or the exception), once done
+        self._estimate = None
         self.wall_s = 0.0
 
-    def _new_stream(self, problem, u, config):
+    def _read(self, problem, u, config, counters, trace_sink) -> SolveOutcome:
+        if self._binding is None:
+            self._binding = (problem, u)
+        elif problem is not self._binding[0] or u.tobytes() != self._binding[1].tobytes():
+            raise ValueError("the trajectory is bound to another problem or u0")
+        key = astuple(replace(config, eps_R=1.0, eps_g=1.0))
+        stream = self._streams.get(key)
+        if stream is None or any(_stop(config, k, *top) for k, top in enumerate(stream.norms[:-1])):
+            stream = self._streams[key] = _Stream(problem, u, config, self)
+        while True:
+            k = len(stream.norms) - 1
+            status = _stop(config, k, *stream.norms[k]) if stream.norms else None
+            if status is not None or stream.error is not None:
+                break
+            stream.advance()
+
+        failed = status is None  # the stream raised before the stop
+        if failed:
+            saved, self.wall_s, records = stream.counters, stream.elapsed, stream.records
+        else:
+            state, saved, self.wall_s = stream.top
+            records = stream.records[:k]
+        before = counters.snapshot()
+        _add(counters, saved)
+        if trace_sink is not None:  # copies, so no sink changes what a later one reads
+            for record in records:
+                trace_sink(replace(record, u=record.u.copy(), counters={
+                    name: before[name] + count for name, count in record.counters.items()}))
+        if failed:
+            raise stream.error
+        k, u, y, R, g, gamma, successes = state  # copied: the stream steps on from them
+        return SolveOutcome(status, u.copy(), y.copy(), R.copy(), g.copy(), gamma, k,
+                            successes, counters)
+
+    def _take(self, problem, u, counters):
+        """``(y, R, jac, g)`` at the start for a run that tallies in
+        ``counters``, after adding the start's counts to them, or the
+        exception the start failed with."""
+        if self._start is None:
+            spent = EvalCounters()
+            try:
+                result = _begin(problem, u, spent)
+            except Exception as exc:
+                result = exc
+            self._start = (spent, result)
+        spent, result = self._start
+        _add(counters, spent)
+        if isinstance(result, Exception):
+            raise result
+        y, R, lin, g = result
+        return y.copy(), R.copy(), ReducedJacobian(problem, lin, counters), g.copy()
+
+    def _first_estimate(self, problem) -> tuple:
+        """``_estimate`` at the start's linearization, taken once."""
+        if self._estimate is None:
+            self._estimate = _estimate(problem, self._start[1][2])
+        return self._estimate
+
+
+class _Stream:
+    """One stream of a ``Trajectory``: a run's own ``counters``, every
+    ``IterationTrace`` in ``records``, the ``(||R||, ||g||)`` of every top
+    in ``norms``, and the current top in ``top``, with the counters and the
+    elapsed seconds there; ``error`` is the exception the run raised."""
+
+    def __init__(self, problem, u, config, start):
         self.counters = EvalCounters()
         self.records = []
         self.norms = []
         self.top = None  # (yielded state, counters there, elapsed seconds there)
         self.error = None
         self.elapsed = 0.0
-        self._stream = _iterate(problem, u, config, self.counters, self.records.append,
-                                self._first)
+        self._tops = _iterate(problem, u, config, self.counters, self.records.append, start)
 
-    def _advance(self):
-        start = time.perf_counter()
+    def advance(self):
+        began = time.perf_counter()
         try:
-            state = next(self._stream)
+            state = next(self._tops)
             self.norms.append((norm(state[3]), norm(state[4])))
         except Exception as exc:
             self.error = exc
-        self.elapsed += time.perf_counter() - start
+        self.elapsed += time.perf_counter() - began
         if self.error is None:
             self.top = (state, replace(self.counters), self.elapsed)
 
-    def _read(self, problem, u, config, counters, trace_sink) -> SolveOutcome:
-        rest = replace(config, eps_R=1.0, eps_g=1.0)  # the config but its tolerances
-        if self._binding is None:
-            self._first.bind(problem, u)
-            self._binding = (problem, u, rest)
-            self._new_stream(problem, u, config)
-        elif (problem is not self._binding[0] or u.tobytes() != self._binding[1].tobytes()
-              or rest != self._binding[2]):
-            raise ValueError("the trajectory is bound to another problem, u0 or config "
-                             "(apart from eps_R and eps_g)")
 
-        if any(_stop(config, k, *top) for k, top in enumerate(self.norms[:-1])):
-            self._new_stream(problem, u, config)
-        while True:
-            k = len(self.norms) - 1
-            status = _stop(config, k, *self.norms[k]) if self.norms else None
-            if status is not None or self.error is not None:
-                break
-            self._advance()
-
-        failed = status is None  # the stream raised before the stop
-        if failed:
-            saved, self.wall_s, records = self.counters, self.elapsed, self.records
-        else:
-            state, saved, self.wall_s = self.top
-            records = self.records[:k]
-        for f in fields(EvalCounters):
-            setattr(counters, f.name, getattr(saved, f.name))
-        if trace_sink is not None:  # copies, so no sink changes what a later one reads
-            for record in records:
-                trace_sink(replace(record, u=record.u.copy(), counters=dict(record.counters)))
-        if failed:
-            raise self.error
-        k, u, y, R, g, gamma, successes = state  # copied: the stream steps on from them
-        return SolveOutcome(status, u.copy(), y.copy(), R.copy(), g.copy(), gamma, k,
-                            successes, counters)
+def _add(counters: EvalCounters, more: EvalCounters):
+    """Add every count of ``more`` to ``counters``."""
+    for f in fields(EvalCounters):
+        setattr(counters, f.name, getattr(counters, f.name) + getattr(more, f.name))
 
 
-class _Start:
-    """The start of a run at a (problem, u0): the state solve at u0, the
-    residual and its finiteness check, the linearization there, and the
-    gradient and its overflow check, which depend on neither the config nor
-    theta. The first ``take`` does them, on counters of its own; every
-    ``take`` adds those counts to its run's counters and hands it copies of
-    y, R and g and a Jacobian with its counters on the shared linearization,
-    whose factors the run only reads, or raises the exception the start
-    failed with, after adding the counts it had spent. The curvature-norm
-    estimate at the start's linearization is taken lazily, by the first run
-    that reaches its first step in Gauss-Newton mode, and kept for the rest.
-
-    A start binds to the first (problem, u0) it is given and refuses another
-    with ``ValueError``. ``solve`` runs on a fresh one; a ``Trajectory``
-    keeps one for all its streams.
-    """
-
-    def __init__(self):
-        self._binding = None
-        self._spent = None  # the counts of the work below, once done
-        self._estimate = None
-
-    def bind(self, problem, u):
-        if self._binding is None:
-            self._binding = (problem, u.copy())
-        elif problem is not self._binding[0] or u.tobytes() != self._binding[1].tobytes():
-            raise ValueError("the start is bound to another problem or u0")
-
-    def take(self, problem, u, counters):
-        """``(y, R, jac, g)`` at ``u`` for a run that tallies in ``counters``."""
-        self.bind(problem, u)
-        if self._spent is None:
-            spent = EvalCounters()
-            try:
-                result = self._run(problem, u, spent)
-            except Exception as exc:
-                result = exc
-            self._spent, self._result = spent, result
-        for f in fields(EvalCounters):
-            setattr(counters, f.name, getattr(counters, f.name) + getattr(self._spent, f.name))
-        if isinstance(self._result, Exception):
-            raise self._result
-        y, R, lin, g = self._result
-        return y.copy(), R.copy(), ReducedJacobian(problem, lin, counters), g.copy()
-
-    @staticmethod
-    def _run(problem, u, counters):
-        counters.forward_solves += 1  # counted before it is tried, as at trial points
-        y = problem.solve_state(u, counters=counters)
-        R = problem.residual(y, u)
-        if not np.all(np.isfinite(R)):
-            raise ValueError("the residual at u0 is not finite")
-        jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
-        g = jac.apply_transpose(R)
-        with np.errstate(over="ignore"):  # an overflowing norm is refused below
-            g_norm = norm(g)
-        if not math.isfinite(g_norm):
-            raise FloatingPointError(f"the gradient at u0 overflowed: ||g|| = {g_norm}")
-        return y, R, jac.lin, g
-
-    def estimate(self, problem) -> tuple:
-        """``_estimate`` at the start's linearization, taken once."""
-        if self._estimate is None:
-            self._estimate = _estimate(problem, self._result[2])
-        return self._estimate
+def _begin(problem, u, counters) -> tuple:
+    """``(y, R, lin, g)`` at ``u``: the state solve, the residual and its
+    finiteness check, the linearization, and the gradient and its overflow
+    check, tallied in ``counters``."""
+    counters.forward_solves += 1  # counted before it is tried, as at trial points
+    y = problem.solve_state(u, counters=counters)
+    R = problem.residual(y, u)
+    if not np.all(np.isfinite(R)):
+        raise ValueError("the residual at u0 is not finite")
+    jac = ReducedJacobian(problem, problem.linearize(y, u), counters)
+    g = jac.apply_transpose(R)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        g_norm = norm(g)
+    if not math.isfinite(g_norm):
+        raise FloatingPointError(f"the gradient at u0 overflowed: ||g|| = {g_norm}")
+    return y, R, jac.lin, g
 
 
 def _estimate(problem, lin) -> tuple:
@@ -406,11 +392,11 @@ def _estimate(problem, lin) -> tuple:
 
 def _iterate(problem, u, config, counters, trace_sink, start):
     """The outer loop from the validated control ``u``, beginning at the
-    ``_Start`` ``start``. Yields ``(k, u, y, R, g, gamma, successes)`` at
-    each loop top, before its stopping test, and takes iteration k's step
-    when resumed; it keeps no state of earlier tops. ``solve`` says what it
-    counts and raises."""
-    y, R, jac, g = start.take(problem, u, counters)
+    start that the ``Trajectory`` ``start`` holds. Yields ``(k, u, y, R, g,
+    gamma, successes)`` at each loop top, before its stopping test, and takes
+    iteration k's step when resumed; it keeps no state of earlier tops.
+    ``solve`` says what it counts and raises."""
+    y, R, jac, g = start._take(problem, u, counters)
     gamma = config.gamma0 if config.gamma0 is not None else default_gamma0(g, u)
     if config.gamma_min > gamma:
         raise ValueError(
@@ -427,7 +413,8 @@ def _iterate(problem, u, config, counters, trace_sink, start):
         yield k, u, y, R, g, gamma, successes
 
         if h_norm is None:  # at k = 0 the start's estimate, shared by its streams
-            h_norm, probes = start.estimate(problem) if k == 0 else _estimate(problem, jac.lin)
+            h_norm, probes = (start._first_estimate(problem) if k == 0
+                              else _estimate(problem, jac.lin))
             counters.norm_estimates += 1
             counters.norm_probe_applies += probes
         # no later top reads the start; unreferenced, a plain solve's start and

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import iclsq
+import iclsq.solver as solver_mod
 from iclsq import harness
 from iclsq.burgers import BurgersProblem
 from iclsq.elliptic import EllipticProblem
@@ -219,17 +220,21 @@ class TestRunExperiment:
             )
             assert row.pde_solves == row.iterations + 1
 
-    def test_one_trajectory_per_theta(self, small_spec, monkeypatch):
+    def test_one_trajectory_one_stream_per_theta(self, small_spec, monkeypatch):
         built = []
 
-        class Counted(harness.Trajectory):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
+        def counted(cls):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    built.append(cls.__name__)
+            return Counted
 
-        monkeypatch.setattr(harness, "Trajectory", Counted)
+        monkeypatch.setattr(harness, "Trajectory", counted(harness.Trajectory))
+        monkeypatch.setattr(solver_mod, "_Stream", counted(solver_mod._Stream))
         rows = run_experiment(dataclasses.replace(small_spec, out_dir=None))
-        assert len(rows) == 4 and len(built) == len(small_spec.theta_grid) == 2
+        assert len(rows) == 4 and len(small_spec.theta_grid) == 2
+        assert sorted(built) == ["Trajectory", "_Stream", "_Stream"]
 
     def test_artifacts_written_and_parseable(self, small_spec):
         out_dir = small_spec.out_dir

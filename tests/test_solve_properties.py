@@ -19,13 +19,14 @@ problems, and its gradient J^T R against central differences on Burgers
 problems with nx in [2, 4] and nt in [1, 3] and elliptic ones with N in
 [2, 5].
 
-A sweep reads the cells of each theta off one ``Trajectory``. Drawn sweeps
-of either problem, in either curvature mode, with theta grids and tolerance
-pairs in any order (so that a cell can stop before the stream's current top
-and start it over), must give every row field but ``wall_ms`` and every
+A sweep reads its cells off one ``Trajectory``, one stream per theta.
+Drawn sweeps of either problem, in either curvature mode, with theta grids
+and tolerance pairs in any order (so that a cell can stop before the
+stream's current top and start it over), must give every row field but ``wall_ms`` and every
 trace file that independent solves of the cells give; so must a sweep whose
-streams fail part way, and a trajectory must refuse a solve that differs in
-more than its tolerances.
+streams fail part way. A trajectory must refuse a solve of another problem
+or starting control, and keep one stream per config apart from its
+tolerances.
 """
 
 import dataclasses
@@ -402,41 +403,37 @@ def test_a_sweep_takes_its_start_once(monkeypatch):
 
 
 @pytest.mark.parametrize("change", ["problem", "u0"])
-def test_a_start_refuses_another_problem_or_u0(change):
+def test_a_trajectory_refuses_another_problem_or_u0(change):
     problem = BurgersProblem(4, 2)
     config = SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2, max_iter=5)
-    start = solver_mod._Start()
-    solve(problem, np.zeros(problem.n), config, trajectory=Trajectory(start))
+    trajectory = Trajectory()
+    solve(problem, np.zeros(problem.n), config, trajectory=trajectory)
     other = ((BurgersProblem(4, 2), np.zeros(problem.n)) if change == "problem"
              else (problem, np.full(problem.n, 0.1)))
-    with pytest.raises(ValueError, match="start is bound"):
-        solve(*other, config, trajectory=Trajectory(start))
+    with pytest.raises(ValueError, match="trajectory is bound"):
+        solve(*other, config, trajectory=trajectory)
     # the pair it is bound to is still served, to another theta
     read = read_cell(problem, np.zeros(problem.n), dataclasses.replace(config, theta=0.5),
-                     Trajectory(start))
+                     trajectory)
     assert read == read_cell(problem, np.zeros(problem.n), dataclasses.replace(config, theta=0.5))
 
 
-@pytest.mark.parametrize("change", [{"problem": BurgersProblem(4, 2)}, {"u0": 0.1},
-                                    {"theta": 0.5}, {"max_iter": 6}, {"gamma0": 2.0},
+@pytest.mark.parametrize("change", [{"theta": 0.5}, {"max_iter": 6}, {"gamma0": 2.0},
                                     {"hessian_mode": "zero"}], ids=lambda change: [*change][0])
-def test_a_trajectory_refuses_a_solve_of_another_stream(change):
+def test_a_trajectory_keeps_one_stream_per_config(change):
+    """Solves of two configs that differ in more than their tolerances,
+    interleaved through one trajectory, each read what they read alone; the
+    last loose solve starts its stream over."""
     problem = BurgersProblem(4, 2)
+    u0 = np.zeros(problem.n)
     config = SolverConfig(eps_R=1e-2, eps_g=1e-4, theta=1e-2, max_iter=5)
-    args = {"problem": problem, "u0": np.zeros(problem.n), "config": config}
+    other = dataclasses.replace(config, **change)
+    tight = {"eps_R": 1e-3, "eps_g": 1e-6}
     trajectory = Trajectory()
-    solve(**args, trajectory=trajectory)
-    solve(problem, np.zeros(problem.n), dataclasses.replace(config, eps_R=1e-3, eps_g=1e-6),
-          trajectory=trajectory)
-    [(name, value)] = change.items()
-    if name == "u0":
-        args["u0"] = np.full(problem.n, value)
-    elif name == "problem":
-        args["problem"] = value
-    else:
-        args["config"] = dataclasses.replace(config, **change)
-    with pytest.raises(ValueError, match="trajectory"):
-        solve(**args, trajectory=trajectory)
+    for cell in (config, other, dataclasses.replace(config, **tight),
+                 dataclasses.replace(other, **tight), config):
+        assert read_cell(problem, u0, cell, trajectory) == read_cell(problem, u0, cell)
+    assert len(trajectory._streams) == 2
 
 
 # Burgers 8 x 4 at nu = 0.01 from the zero control accepts every step; its scaled
