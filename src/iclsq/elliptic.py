@@ -17,12 +17,15 @@ corners, and M is a 7-point stencil.
 
 On this mesh the interior stiffness matrix K is exactly the five-point
 Laplacian (4 on the diagonal, -1 per grid neighbour): every triangle has its
-right angle opposite the diagonal edge, whose coupling vanishes. A 2-D
-type-I discrete sine transform diagonalizes it, so each constraint solve is
-two transforms and a pointwise divide (Hockney's fast Poisson solver). Both
-transforms call pocketfft's DST kernel, the one scipy.fft.dstn and idstn end
-in, without their dispatch (about 10 us a transform); the inverse runs in
-place in the solve's own coefficient array.
+right angle opposite the diagonal edge, whose coupling vanishes. So
+K = T (x) I + I (x) T with T = tridiag(-1, 2, -1), and each constraint solve
+is Hockney's fast Poisson solver by Fourier analysis in one direction: a
+type-I discrete sine transform along one grid axis splits K into one SPD
+tridiagonal system per grid row, one LAPACK dpttrs solves all rows on the
+L D L^T factor that dpttrf makes once, and the transform maps back. Both
+transforms call pocketfft's DST kernel, the one scipy.fft.dst and idst end
+in, without their dispatch (about 10 us a transform); the row solves and the
+inverse run in place in the solve's own coefficient array.
 
 The residual Jacobian G = [[0, F], [sqrt(lam) F, 0]] on the stacked (u, y)
 is two products with F or its one stored transpose (a stacked CSR would
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .core import ImplicitProblem, LinearOperator, Linearization, as_vector
 from .core import check_integer, check_positive, csr_apply, sparse_operator, stencil_csr
@@ -84,7 +88,8 @@ class EllipticProblem(ImplicitProblem):
     F = sqrt(c) [sqrt(6) I; S] of (N-1)^2 + 2 N^2 rows and 7 (N-1)^2
     nonzeros, so m = 2 rows(F). The constructor sets all three sizes.
     K is the five-point Laplacian on the (N-1) x (N-1) interior grid, and
-    the state, linearized and adjoint solves all invert it by DST-I.
+    the state, linearized and adjoint solves all invert it by a DST-I along
+    one axis and a tridiagonal solve along the other.
     """
 
     def __init__(self, N: int, lam: float = 1e-3, z_choice: str = "zero"):
@@ -120,22 +125,30 @@ class EllipticProblem(ImplicitProblem):
         # that Burgers-only users should not pay.
         from scipy.fft._pocketfft.pypocketfft import dst
 
-        self._dst = dst
-        # Eigenvalues of K: lam_j + lam_k on the sine mode (j, k), with
-        # lam_j = 4 sin^2(j pi / 2N) those of tridiag(-1, 2, -1).
+        self._dst, self._grid = dst, (N - 1, N - 1)
+        # Row j of the transformed grid solves (T + lam_j I) x = c, with
+        # lam_j = 4 sin^2(j pi / 2N) the eigenvalues of T. Laid end to end,
+        # with a 0 off-diagonal at each row end, the rows are one SPD
+        # tridiagonal matrix, factored once as L D L^T. At N = 2 f2py wants
+        # the one off-diagonal entry that LAPACK never reads.
         lam_1d = 4.0 * np.sin(np.arange(1, N) * (math.pi / (2 * N))) ** 2
-        self._K_eig = lam_1d[:, None] + lam_1d[None, :]
+        off = np.full(self.n, -1.0)
+        off[N - 2 :: N - 1] = 0.0
+        self._K_factor = dpttrf(np.repeat(2.0 + lam_1d, N - 1), off[: max(self.n - 1, 1)])[:2]
+        for array in self._K_factor:
+            array.flags.writeable = False
 
     def _solve_K(self, b: np.ndarray) -> np.ndarray:
-        # The orthonormal 2-D DST-I diagonalizes K and is its own inverse.
-        # pocketfft's kernel, called without scipy.fft's dispatch (about
-        # 10 us a transform), takes (a, type, axes, inorm, out, nthreads);
-        # inorm 1 makes type I orthonormal both ways. The inverse writes into
-        # the fresh coefficients, so b is never written and concurrent solves
-        # share no buffer.
-        coeffs = self._dst(b.reshape(self._K_eig.shape), 1, (0, 1), 1, None, 1)
-        coeffs /= self._K_eig
-        return self._dst(coeffs, 1, (0, 1), 1, coeffs, 1).ravel()
+        # The orthonormal DST-I along axis 0, its own inverse, leaves one
+        # tridiagonal system per grid row, which one dpttrs on the stored
+        # factor solves in place. pocketfft's kernel, called without
+        # scipy.fft's dispatch (about 10 us a transform), takes (a, type,
+        # axes, inorm, out, nthreads); inorm 1 makes type I orthonormal both
+        # ways. Only the fresh coefficients are written, so b never is and
+        # concurrent solves share no buffer.
+        coeffs = self._dst(b.reshape(self._grid), 1, (0,), 1, None, 1).ravel()
+        rows = dpttrs(*self._K_factor, coeffs, overwrite_b=True)[0].reshape(self._grid)
+        return self._dst(rows, 1, (0,), 1, rows, 1).ravel()
 
     def solve_state(self, u, start=None, counters=None) -> np.ndarray:
         """One direct solve K y = M u: it never calls ``start`` and counts

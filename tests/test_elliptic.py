@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from iclsq.elliptic import EllipticProblem
 from iclsq.solver import SolveStatus, SolverConfig, solve
@@ -206,26 +207,69 @@ class TestFastSolve:
         assert np.linalg.norm(constraint_residual(prob, y, u)) <= feasibility_tol(prob)
 
     @pytest.mark.parametrize("N", [2, 3, 10, 80])
-    def test_solve_k_is_scipy_fft_dst_solve_bit_for_bit(self, N, rng):
-        # The direct pocketfft calls must give exactly scipy.fft's dstn/idstn
-        # solve, also for signed zeros, huge entries and a strided rhs.
-        from scipy.fft import dstn, idstn
+    def test_solve_k_is_one_axis_dst_and_row_solves_bit_for_bit(self, N, rng):
+        # The direct pocketfft calls and the one dpttrs on the rows laid end
+        # to end must give exactly the public transforms along axis 0 with a
+        # separate LAPACK LDL^T solve of each row's (T + lam_j I), also for
+        # signed zeros, huge entries and a strided rhs.
+        from scipy.fft import dst, idst
 
         prob = EllipticProblem(N)
         n = prob.n
+        lam = 4.0 * np.sin(np.arange(1, N) * (math.pi / (2 * N))) ** 2
+        # one row's off-diagonal; at N = 2 LAPACK reads none, but f2py wants one
+        row_factors = [dpttrf(np.full(N - 1, 2.0 + lam_j), -np.ones(max(N - 2, 1)))
+                       for lam_j in lam]
         b = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
         b[::3] = -0.0
         b[0] = 1e300
         strided = np.empty(2 * n)
         strided[::2], strided[1::2] = b, np.nan
         for rhs in (b, strided[::2]):
-            B = rhs.reshape(N - 1, N - 1)
-            expected = idstn(
-                dstn(B, type=1, norm="ortho") / prob._K_eig, type=1, norm="ortho"
-            ).ravel()
+            coeffs = dst(rhs.reshape(N - 1, N - 1), type=1, axis=0, norm="ortho")
+            rows = np.array([dpttrs(d, e, row)[0] for (d, e, _), row in zip(row_factors, coeffs)])
+            expected = idst(rows, type=1, axis=0, norm="ortho").ravel()
             for got in (prob._solve_K(rhs), prob.solve_cy(prob.linearize(None, None), rhs)):
                 assert np.all(np.isfinite(got))
                 np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_solve_k_residual_at_n80(self, rng):
+        # against the assembled five-point Laplacian, as tight as the 2-D
+        # transform pair held it (6.7e-15 at most over 20 right-hand sides)
+        prob = EllipticProblem(80)
+        K = interior_stiffness(80)
+        for _ in range(20):
+            b = rng.standard_normal(prob.n)
+            assert np.linalg.norm(K @ prob._solve_K(b) - b) <= 1e-14 * np.linalg.norm(b)
+
+    def test_concurrent_solves_match_serial_solves(self, rng):
+        # More threads than cores, switching often, solving on one problem:
+        # they share only its read-only factor, so each gets the serial bits.
+        import sys
+        import threading
+
+        prob = EllipticProblem(80)
+        assert not any(array.flags.writeable for array in prob._K_factor)
+        rhs = rng.standard_normal((4, 30, prob.n))
+        expected = [np.array([prob._solve_K(b) for b in batch]) for batch in rhs]
+        results = [None] * len(rhs)
+
+        def run(i):
+            results[i] = np.array([prob._solve_K(b) for b in rhs[i]])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(rhs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("N", [2, 10])
     def test_solves_leave_a_read_only_argument_untouched(self, N, rng):

@@ -715,10 +715,17 @@ class TestPinnedCounters:
     # row from 232/448/216 to 233/450/217; every other row held. The row now
     # reads the same under OpenBLAS's SkylakeX, Haswell, Zen and Sandybridge
     # kernels, and 230/444/214 under Prescott.
-    # Under Prescott (OPENBLAS_CORETYPE=Prescott, whose kernel table OpenBLAS
-    # names Katmai) the two theta = 0 Gauss-Newton rows, which run CGLS to
-    # about 1e-12, follow its last bits and read PRESCOTT's rows; every other
-    # row reads the same there.
+    # Solving K by a sine transform along one axis and tridiagonal row solves,
+    # in place of the 2-D transform pair, which rounds the elliptic solves
+    # differently, moved the elliptic theta = 0 row under the AVX-512 kernels
+    # (SkylakeX, Cooperlake, SapphireRapids) from 132/243/111 to 131/241/110;
+    # under Haswell, Zen, Sandybridge and Prescott it reads 132/243/111, where
+    # Prescott read 131/241/110 before. Every other row held.
+    # The two theta = 0 Gauss-Newton rows run CGLS to about 1e-12, so they
+    # follow the BLAS kernel's last bits: under the kernels of a KERNEL_PINS
+    # entry (read from OpenBLAS's core names; OPENBLAS_CORETYPE=Prescott loads
+    # the table OpenBLAS names Katmai) they read its row. Every other row reads
+    # the same under every kernel.
     CASES = [
         ("burgers", "gauss_newton", 0.0, (15, 16, 233, 450, 217)),
         ("burgers", "gauss_newton", 1e-2, (15, 16, 81, 146, 65)),
@@ -731,9 +738,10 @@ class TestPinnedCounters:
         ("elliptic", "zero", 0.0, (23, 24, 21, 21, 23)),
         ("elliptic", "zero", 0.5, (23, 24, 21, 21, 23)),
     ]
-    PRESCOTT = {("burgers", 0.0): (15, 16, 230, 444, 214),
-                ("elliptic", 0.0): (20, 21, 131, 241, 110)}
-    PRESCOTT_CORES = {"Prescott", "Katmai"}
+    KERNEL_PINS = {
+        ("burgers", 0.0): ({"Prescott", "Katmai"}, (15, 16, 230, 444, 214)),
+        ("elliptic", 0.0): ({"SkylakeX", "Cooperlake", "SapphireRapids"}, (20, 21, 131, 241, 110)),
+    }
     # The Gauss-Newton rows keep the ids they had before the zero rows came.
     IDS = [
         f"{name}-{theta}-expected{i}" if mode == "gauss_newton" else f"{name}-{mode}-{theta}"
@@ -748,8 +756,9 @@ class TestPinnedCounters:
         else:
             prob = EllipticProblem(10, z_choice="one")
             u0 = np.ones(prob.n)
-        if mode == "gauss_newton" and openblas_cores() & self.PRESCOTT_CORES:
-            expected = self.PRESCOTT.get((name, theta), expected)
+        cores, pinned = self.KERNEL_PINS.get((name, theta), (set(), None))
+        if mode == "gauss_newton" and openblas_cores() & cores:
+            expected = pinned
         out = solve(prob, u0, SolverConfig(theta=theta, hessian_mode=mode))
         c = out.counters
         got = (
