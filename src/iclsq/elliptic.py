@@ -99,7 +99,7 @@ class EllipticProblem(ImplicitProblem):
             raise ValueError(f"z_choice must be 'zero' or 'one', got {z_choice!r}")
         self.n = self.n_y = (N - 1) ** 2
         F, self.M = _mass_matrices(N)
-        self._sqrtM, self.m = F, 2 * F.shape[0]
+        self.m = 2 * F.shape[0]
         F_T = F.T.tocsr()  # one transpose, for both halves of G
         m, rows, n, s = self.m, F.shape[0], self.n, math.sqrt(self.lam)
 

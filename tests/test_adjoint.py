@@ -17,6 +17,7 @@ from iclsq.subproblem import estimate_operator_norm, exact_step
 from conftest import (
     CountingOperator,
     IdentityProblem,
+    captured,
     dense_jacobian_oracle,
     fd_gradient_oracle,
     interior_stiffness,
@@ -55,7 +56,7 @@ class TestElliptic:
         dense = dense_jacobian_oracle(prob, u)
         K = interior_stiffness(prob.N).toarray()
         M = prob.M.toarray()
-        F = prob._sqrtM.toarray()
+        F = captured(prob._linearization.G.apply)["F"].toarray()
         top = F @ np.linalg.solve(K, M)
         bottom = np.sqrt(prob.lam) * F
         np.testing.assert_allclose(dense, np.vstack([top, bottom]), atol=1e-10)

@@ -214,8 +214,9 @@ class TestProblemOperators:
         if kind == "elliptic":
             prob = EllipticProblem(size)
             F, M = reference_elliptic_matrices(size)
-            F_T = captured(prob._linearization.G.apply_transpose)["F_T"]
-            pairs = [(prob._sqrtM, F), (F_T, F.T.tocsr()), (prob.M, M)]
+            G = prob._linearization.G
+            F_own, F_T = captured(G.apply)["F"], captured(G.apply_transpose)["F_T"]
+            pairs = [(F_own, F), (F_T, F.T.tocsr()), (prob.M, M)]
         else:
             prob = BurgersProblem(*size)
             pairs = []
@@ -232,7 +233,7 @@ class TestProblemOperators:
         if kind == "elliptic":
             prob = EllipticProblem(size)
             lin = prob._linearization
-            F, F_T = prob._sqrtM, captured(lin.G.apply_transpose)["F_T"]
+            F, F_T = captured(lin.G.apply)["F"], captured(lin.G.apply_transpose)["F_T"]
             n, rows, s = prob.n, F.shape[0], math.sqrt(prob.lam)
             expected = [(
                 lin.G,

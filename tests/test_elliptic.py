@@ -14,6 +14,7 @@ from iclsq.solver import SolveStatus, SolverConfig, solve
 from conftest import (
     assemble_stiffness,
     assert_adjoint_identity,
+    captured,
     constraint_residual,
     feasibility_tol,
     interior_stiffness,
@@ -119,7 +120,7 @@ class TestAssembly:
     @pytest.mark.parametrize("N", [2, 3, 6, 7])
     def test_mass_factor_reproduces_mass_and_is_sparse(self, N):
         prob = EllipticProblem(N)
-        F = prob._sqrtM
+        F = captured(prob._linearization.G.apply)["F"]
         M = prob.M.toarray()
         assert F.shape == ((N - 1) ** 2 + 2 * N * N, prob.n) and prob.m == 2 * F.shape[0]
         # six triangles per interior node plus the identity block, no stored zeros
@@ -297,9 +298,9 @@ class TestPartialJacobians:
         # each half of G is one product with F or its CSR transpose, scaled
         # outside the matrix, and the residual is G on (u, y - z), bit for bit
         prob = EllipticProblem(N, lam=0.07, z_choice="one")
-        F = prob._sqrtM
-        F_T, rows, s = F.T.tocsr(), F.shape[0], math.sqrt(prob.lam)
         G = prob.linearize(None, None).G
+        F = captured(G.apply)["F"]
+        F_T, rows, s = F.T.tocsr(), F.shape[0], math.sqrt(prob.lam)
         u, y = rng.standard_normal((2, prob.n))
         w = rng.standard_normal(prob.m)
         np.testing.assert_array_equal(
@@ -315,7 +316,7 @@ class TestPartialJacobians:
     def test_partial_jacobians_match_dense_blocks(self, N, name, rng):
         # G_y = [F; 0], G_u = [0; sqrt(lam) F] and c_u = -M, zero half included
         prob = EllipticProblem(N, lam=0.07)
-        F, M = prob._sqrtM.toarray(), prob.M.toarray()
+        F, M = captured(prob._linearization.G.apply)["F"].toarray(), prob.M.toarray()
         zero = np.zeros_like(F)
         expected = {
             "Gu": np.vstack([zero, np.sqrt(prob.lam) * F]),

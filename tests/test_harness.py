@@ -360,30 +360,43 @@ class TestNearExactPostHoc:
 
 
 class TestCli:
-    def test_module_entry_runs_without_warnings(self, tmp_path):
+    # in a fresh interpreter, so each problem's lazy imports (pocketfft's
+    # for elliptic) run there too
+    @pytest.mark.parametrize("argv", [
+        ["solve", "burgers", "--nx", "4", "--nt", "2", "--max-iter", "2"],
+        ["solve", "elliptic", "--n-mesh", "2"],
+    ], ids=["burgers", "elliptic"])
+    def test_module_entry_runs_without_warnings(self, argv, tmp_path):
         src = str(Path(iclsq.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
-        argv = ["solve", "burgers", "--nx", "4", "--nt", "2", "--max-iter", "2"]
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "iclsq", *argv],
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
-        assert "burgers:" in proc.stdout
+        assert f"{argv[1]}:" in proc.stdout
 
-    def test_solve_command(self, capsys, tmp_path):
+    @pytest.mark.parametrize("settings,status", [
+        (["elliptic", "--n-mesh", "5", "--z", "one",
+          "--eps-r", "1e-2", "--eps-g", "1e-4", "--theta", "0.01"],
+         "converged_scaled_gradient"),
+        (["burgers", "--nx", "8", "--nt", "4"], "converged_scaled_gradient"),
+        # past 32 nodes Burgers solves c_y per time step, not by one band LU
+        (["burgers", "--nx", "40", "--nt", "2"], "converged_scaled_gradient"),
+        # the edge cases of the stencils' index arithmetic: one interior
+        # node, and one off-diagonal per block over one time step
+        (["elliptic", "--n-mesh", "2"], "converged_residual"),
+        (["burgers", "--nx", "2", "--nt", "1"], "converged_scaled_gradient"),
+    ], ids=["elliptic5", "burgers8x4", "burgers40x2", "elliptic2", "burgers2x1"])
+    def test_solve_command(self, settings, status, capsys, tmp_path):
         trace = tmp_path / "run.jsonl"
-        code = main([
-            "solve", "elliptic", "--n-mesh", "5", "--z", "one",
-            "--eps-r", "1e-2", "--eps-g", "1e-4", "--theta", "0.01",
-            "--jsonl", str(trace),
-        ])
-        assert code == 0
+        assert main(["solve", *settings, "--jsonl", str(trace)]) == 0
         printed = capsys.readouterr().out
-        assert "converged_scaled_gradient" in printed
-        assert trace.exists() and trace.read_text().strip()
+        assert printed.startswith(f"{settings[0]}: {status} after ")
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert records and not any("error_type" in record for record in records)
 
     def test_sweep_command(self, tmp_path):
         grid = tmp_path / "grid.json"
@@ -541,23 +554,40 @@ class TestCli:
         assert [line.split(",")[:2] for line in body[1:]] == pairs
         assert capsys.readouterr().out == table
 
-    def test_solve_reports_solver_error_on_stderr(self, capsys):
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_failed_run_exits_2_and_reports_its_error(self, command, capsys, tmp_path):
         # Newton does not converge at the starting control of this problem
-        assert main(["solve", "burgers", "--nx", "12", "--nt", "1", "--nu", "1e-4"]) == 2
+        argv = [command, "burgers", "--nx", "12", "--nt", "1", "--nu", "1e-4"]
+        out_dir = tmp_path / "out"
+        assert main(argv + (["--out-dir", str(out_dir)] if command == "sweep" else [])) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("solver error: Newton failed")
+        if command == "solve":
+            assert captured.out == ""
+            assert captured.err.startswith("solver error: Newton failed")
+        else:  # every cell of the default grid fails after its one state solve
+            with open(out_dir / "summary.csv", newline="") as f:
+                rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+            assert len(rows) == 18
+            assert all(row["error_message"] and row["pde_solves"] == "1" for row in rows)
 
-    def test_failed_solve_ends_its_trace_with_the_error(self, capsys, tmp_path):
-        # as a failed sweep cell's trace does
+    @pytest.mark.parametrize(("settings", "error_type", "start"), [
+        (["burgers", "--nx", "12", "--nt", "1", "--nu", "1e-4"],
+         "StateSolveError", "Newton failed at time step 1: residual"),
+        # the first gradient norm overflows
+        (["elliptic", "--n-mesh", "4", "--lambda", "1e300"],
+         "FloatingPointError", "the gradient at u0 overflowed"),
+    ], ids=["newton", "overflow"])
+    def test_failed_solve_ends_its_trace_with_the_error(self, settings, error_type, start,
+                                                        capsys, tmp_path):
+        # as a failed sweep cell's trace does; both fail at u0, so the error
+        # record is the whole trace
         trace = tmp_path / "run.jsonl"
-        argv = ["solve", "burgers", "--nx", "12", "--nt", "1", "--nu", "1e-4",
-                "--jsonl", str(trace)]
-        assert main(argv) == 2
+        assert main(["solve", *settings, "--jsonl", str(trace)]) == 2
         message = capsys.readouterr().err.removeprefix("solver error: ").rstrip("\n")
-        assert message.startswith("Newton failed")
+        # a failed time step is named once
+        assert message.startswith(start) and message.count("time step") <= 1
         records = [json.loads(line) for line in trace.read_text().splitlines()]
-        assert records == [{"error_type": "StateSolveError", "error_message": message}]
+        assert records == [{"error_type": error_type, "error_message": message}]
 
     def test_solve_traces_as_its_sweep_cell_does(self, capsys, tmp_path):
         settings = ["elliptic", "--n-mesh", "4", "--z", "one", "--hessian", "zero"]

@@ -317,7 +317,7 @@ TIGHT_FIRST = ExperimentSpec("burgers", dict(nx=4, nt=4), theta_grid=(0.5, 0.0),
 # Newton diverges at the zero control: every cell fails at u0
 ALL_FAIL_AT_U0 = ExperimentSpec("burgers", dict(nx=12, nt=1, nu=1e-4), theta_grid=(0.0, 1e-2),
                                 eps_grid=((1e-2, 1e-4), (1e-2, 1e-6)))
-# the tolerance pairs of CI's sweep that is not nested: some cells start their stream over
+# tolerance pairs that are not nested: some cells start their stream over
 NOT_NESTED = ExperimentSpec("burgers", dict(nx=4, nt=2), theta_grid=(0.0, 0.01, 0.5),
                             eps_grid=((1e-2, 1e-6), (1e-2, 1e-3), (1e-3, 1e-8), (1e-1, 1e-4)))
 
@@ -328,6 +328,11 @@ NOT_NESTED = ExperimentSpec("burgers", dict(nx=4, nt=2), theta_grid=(0.0, 0.01, 
 @example(spec=dataclasses.replace(TIGHT_FIRST, hessian_mode="zero"))
 @example(spec=ALL_FAIL_AT_U0)
 @example(spec=NOT_NESTED)
+# past 32 nodes, beyond the drawn widths, Burgers solves c_y per time step
+@example(spec=dataclasses.replace(NOT_NESTED, problem_params=dict(nx=40, nt=2)))
+# every elliptic cell shares the problem's one linearization
+@example(spec=dataclasses.replace(NOT_NESTED, problem="elliptic",
+                                  problem_params=dict(N=6, z_choice="one")))
 def test_a_sweep_equals_its_independent_cells(spec):
     check_sweep_equals_independent_cells(spec)
 
